@@ -15,7 +15,7 @@ import numpy as np
 from .concepts import ConceptCodebook
 from .evaluate import EvalReport
 from .fitting import FitConfig, Fitted, value_symbol_maps
-from .mdp import TransitionModel
+from .mdp import TransitionModel, _key_rank
 from .symbols import Symbolizer
 from .taskgen import Dataset, Task
 from .workbench import EnvConfig, ObjectState
@@ -311,7 +311,7 @@ def load_fitted(directory: str) -> Fitted:
             mses[current_key] = float(kv["mse"])
             pair_counts[current_key] = int(kv["pairs"])
     maps = ActionTransitionMaps(dim=config.dim,
-                                action_keys=tuple(sorted(matrices, key=_maps_rank)),
+                                action_keys=tuple(sorted(matrices, key=_key_rank)),
                                 matrices=matrices, offsets=offsets,
                                 residual_mse=mses, pair_counts=pair_counts)
 
@@ -321,11 +321,6 @@ def load_fitted(directory: str) -> Fitted:
                   symbolizer=symbolizer, model=model, maps=maps,
                   value_maps=value_symbol_maps(codebook, symbolizer),
                   train_purity=purity)
-
-
-def _maps_rank(key: str):
-    from .mdp import _key_rank
-    return _key_rank(key)
 
 
 def check_compatible(dataset: Dataset, fitted: Fitted):

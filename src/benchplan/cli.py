@@ -16,7 +16,7 @@ import numpy as np
 from . import artifacts
 from .evaluate import interpretability_report, run_experiment
 from .fitting import FitConfig, fit_pipeline
-from .mdp import NoPlanFound, plan
+from .mdp import InvalidInit, NoPlanFound, plan
 from .symbols import symbolize
 from .taskgen import (
     N_TYPES,
@@ -113,22 +113,27 @@ def cmd_plan(args) -> int:
             raise artifacts.MissingArtifact(f"task {args.task_id!r} not in {args.data}")
         task = matches[0]
     else:
-        task = _adhoc_task(args)
+        try:
+            task = _adhoc_task(args)
+        except ValueError as err:  # malformed spec, or a state/bench the simulator rejects
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_USAGE
     from .evaluate import _masks_for
-    from .concepts import encode
+    from .concepts import UnknownValue, encode
     rng = np.random.default_rng([args.seed, 3])
-    init_tokens = encode(task.init, fitted.codebook, args.sigma, rng)
-    goal_tokens = encode(task.goal, fitted.codebook, args.sigma, rng)
-    masks = _masks_for(task, fitted)
-    init_sym = symbolize(init_tokens, fitted.symbolizer)
-    goal_sym = symbolize(goal_tokens, fitted.symbolizer)
     l_max = args.l_max if args.l_max else task.env.max_len
     try:
-        result = plan(fitted.model, init_sym, goal_sym, masks,
-                      top_k=args.topk, l_max=l_max)
+        init_tokens = encode(task.init, fitted.codebook, args.sigma, rng)
+        goal_tokens = encode(task.goal, fitted.codebook, args.sigma, rng)
+        result = plan(fitted.model, symbolize(init_tokens, fitted.symbolizer),
+                      symbolize(goal_tokens, fitted.symbolizer),
+                      _masks_for(task, fitted), top_k=args.topk, l_max=l_max)
     except NoPlanFound as err:
         print(f"no plan found: {err}", file=sys.stderr)
         return EXIT_THRESHOLD
+    except (UnknownValue, InvalidInit) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"task {task.task_id} (level {task.env.level}, "
           f"gt length {len(task.gt_actions)})")
     for i, p in enumerate(result.plans, 1):

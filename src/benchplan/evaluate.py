@@ -16,7 +16,7 @@ import numpy as np
 
 from .concepts import ConceptCodebook, encode
 from .fitting import Fitted, codebook_for_tasks
-from .mdp import NoPlanFound, SymbolMasks, base_action, plan
+from .mdp import InvalidInit, NoPlanFound, SymbolMasks, base_action, plan
 from .symbols import symbolize
 from .taskgen import Dataset, Task
 from .token_maps import plan_tokenspace
@@ -131,7 +131,7 @@ def evaluate_task(task: Task, fitted: Fitted, codebook: ConceptCodebook, *,
             else:
                 raise ValueError(f"unknown planner {planner!r}")
             attempts = [_keys_to_actions(p.actions) for p in result.plans]
-        except (NoPlanFound, ValueError):
+        except (NoPlanFound, InvalidInit):
             attempts = []
 
     reports = [adjudicate(task, actions) for actions in attempts]

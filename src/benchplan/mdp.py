@@ -11,6 +11,12 @@ on the joint (x, y) grid and marginalized onto each axis for distribution
 propagation; the k-best plan search checks successor validity on the joint
 grid directly.
 
+The model compiles its legality indicator and its MAP successors into per-key
+lookup tables once, when it is built; propagation and planning read them.
+`layered_kbest` is the one k-best search of the package: `plan` runs it over
+MAP successors of symbol states, and the token-space ablation
+(`token_maps.plan_tokenspace`) runs it over affine-map successors of tokens.
+
 Actions are referred to by key. Movement and rotation keys equal the action
 names. change_color is context-dependent in truth (the object takes the
 dyer's color), so its counts are keyed per dyer color — "change_color@3" —
@@ -45,6 +51,10 @@ class NoPlanFound(Exception):
     """Search exhausted its length budget without reaching the goal."""
 
 
+class InvalidInit(ValueError):
+    """The initial symbol state sits on a cell the bench masks out."""
+
+
 def action_key(action: str, env: EnvConfig) -> str:
     """Model key for an action in a given environment."""
     if action == "change_color" and env.dyer_color is not None:
@@ -77,40 +87,42 @@ class TransitionModel:
     base_actions: tuple[str, ...]        # atomic actions observed in training
     counts: dict[str, list[np.ndarray]]  # key -> per concept (k_k, k_k) ints
     occurrences: list[np.ndarray]        # per concept (k_k, n_base_actions) ints
-    # derived probability tables, built once after counting
-    trans_p: dict[str, list[np.ndarray]] = field(default_factory=dict, repr=False)
-    act_p: list[np.ndarray] = field(default_factory=list, repr=False)
+    # derived tables, built once from the counts: the probabilities, and per
+    # key, concept and symbol the legality indicator, the MAP successor (-1 for
+    # an unseen row) and its probability
+    trans_p: dict[str, list[np.ndarray]] = field(init=False, repr=False)
+    act_p: list[np.ndarray] = field(init=False, repr=False)
+    legal: dict[str, list[list[bool]]] = field(init=False, repr=False)
+    succ: dict[str, list[list[int]]] = field(init=False, repr=False)
+    succ_p: dict[str, list[list[float]]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.thresh < 1:
             raise ValueError("thresh must lie in (0, 1)")
-        if not self.trans_p:
-            self._build_probabilities()
-
-    def _build_probabilities(self):
+        self.act_p = [_row_normalized(m) for m in self.occurrences]
+        self.trans_p, self.legal, self.succ, self.succ_p = {}, {}, {}, {}
         for key in self.action_keys:
-            mats = []
-            for n in self.counts[key]:
-                row_tot = n.sum(axis=1, keepdims=True)
-                with np.errstate(invalid="ignore"):
-                    p = np.where(row_tot > 0, n / np.maximum(row_tot, 1), 0.0)
-                mats.append(p)
-            self.trans_p[key] = mats
-        for m in self.occurrences:
-            row_tot = m.sum(axis=1, keepdims=True)
-            self.act_p.append(np.where(row_tot > 0, m / np.maximum(row_tot, 1), 0.0))
-
-    def key_index(self, key: str) -> int | None:
-        try:
-            return self.action_keys.index(key)
-        except ValueError:
-            return None
+            mats = self.trans_p[key] = [_row_normalized(n) for n in self.counts[key]]
+            j = self.base_index(key)
+            if j is not None:  # a key without an atomic action stays illegal
+                self.legal[key] = [(p[:, j] > self.thresh).tolist() for p in self.act_p]
+            best = [p.argmax(axis=1) for p in mats]
+            self.succ[key] = [np.where(p.sum(axis=1) > 0.0, b, -1).tolist()
+                              for p, b in zip(mats, best)]
+            self.succ_p[key] = [p[np.arange(len(p)), b].tolist()
+                                for p, b in zip(mats, best)]
 
     def base_index(self, key: str) -> int | None:
         try:
             return self.base_actions.index(base_action(key))
         except ValueError:
             return None
+
+
+def _row_normalized(counts: np.ndarray) -> np.ndarray:
+    """Rows divided by their sums; all-zero rows stay zero."""
+    row_tot = counts.sum(axis=1, keepdims=True)
+    return np.where(row_tot > 0, counts / np.maximum(row_tot, 1), 0.0)
 
 
 def fit_transitions(triplets: Iterable[tuple[SymbolState, str, SymbolState]],
@@ -244,12 +256,12 @@ def point_mass(state: SymbolState, cardinalities: Sequence[int]) -> list[np.ndar
 def propagate(dist: Sequence[np.ndarray], key: str, model: TransitionModel,
               valid: Sequence[np.ndarray]) -> list[np.ndarray]:
     """One reasoning step per concept: legality gate, transition, mask, renormalize."""
-    j = model.base_index(key)
-    if model.key_index(key) is None or j is None:
+    legal = model.legal.get(key)
+    if legal is None:
         raise DeadDistribution(f"action {key!r} never observed")
     out = []
     for k in range(len(model.cardinalities)):
-        gate = model.act_p[k][:, j] > model.thresh  # legality indicator on sources
+        gate = np.asarray(legal[k])  # legality indicator on sources
         moved = model.trans_p[key][k].T @ (np.asarray(dist[k]) * gate)
         moved = moved * np.asarray(valid[k], dtype=float)  # invalid destinations drop out
         total = moved.sum()
@@ -262,11 +274,8 @@ def propagate(dist: Sequence[np.ndarray], key: str, model: TransitionModel,
 
 def action_legal(model: TransitionModel, state: SymbolState, key: str) -> bool:
     """Legality indicator: empirical P(action | symbol) above thresh for every concept."""
-    j = model.base_index(key)
-    if model.key_index(key) is None or j is None:
-        return False
-    return all(model.act_p[k][state[k], j] > model.thresh
-               for k in range(len(model.cardinalities)))
+    legal = model.legal.get(key)
+    return legal is not None and all(row[w] for row, w in zip(legal, state))
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +303,12 @@ def _map_successor(model: TransitionModel, state: SymbolState,
                    key: str) -> tuple[SymbolState, float] | None:
     succ = []
     prob = 1.0
-    for k in range(len(model.cardinalities)):
-        row = model.trans_p[key][k][state[k]]
-        total = row.sum()
-        if total <= 0.0:
+    for w, nxt, nxt_p in zip(state, model.succ[key], model.succ_p[key]):
+        w2 = nxt[w]
+        if w2 < 0:
             return None
-        w2 = int(row.argmax())
         succ.append(w2)
-        prob *= float(row[w2])
+        prob *= nxt_p[w]
     return tuple(succ), prob
 
 
@@ -309,8 +316,11 @@ def _matches_goal(state: SymbolState, goal: SymbolState) -> bool:
     return all(state[c] == goal[c] for c in CHANGEABLE_CONCEPTS)
 
 
-def available_keys(model: TransitionModel, masks: SymbolMasks) -> tuple[str, ...]:
-    """Model keys executable on this bench: change_color only for its dyer color."""
+def available_keys(model, masks: SymbolMasks) -> tuple[str, ...]:
+    """Keys of a model or of token maps executable on this bench.
+
+    change_color keys count only for the bench's dyer color.
+    """
     keys = []
     for key in model.action_keys:
         base, _, ctx = key.partition("@")
@@ -321,69 +331,82 @@ def available_keys(model: TransitionModel, masks: SymbolMasks) -> tuple[str, ...
     return tuple(keys)
 
 
+def _entry_order(entry):
+    score, seq, _ = entry
+    return (-score, seq)
+
+
+def layered_kbest(init, start_entry, expand, is_goal, top_k: int, l_max: int):
+    """Layered k-best enumeration of action sequences from `init`.
+
+    Entries are (score, seq, payload), with seq a tuple of action ranks.
+    `expand(node, entries)` yields (successor node, entry) pairs one step
+    deeper. Depth d keeps, for every node reached, its top_k entries in
+    (-score, seq) order; entries arriving at a node where `is_goal` holds are
+    accepted. Returns up to top_k accepted entries, shortest first and in
+    (-score, seq) order within a length. Deterministic, because seq is unique
+    per entry.
+    """
+    results = []
+    layer = {init: [start_entry]}
+    for _ in range(l_max):
+        if len(results) >= top_k or not layer:
+            break
+        successors: dict = {}
+        for node, entries in layer.items():
+            for succ, entry in expand(node, entries):
+                successors.setdefault(succ, []).append(entry)
+        layer = {}
+        arrivals = []
+        for node, bucket in successors.items():
+            bucket.sort(key=_entry_order)
+            layer[node] = bucket[:top_k]
+            if is_goal(node):
+                arrivals.extend(layer[node])
+        arrivals.sort(key=_entry_order)
+        results.extend(arrivals)
+    if not results:
+        raise NoPlanFound(f"no plan within {l_max} steps")
+    return results[:top_k]
+
+
 def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
          masks: SymbolMasks, top_k: int = 5, l_max: int = 16) -> PlanResult:
     """Search the MAP symbol-state graph for up to top_k goal-reaching sequences.
 
-    Layered best-first enumeration: depth d holds, for every reachable symbol
-    state, the top_k highest-scoring length-d action sequences arriving there
-    (score = product of stepwise max transition probabilities). A sequence is
-    accepted when its state matches the goal on the changeable concepts.
-    Deterministic: ties break on the fixed action ordering.
+    Runs `layered_kbest` over symbol states: depth d holds, for every
+    reachable symbol state, the top_k highest-scoring length-d action
+    sequences arriving there (score = product of stepwise max transition
+    probabilities). A sequence is accepted when its state matches the goal on
+    the changeable concepts. Ties break on the fixed action ordering.
     """
     if not masks.position_valid(init):
-        raise ValueError("initial symbol state is invalid under the masks")
+        raise InvalidInit("initial symbol state is invalid under the masks")
     warnings = tuple(
         f"init/goal mismatch on unchangeable concept {c}"
         for c in (0, 5) if init[c] != goal[c])
     if _matches_goal(init, goal):
         return PlanResult(plans=(Plan((), 1.0),), warnings=warnings)
 
-    rank = {key: i for i, key in enumerate(model.action_keys)}
+    keys = available_keys(model, masks)  # in model order, so ranks order as keys do
 
-    def seq_rank(seq: tuple[str, ...]) -> tuple[int, ...]:
-        return tuple(rank[k] for k in seq)
+    def expand(state, entries):
+        for rank, key in enumerate(keys):
+            if not action_legal(model, state, key):
+                continue
+            if base_action(key) == "change_color" and not masks.dyer_adjacent(state):
+                continue  # adjacency is environment knowledge, not in the counts
+            step = _map_successor(model, state, key)
+            if step is None:
+                continue
+            succ, step_p = step
+            if not masks.position_valid(succ):
+                continue
+            for score, seq, _ in entries:
+                yield succ, (score * step_p, seq + (rank,), None)
 
-    def order(entry: tuple[float, tuple[str, ...]]):
-        return (-entry[0], seq_rank(entry[1]))
-
-    keys = available_keys(model, masks)
-    results: list[tuple[float, tuple[str, ...]]] = []
-    layer: dict[SymbolState, list[tuple[float, tuple[str, ...]]]] = {
-        init: [(1.0, ())]}
-    for _ in range(l_max):
-        if len(results) >= top_k:
-            break
-        successors: dict[SymbolState, list[tuple[float, tuple[str, ...]]]] = {}
-        for state in sorted(layer):
-            entries = layer[state]
-            for key in keys:
-                if not action_legal(model, state, key):
-                    continue
-                if base_action(key) == "change_color" and not masks.dyer_adjacent(state):
-                    continue  # adjacency is environment knowledge, not in the counts
-                step = _map_successor(model, state, key)
-                if step is None:
-                    continue
-                succ, step_p = step
-                if not masks.position_valid(succ):
-                    continue
-                bucket = successors.setdefault(succ, [])
-                bucket.extend((score * step_p, seq + (key,))
-                              for score, seq in entries)
-        layer = {}
-        arrivals: list[tuple[float, tuple[str, ...]]] = []
-        for state, bucket in successors.items():
-            bucket.sort(key=order)
-            layer[state] = bucket[:top_k]
-            if _matches_goal(state, goal):
-                arrivals.extend(layer[state])
-        arrivals.sort(key=order)
-        results.extend(arrivals)
-        if not layer:
-            break
-    if not results:
-        raise NoPlanFound(f"no plan within {l_max} steps")
-    return PlanResult(plans=tuple(Plan(seq, score)
-                                  for score, seq in results[:top_k]),
-                      warnings=warnings)
+    found = layered_kbest(init, (1.0, (), None), expand,
+                          lambda state: _matches_goal(state, goal), top_k, l_max)
+    return PlanResult(plans=tuple(
+        Plan(tuple(keys[r] for r in seq), score)
+        for score, seq, _ in found), warnings=warnings)

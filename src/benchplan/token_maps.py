@@ -3,9 +3,10 @@
 The continuous analog of the symbol-level model: each action key owns one
 affine map acting on the concatenated (6*dim) token vector, fit by
 ridge-regularized least squares on observed (before, after) token pairs.
-Also hosts the token-space planner used as the no-symbols ablation: it
-searches by applying maps directly, snapping to symbols only for visited-set
-keys, position-validity checks and the goal test — it has no action-legality
+Also hosts the token-space planner used as the no-symbols ablation: it runs
+the shared k-best search (`mdp.layered_kbest`) with an expand step that
+applies the maps directly, snapping to symbols only for visited-set keys,
+position-validity checks and the goal test — it has no action-legality
 model, which is exactly what the ablation is meant to expose.
 """
 
@@ -17,12 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from .mdp import (
-    CHANGEABLE_CONCEPTS,
-    NoPlanFound,
     Plan,
     PlanResult,
     SymbolMasks,
     _key_rank,
+    _matches_goal,
+    available_keys,
+    layered_kbest,
 )
 from .symbols import Symbolizer, symbolize
 
@@ -122,73 +124,42 @@ def _snap_trusted(tokens: np.ndarray, snapped: tuple[int, ...],
     return True
 
 
-def _available_keys(maps: ActionTransitionMaps, masks: SymbolMasks) -> list[str]:
-    keys = []
-    for key in maps.action_keys:
-        base, _, ctx = key.partition("@")
-        if base == "change_color" and (masks.dyer_color is None
-                                       or int(ctx) != masks.dyer_color):
-            continue
-        keys.append(key)
-    return keys
-
-
 def plan_tokenspace(maps: ActionTransitionMaps, init_tokens: np.ndarray,
                     goal_tokens: np.ndarray, symbolizer: Symbolizer,
                     masks: SymbolMasks, top_k: int = 5,
                     l_max: int = 16) -> PlanResult:
     """Search token space for sequences whose snapped state matches the goal.
 
-    Nodes carry continuous tokens; per (snapped state, depth) only the top_k
-    nodes nearest the goal tokens survive. Accepted sequences are scored by
-    negative final token distance, ranked within a depth by that score.
+    Runs `layered_kbest` over snapped states: nodes carry continuous tokens,
+    and per (snapped state, depth) only the top_k nodes nearest the goal
+    tokens survive. Sequences are scored by negative token distance to the
+    goal, so accepted sequences rank within a depth by that distance.
     """
     goal_sym = symbolize(goal_tokens, symbolizer)
-    goal_key = tuple(goal_sym[c] for c in CHANGEABLE_CONCEPTS)
 
-    def goal_dist(tokens: np.ndarray) -> float:
-        return float(np.linalg.norm(tokens - goal_tokens))
-
-    keys = _available_keys(maps, masks)
-    rank = {key: i for i, key in enumerate(maps.action_keys)}
-
-    def order(entry: tuple[np.ndarray, tuple[str, ...]]):
-        return (goal_dist(entry[0]), tuple(rank[k] for k in entry[1]))
+    def score(tokens: np.ndarray) -> float:
+        return -float(np.linalg.norm(tokens - goal_tokens))
 
     init_sym = symbolize(init_tokens, symbolizer)
-    if tuple(init_sym[c] for c in CHANGEABLE_CONCEPTS) == goal_key:
-        return PlanResult(plans=(Plan((), -goal_dist(init_tokens)),))
+    if _matches_goal(init_sym, goal_sym):
+        return PlanResult(plans=(Plan((), score(init_tokens)),))
 
+    keys = available_keys(maps, masks)  # in map order, so ranks order as keys do
     gaps = _min_center_gaps(symbolizer)
-    results: list[tuple[np.ndarray, tuple[str, ...]]] = []
-    layer: dict[tuple[int, ...], list[tuple[np.ndarray, tuple[str, ...]]]] = {
-        init_sym: [(init_tokens, ())]}
-    for _ in range(l_max):
-        if len(results) >= top_k:
-            break
-        successors: dict[tuple[int, ...], list] = {}
-        for sym_state in sorted(layer):
-            for tokens, seq in layer[sym_state]:
-                for key in keys:
-                    nxt = transition(tokens, key, maps)
-                    nxt_sym = symbolize(nxt, symbolizer)
-                    if not _snap_trusted(nxt, nxt_sym, symbolizer, gaps):
-                        continue
-                    if not masks.position_valid(nxt_sym):
-                        continue
-                    successors.setdefault(nxt_sym, []).append((nxt, seq + (key,)))
-        layer = {}
-        arrivals = []
-        for sym_state, bucket in successors.items():
-            bucket.sort(key=order)
-            layer[sym_state] = bucket[:top_k]
-            if tuple(sym_state[c] for c in CHANGEABLE_CONCEPTS) == goal_key:
-                arrivals.extend(layer[sym_state])
-        arrivals.sort(key=order)
-        results.extend(arrivals)
-        if not layer:
-            break
-    if not results:
-        raise NoPlanFound(f"no token-space plan within {l_max} steps")
-    return PlanResult(plans=tuple(Plan(seq, -goal_dist(tokens))
-                                  for tokens, seq in results[:top_k]))
+
+    def expand(sym_state, entries):
+        for _, seq, tokens in entries:
+            for rank, key in enumerate(keys):
+                nxt = transition(tokens, key, maps)
+                nxt_sym = symbolize(nxt, symbolizer)
+                if not _snap_trusted(nxt, nxt_sym, symbolizer, gaps):
+                    continue
+                if not masks.position_valid(nxt_sym):
+                    continue
+                yield nxt_sym, (score(nxt), seq + (rank,), nxt)
+
+    found = layered_kbest(init_sym, (score(init_tokens), (), init_tokens), expand,
+                          lambda sym_state: _matches_goal(sym_state, goal_sym),
+                          top_k, l_max)
+    return PlanResult(plans=tuple(
+        Plan(tuple(keys[r] for r in seq), value) for value, seq, _ in found))

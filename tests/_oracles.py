@@ -1,8 +1,15 @@
 """Independent reference implementations used to check the production code.
 
-Everything here recomputes probabilities from raw counts with scalar Python
-loops — no shared code with the numpy propagation path.
+The propagation oracles recompute probabilities from raw counts with scalar
+Python loops — no shared code with the numpy propagation path. The planner
+oracles are the two k-best searches frozen before they were merged into one.
 """
+
+import numpy as np
+
+from benchplan.mdp import CHANGEABLE_CONCEPTS, NoPlanFound, Plan, PlanResult, base_action
+from benchplan.symbols import symbolize
+from benchplan.token_maps import _min_center_gaps, _snap_trusted, transition
 
 
 def oracle_step(model, concept, vec, key, valid):
@@ -77,3 +84,171 @@ def oracle_paths(model, concept, start, keys, valid):
     if total == 0.0:
         return None
     return [w / total for w in weights]
+
+
+# ---------------------------------------------------------------------------
+# k-best planners, frozen as they were before the shared layered search.
+# Each planner keeps its own loop, rank dict and availability rule, and the
+# symbolic one rescans the probability rows for legality and MAP successors
+# on every call. Only the key lookup in `_oracle_action_legal` differs from
+# the frozen code (the model no longer has `key_index`).
+
+
+def _oracle_action_legal(model, state, key):
+    j = model.base_index(key)
+    if key not in model.action_keys or j is None:
+        return False
+    return all(model.act_p[k][state[k], j] > model.thresh
+               for k in range(len(model.cardinalities)))
+
+
+def _oracle_map_successor(model, state, key):
+    succ = []
+    prob = 1.0
+    for k in range(len(model.cardinalities)):
+        row = model.trans_p[key][k][state[k]]
+        total = row.sum()
+        if total <= 0.0:
+            return None
+        w2 = int(row.argmax())
+        succ.append(w2)
+        prob *= float(row[w2])
+    return tuple(succ), prob
+
+
+def _oracle_matches_goal(state, goal):
+    return all(state[c] == goal[c] for c in CHANGEABLE_CONCEPTS)
+
+
+def _oracle_available_keys(model, masks):
+    keys = []
+    for key in model.action_keys:
+        base, _, ctx = key.partition("@")
+        if base == "change_color" and ctx and (
+                masks.dyer_color is None or int(ctx) != masks.dyer_color):
+            continue
+        keys.append(key)
+    return tuple(keys)
+
+
+def oracle_plan(model, init, goal, masks, top_k=5, l_max=16):
+    """`mdp.plan` as it was: its own layered loop over the MAP symbol graph."""
+    if not masks.position_valid(init):
+        raise ValueError("initial symbol state is invalid under the masks")
+    warnings = tuple(
+        f"init/goal mismatch on unchangeable concept {c}"
+        for c in (0, 5) if init[c] != goal[c])
+    if _oracle_matches_goal(init, goal):
+        return PlanResult(plans=(Plan((), 1.0),), warnings=warnings)
+
+    rank = {key: i for i, key in enumerate(model.action_keys)}
+
+    def seq_rank(seq):
+        return tuple(rank[k] for k in seq)
+
+    def order(entry):
+        return (-entry[0], seq_rank(entry[1]))
+
+    keys = _oracle_available_keys(model, masks)
+    results = []
+    layer = {init: [(1.0, ())]}
+    for _ in range(l_max):
+        if len(results) >= top_k:
+            break
+        successors = {}
+        for state in sorted(layer):
+            entries = layer[state]
+            for key in keys:
+                if not _oracle_action_legal(model, state, key):
+                    continue
+                if base_action(key) == "change_color" and not masks.dyer_adjacent(state):
+                    continue
+                step = _oracle_map_successor(model, state, key)
+                if step is None:
+                    continue
+                succ, step_p = step
+                if not masks.position_valid(succ):
+                    continue
+                bucket = successors.setdefault(succ, [])
+                bucket.extend((score * step_p, seq + (key,))
+                              for score, seq in entries)
+        layer = {}
+        arrivals = []
+        for state, bucket in successors.items():
+            bucket.sort(key=order)
+            layer[state] = bucket[:top_k]
+            if _oracle_matches_goal(state, goal):
+                arrivals.extend(layer[state])
+        arrivals.sort(key=order)
+        results.extend(arrivals)
+        if not layer:
+            break
+    if not results:
+        raise NoPlanFound(f"no plan within {l_max} steps")
+    return PlanResult(plans=tuple(Plan(seq, score)
+                                  for score, seq in results[:top_k]),
+                      warnings=warnings)
+
+
+def _oracle_tokenspace_keys(maps, masks):
+    keys = []
+    for key in maps.action_keys:
+        base, _, ctx = key.partition("@")
+        if base == "change_color" and (masks.dyer_color is None
+                                       or int(ctx) != masks.dyer_color):
+            continue
+        keys.append(key)
+    return keys
+
+
+def oracle_plan_tokenspace(maps, init_tokens, goal_tokens, symbolizer, masks,
+                           top_k=5, l_max=16):
+    """`token_maps.plan_tokenspace` as it was: its own layered loop in token space."""
+    goal_sym = symbolize(goal_tokens, symbolizer)
+    goal_key = tuple(goal_sym[c] for c in CHANGEABLE_CONCEPTS)
+
+    def goal_dist(tokens):
+        return float(np.linalg.norm(tokens - goal_tokens))
+
+    keys = _oracle_tokenspace_keys(maps, masks)
+    rank = {key: i for i, key in enumerate(maps.action_keys)}
+
+    def order(entry):
+        return (goal_dist(entry[0]), tuple(rank[k] for k in entry[1]))
+
+    init_sym = symbolize(init_tokens, symbolizer)
+    if tuple(init_sym[c] for c in CHANGEABLE_CONCEPTS) == goal_key:
+        return PlanResult(plans=(Plan((), -goal_dist(init_tokens)),))
+
+    gaps = _min_center_gaps(symbolizer)
+    results = []
+    layer = {init_sym: [(init_tokens, ())]}
+    for _ in range(l_max):
+        if len(results) >= top_k:
+            break
+        successors = {}
+        for sym_state in sorted(layer):
+            for tokens, seq in layer[sym_state]:
+                for key in keys:
+                    nxt = transition(tokens, key, maps)
+                    nxt_sym = symbolize(nxt, symbolizer)
+                    if not _snap_trusted(nxt, nxt_sym, symbolizer, gaps):
+                        continue
+                    if not masks.position_valid(nxt_sym):
+                        continue
+                    successors.setdefault(nxt_sym, []).append((nxt, seq + (key,)))
+        layer = {}
+        arrivals = []
+        for sym_state, bucket in successors.items():
+            bucket.sort(key=order)
+            layer[sym_state] = bucket[:top_k]
+            if tuple(sym_state[c] for c in CHANGEABLE_CONCEPTS) == goal_key:
+                arrivals.extend(layer[sym_state])
+        arrivals.sort(key=order)
+        results.extend(arrivals)
+        if not layer:
+            break
+    if not results:
+        raise NoPlanFound(f"no token-space plan within {l_max} steps")
+    return PlanResult(plans=tuple(Plan(seq, -goal_dist(tokens))
+                                  for tokens, seq in results[:top_k]))

@@ -102,6 +102,23 @@ class TestPipeline:
     def test_plan_requires_spec(self, fitted_dir):
         assert run("plan", "--artifacts", "arts") == 1
 
+    @pytest.mark.parametrize("spec", [
+        ("--init", "0,0,0,45,2,1"),
+        ("--level", 3),
+        ("--level", 2, "--obstacles", "0,0", "--init", "0,0,0,0,2,1"),
+        ("--init", "0,0"),
+        ("--init", "9,0,0,0,2,1"),
+    ], ids=["rotation", "level3-no-dyer", "init-on-obstacle", "short-state",
+            "unknown-type"])
+    def test_plan_bad_adhoc_input_is_one_line_usage_error(self, fitted_dir, capsys,
+                                                          spec):
+        args = {"--level": 1, "--init": "0,0,0,0,2,1", "--goal": "0,1,0,0,2,1"}
+        args.update(zip(spec[::2], spec[1::2]))
+        assert run("plan", "--artifacts", "arts",
+                   *[v for kv in args.items() for v in kv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_report_emits_tables(self, fitted_dir, capsys):
         assert run("report", "--artifacts", "arts", "--out", "rep") == 0
         out = capsys.readouterr().out

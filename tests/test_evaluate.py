@@ -9,6 +9,7 @@ from benchplan.evaluate import (
     asacc,
     ase,
     chance_baseline,
+    evaluate_task,
     fsd,
     interpretability_report,
     run_experiment,
@@ -128,6 +129,15 @@ class TestRunExperiment:
         dataset, fitted = level1_run
         with pytest.raises(ValueError):
             run_experiment(dataset, fitted, planner="dijkstra")
+
+    def test_evaluate_task_raises_on_unknown_planner(self, level1_run):
+        """Only NoPlanFound and InvalidInit count as failed tasks; other errors surface."""
+        dataset, fitted = level1_run
+        task = dataset.subset("test")[0]
+        with pytest.raises(ValueError, match="unknown planner"):
+            evaluate_task(task, fitted, fitted.codebook, planner="symbolc",
+                          noise_sigma=0.0, top_k=5, l_max=None,
+                          rng=np.random.default_rng(0))
 
     def test_unseen_object_types_extend_codebook(self, level1_run):
         from benchplan.taskgen import make_unseen_object_split

@@ -1,0 +1,42 @@
+"""The benchmark's trace points must name library attributes that exist and are called.
+
+`perfbench/run.py --trace 1` wraps functions at the module attribute their
+caller looks up; a rename or an inlined call would silently zero a counter.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.protocol import trace_points  # noqa: E402
+from perfbench.tracing import Tracer, patched  # noqa: E402
+
+from benchplan.evaluate import evaluate_task  # noqa: E402
+
+
+def test_every_trace_point_resolves():
+    points = trace_points(Tracer())
+    assert points
+    for module, attr, _ in points:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_traced_planners_count_their_inner_calls(level1_run):
+    dataset, fitted = level1_run
+    tracer = Tracer()
+    with patched(trace_points(tracer)):
+        for i, task in enumerate(dataset.subset("test")[:3]):
+            for planner in ("symbolic", "token"):
+                evaluate_task(task, fitted, fitted.codebook, planner=planner,
+                              noise_sigma=0.0, top_k=5, l_max=None,
+                              rng=np.random.default_rng([0, i]))
+    assert tracer.calls("mdp.plan") == 3
+    assert tracer.calls("token_maps.plan_tokenspace") == 3
+    assert tracer.counts["mdp.action_legal"] > 0
+    assert tracer.counts["token_maps.transition"] > 0
+    assert tracer.calls("symbols.symbolize") > 0
