@@ -1,9 +1,15 @@
 """Versioned plain-text artifact files.
 
-Every artifact is line-oriented: a header line carrying the schema tag and
-the resolved configuration, then flat key=value records. Floats are written
-with repr() so write/read round-trips are exact and reruns with equal seeds
-produce byte-identical files.
+A header line carries the schema tag and the resolved configuration; every
+loader reads the body through one grammar (`_records`): a line of key=value
+fields opens a record, and the rows under it start with a tag: `c` (symbolizer
+centers), `n`/`m` (model transition/occurrence counts), `A`/`b` (affine maps).
+The model is rebuilt from its `n` rows; the loader checks what the file repeats
+(`actions`, `base_actions`, every `m` row) against it, every row count the file
+states, the model's cardinalities against the symbolizer's, and that the three
+fit headers agree. Malformed content raises SchemaMismatch naming the file.
+Floats are written with repr(), so round-trips are exact and reruns with equal
+seeds write byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import os
 
 import numpy as np
 
-from .concepts import ConceptCodebook
+from .concepts import build_codebook
 from .evaluate import EvalReport
 from .fitting import FitConfig, Fitted, value_symbol_maps
 from .mdp import TransitionModel, _key_rank
@@ -22,7 +28,6 @@ from .workbench import EnvConfig, ObjectState
 from .token_maps import ActionTransitionMaps
 
 DATASET_MAGIC = "#workbench-dataset v1"
-CODEBOOK_MAGIC = "#workbench-codebook v1"
 SYMBOLIZER_MAGIC = "#workbench-symbolizer v1"
 MODEL_MAGIC = "#workbench-mdp v1"
 MAPS_MAGIC = "#workbench-maps v1"
@@ -38,7 +43,7 @@ class MissingArtifact(Exception):
 
 
 class SchemaMismatch(Exception):
-    """Artifact header disagrees with expectations (magic, version, or seeds)."""
+    """Artifact content is malformed, truncated, or disagrees with other files."""
 
 
 def _fmt(value) -> str:
@@ -51,10 +56,10 @@ def _kv_line(**fields) -> str:
     return " ".join(f"{k}={_fmt(v)}" for k, v in fields.items())
 
 
-def _parse_kv(line: str) -> dict[str, str]:
+def _parse_kv(words: list[str]) -> dict[str, str]:
     out = {}
-    for token in line.split():
-        key, _, value = token.partition("=")
+    for word in words:
+        key, _, value = word.partition("=")
         out[key] = value
     return out
 
@@ -63,19 +68,40 @@ def _vec(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
-def _unvec(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")]) if text else np.array([])
+def _expect(ok: bool, what: str):
+    if not ok:
+        raise ValueError(what)
 
 
-def _read_lines(path: str, magic: str) -> tuple[dict[str, str], list[str]]:
+def _records(lines: list[str]) -> list[tuple[dict[str, str], list[list[str]]]]:
+    """A body as (key=value record, the tagged rows under it); blank lines skip."""
+    records = []
+    for line in lines:
+        words = line.split()
+        if not words:
+            continue
+        if "=" in words[0]:
+            records.append((_parse_kv(words), []))
+        else:
+            _expect(bool(records), f"row {words[0]!r} before any record")
+            records[-1][1].append(words)
+    return records
+
+
+def _read(path: str, magic: str, parse, *args):
+    """`parse(header, records, *args)` of one file; a wrong magic line, or any
+    ValueError, KeyError or IndexError while parsing, raises SchemaMismatch."""
     if not os.path.exists(path):
         raise MissingArtifact(path)
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(magic):
         raise SchemaMismatch(f"{path}: expected header {magic!r}")
-    header = _parse_kv(lines[0][len(magic):].strip())
-    return header, lines[1:]
+    try:
+        return parse(_parse_kv(lines[0][len(magic):].split()), _records(lines[1:]),
+                     *args)
+    except (ValueError, KeyError, IndexError) as err:
+        raise SchemaMismatch(f"{path}: {type(err).__name__}: {err}") from err
 
 
 def _write(path: str, text: str):
@@ -85,28 +111,39 @@ def _write(path: str, text: str):
 
 
 # ---------------------------------------------------------------------------
-# dataset
+# dataset, and the state and cell parsers it shares with the CLI
+
+_STATE_KEYS = ("type", "x", "y", "rot", "color", "size")
+
+
+def parse_state(values: list[str]) -> ObjectState:
+    """A state from exactly six ints: type, x, y, rot, color, size."""
+    if len(values) != len(_STATE_KEYS):
+        raise ValueError("a state needs 6 comma-separated ints: "
+                         "type,x,y,rot,color,size")
+    return ObjectState(*map(int, values))
+
+
+def parse_cell(text: str) -> tuple[int, int]:
+    """A grid cell from exactly two comma-separated ints: x,y."""
+    values = text.split(",")
+    if len(values) != 2:
+        raise ValueError(f"a cell needs 2 comma-separated ints x,y, got {text!r}")
+    return int(values[0]), int(values[1])
+
+
+def parse_cells(text: str) -> tuple[tuple[int, int], ...]:
+    """Cells joined by ';', or '-' for none."""
+    return () if text == "-" else tuple(parse_cell(c) for c in text.split(";"))
+
 
 def _cells(cells) -> str:
     return ";".join(f"{x},{y}" for x, y in cells) if cells else "-"
 
 
-def _uncells(text: str) -> tuple[tuple[int, int], ...]:
-    if text == "-":
-        return ()
-    return tuple(tuple(int(v) for v in item.split(",")) for item in text.split(";"))
-
-
 def _state_fields(prefix: str, s: ObjectState) -> dict:
-    return {f"{prefix}.type": s.type_id, f"{prefix}.x": s.pos_x,
-            f"{prefix}.y": s.pos_y, f"{prefix}.rot": s.rotation,
-            f"{prefix}.color": s.color, f"{prefix}.size": s.size}
-
-
-def _parse_state(prefix: str, kv: dict[str, str]) -> ObjectState:
-    return ObjectState(type_id=int(kv[f"{prefix}.type"]), pos_x=int(kv[f"{prefix}.x"]),
-                       pos_y=int(kv[f"{prefix}.y"]), rotation=int(kv[f"{prefix}.rot"]),
-                       color=int(kv[f"{prefix}.color"]), size=int(kv[f"{prefix}.size"]))
+    values = (s.type_id, s.pos_x, s.pos_y, s.rotation, s.color, s.size)
+    return {f"{prefix}.{key}": v for key, v in zip(_STATE_KEYS, values)}
 
 
 def save_dataset(path: str, dataset: Dataset):
@@ -127,23 +164,19 @@ def save_dataset(path: str, dataset: Dataset):
     _write(path, "\n".join(lines) + "\n")
 
 
-def load_dataset(path: str) -> Dataset:
-    header, lines = _read_lines(path, DATASET_MAGIC)
+def _parse_dataset(header, records) -> Dataset:
     tasks = []
-    for line in lines:
-        if not line.strip():
-            continue
-        kv = _parse_kv(line)
-        dyer = _uncells(kv["dyer"])
+    for kv, rows in records:
+        _expect(not rows, "a task record has no rows")
         env = EnvConfig(level=int(kv["level"]),
-                        obstacles=_uncells(kv["obstacles"]),
-                        dyer=dyer[0] if dyer else None,
+                        obstacles=parse_cells(kv["obstacles"]),
+                        dyer=None if kv["dyer"] == "-" else parse_cell(kv["dyer"]),
                         dyer_color=None if kv["dyer_color"] == "-" else int(kv["dyer_color"]))
+        init, goal = (parse_state([kv[f"{prefix}.{key}"] for key in _STATE_KEYS])
+                      for prefix in ("init", "goal"))
         actions = () if kv["gt_actions"] == "-" else tuple(kv["gt_actions"].split(","))
-        tasks.append(Task(env=env, init=_parse_state("init", kv),
-                          goal=_parse_state("goal", kv),
-                          gt_actions=actions, task_id=kv["task_id"],
-                          split=kv["split"]))
+        tasks.append(Task(env=env, init=init, goal=goal, gt_actions=actions,
+                          task_id=kv["task_id"], split=kv["split"]))
     return Dataset(level=int(header["level"]), tasks=tasks, seed=int(header["seed"]),
                    codebook_seed=int(header["codebook_seed"]),
                    split_sizes=(int(header["train"]), int(header["val"]),
@@ -151,31 +184,8 @@ def load_dataset(path: str) -> Dataset:
                    variant=header.get("variant", "standard"))
 
 
-# ---------------------------------------------------------------------------
-# codebook
-
-def save_codebook(path: str, codebook: ConceptCodebook):
-    lines = [CODEBOOK_MAGIC + " " + _kv_line(
-        dim=codebook.dim, seed=codebook.seed, min_sep=codebook.min_sep,
-        cardinalities=",".join(str(c) for c in codebook.cardinalities))]
-    for k, table in enumerate(codebook.centroids):
-        for v, row in enumerate(table):
-            lines.append(f"mu {k} {v} {_vec(row)}")
-    _write(path, "\n".join(lines) + "\n")
-
-
-def load_codebook(path: str) -> ConceptCodebook:
-    header, lines = _read_lines(path, CODEBOOK_MAGIC)
-    cards = [int(c) for c in header["cardinalities"].split(",")]
-    tables: list[list] = [[None] * c for c in cards]
-    for line in lines:
-        if not line.strip():
-            continue
-        _, k, v, csv = line.split(" ", 3)
-        tables[int(k)][int(v)] = _unvec(csv)
-    return ConceptCodebook(dim=int(header["dim"]), seed=int(header["seed"]),
-                           min_sep=float(header["min_sep"]),
-                           centroids=tuple(np.array(t) for t in tables))
+def load_dataset(path: str) -> Dataset:
+    return _read(path, DATASET_MAGIC, _parse_dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +198,20 @@ def _fit_header(magic: str, fitted: Fitted) -> str:
         fit_seed=c.seed, restarts=c.restarts, codebook_seed=fitted.codebook_seed)
 
 
-def _config_from_header(header: dict[str, str]) -> FitConfig:
-    return FitConfig(dim=int(header["dim"]), min_sep=float(header["min_sep"]),
-                     noise_sigma=float(header["noise_sigma"]),
-                     thresh=float(header["thresh"]), seed=int(header["fit_seed"]),
-                     restarts=int(header["restarts"]))
+def _fit_of(header: dict[str, str]) -> tuple[FitConfig, int]:
+    """The fit config and codebook seed that every fit header repeats."""
+    config = FitConfig(dim=int(header["dim"]), min_sep=float(header["min_sep"]),
+                       noise_sigma=float(header["noise_sigma"]),
+                       thresh=float(header["thresh"]), seed=int(header["fit_seed"]),
+                       restarts=int(header["restarts"]))
+    return config, int(header["codebook_seed"])
+
+
+def _occurrence_rows(model: TransitionModel) -> list[list[str]]:
+    """The `m` rows of a model file: the nonzero occurrence counts."""
+    return [["m", str(k), str(w), model.base_actions[j], str(occ[w, j])]
+            for k, occ in enumerate(model.occurrences)
+            for (w, j) in zip(*np.nonzero(occ))]
 
 
 def save_fitted(directory: str, fitted: Fitted):
@@ -217,9 +236,7 @@ def save_fitted(directory: str, fitted: Fitted):
         for k, mat in enumerate(model.counts[key]):
             for (w, w2) in zip(*np.nonzero(mat)):
                 lines.append(f"n {key} {k} {w} {w2} {mat[w, w2]}")
-    for k, occ in enumerate(model.occurrences):
-        for (w, j) in zip(*np.nonzero(occ)):
-            lines.append(f"m {k} {w} {model.base_actions[j]} {occ[w, j]}")
+    lines.extend(" ".join(row) for row in _occurrence_rows(model))
     _write(os.path.join(directory, MODEL_FILE), "\n".join(lines) + "\n")
 
     maps = fitted.maps
@@ -233,92 +250,81 @@ def save_fitted(directory: str, fitted: Fitted):
     _write(os.path.join(directory, MAPS_FILE), "\n".join(lines) + "\n")
 
 
-def load_fitted(directory: str) -> Fitted:
-    """Read the three fit artifacts and rebuild the codebook from its seed."""
-    from .concepts import build_codebook
+def _vectors(rows, tags: list[str], width: int, what: str) -> np.ndarray:
+    """The vector each of `rows` ends with; the rows carry exactly `tags`, and
+    every vector has `width` values."""
+    values = np.array([list(map(float, row[-1].split(","))) for row in rows])
+    _expect([row[0] for row in rows] == tags and values.shape == (len(tags), width),
+            f"{what} needs {len(tags)} rows of {width} values")
+    return values
 
-    sym_header, sym_lines = _read_lines(
-        os.path.join(directory, SYMBOLIZER_FILE), SYMBOLIZER_MAGIC)
-    model_header, model_lines = _read_lines(
-        os.path.join(directory, MODEL_FILE), MODEL_MAGIC)
-    maps_header, maps_lines = _read_lines(
-        os.path.join(directory, MAPS_FILE), MAPS_MAGIC)
-    for other in (model_header, maps_header):
-        if other["codebook_seed"] != sym_header["codebook_seed"] \
-                or other["fit_seed"] != sym_header["fit_seed"]:
-            raise SchemaMismatch("fit artifacts disagree on their seeds")
-    config = _config_from_header(sym_header)
-    codebook_seed = int(sym_header["codebook_seed"])
 
-    meta = _parse_kv(sym_lines[0])
+def _parse_symbolizer(header, records):
+    fit = _fit_of(header)
+    (meta, _), *blocks = records
     purity = tuple(float(p) for p in meta["purity"].split(","))
-    centers: list[list] = []
-    inertia: list[float] = []
-    iterations: list[int] = []
-    current: list[np.ndarray] | None = None
-    for line in sym_lines[1:]:
-        if not line.strip():
-            continue
-        if line.startswith("c "):
-            _, _, _, csv = line.split(" ", 3)
-            current.append(_unvec(csv))
-        else:
-            kv = _parse_kv(line)
-            current = []
-            centers.append(current)
-            inertia.append(float(kv["inertia"]))
-            iterations.append(int(kv["iterations"]))
-    symbolizer = Symbolizer(centers=tuple(np.array(c) for c in centers),
-                            inertia=tuple(inertia), iterations=tuple(iterations),
+    _expect(len(blocks) == len(purity),
+            f"{len(blocks)} concepts for {len(purity)} purity values")
+    centers = tuple(_vectors(rows, ["c"] * int(kv["k"]), fit[0].dim,
+                             f"concept {kv['concept']}") for kv, rows in blocks)
+    symbolizer = Symbolizer(centers=centers,
+                            inertia=tuple(float(kv["inertia"]) for kv, _ in blocks),
+                            iterations=tuple(int(kv["iterations"]) for kv, _ in blocks),
                             seed=int(meta["sym_seed"]))
+    return fit, symbolizer, purity
 
-    meta = _parse_kv(model_lines[0])
+
+def _parse_model(header, records, fit, cardinalities):
+    _expect(_fit_of(header) == fit, f"header disagrees with {SYMBOLIZER_FILE}")
+    (meta, rows), = records
     cards = tuple(int(c) for c in meta["cardinalities"].split(","))
-    keys = tuple(meta["actions"].split(","))
-    bases = tuple(meta["base_actions"].split(","))
-    counts = {key: [np.zeros((c, c), dtype=np.int64) for c in cards] for key in keys}
-    occ = [np.zeros((c, len(bases)), dtype=np.int64) for c in cards]
-    base_pos = {a: i for i, a in enumerate(bases)}
-    for line in model_lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split()
-        if parts[0] == "n":
-            _, key, k, w, w2, n = parts
+    _expect(cards == cardinalities,
+            f"cardinalities {cards} are not the symbolizer's {cardinalities}")
+    counts: dict[str, list[np.ndarray]] = {}
+    for row in rows:
+        if row[0] == "n":
+            _, key, k, w, w2, n = row
+            if key not in counts:
+                counts[key] = [np.zeros((c, c), dtype=np.int64) for c in cards]
             counts[key][int(k)][int(w), int(w2)] = int(n)
-        elif parts[0] == "m":
-            _, k, w, action, n = parts
-            occ[int(k)][int(w), base_pos[action]] = int(n)
-    model = TransitionModel(cardinalities=cards, thresh=config.thresh,
-                            action_keys=keys, base_actions=bases,
-                            counts=counts, occurrences=occ)
+    model = TransitionModel(cardinalities=cards, thresh=fit[0].thresh, counts=counts)
+    _expect(meta["actions"] == ",".join(model.action_keys),
+            "actions are not the keys of the n rows")
+    _expect(meta["base_actions"] == ",".join(model.base_actions),
+            "base_actions are not the atomic actions of the n rows")
+    _expect([row for row in rows if row[0] != "n"] == _occurrence_rows(model),
+            "m rows are not the occurrences of the n rows")
+    return model
 
+
+def _parse_maps(header, records, fit):
+    _expect(_fit_of(header) == fit, f"header disagrees with {SYMBOLIZER_FILE}")
+    size = 6 * fit[0].dim
     matrices, offsets, mses, pair_counts = {}, {}, {}, {}
-    current_key = None
-    rows: list[np.ndarray] = []
-    for line in maps_lines:
-        if not line.strip():
-            continue
-        if line.startswith("A "):
-            rows.append(_unvec(line[2:]))
-        elif line.startswith("b "):
-            matrices[current_key] = np.array(rows)
-            offsets[current_key] = _unvec(line[2:])
-            rows = []
-        else:
-            kv = _parse_kv(line)
-            current_key = kv["action"]
-            mses[current_key] = float(kv["mse"])
-            pair_counts[current_key] = int(kv["pairs"])
-    maps = ActionTransitionMaps(dim=config.dim,
+    for kv, rows in records:
+        key = kv["action"]
+        values = _vectors(rows, ["A"] * size + ["b"], size, f"action {key}")
+        matrices[key], offsets[key] = values[:-1], values[-1]
+        mses[key] = float(kv["mse"])
+        pair_counts[key] = int(kv["pairs"])
+    return ActionTransitionMaps(dim=fit[0].dim,
                                 action_keys=tuple(sorted(matrices, key=_key_rank)),
                                 matrices=matrices, offsets=offsets,
                                 residual_mse=mses, pair_counts=pair_counts)
 
+
+def load_fitted(directory: str) -> Fitted:
+    """Read the three fit artifacts and rebuild the codebook from its seed."""
+    sym_path, model_path, maps_path = (os.path.join(directory, name) for name in
+                                       (SYMBOLIZER_FILE, MODEL_FILE, MAPS_FILE))
+    fit, symbolizer, purity = _read(sym_path, SYMBOLIZER_MAGIC, _parse_symbolizer)
+    model = _read(model_path, MODEL_MAGIC, _parse_model, fit, symbolizer.cardinalities)
+    maps = _read(maps_path, MAPS_MAGIC, _parse_maps, fit)
+    config, codebook_seed = fit
     codebook = build_codebook(dim=config.dim, seed=codebook_seed,
                               min_sep=config.min_sep)
-    return Fitted(config=config, codebook_seed=codebook_seed, codebook=codebook,
-                  symbolizer=symbolizer, model=model, maps=maps,
+    return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,
+                  model=model, maps=maps,
                   value_maps=value_symbol_maps(codebook, symbolizer),
                   train_purity=purity)
 

@@ -1,7 +1,8 @@
 """Command-line pipeline: gen, fit, plan, eval, report.
 
-Exit codes: 0 success, 1 usage error, 2 missing or mismatched artifacts,
-3 acceptance-threshold failure (including a planner that finds no plan).
+Exit codes: 0 success, 1 usage error, 2 missing, malformed or mismatched
+artifacts, 3 acceptance-threshold failure (including a planner that finds no
+plan). Exits 1 and 2 print one `error:` line.
 The default artifact directory can be set via BENCHPLAN_ARTIFACTS.
 """
 
@@ -25,7 +26,7 @@ from .taskgen import (
     make_unseen_task_split,
 )
 from .token_maps import rollout, token_mse
-from .workbench import CONCEPTS, EnvConfig, ObjectState
+from .workbench import CONCEPTS, EnvConfig
 
 ENV_ARTIFACT_DIR = "BENCHPLAN_ARTIFACTS"
 
@@ -36,8 +37,7 @@ EXIT_THRESHOLD = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
+    def error(self, message):  # argparse defaults to usage lines and exit code 2
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
@@ -80,22 +80,12 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _parse_state(text: str) -> ObjectState:
-    parts = [int(v) for v in text.split(",")]
-    if len(parts) != 6:
-        raise ValueError("state spec needs 6 comma-separated ints: "
-                         "type,x,y,rot,color,size")
-    return ObjectState(*parts)
-
-
 def _adhoc_task(args):
     from .taskgen import Task, oracle_shortest_plan
-    obstacles = tuple(tuple(int(v) for v in c.split(","))
-                      for c in args.obstacles.split(";")) if args.obstacles else ()
-    dyer = tuple(int(v) for v in args.dyer.split(",")) if args.dyer else None
-    env = EnvConfig(level=args.level, obstacles=obstacles, dyer=dyer,
+    env = EnvConfig(level=args.level, obstacles=artifacts.parse_cells(args.obstacles or "-"),
+                    dyer=artifacts.parse_cell(args.dyer) if args.dyer else None,
                     dyer_color=args.dyer_color)
-    init, goal = _parse_state(args.init), _parse_state(args.goal)
+    init, goal = (artifacts.parse_state(s.split(",")) for s in (args.init, args.goal))
     try:
         gt = oracle_shortest_plan(env, init, goal)
     except Exception:
@@ -271,6 +261,8 @@ def main(argv=None) -> int:
             parser.error("plan needs either --task-id with --data, or --init and --goal")
         if args.command == "plan" and args.task_id and not args.data:
             parser.error("--task-id needs --data")
+        if getattr(args, "sigma", None) is not None and not args.sigma >= 0:
+            parser.error(f"argument --sigma: must be >= 0, got {args.sigma}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -106,6 +106,8 @@ def encode(state: ObjectState, codebook: ConceptCodebook,
            noise_sigma: float = 0.0,
            rng: np.random.Generator | None = None) -> np.ndarray:
     """Tokens for a state: mu[k][value_k] plus iid N(0, noise_sigma^2) per coordinate."""
+    if noise_sigma < 0:
+        raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
     tokens = np.empty((len(CONCEPTS), codebook.dim))
     for k, v in enumerate(state.values()):
         table = codebook.centroids[k]

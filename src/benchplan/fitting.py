@@ -48,13 +48,16 @@ class Fitted:
     """Everything the planner and evaluator need, fit from one dataset."""
 
     config: FitConfig
-    codebook_seed: int
     codebook: ConceptCodebook
     symbolizer: Symbolizer
     model: TransitionModel
     maps: ActionTransitionMaps
     value_maps: ValueMaps
     train_purity: tuple[float, ...]
+
+    @property
+    def codebook_seed(self) -> int:
+        return self.codebook.seed
 
 
 def encode_trajectory(task: Task, codebook: ConceptCodebook, sigma: float,
@@ -108,9 +111,9 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
     vmaps = value_symbol_maps(codebook, symbolizer)
     train_purity = tuple(float(p) for p in
                          purity(symbolizer, list(zip(all_tokens, all_states))))
-    return Fitted(config=config, codebook_seed=dataset.codebook_seed,
-                  codebook=codebook, symbolizer=symbolizer, model=model,
-                  maps=maps, value_maps=vmaps, train_purity=train_purity)
+    return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,
+                  model=model, maps=maps, value_maps=vmaps,
+                  train_purity=train_purity)
 
 
 def codebook_for_tasks(fitted: Fitted, tasks: list[Task]) -> ConceptCodebook:

@@ -1,10 +1,11 @@
 """Symbol-level transition model and legality-checked goal-conditioned planning.
 
 The model records per-concept (input symbol, action, output symbol) counts
-plus per-concept action-occurrence counts. Planning propagates the factored
-symbol distribution under three gates per step: an action-legality indicator
-(empirical action probability above a threshold), the learned transition
-matrix, and a state-validity mask over destinations with renormalization.
+and derives per-concept action-occurrence counts from them. Planning
+propagates the factored symbol distribution under three gates per step: an
+action-legality indicator (empirical action probability above a threshold),
+the learned transition matrix, and a state-validity mask over destinations
+with renormalization.
 
 Position validity couples the two position concepts, so validity is evaluated
 on the joint (x, y) grid and marginalized onto each axis for distribution
@@ -73,23 +74,24 @@ def _key_rank(key: str) -> tuple[int, int]:
 
 @dataclass
 class TransitionModel:
-    """Per-concept count tables N_k[a][w][w'] and occurrence tables M_k[w][a].
+    """Per-concept count tables N_k[a][w][w'], from which all else derives.
 
     Transition counts are keyed by context key (change_color split per dyer
-    color); occurrence counts — the basis of the legality indicator — are
-    recorded over the seven atomic actions, which is the space the indicator
-    is defined on.
+    color). The occurrence tables M_k[w][j], the basis of the legality
+    indicator, are defined on the atomic actions: M_k[:, j] sums the rows of
+    N_k over the keys whose atomic action is j.
     """
 
     cardinalities: tuple[int, ...]
     thresh: float
-    action_keys: tuple[str, ...]         # context keys observed in training
-    base_actions: tuple[str, ...]        # atomic actions observed in training
     counts: dict[str, list[np.ndarray]]  # key -> per concept (k_k, k_k) ints
-    occurrences: list[np.ndarray]        # per concept (k_k, n_base_actions) ints
-    # derived tables, built once from the counts: the probabilities, and per
-    # key, concept and symbol the legality indicator, the MAP successor (-1 for
-    # an unseen row) and its probability
+    # derived from the counts: the observed keys and atomic actions in action
+    # order, occurrences per concept (k_k, n_base_actions), the probabilities,
+    # and per key, concept and symbol the legality indicator, the MAP
+    # successor (-1 for an unseen row) and its probability
+    action_keys: tuple[str, ...] = field(init=False)
+    base_actions: tuple[str, ...] = field(init=False)
+    occurrences: list[np.ndarray] = field(init=False, repr=False)
     trans_p: dict[str, list[np.ndarray]] = field(init=False, repr=False)
     act_p: list[np.ndarray] = field(init=False, repr=False)
     legal: dict[str, list[list[bool]]] = field(init=False, repr=False)
@@ -99,24 +101,25 @@ class TransitionModel:
     def __post_init__(self):
         if not 0 < self.thresh < 1:
             raise ValueError("thresh must lie in (0, 1)")
+        self.action_keys = tuple(sorted(self.counts, key=_key_rank))
+        self.base_actions = tuple(sorted({base_action(k) for k in self.action_keys},
+                                         key=ACTIONS.index))
+        base_of = [self.base_actions.index(base_action(k)) for k in self.action_keys]
+        self.occurrences = [np.zeros((c, len(self.base_actions)), dtype=np.int64)
+                            for c in self.cardinalities]
+        for key, j in zip(self.action_keys, base_of):
+            for occ, n in zip(self.occurrences, self.counts[key]):
+                occ[:, j] += n.sum(axis=1)
         self.act_p = [_row_normalized(m) for m in self.occurrences]
         self.trans_p, self.legal, self.succ, self.succ_p = {}, {}, {}, {}
-        for key in self.action_keys:
+        for key, j in zip(self.action_keys, base_of):
             mats = self.trans_p[key] = [_row_normalized(n) for n in self.counts[key]]
-            j = self.base_index(key)
-            if j is not None:  # a key without an atomic action stays illegal
-                self.legal[key] = [(p[:, j] > self.thresh).tolist() for p in self.act_p]
+            self.legal[key] = [(p[:, j] > self.thresh).tolist() for p in self.act_p]
             best = [p.argmax(axis=1) for p in mats]
             self.succ[key] = [np.where(p.sum(axis=1) > 0.0, b, -1).tolist()
                               for p, b in zip(mats, best)]
             self.succ_p[key] = [p[np.arange(len(p)), b].tolist()
                                 for p, b in zip(mats, best)]
-
-    def base_index(self, key: str) -> int | None:
-        try:
-            return self.base_actions.index(base_action(key))
-        except ValueError:
-            return None
 
 
 def _row_normalized(counts: np.ndarray) -> np.ndarray:
@@ -137,21 +140,16 @@ def fit_transitions(triplets: Iterable[tuple[SymbolState, str, SymbolState]],
         cardinalities = tuple(
             max(max(t[0][k], t[2][k]) for t in triplets) + 1 for k in range(n_concepts))
     cards = tuple(int(c) for c in cardinalities)
-    keys = tuple(sorted({t[1] for t in triplets}, key=_key_rank))
-    bases = tuple(sorted({base_action(t[1]) for t in triplets}, key=ACTIONS.index))
-    base_pos = {a: i for i, a in enumerate(bases)}
-    counts = {k: [np.zeros((c, c), dtype=np.int64) for c in cards] for k in keys}
-    occ = [np.zeros((c, len(bases)), dtype=np.int64) for c in cards]
+    counts: dict[str, list[np.ndarray]] = {}
     for before, key, after in triplets:
-        j = base_pos[base_action(key)]
+        if key not in counts:
+            counts[key] = [np.zeros((c, c), dtype=np.int64) for c in cards]
         for k in range(n_concepts):
             w, w2 = before[k], after[k]
             if not (0 <= w < cards[k] and 0 <= w2 < cards[k]):
                 raise ValueError(f"symbol out of range for concept {k}: {w}, {w2}")
             counts[key][k][w, w2] += 1
-            occ[k][w, j] += 1
-    return TransitionModel(cardinalities=cards, thresh=thresh, action_keys=keys,
-                           base_actions=bases, counts=counts, occurrences=occ)
+    return TransitionModel(cardinalities=cards, thresh=thresh, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +219,6 @@ class SymbolMasks:
                    y_values=tuple(int(v) for v in y_values),
                    per_concept=tuple(per), dyer_cell=env.dyer,
                    dyer_color=env.dyer_color)
-
-    @classmethod
-    def identity(cls, env: EnvConfig, cardinalities: Sequence[int]) -> "SymbolMasks":
-        return cls.build(env, range(cardinalities[POSX]), range(cardinalities[POSY]),
-                         cardinalities)
 
     def cell_of(self, state: SymbolState) -> tuple[int, int]:
         return (self.x_values[state[POSX]], self.y_values[state[POSY]])

@@ -2,20 +2,54 @@
 
 The propagation oracles recompute probabilities from raw counts with scalar
 Python loops — no shared code with the numpy propagation path. The planner
-oracles are the two k-best searches frozen before they were merged into one.
+oracles are the two k-best searches frozen before they were merged into one,
+and the occurrence oracle is the accumulation `fit_transitions` ran before
+the model derived its occurrence tables from the counts.
 """
 
 import numpy as np
 
-from benchplan.mdp import CHANGEABLE_CONCEPTS, NoPlanFound, Plan, PlanResult, base_action
+from benchplan.mdp import (
+    CHANGEABLE_CONCEPTS,
+    NoPlanFound,
+    Plan,
+    PlanResult,
+    _key_rank,
+    base_action,
+)
 from benchplan.symbols import symbolize
 from benchplan.token_maps import _min_center_gaps, _snap_trusted, transition
+from benchplan.workbench import ACTIONS
+
+
+def oracle_occurrences(triplets, cardinalities):
+    """(action keys, atomic actions, per-concept occurrence tables) of triplets.
+
+    Frozen from `fit_transitions`: one increment per triplet and concept at
+    (source symbol, atomic action).
+    """
+    keys = tuple(sorted({t[1] for t in triplets}, key=_key_rank))
+    bases = tuple(sorted({base_action(t[1]) for t in triplets}, key=ACTIONS.index))
+    base_pos = {a: i for i, a in enumerate(bases)}
+    occ = [np.zeros((c, len(bases)), dtype=np.int64) for c in cardinalities]
+    for before, key, _ in triplets:
+        j = base_pos[base_action(key)]
+        for k in range(len(cardinalities)):
+            occ[k][before[k], j] += 1
+    return keys, bases, occ
+
+
+def _base_index(model, key):
+    try:
+        return model.base_actions.index(base_action(key))
+    except ValueError:
+        return None
 
 
 def oracle_step(model, concept, vec, key, valid):
     """One reasoning step: legality gate, transition, destination mask, renormalize."""
     card = model.cardinalities[concept]
-    base = model.base_index(key)
+    base = _base_index(model, key)
     occ = model.occurrences[concept]
     trans = model.counts[key][concept]
     out = [0.0] * card
@@ -56,7 +90,7 @@ def oracle_paths(model, concept, start, keys, valid):
     occ = model.occurrences[concept]
 
     def factor(w, key, w2):
-        base = model.base_index(key)
+        base = _base_index(model, key)
         total_at_w = int(occ[w].sum())
         p_action = occ[w][base] / total_at_w if total_at_w else 0.0
         if not p_action > model.thresh:
@@ -90,12 +124,12 @@ def oracle_paths(model, concept, start, keys, valid):
 # k-best planners, frozen as they were before the shared layered search.
 # Each planner keeps its own loop, rank dict and availability rule, and the
 # symbolic one rescans the probability rows for legality and MAP successors
-# on every call. Only the key lookup in `_oracle_action_legal` differs from
-# the frozen code (the model no longer has `key_index`).
+# on every call. Only the key lookups in `_oracle_action_legal` differ from
+# the frozen code (the model no longer has `key_index` or `base_index`).
 
 
 def _oracle_action_legal(model, state, key):
-    j = model.base_index(key)
+    j = _base_index(model, key)
     if key not in model.action_keys or j is None:
         return False
     return all(model.act_p[k][state[k], j] > model.thresh

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,17 +11,14 @@ from benchplan.artifacts import (
     MissingArtifact,
     SchemaMismatch,
     check_compatible,
-    load_codebook,
     load_dataset,
     load_fitted,
     report_records_tsv,
     report_summary,
-    save_codebook,
     save_dataset,
     save_fitted,
     save_report,
 )
-from benchplan.concepts import build_codebook
 from benchplan.evaluate import run_experiment
 from benchplan.taskgen import generate_dataset
 
@@ -55,17 +53,17 @@ class TestDatasetFile:
         with pytest.raises(SchemaMismatch):
             load_dataset(path)
 
-
-class TestCodebookFile:
-    def test_round_trip(self, tmp_path):
-        cb = build_codebook(dim=8, seed=21, min_sep=1.0)
-        path = tmp_path / "cb.txt"
-        save_codebook(path, cb)
-        loaded = load_codebook(path)
-        assert loaded.dim == cb.dim and loaded.seed == cb.seed
-        assert loaded.min_sep == cb.min_sep
-        for a, b in zip(loaded.centroids, cb.centroids):
-            assert np.array_equal(a, b)
+    @pytest.mark.parametrize("field, value", [
+        ("init.x", ""), ("init.x", "9"), ("goal.rot", "45"), ("obstacles", "1"),
+    ], ids=["empty", "off-grid", "bad-rotation", "one-int-cell"])
+    def test_malformed_task_is_schema_mismatch(self, tmp_path, field, value):
+        path = tmp_path / "d.txt"
+        save_dataset(path, generate_dataset(2, (4, 1, 1), seed=13))
+        text = re.sub(rf"{re.escape(field)}=\S*", f"{field}={value}",
+                      path.read_text(), count=1)
+        path.write_text(text)
+        with pytest.raises(SchemaMismatch, match="d.txt"):
+            load_dataset(path)
 
 
 class TestFittedArtifacts:
@@ -115,6 +113,43 @@ class TestFittedArtifacts:
         (tmp_path / MODEL_FILE).write_text(
             model.replace("codebook_seed=7", "codebook_seed=8"))
         with pytest.raises(SchemaMismatch):
+            load_fitted(tmp_path)
+
+    @pytest.mark.parametrize("name", [SYMBOLIZER_FILE, MODEL_FILE, MAPS_FILE])
+    def test_truncation_is_schema_mismatch(self, tmp_path, level1_run, name):
+        # every cut of the symbolizer or the model, and every cut of the maps
+        # inside an action section; a cut between map sections reads as keys
+        # the fit dropped, which the file cannot tell apart
+        _, fitted = level1_run
+        save_fitted(tmp_path, fitted)
+        lines = (tmp_path / name).read_text().splitlines(keepends=True)
+        cuts = range(len(lines))
+        if name == MAPS_FILE:
+            cuts = [n for n in cuts if n > 1 and not lines[n - 1].startswith("b ")]
+        for n in cuts:
+            (tmp_path / name).write_text("".join(lines[:n]))
+            with pytest.raises(SchemaMismatch, match=name):
+                load_fitted(tmp_path)
+
+    @pytest.mark.parametrize("name, old, new", [
+        (MODEL_FILE, "actions=", "actions=move_back,"),
+        (MODEL_FILE, "base_actions=", "base_actions=move_back,"),
+        (MODEL_FILE, "\nm 0 ", "\nm 1 "),
+        (MODEL_FILE, "\nn ", "\nq "),
+        (MAPS_FILE, "\nA ", "\nA x,"),
+        (MAPS_FILE, "\nb ", "\nb 1.0,"),
+        (MAPS_FILE, "restarts=10", "restarts=11"),
+        (SYMBOLIZER_FILE, "k=", "k=1"),
+    ], ids=["actions", "base-actions", "m-row", "unknown-tag", "bad-float",
+            "long-b", "header", "symbol-count"])
+    def test_malformed_record_is_schema_mismatch(self, tmp_path, level1_run,
+                                                 name, old, new):
+        _, fitted = level1_run
+        save_fitted(tmp_path, fitted)
+        text = (tmp_path / name).read_text()
+        assert old in text
+        (tmp_path / name).write_text(text.replace(old, new, 1))
+        with pytest.raises(SchemaMismatch, match=name):
             load_fitted(tmp_path)
 
     def test_check_compatible(self, level3_run):

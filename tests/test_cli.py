@@ -1,6 +1,7 @@
 """End-to-end CLI exercises in a temp directory; exit codes per the contract."""
 
 import os
+import re
 
 import pytest
 
@@ -15,6 +16,10 @@ def workdir(tmp_path, monkeypatch):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+PLAN = ("plan", "--artifacts", "arts", "--level", 1,
+        "--init", "0,0,0,0,2,1", "--goal", "0,1,0,0,2,1")
 
 
 class TestGen:
@@ -102,22 +107,44 @@ class TestPipeline:
     def test_plan_requires_spec(self, fitted_dir):
         assert run("plan", "--artifacts", "arts") == 1
 
-    @pytest.mark.parametrize("spec", [
-        ("--init", "0,0,0,45,2,1"),
-        ("--level", 3),
-        ("--level", 2, "--obstacles", "0,0", "--init", "0,0,0,0,2,1"),
-        ("--init", "0,0"),
-        ("--init", "9,0,0,0,2,1"),
+    # a repeated option takes its last value, so each case overrides the defaults
+    @pytest.mark.parametrize("argv", [
+        PLAN + ("--init", "0,0,0,45,2,1"),
+        PLAN + ("--level", 3),
+        PLAN + ("--level", 2, "--obstacles", "0,0", "--init", "0,0,0,0,2,1"),
+        PLAN + ("--init", "0,0"),
+        PLAN + ("--init", "9,0,0,0,2,1"),
+        PLAN + ("--level", 2, "--obstacles", "0"),
+        PLAN + ("--level", 3, "--dyer", "1", "--dyer-color", 2),
+        PLAN + ("--sigma", -1),
+        ("fit", "--data", "data.txt", "--artifacts", "arts2", "--sigma", -1),
+        ("eval", "--data", "data.txt", "--artifacts", "arts", "--jobs", 1,
+         "--sigma", -1),
     ], ids=["rotation", "level3-no-dyer", "init-on-obstacle", "short-state",
-            "unknown-type"])
+            "unknown-type", "one-int-obstacle", "one-int-dyer", "plan-negative-sigma",
+            "fit-negative-sigma", "eval-negative-sigma"])
     def test_plan_bad_adhoc_input_is_one_line_usage_error(self, fitted_dir, capsys,
-                                                          spec):
-        args = {"--level": 1, "--init": "0,0,0,0,2,1", "--goal": "0,1,0,0,2,1"}
-        args.update(zip(spec[::2], spec[1::2]))
-        assert run("plan", "--artifacts", "arts",
-                   *[v for kv in args.items() for v in kv]) == 1
+                                                          argv):
+        assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("name, edit", [
+        ("arts/model.txt", lambda text: "".join(text.splitlines(True)[:3])),
+        ("arts/maps.txt", lambda text: text.replace("\nA ", "\nA x,", 1)),
+        ("data.txt", lambda text: re.sub(r"init\.x=\d+", "init.x=", text, count=1)),
+    ], ids=["model-cut-to-3-lines", "maps-bad-float", "dataset-empty-field"])
+    def test_malformed_artifact_is_one_line_artifact_error(self, fitted_dir, capsys,
+                                                           name, edit):
+        with open(name) as fh:
+            text = fh.read()
+        with open(name, "w") as fh:
+            fh.write(edit(text))
+        capsys.readouterr()
+        assert run("eval", "--data", "data.txt", "--artifacts", "arts",
+                   "--jobs", 1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, err
 
     def test_report_emits_tables(self, fitted_dir, capsys):
         assert run("report", "--artifacts", "arts", "--out", "rep") == 0

@@ -75,6 +75,12 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(ObjectState(0, 0, 0, 0, 0, 0), cb, noise_sigma=0.1)
 
+    def test_negative_noise_rejected(self):
+        cb = build_codebook(seed=1)
+        with pytest.raises(ValueError, match="noise_sigma"):
+            encode(ObjectState(0, 0, 0, 0, 0, 0), cb, noise_sigma=-1.0,
+                   rng=np.random.default_rng(0))
+
     def test_nearest_centroid_decoding_under_noise(self):
         # sigma = 0.1 * min_sep: decode all six values correctly >= 99% of draws
         cb = build_codebook(seed=2, min_sep=1.0)

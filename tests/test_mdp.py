@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from _oracles import oracle_paths, oracle_sequence, oracle_step
+from _oracles import oracle_occurrences, oracle_paths, oracle_sequence, oracle_step
 from benchplan.concepts import encode
+from benchplan.fitting import _STREAM_FIT_ENCODE, encode_trajectory
 from benchplan.mdp import (
     DeadDistribution,
     NoPlanFound,
@@ -55,6 +56,22 @@ class TestFitTransitions:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit_transitions([])
+
+    @pytest.mark.parametrize("run", ["level1_run", "level3_run", "level4_run"])
+    def test_derived_tables_equal_frozen_accumulation(self, request, run):
+        dataset, fitted = request.getfixturevalue(run)
+        model = fitted.model
+        triplets = _training_triplets(dataset, fitted)
+        refit = fit_transitions(triplets, thresh=model.thresh,
+                                cardinalities=model.cardinalities)
+        assert refit.action_keys == model.action_keys
+        for key in model.action_keys:
+            for a, b in zip(refit.counts[key], model.counts[key]):
+                assert np.array_equal(a, b)
+        keys, bases, occ = oracle_occurrences(triplets, model.cardinalities)
+        assert (model.action_keys, model.base_actions) == (keys, bases)
+        for a, b in zip(model.occurrences, occ):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_level1_position_transitions_deterministic(self, level1_run):
         dataset, fitted = level1_run
@@ -179,6 +196,21 @@ class TestPropagate:
                         model, masks)
         for vec in out:
             assert vec.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def _training_triplets(dataset, fitted):
+    """The (symbol state, key, symbol state) triplets `fit_pipeline` counted."""
+    triplets = []
+    for i, task in enumerate(dataset.tasks):
+        if task.split != "train":
+            continue
+        rng = np.random.default_rng([fitted.config.seed, _STREAM_FIT_ENCODE, i])
+        _, tokens = encode_trajectory(task, fitted.codebook,
+                                      fitted.config.noise_sigma, rng)
+        symbols = [symbolize(t, fitted.symbolizer) for t in tokens]
+        triplets.extend((symbols[t], action_key(a, task.env), symbols[t + 1])
+                        for t, a in enumerate(task.gt_actions))
+    return triplets
 
 
 def _sym(fitted, state):
@@ -311,12 +343,8 @@ class TestPlan:
         counts = {key: [mat[np.ix_(inverse[k], inverse[k])]
                         for k, mat in enumerate(model.counts[key])]
                   for key in model.action_keys}
-        occ = [model.occurrences[k][inverse[k]] for k in range(6)]
         permuted = TransitionModel(cardinalities=model.cardinalities,
-                                   thresh=model.thresh,
-                                   action_keys=model.action_keys,
-                                   base_actions=model.base_actions,
-                                   counts=counts, occurrences=occ)
+                                   thresh=model.thresh, counts=counts)
         for task in dataset.subset("test")[:15]:
             masks = _masks(fitted, task.env)
             init, goal = _sym(fitted, task.init), _sym(fitted, task.goal)

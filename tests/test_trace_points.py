@@ -4,19 +4,12 @@
 caller looks up; a rename or an inlined call would silently zero a counter.
 """
 
-import sys
-from pathlib import Path
-
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT) not in sys.path:
-    sys.path.insert(0, str(ROOT))
+from perfbench.protocol import trace_points
+from perfbench.tracing import Tracer, patched
 
-from perfbench.protocol import trace_points  # noqa: E402
-from perfbench.tracing import Tracer, patched  # noqa: E402
-
-from benchplan.evaluate import evaluate_task  # noqa: E402
+from benchplan.evaluate import evaluate_task
 
 
 def test_every_trace_point_resolves():
