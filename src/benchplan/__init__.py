@@ -46,7 +46,6 @@ from .mdp import (
     fit_transitions,
     plan,
     propagate,
-    state_mask,
 )
 from .token_maps import (
     ActionTransitionMaps,

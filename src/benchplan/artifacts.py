@@ -20,7 +20,7 @@ import numpy as np
 
 from .concepts import build_codebook
 from .evaluate import EvalReport
-from .fitting import FitConfig, Fitted, value_symbol_maps
+from .fitting import FitConfig, Fitted
 from .mdp import TransitionModel, _key_rank
 from .symbols import Symbolizer
 from .taskgen import Dataset, Task
@@ -261,17 +261,20 @@ def _vectors(rows, tags: list[str], width: int, what: str) -> np.ndarray:
 
 def _parse_symbolizer(header, records):
     fit = _fit_of(header)
+    config, codebook_seed = fit
+    codebook = build_codebook(dim=config.dim, seed=codebook_seed,
+                              min_sep=config.min_sep)
     (meta, _), *blocks = records
     purity = tuple(float(p) for p in meta["purity"].split(","))
     _expect(len(blocks) == len(purity),
             f"{len(blocks)} concepts for {len(purity)} purity values")
-    centers = tuple(_vectors(rows, ["c"] * int(kv["k"]), fit[0].dim,
+    centers = tuple(_vectors(rows, ["c"] * int(kv["k"]), config.dim,
                              f"concept {kv['concept']}") for kv, rows in blocks)
     symbolizer = Symbolizer(centers=centers,
                             inertia=tuple(float(kv["inertia"]) for kv, _ in blocks),
                             iterations=tuple(int(kv["iterations"]) for kv, _ in blocks),
                             seed=int(meta["sym_seed"]))
-    return fit, symbolizer, purity
+    return fit, codebook, symbolizer, purity
 
 
 def _parse_model(header, records, fit, cardinalities):
@@ -314,19 +317,15 @@ def _parse_maps(header, records, fit):
 
 
 def load_fitted(directory: str) -> Fitted:
-    """Read the three fit artifacts and rebuild the codebook from its seed."""
+    """Read the three fit artifacts; the codebook is rebuilt from its seed."""
     sym_path, model_path, maps_path = (os.path.join(directory, name) for name in
                                        (SYMBOLIZER_FILE, MODEL_FILE, MAPS_FILE))
-    fit, symbolizer, purity = _read(sym_path, SYMBOLIZER_MAGIC, _parse_symbolizer)
+    fit, codebook, symbolizer, purity = _read(sym_path, SYMBOLIZER_MAGIC,
+                                              _parse_symbolizer)
     model = _read(model_path, MODEL_MAGIC, _parse_model, fit, symbolizer.cardinalities)
     maps = _read(maps_path, MAPS_MAGIC, _parse_maps, fit)
-    config, codebook_seed = fit
-    codebook = build_codebook(dim=config.dim, seed=codebook_seed,
-                              min_sep=config.min_sep)
-    return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,
-                  model=model, maps=maps,
-                  value_maps=value_symbol_maps(codebook, symbolizer),
-                  train_purity=purity)
+    return Fitted(config=fit[0], codebook=codebook, symbolizer=symbolizer,
+                  model=model, maps=maps, train_purity=purity)
 
 
 def check_compatible(dataset: Dataset, fitted: Fitted):

@@ -15,15 +15,19 @@ import sys
 import numpy as np
 
 from . import artifacts
+from .concepts import SeparationUnachievable, UnknownValue, encode
 from .evaluate import interpretability_report, run_experiment
 from .fitting import FitConfig, fit_pipeline
-from .mdp import InvalidInit, NoPlanFound, plan
+from .mdp import InvalidInit, NoPlanFound, SymbolMasks, plan
 from .symbols import symbolize
 from .taskgen import (
     N_TYPES,
+    Task,
+    Unreachable,
     generate_dataset,
     make_unseen_object_split,
     make_unseen_task_split,
+    oracle_shortest_plan,
 )
 from .token_maps import rollout, token_mse
 from .workbench import CONCEPTS, EnvConfig
@@ -34,6 +38,17 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ARTIFACTS = 2
 EXIT_THRESHOLD = 3
+
+# option -> (rule, test), checked right after parsing unless the option is
+# not given (None)
+_BOUNDS = {
+    **{name: (">= 0", lambda v: v >= 0)
+       for name in ("sigma", "min_sep", "train", "val", "test")},
+    **{name: (">= 1", lambda v: v >= 1)
+       for name in ("topk", "jobs", "l_max", "restarts", "unseen_types")},
+    "dim": (">= 2", lambda v: v >= 2),
+    "thresh": ("in (0, 1)", lambda v: 0 < v < 1),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +85,11 @@ def cmd_fit(args) -> int:
     dataset = artifacts.load_dataset(args.data)
     config = FitConfig(dim=args.dim, min_sep=args.min_sep, noise_sigma=args.sigma,
                        thresh=args.thresh, seed=args.seed, restarts=args.restarts)
-    fitted = fit_pipeline(dataset, config)
+    try:
+        fitted = fit_pipeline(dataset, config)
+    except SeparationUnachievable as err:  # --min-sep too large for --dim
+        print(f"error: argument --min-sep: {err}", file=sys.stderr)
+        return EXIT_USAGE
     out = _artifact_dir(args)
     artifacts.save_fitted(out, fitted)
     print(f"fit {len(dataset.subset('train'))} training tasks -> {out}")
@@ -81,14 +100,13 @@ def cmd_fit(args) -> int:
 
 
 def _adhoc_task(args):
-    from .taskgen import Task, oracle_shortest_plan
     env = EnvConfig(level=args.level, obstacles=artifacts.parse_cells(args.obstacles or "-"),
                     dyer=artifacts.parse_cell(args.dyer) if args.dyer else None,
                     dyer_color=args.dyer_color)
     init, goal = (artifacts.parse_state(s.split(",")) for s in (args.init, args.goal))
     try:
         gt = oracle_shortest_plan(env, init, goal)
-    except Exception:
+    except Unreachable:
         gt = ()
     return Task(env=env, init=init, goal=goal, gt_actions=gt, task_id="adhoc")
 
@@ -108,8 +126,6 @@ def cmd_plan(args) -> int:
         except ValueError as err:  # malformed spec, or a state/bench the simulator rejects
             print(f"error: {err}", file=sys.stderr)
             return EXIT_USAGE
-    from .evaluate import _masks_for
-    from .concepts import UnknownValue, encode
     rng = np.random.default_rng([args.seed, 3])
     l_max = args.l_max if args.l_max else task.env.max_len
     try:
@@ -117,7 +133,8 @@ def cmd_plan(args) -> int:
         goal_tokens = encode(task.goal, fitted.codebook, args.sigma, rng)
         result = plan(fitted.model, symbolize(init_tokens, fitted.symbolizer),
                       symbolize(goal_tokens, fitted.symbolizer),
-                      _masks_for(task, fitted), top_k=args.topk, l_max=l_max)
+                      SymbolMasks.build(task.env, fitted.value_maps.symbol_to_value),
+                      top_k=args.topk, l_max=l_max)
     except NoPlanFound as err:
         print(f"no plan found: {err}", file=sys.stderr)
         return EXIT_THRESHOLD
@@ -261,8 +278,13 @@ def main(argv=None) -> int:
             parser.error("plan needs either --task-id with --data, or --init and --goal")
         if args.command == "plan" and args.task_id and not args.data:
             parser.error("--task-id needs --data")
-        if getattr(args, "sigma", None) is not None and not args.sigma >= 0:
-            parser.error(f"argument --sigma: must be >= 0, got {args.sigma}")
+        for name, (bound, ok) in _BOUNDS.items():
+            value = getattr(args, name, None)
+            if value is not None and not ok(value):
+                parser.error(f"argument --{name.replace('_', '-')}: "
+                             f"must be {bound}, got {value}")
+        if args.command == "gen" and args.train + args.val + args.test == 0:
+            parser.error("--train, --val and --test sum to 0")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -32,7 +32,7 @@ class UnknownValue(Exception):
     """A state value has no centroid in the codebook."""
 
 
-class SeparationUnachievable(Exception):
+class SeparationUnachievable(ValueError):
     """Rejection sampling could not place centroids min_sep apart."""
 
 

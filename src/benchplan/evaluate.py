@@ -16,11 +16,12 @@ import numpy as np
 
 from .concepts import ConceptCodebook, encode
 from .fitting import Fitted, codebook_for_tasks
-from .mdp import InvalidInit, NoPlanFound, SymbolMasks, base_action, plan
-from .symbols import symbolize
+from .mdp import InvalidInit, NoPlanFound, SymbolMasks, _key_rank, base_action, plan
+from .symbols import assign, symbolize
 from .taskgen import Dataset, Task
-from .token_maps import plan_tokenspace
-from .workbench import ACTIONS, CONCEPTS, ObjectState, adjudicate
+from .token_maps import plan_tokenspace, transition
+from .workbench import (ACTIONS, CONCEPTS, ROTATIONS, ActionError, EnvConfig,
+                        ObjectState, adjudicate, apply_action)
 
 _STREAM_EVAL = 31
 _STREAM_CHANCE = 37
@@ -95,14 +96,6 @@ def chance_baseline(task: Task, rng: np.random.Generator,
     return out
 
 
-def _masks_for(task: Task, fitted: Fitted) -> SymbolMasks:
-    return SymbolMasks.build(
-        task.env,
-        x_values=fitted.value_maps.symbol_to_value[1],
-        y_values=fitted.value_maps.symbol_to_value[2],
-        cardinalities=fitted.symbolizer.cardinalities)
-
-
 def _keys_to_actions(keys: Sequence[str]) -> tuple[str, ...]:
     return tuple(base_action(k) for k in keys)
 
@@ -117,7 +110,7 @@ def evaluate_task(task: Task, fitted: Fitted, codebook: ConceptCodebook, *,
     else:
         init_tokens = encode(task.init, codebook, noise_sigma, rng)
         goal_tokens = encode(task.goal, codebook, noise_sigma, rng)
-        masks = _masks_for(task, fitted)
+        masks = SymbolMasks.build(task.env, fitted.value_maps.symbol_to_value)
         try:
             if planner == "symbolic":
                 init_sym = symbolize(init_tokens, fitted.symbolizer)
@@ -216,7 +209,6 @@ class InterpretabilityReport:
 
 
 def _decode_position(tokens: np.ndarray, codebook: ConceptCodebook) -> tuple[int, int]:
-    from .symbols import assign
     return (assign(tokens[1], codebook.centroids[1]),
             assign(tokens[2], codebook.centroids[2]))
 
@@ -227,38 +219,28 @@ def interpretability_report(maps, codebook: ConceptCodebook, *,
     """Apply each fitted map to sampled in-distribution states and measure effects.
 
     Sources are sampled so the action was physically possible on an open bench
-    (movement headroom; color differing from a change_color key's dyer color),
-    keeping the maps inside the regime they were trained on. change_color keys
-    are pooled into one column.
+    (`apply_action` accepts it; for a change_color key, the color differs from
+    its dyer color), keeping the maps inside the regime they were trained on.
+    change_color keys are pooled into one column.
     """
-    from .mdp import _key_rank
-    from .workbench import N_COLORS, N_SIZES, ROTATIONS, X_CELLS, Y_CELLS
-    from .token_maps import transition
-
     rng = np.random.default_rng([seed, 41])
+    open_bench = EnvConfig(level=1)
     present = sorted({base_action(k) for k in maps.action_keys},
                      key=lambda a: ACTIONS.index(a))
     keys_of = {a: [k for k in maps.action_keys if base_action(k) == a]
                for a in present}
-    n_types = codebook.cardinalities[0]
 
     def sample_state(action: str, ctx: str) -> ObjectState:
-        while True:
-            state = ObjectState(int(rng.integers(n_types)),
-                                int(rng.integers(X_CELLS)),
-                                int(rng.integers(Y_CELLS)),
-                                ROTATIONS[int(rng.integers(4))],
-                                int(rng.integers(N_COLORS)),
-                                int(rng.integers(N_SIZES)))
-            if action == "move_front" and state.pos_y == Y_CELLS - 1:
+        while True:  # one draw per concept, in concept order
+            t, x, y, r, c, s = (int(rng.integers(n)) for n in codebook.cardinalities)
+            state = ObjectState(t, x, y, ROTATIONS[r], c, s)
+            if action == "change_color":
+                if state.color != int(ctx):
+                    return state
                 continue
-            if action == "move_back" and state.pos_y == 0:
-                continue
-            if action == "move_left" and state.pos_x == 0:
-                continue
-            if action == "move_right" and state.pos_x == X_CELLS - 1:
-                continue
-            if action == "change_color" and state.color == int(ctx):
+            try:
+                apply_action(state, action, open_bench)
+            except ActionError:
                 continue
             return state
 

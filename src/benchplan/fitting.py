@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -10,7 +10,7 @@ from .concepts import ConceptCodebook, build_codebook, encode, extend_codebook
 from .mdp import TransitionModel, action_key, fit_transitions
 from .symbols import Symbolizer, assign, fit_symbolizer, purity, symbolize
 from .taskgen import Dataset, Task
-from .token_maps import ActionTransitionMaps, fit_affine
+from .token_maps import MIN_PAIRS, ActionTransitionMaps, fit_affine
 from .workbench import simulate
 
 _STREAM_FIT_ENCODE = 23
@@ -52,8 +52,11 @@ class Fitted:
     symbolizer: Symbolizer
     model: TransitionModel
     maps: ActionTransitionMaps
-    value_maps: ValueMaps
     train_purity: tuple[float, ...]
+    value_maps: ValueMaps = field(init=False)  # derived from codebook and symbolizer
+
+    def __post_init__(self):
+        self.value_maps = value_symbol_maps(self.codebook, self.symbolizer)
 
     @property
     def codebook_seed(self) -> int:
@@ -103,17 +106,14 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
     # token maps need MIN_PAIRS examples each; rare contexts (a seldom-seen
     # dyer color at small data sizes) are dropped from the maps only — the
     # transition counts keep them
-    from .token_maps import MIN_PAIRS
     supported = {k: v for k, v in pairs.items() if len(v) >= MIN_PAIRS}
     if not supported:
         raise ValueError("no action has enough pairs to fit token maps")
     maps = fit_affine(supported, dim=config.dim)
-    vmaps = value_symbol_maps(codebook, symbolizer)
     train_purity = tuple(float(p) for p in
                          purity(symbolizer, list(zip(all_tokens, all_states))))
     return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,
-                  model=model, maps=maps, value_maps=vmaps,
-                  train_purity=train_purity)
+                  model=model, maps=maps, train_purity=train_purity)
 
 
 def codebook_for_tasks(fitted: Fitted, tasks: list[Task]) -> ConceptCodebook:

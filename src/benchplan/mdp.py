@@ -10,7 +10,7 @@ with renormalization.
 Position validity couples the two position concepts, so validity is evaluated
 on the joint (x, y) grid and marginalized onto each axis for distribution
 propagation; the k-best plan search checks successor validity on the joint
-grid directly.
+grid directly. Both are tabulated once per bench on the position symbols.
 
 The model compiles its legality indicator and its MAP successors into per-key
 lookup tables once, when it is built; propagation and planning read them.
@@ -156,82 +156,45 @@ def fit_transitions(triplets: Iterable[tuple[SymbolState, str, SymbolState]],
 # masks
 
 @dataclass(frozen=True)
-class StateMask:
-    """Validity in ground-truth value space: joint grid plus per-concept marginals."""
-
-    joint: np.ndarray                    # (X_CELLS, Y_CELLS) bool
-    per_concept: tuple[np.ndarray, ...]  # bool vectors over concept values
-
-
-def state_mask(env: EnvConfig,
-               cardinalities: Sequence[int] | None = None) -> StateMask:
-    """Grid cells under obstacles or the dyer are invalid; everything else is valid.
-
-    The per-axis masks are the joint mask's marginals: an axis value is valid
-    when some cell with that value is free. Non-position concepts are fully
-    valid.
-    """
-    from .workbench import DEFAULT_CARDINALITIES
-    cards = tuple(cardinalities) if cardinalities else DEFAULT_CARDINALITIES
-    joint = np.ones((X_CELLS, Y_CELLS), dtype=bool)
-    for (x, y) in env.blocked:
-        joint[x, y] = False
-    per = []
-    for k, c in enumerate(cards):
-        if k == POSX:
-            per.append(joint.any(axis=1))
-        elif k == POSY:
-            per.append(joint.any(axis=0))
-        else:
-            per.append(np.ones(c, dtype=bool))
-    return StateMask(joint=joint, per_concept=tuple(per))
-
-
-@dataclass(frozen=True)
 class SymbolMasks:
-    """Environment validity translated into the fitted symbol space.
+    """Bench validity tabulated on the fitted symbols, once per bench.
 
-    x_values/y_values map position symbols to grid values, which is what lets
-    the planner evaluate joint-grid validity and dyer adjacency on symbol
-    states regardless of how cluster labels came out.
+    `valid[sx][sy]` holds when the cell that position symbols (sx, sy) stand
+    for under the fit's value maps is free, `adjacent[sx][sy]` when it is next
+    to the dyer, so the planner reads both on symbol states however the cluster
+    labels came out. `per_concept` holds each concept's marginal validity, for
+    propagation: a position symbol is valid when some free cell has its value.
     """
 
-    grid: np.ndarray                       # (X_CELLS, Y_CELLS) bool, value coords
-    x_values: tuple[int, ...]              # pos_x symbol -> x value
-    y_values: tuple[int, ...]              # pos_y symbol -> y value
-    per_concept: tuple[np.ndarray, ...]    # symbol-space masks, for propagation
-    dyer_cell: tuple[int, int] | None
+    valid: tuple[tuple[bool, ...], ...]
+    adjacent: tuple[tuple[bool, ...], ...]
+    per_concept: tuple[np.ndarray, ...]
     dyer_color: int | None
 
     @classmethod
-    def build(cls, env: EnvConfig, x_values: Sequence[int], y_values: Sequence[int],
-              cardinalities: Sequence[int]) -> "SymbolMasks":
-        base = state_mask(env, cardinalities)
-        per = []
-        for k, c in enumerate(cardinalities):
-            if k == POSX:
-                per.append(np.array([base.per_concept[k][v] for v in x_values]))
-            elif k == POSY:
-                per.append(np.array([base.per_concept[k][v] for v in y_values]))
-            else:
-                per.append(np.ones(c, dtype=bool))
-        return cls(grid=base.joint, x_values=tuple(int(v) for v in x_values),
-                   y_values=tuple(int(v) for v in y_values),
-                   per_concept=tuple(per), dyer_cell=env.dyer,
-                   dyer_color=env.dyer_color)
-
-    def cell_of(self, state: SymbolState) -> tuple[int, int]:
-        return (self.x_values[state[POSX]], self.y_values[state[POSY]])
+    def build(cls, env: EnvConfig,
+              symbol_to_value: Sequence[Sequence[int]]) -> "SymbolMasks":
+        """Masks of a bench, read through a fit's symbol -> value maps."""
+        free = np.ones((X_CELLS, Y_CELLS), dtype=bool)
+        for cell in env.blocked:
+            free[cell] = False
+        near = np.zeros_like(free)
+        if env.dyer is not None:
+            dx, dy = env.dyer
+            near = np.add.outer(abs(np.arange(X_CELLS) - dx),
+                                abs(np.arange(Y_CELLS) - dy)) == 1
+        xs, ys = (np.asarray(symbol_to_value[k]) for k in (POSX, POSY))
+        per = [np.ones(len(values), dtype=bool) for values in symbol_to_value]
+        per[POSX], per[POSY] = free.any(axis=1)[xs], free.any(axis=0)[ys]
+        return cls(valid=tuple(map(tuple, free[np.ix_(xs, ys)].tolist())),
+                   adjacent=tuple(map(tuple, near[np.ix_(xs, ys)].tolist())),
+                   per_concept=tuple(per), dyer_color=env.dyer_color)
 
     def position_valid(self, state: SymbolState) -> bool:
-        x, y = self.cell_of(state)
-        return bool(self.grid[x, y])
+        return self.valid[state[POSX]][state[POSY]]
 
     def dyer_adjacent(self, state: SymbolState) -> bool:
-        if self.dyer_cell is None:
-            return False
-        x, y = self.cell_of(state)
-        return abs(x - self.dyer_cell[0]) + abs(y - self.dyer_cell[1]) == 1
+        return self.adjacent[state[POSX]][state[POSY]]
 
 
 # ---------------------------------------------------------------------------

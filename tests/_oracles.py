@@ -3,8 +3,9 @@
 The propagation oracles recompute probabilities from raw counts with scalar
 Python loops — no shared code with the numpy propagation path. The planner
 oracles are the two k-best searches frozen before they were merged into one,
-and the occurrence oracle is the accumulation `fit_transitions` ran before
-the model derived its occurrence tables from the counts.
+the occurrence oracle is the accumulation `fit_transitions` ran before the
+model derived its occurrence tables from the counts, and the mask oracle is
+the value-space bench mask the symbol masks were once read from.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from benchplan.mdp import (
 )
 from benchplan.symbols import symbolize
 from benchplan.token_maps import _min_center_gaps, _snap_trusted, transition
-from benchplan.workbench import ACTIONS
+from benchplan.workbench import ACTIONS, X_CELLS, Y_CELLS
 
 
 def oracle_occurrences(triplets, cardinalities):
@@ -37,6 +38,37 @@ def oracle_occurrences(triplets, cardinalities):
         for k in range(len(cardinalities)):
             occ[k][before[k], j] += 1
     return keys, bases, occ
+
+
+def oracle_masks(env, x_values, y_values, cardinalities):
+    """(valid, adjacent, per_concept, dyer_color) of a bench, frozen from the
+    value-space build: the joint grid of free cells, its per-axis marginals
+    read through the position value maps, and each symbol pair's grid cell."""
+    joint = np.ones((X_CELLS, Y_CELLS), dtype=bool)
+    for (x, y) in env.blocked:
+        joint[x, y] = False
+    per = []
+    for k, c in enumerate(cardinalities):
+        if k == 1:
+            per.append(np.array([joint.any(axis=1)[v] for v in x_values]))
+        elif k == 2:
+            per.append(np.array([joint.any(axis=0)[v] for v in y_values]))
+        else:
+            per.append(np.ones(c, dtype=bool))
+
+    def cell_of(sx, sy):
+        return (x_values[sx], y_values[sy])
+
+    def adjacent(sx, sy):
+        if env.dyer is None:
+            return False
+        x, y = cell_of(sx, sy)
+        return abs(x - env.dyer[0]) + abs(y - env.dyer[1]) == 1
+
+    pairs = [[(sx, sy) for sy in range(len(y_values))] for sx in range(len(x_values))]
+    return (tuple(tuple(bool(joint[cell_of(*p)]) for p in row) for row in pairs),
+            tuple(tuple(adjacent(*p) for p in row) for row in pairs),
+            tuple(per), env.dyer_color)
 
 
 def _base_index(model, key):

@@ -147,9 +147,7 @@ def test_criterion_05_propagation_matches_brute_force(runs):
 
     for fitted, env in scenarios:
         model = fitted.model
-        masks = SymbolMasks.build(env, fitted.value_maps.symbol_to_value[1],
-                                  fitted.value_maps.symbol_to_value[2],
-                                  model.cardinalities)
+        masks = SymbolMasks.build(env, fitted.value_maps.symbol_to_value)
         keys = available_keys(model, masks)
         valid = masks.per_concept
         max_card = max(model.cardinalities)

@@ -20,6 +20,9 @@ def run(*argv):
 
 PLAN = ("plan", "--artifacts", "arts", "--level", 1,
         "--init", "0,0,0,0,2,1", "--goal", "0,1,0,0,2,1")
+EVAL = ("eval", "--data", "data.txt", "--artifacts", "arts", "--jobs", 1)
+FIT = ("fit", "--data", "data.txt", "--artifacts", "arts2", "--sigma", 0)
+GEN = ("gen", "--level", 1, "--train", 10, "--val", 1, "--test", 2, "--out", "g.txt")
 
 
 class TestGen:
@@ -120,31 +123,53 @@ class TestPipeline:
         ("fit", "--data", "data.txt", "--artifacts", "arts2", "--sigma", -1),
         ("eval", "--data", "data.txt", "--artifacts", "arts", "--jobs", 1,
          "--sigma", -1),
+        PLAN + ("--topk", 0),
+        EVAL + ("--topk", 0),
+        EVAL + ("--l-max", -1),
+        EVAL + ("--jobs", 0),
+        FIT + ("--dim", 1),
+        FIT + ("--thresh", 0),
+        FIT + ("--thresh", 1),
+        FIT + ("--restarts", 0),
+        FIT + ("--min-sep", -1),
+        FIT + ("--min-sep", 100),
+        GEN + ("--train", 0, "--val", 0, "--test", 0),
+        GEN + ("--train", -1),
+        GEN + ("--variant", "unseen_object", "--unseen-types", 0),
     ], ids=["rotation", "level3-no-dyer", "init-on-obstacle", "short-state",
             "unknown-type", "one-int-obstacle", "one-int-dyer", "plan-negative-sigma",
-            "fit-negative-sigma", "eval-negative-sigma"])
+            "fit-negative-sigma", "eval-negative-sigma", "plan-topk-0", "eval-topk-0",
+            "eval-negative-l-max", "eval-jobs-0", "fit-dim-1", "fit-thresh-0",
+            "fit-thresh-1", "fit-restarts-0", "fit-negative-min-sep",
+            "fit-unachievable-min-sep", "gen-no-tasks", "gen-negative-train",
+            "gen-unseen-types-0"])
     def test_plan_bad_adhoc_input_is_one_line_usage_error(self, fitted_dir, capsys,
                                                           argv):
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("name, edit", [
-        ("arts/model.txt", lambda text: "".join(text.splitlines(True)[:3])),
-        ("arts/maps.txt", lambda text: text.replace("\nA ", "\nA x,", 1)),
-        ("data.txt", lambda text: re.sub(r"init\.x=\d+", "init.x=", text, count=1)),
-    ], ids=["model-cut-to-3-lines", "maps-bad-float", "dataset-empty-field"])
+    # the error names the first of the edited files
+    @pytest.mark.parametrize("names, edit", [
+        (["arts/model.txt"], lambda text: "".join(text.splitlines(True)[:3])),
+        (["arts/maps.txt"], lambda text: text.replace("\nA ", "\nA x,", 1)),
+        (["data.txt"], lambda text: re.sub(r"init\.x=\d+", "init.x=", text, count=1)),
+        (["arts/symbolizer.txt", "arts/model.txt", "arts/maps.txt"],
+         lambda text: text.replace(" min_sep=1.0 ", " min_sep=100.0 ", 1)),
+    ], ids=["model-cut-to-3-lines", "maps-bad-float", "dataset-empty-field",
+            "unachievable-min-sep-in-fit-headers"])
     def test_malformed_artifact_is_one_line_artifact_error(self, fitted_dir, capsys,
-                                                           name, edit):
-        with open(name) as fh:
-            text = fh.read()
-        with open(name, "w") as fh:
-            fh.write(edit(text))
+                                                           names, edit):
+        for name in names:
+            with open(name) as fh:
+                text = fh.read()
+            assert edit(text) != text
+            with open(name, "w") as fh:
+                fh.write(edit(text))
         capsys.readouterr()
-        assert run("eval", "--data", "data.txt", "--artifacts", "arts",
-                   "--jobs", 1) == 2
+        assert run(*EVAL) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {names[0]}: ") and err.count("\n") == 1, err
 
     def test_report_emits_tables(self, fitted_dir, capsys):
         assert run("report", "--artifacts", "arts", "--out", "rep") == 0

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from _oracles import oracle_occurrences, oracle_paths, oracle_sequence, oracle_step
+from _oracles import (
+    oracle_masks,
+    oracle_occurrences,
+    oracle_paths,
+    oracle_sequence,
+    oracle_step,
+)
 from benchplan.concepts import encode
 from benchplan.fitting import _STREAM_FIT_ENCODE, encode_trajectory
 from benchplan.mdp import (
@@ -17,11 +23,10 @@ from benchplan.mdp import (
     plan,
     point_mass,
     propagate,
-    state_mask,
 )
 from benchplan.symbols import symbolize
 from benchplan.taskgen import oracle_shortest_plan
-from benchplan.workbench import EnvConfig, ObjectState, simulate
+from benchplan.workbench import DEFAULT_CARDINALITIES, EnvConfig, ObjectState, simulate
 
 
 def toy_model(thresh=0.1):
@@ -99,26 +104,62 @@ class TestFitTransitions:
         assert action_legal(fitted.model, state, "move_front")
 
 
+IDENTITY = tuple(tuple(range(c)) for c in DEFAULT_CARDINALITIES)
+
+
+def _count(table):
+    return sum(map(sum, table))
+
+
 class TestStateMask:
+    """Bench masks through identity value maps: symbols are the grid values."""
+
     def test_no_obstacles(self):
-        mask = state_mask(EnvConfig(level=1))
-        assert mask.joint.sum() == 15
+        mask = SymbolMasks.build(EnvConfig(level=1), IDENTITY)
+        assert _count(mask.valid) == 15
         assert all(m.all() for m in mask.per_concept)
 
     def test_one_obstacle(self):
-        mask = state_mask(EnvConfig(level=2, obstacles=((1, 1),)))
-        assert mask.joint.sum() == 14
-        assert not mask.joint[1, 1]
+        mask = SymbolMasks.build(EnvConfig(level=2, obstacles=((1, 1),)), IDENTITY)
+        assert _count(mask.valid) == 14
+        assert not mask.valid[1][1]
 
     def test_dyer_plus_obstacle(self):
         env = EnvConfig(level=3, obstacles=((2, 2),), dyer=(0, 4), dyer_color=1)
-        assert state_mask(env).joint.sum() == 13
+        mask = SymbolMasks.build(env, IDENTITY)
+        assert _count(mask.valid) == 13
+        assert _count(mask.adjacent) == 2  # (0, 3) and (1, 4)
 
     def test_blocked_row_marginalizes(self):
         env = EnvConfig(level=2, obstacles=((0, 1), (1, 1), (2, 1)))
-        mask = state_mask(env)
+        mask = SymbolMasks.build(env, IDENTITY)
         assert list(mask.per_concept[2]) == [True, False, True, True, True]
         assert mask.per_concept[1].all()
+
+
+def _assert_masks_equal_oracle(env, symbol_to_value):
+    masks = SymbolMasks.build(env, symbol_to_value)
+    cards = tuple(len(values) for values in symbol_to_value)
+    valid, adjacent, per_concept, dyer_color = oracle_masks(
+        env, symbol_to_value[1], symbol_to_value[2], cards)
+    assert masks.valid == valid
+    assert masks.adjacent == adjacent
+    assert masks.dyer_color == dyer_color
+    assert len(masks.per_concept) == len(per_concept)
+    for got, expected in zip(masks.per_concept, per_concept):
+        assert got.dtype == bool and got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("run", ("level3_run", "level4_run"))
+def test_masks_equal_frozen_value_space_build(run, request):
+    dataset, fitted = request.getfixturevalue(run)
+    maps = fitted.value_maps.symbol_to_value
+    # a many-to-one position map: two x symbols and two y symbols share a value
+    merged = list(maps)
+    merged[1], merged[2] = (0, 0) + maps[1][2:], maps[2][:-2] + (4, 4)
+    for task in dataset.subset("test"):
+        _assert_masks_equal_oracle(task.env, maps)
+        _assert_masks_equal_oracle(task.env, tuple(merged))
 
 
 class TestPropagate:
@@ -144,9 +185,7 @@ class TestPropagate:
     def test_uniform_source_matches_oracle(self, level1_run):
         _, fitted = level1_run
         model = fitted.model
-        masks = SymbolMasks.build(
-            EnvConfig(level=1), fitted.value_maps.symbol_to_value[1],
-            fitted.value_maps.symbol_to_value[2], model.cardinalities)
+        masks = SymbolMasks.build(EnvConfig(level=1), fitted.value_maps.symbol_to_value)
         dist = [np.full(c, 1.0 / c) for c in model.cardinalities]
         out = propagate(dist, "move_right", model, masks.per_concept)
         for k in range(6):
@@ -158,9 +197,7 @@ class TestPropagate:
         _, fitted = level3_run
         model = fitted.model
         env = EnvConfig(level=3, obstacles=((1, 1),), dyer=(2, 0), dyer_color=2)
-        masks = SymbolMasks.build(
-            env, fitted.value_maps.symbol_to_value[1],
-            fitted.value_maps.symbol_to_value[2], model.cardinalities).per_concept
+        masks = SymbolMasks.build(env, fitted.value_maps.symbol_to_value).per_concept
         keys = ["move_right", "move_front", action_key("change_color", env)]
         for concept in range(6):
             for start in range(model.cardinalities[concept]):
@@ -176,9 +213,7 @@ class TestPropagate:
         _, fitted = level3_run
         model = fitted.model
         env = EnvConfig(level=2, obstacles=((0, 2), (1, 2), (2, 2)))
-        masks = SymbolMasks.build(
-            env, fitted.value_maps.symbol_to_value[1],
-            fitted.value_maps.symbol_to_value[2], model.cardinalities)
+        masks = SymbolMasks.build(env, fitted.value_maps.symbol_to_value)
         dist = [np.full(c, 1.0 / c) for c in model.cardinalities]
         for key in ("move_front", "move_back", "move_left"):
             out = propagate(dist, key, model, masks.per_concept)
@@ -218,9 +253,7 @@ def _sym(fitted, state):
 
 
 def _masks(fitted, env):
-    return SymbolMasks.build(env, fitted.value_maps.symbol_to_value[1],
-                             fitted.value_maps.symbol_to_value[2],
-                             fitted.model.cardinalities)
+    return SymbolMasks.build(env, fitted.value_maps.symbol_to_value)
 
 
 class TestPlan:
@@ -352,13 +385,14 @@ class TestPlan:
 
             p_init = tuple(int(perms[k][init[k]]) for k in range(6))
             p_goal = tuple(int(perms[k][goal[k]]) for k in range(6))
-            x_vals = tuple(masks.x_values[i] for i in inverse[1])
-            y_vals = tuple(masks.y_values[i] for i in inverse[2])
             p_masks = SymbolMasks(
-                grid=masks.grid, x_values=x_vals, y_values=y_vals,
+                valid=tuple(tuple(masks.valid[x][y] for y in inverse[2])
+                            for x in inverse[1]),
+                adjacent=tuple(tuple(masks.adjacent[x][y] for y in inverse[2])
+                               for x in inverse[1]),
                 per_concept=tuple(masks.per_concept[k][inverse[k]]
                                   for k in range(6)),
-                dyer_cell=masks.dyer_cell, dyer_color=masks.dyer_color)
+                dyer_color=masks.dyer_color)
             relabeled = plan(permuted, p_init, p_goal, p_masks, top_k=5,
                              l_max=task.env.max_len)
             assert [p.actions for p in relabeled.plans] == \

@@ -5,9 +5,8 @@ import pytest
 
 from _oracles import oracle_plan, oracle_plan_tokenspace
 from benchplan.concepts import encode
-from benchplan.evaluate import _masks_for
 from benchplan.fitting import codebook_for_tasks
-from benchplan.mdp import NoPlanFound, plan
+from benchplan.mdp import NoPlanFound, SymbolMasks, plan
 from benchplan.symbols import symbolize
 from benchplan.token_maps import plan_tokenspace
 
@@ -38,7 +37,7 @@ def test_planners_match_frozen_search(run, sigma, request):
         rng = np.random.default_rng([11, i])
         init_tokens = encode(task.init, codebook, sigma, rng)
         goal_tokens = encode(task.goal, codebook, sigma, rng)
-        masks = _masks_for(task, fitted)
+        masks = SymbolMasks.build(task.env, fitted.value_maps.symbol_to_value)
         budget = dict(top_k=5, l_max=task.env.max_len)
         assert_same(plan, oracle_plan, fitted.model,
                     symbolize(init_tokens, fitted.symbolizer),

@@ -243,10 +243,7 @@ class TestPlanTokenspace:
     def test_init_equals_goal(self, level1_run):
         _, fitted = level1_run
         tokens = encode(ObjectState(0, 1, 1, 0, 2, 0), fitted.codebook)
-        masks = SymbolMasks.build(EnvConfig(level=1),
-                                  fitted.value_maps.symbol_to_value[1],
-                                  fitted.value_maps.symbol_to_value[2],
-                                  fitted.model.cardinalities)
+        masks = SymbolMasks.build(EnvConfig(level=1), fitted.value_maps.symbol_to_value)
         result = plan_tokenspace(fitted.maps, tokens, tokens, fitted.symbolizer,
                                  masks, top_k=5, l_max=6)
         assert result.best.actions == ()
