@@ -17,9 +17,9 @@ import numpy as np
 from . import artifacts
 from .concepts import SeparationUnachievable, UnknownValue, encode
 from .evaluate import interpretability_report, run_experiment
-from .fitting import FitConfig, fit_pipeline
+from .fitting import FitConfig, codebook_for_tasks, fit_pipeline
 from .mdp import InvalidInit, NoPlanFound, SymbolMasks, plan
-from .symbols import symbolize
+from .symbols import InsufficientPoints, symbolize
 from .taskgen import (
     N_TYPES,
     Task,
@@ -29,7 +29,7 @@ from .taskgen import (
     make_unseen_task_split,
     oracle_shortest_plan,
 )
-from .token_maps import rollout, token_mse
+from .token_maps import InsufficientPairs, rollout, token_mse
 from .workbench import CONCEPTS, EnvConfig
 
 ENV_ARTIFACT_DIR = "BENCHPLAN_ARTIFACTS"
@@ -43,7 +43,7 @@ EXIT_THRESHOLD = 3
 # not given (None)
 _BOUNDS = {
     **{name: (">= 0", lambda v: v >= 0)
-       for name in ("sigma", "min_sep", "train", "val", "test")},
+       for name in ("sigma", "min_sep", "train", "val", "test", "seed", "codebook_seed")},
     **{name: (">= 1", lambda v: v >= 1)
        for name in ("topk", "jobs", "l_max", "restarts", "unseen_types")},
     "dim": (">= 2", lambda v: v >= 2),
@@ -69,10 +69,12 @@ def cmd_gen(args) -> int:
                                          args.seed)
     else:
         dataset = generate_dataset(args.level, (args.train, args.val, args.test),
-                                   args.seed, codebook_seed=args.codebook_seed)
+                                   args.seed)
         if args.variant == "unseen_object":
             held = set(range(N_TYPES, N_TYPES + args.unseen_types))
             dataset = make_unseen_object_split(dataset, held)
+    if args.codebook_seed is not None:
+        dataset.codebook_seed = args.codebook_seed
     artifacts.save_dataset(args.out, dataset)
     lengths = [len(t.gt_actions) for t in dataset.tasks]
     print(f"wrote {len(dataset.tasks)} level-{args.level} tasks to {args.out} "
@@ -89,6 +91,9 @@ def cmd_fit(args) -> int:
         fitted = fit_pipeline(dataset, config)
     except SeparationUnachievable as err:  # --min-sep too large for --dim
         print(f"error: argument --min-sep: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except (InsufficientPoints, InsufficientPairs) as err:  # too little training data
+        print(f"error: {args.data}: {err}", file=sys.stderr)
         return EXIT_USAGE
     out = _artifact_dir(args)
     artifacts.save_fitted(out, fitted)
@@ -126,11 +131,13 @@ def cmd_plan(args) -> int:
         except ValueError as err:  # malformed spec, or a state/bench the simulator rejects
             print(f"error: {err}", file=sys.stderr)
             return EXIT_USAGE
+    # a dataset task may carry held-out object types, which eval encodes the same way
+    codebook = codebook_for_tasks(fitted, [task]) if args.task_id else fitted.codebook
     rng = np.random.default_rng([args.seed, 3])
     l_max = args.l_max if args.l_max else task.env.max_len
     try:
-        init_tokens = encode(task.init, fitted.codebook, args.sigma, rng)
-        goal_tokens = encode(task.goal, fitted.codebook, args.sigma, rng)
+        init_tokens = encode(task.init, codebook, args.sigma, rng)
+        goal_tokens = encode(task.goal, codebook, args.sigma, rng)
         result = plan(fitted.model, symbolize(init_tokens, fitted.symbolizer),
                       symbolize(goal_tokens, fitted.symbolizer),
                       SymbolMasks.build(task.env, fitted.value_maps.symbol_to_value),
@@ -154,6 +161,9 @@ def cmd_plan(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset = artifacts.load_dataset(args.data)
+    if not dataset.subset(args.split):
+        print(f"error: {args.data} has no {args.split} tasks", file=sys.stderr)
+        return EXIT_USAGE
     fitted = artifacts.load_fitted(_artifact_dir(args))
     artifacts.check_compatible(dataset, fitted)
     sigma = fitted.config.noise_sigma if args.sigma is None else args.sigma
@@ -219,12 +229,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit symbolizer, transition model, and maps")
     p.add_argument("--data", required=True)
     p.add_argument("--artifacts", default=None)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--min-sep", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--thresh", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--dim", type=int, default=FitConfig.dim)
+    p.add_argument("--min-sep", type=float, default=FitConfig.min_sep)
+    p.add_argument("--sigma", type=float, default=FitConfig.noise_sigma)
+    p.add_argument("--thresh", type=float, default=FitConfig.thresh)
+    p.add_argument("--seed", type=int, default=FitConfig.seed)
+    p.add_argument("--restarts", type=int, default=FitConfig.restarts)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("plan", help="plan one task and print the top-k sequences")
@@ -285,6 +295,8 @@ def main(argv=None) -> int:
                              f"must be {bound}, got {value}")
         if args.command == "gen" and args.train + args.val + args.test == 0:
             parser.error("--train, --val and --test sum to 0")
+        if args.command == "gen" and args.variant == "unseen_task" and args.level > 2:
+            parser.error("--variant unseen_task needs --level 1 or 2")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -51,12 +51,11 @@ class ConceptCodebook:
 
 
 def _draw_separated(rng: np.random.Generator, count: int, dim: int, min_sep: float,
-                    existing: np.ndarray | None = None,
-                    tries_per_row: int = 1000) -> np.ndarray:
+                    existing: np.ndarray | None = None) -> np.ndarray:
     rows = [] if existing is None else [np.asarray(r) for r in existing]
     start = len(rows)
     for _ in range(count):
-        for _ in range(tries_per_row):
+        for _ in range(1000):  # rejection draws per centroid before giving up
             cand = rng.standard_normal(dim)
             if all(np.linalg.norm(cand - r) >= min_sep for r in rows):
                 rows.append(cand)
@@ -64,40 +63,36 @@ def _draw_separated(rng: np.random.Generator, count: int, dim: int, min_sep: flo
         else:
             raise SeparationUnachievable(
                 f"could not place centroid {len(rows)} at min_sep={min_sep}")
-    return np.array(rows[start:]) if existing is not None else np.array(rows)
+    return np.array(rows[start:])
 
 
 def build_codebook(dim: int = DEFAULT_DIM, seed: int = 0,
-                   min_sep: float = DEFAULT_MIN_SEP,
-                   cardinalities: tuple[int, ...] = DEFAULT_CARDINALITIES,
-                   ) -> ConceptCodebook:
+                   min_sep: float = DEFAULT_MIN_SEP) -> ConceptCodebook:
     """Draw all centroids from a standard normal, deterministic under seed."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
     if min_sep < 0:
         raise ValueError("min_sep must be nonnegative")
     rng = np.random.default_rng([seed, _STREAM_BUILD])
-    tables = tuple(_draw_separated(rng, card, dim, min_sep) for card in cardinalities)
+    tables = tuple(_draw_separated(rng, card, dim, min_sep)
+                   for card in DEFAULT_CARDINALITIES)
     return ConceptCodebook(dim=dim, seed=seed, min_sep=min_sep, centroids=tables)
 
 
-def extend_codebook(codebook: ConceptCodebook, concept: int,
-                    new_values: int) -> ConceptCodebook:
-    """Append centroids for unseen values; existing rows stay bit-identical.
+def extend_codebook(codebook: ConceptCodebook, new_values: int) -> ConceptCodebook:
+    """Append centroids for unseen object types; existing rows stay bit-identical.
 
-    Only the TYPE concept is extendable — the other value spaces are closed.
+    Only the type concept is extendable — the other value spaces are closed.
     """
-    if concept != TYPE_CONCEPT:
-        raise ValueError("only the type concept supports extension")
     if new_values <= 0:
         raise ValueError("new_values must be positive")
-    existing = codebook.centroids[concept]
+    existing = codebook.centroids[TYPE_CONCEPT]
     rng = np.random.default_rng(
-        [codebook.seed, _STREAM_EXTEND + concept, len(existing)])
+        [codebook.seed, _STREAM_EXTEND + TYPE_CONCEPT, len(existing)])
     added = _draw_separated(rng, new_values, codebook.dim, codebook.min_sep,
                             existing=existing)
     tables = list(codebook.centroids)
-    tables[concept] = np.vstack([existing, added])
+    tables[TYPE_CONCEPT] = np.vstack([existing, added])
     return ConceptCodebook(dim=codebook.dim, seed=codebook.seed,
                            min_sep=codebook.min_sep, centroids=tuple(tables))
 

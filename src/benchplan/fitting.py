@@ -6,11 +6,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concepts import ConceptCodebook, build_codebook, encode, extend_codebook
-from .mdp import TransitionModel, action_key, fit_transitions
-from .symbols import Symbolizer, assign, fit_symbolizer, purity, symbolize
+from .concepts import (DEFAULT_DIM, DEFAULT_MIN_SEP, ConceptCodebook, build_codebook,
+                       encode, extend_codebook)
+from .mdp import DEFAULT_THRESH, TransitionModel, action_key, fit_transitions
+from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, assign,
+                      fit_symbolizer, purity, symbolize)
 from .taskgen import Dataset, Task
-from .token_maps import MIN_PAIRS, ActionTransitionMaps, fit_affine
+from .token_maps import ActionTransitionMaps, fit_affine
 from .workbench import simulate
 
 _STREAM_FIT_ENCODE = 23
@@ -18,12 +20,12 @@ _STREAM_FIT_ENCODE = 23
 
 @dataclass(frozen=True)
 class FitConfig:
-    dim: int = 8
-    min_sep: float = 1.0
+    dim: int = DEFAULT_DIM
+    min_sep: float = DEFAULT_MIN_SEP
     noise_sigma: float = 0.1
-    thresh: float = 0.01
+    thresh: float = DEFAULT_THRESH
     seed: int = 0
-    restarts: int = 10
+    restarts: int = DEFAULT_RESTARTS
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
         all_tokens.extend(tokens)
         all_states.extend(states)
     if not per_task:
-        raise ValueError("dataset has no training tasks")
+        raise InsufficientPoints("dataset has no training tasks")
 
     symbolizer = fit_symbolizer(all_tokens, codebook.cardinalities,
                                 seed=config.seed, restarts=config.restarts)
@@ -101,15 +103,8 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
             triplets.append((symbols[t], key, symbols[t + 1]))
             pairs.setdefault(key, []).append((tokens[t], tokens[t + 1]))
 
-    model = fit_transitions(triplets, thresh=config.thresh,
-                            cardinalities=symbolizer.cardinalities)
-    # token maps need MIN_PAIRS examples each; rare contexts (a seldom-seen
-    # dyer color at small data sizes) are dropped from the maps only — the
-    # transition counts keep them
-    supported = {k: v for k, v in pairs.items() if len(v) >= MIN_PAIRS}
-    if not supported:
-        raise ValueError("no action has enough pairs to fit token maps")
-    maps = fit_affine(supported, dim=config.dim)
+    model = fit_transitions(triplets, symbolizer.cardinalities, thresh=config.thresh)
+    maps = fit_affine(pairs, dim=config.dim)
     train_purity = tuple(float(p) for p in
                          purity(symbolizer, list(zip(all_tokens, all_states))))
     return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,
@@ -122,4 +117,4 @@ def codebook_for_tasks(fitted: Fitted, tasks: list[Task]) -> ConceptCodebook:
     n_known = fitted.codebook.cardinalities[0]
     if max_type < n_known:
         return fitted.codebook
-    return extend_codebook(fitted.codebook, 0, max_type + 1 - n_known)
+    return extend_codebook(fitted.codebook, max_type + 1 - n_known)

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .workbench import ACTIONS, X_CELLS, Y_CELLS, EnvConfig
+from .workbench import ACTIONS, EnvConfig
 
 DEFAULT_THRESH = 0.01
 POSX, POSY = 1, 2
@@ -129,24 +129,20 @@ def _row_normalized(counts: np.ndarray) -> np.ndarray:
 
 
 def fit_transitions(triplets: Iterable[tuple[SymbolState, str, SymbolState]],
-                    thresh: float = DEFAULT_THRESH,
-                    cardinalities: Sequence[int] | None = None) -> TransitionModel:
+                    cardinalities: Sequence[int],
+                    thresh: float = DEFAULT_THRESH) -> TransitionModel:
     """Accumulate (symbol state, action key, symbol state) triplets into counts."""
     triplets = list(triplets)
     if not triplets:
         raise ValueError("need at least one triplet")
-    n_concepts = len(triplets[0][0])
-    if cardinalities is None:
-        cardinalities = tuple(
-            max(max(t[0][k], t[2][k]) for t in triplets) + 1 for k in range(n_concepts))
     cards = tuple(int(c) for c in cardinalities)
     counts: dict[str, list[np.ndarray]] = {}
     for before, key, after in triplets:
         if key not in counts:
             counts[key] = [np.zeros((c, c), dtype=np.int64) for c in cards]
-        for k in range(n_concepts):
+        for k, c in enumerate(cards):
             w, w2 = before[k], after[k]
-            if not (0 <= w < cards[k] and 0 <= w2 < cards[k]):
+            if not (0 <= w < c and 0 <= w2 < c):
                 raise ValueError(f"symbol out of range for concept {k}: {w}, {w2}")
             counts[key][k][w, w2] += 1
     return TransitionModel(cardinalities=cards, thresh=thresh, counts=counts)
@@ -175,14 +171,7 @@ class SymbolMasks:
     def build(cls, env: EnvConfig,
               symbol_to_value: Sequence[Sequence[int]]) -> "SymbolMasks":
         """Masks of a bench, read through a fit's symbol -> value maps."""
-        free = np.ones((X_CELLS, Y_CELLS), dtype=bool)
-        for cell in env.blocked:
-            free[cell] = False
-        near = np.zeros_like(free)
-        if env.dyer is not None:
-            dx, dy = env.dyer
-            near = np.add.outer(abs(np.arange(X_CELLS) - dx),
-                                abs(np.arange(Y_CELLS) - dy)) == 1
+        free, near = np.array(env.free), np.array(env.near_dyer)
         xs, ys = (np.asarray(symbol_to_value[k]) for k in (POSX, POSY))
         per = [np.ones(len(values), dtype=bool) for values in symbol_to_value]
         per[POSX], per[POSY] = free.any(axis=1)[xs], free.any(axis=0)[ys]

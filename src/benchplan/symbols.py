@@ -64,13 +64,13 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray,
-           max_iter: int, tol: float) -> tuple[np.ndarray, float, int, list[float]]:
+def _lloyd(points: np.ndarray,
+           centers: np.ndarray) -> tuple[np.ndarray, float, int, list[float]]:
     k = len(centers)
     history: list[float] = []
     inertia = np.inf
     iterations = 0
-    for it in range(max_iter):
+    for it in range(KMEANS_MAX_ITER):
         iterations = it + 1
         d2 = _sq_dists(points, centers)
         labels = d2.argmin(axis=1)
@@ -87,7 +87,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray,
                 new_centers[j] = points[int(point_costs.argmax())]
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
         centers = new_centers
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     d2 = _sq_dists(points, centers)
     inertia = float(d2.min(axis=1).sum())
@@ -95,8 +95,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray,
 
 
 def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
-               seed: int | Sequence[int], restarts: int = DEFAULT_RESTARTS,
-               max_iter: int = KMEANS_MAX_ITER, tol: float = KMEANS_TOL) -> KMeansResult:
+               seed: int | Sequence[int], restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
     """k-means++ plus Lloyd; best of `restarts` runs by inertia."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -110,7 +109,7 @@ def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
     for r in range(restarts):
         rng = np.random.default_rng([*seed_key, r])
         init = _kmeanspp_init(pts, k, rng)
-        result = _lloyd(pts, init, max_iter, tol)
+        result = _lloyd(pts, init)
         if best is None or result[1] < best[1]:
             best = result
     centers, inertia, iterations, history = best

@@ -81,28 +81,27 @@ def oracle_shortest_plan(env: EnvConfig, init: ObjectState,
                          goal: ObjectState) -> tuple[str, ...]:
     """Shortest action sequence from init to goal's changeable concepts.
 
-    BFS over (x, y, rotation, color) with the fixed ACTIONS ordering as
-    tie-break, so the returned plan is the lexicographically smallest among
-    all shortest ones. Raises Unreachable when no legal path exists.
+    BFS over states that keep init's type and size, with the fixed ACTIONS
+    ordering as tie-break, so the returned plan is the lexicographically
+    smallest among all shortest ones. Raises Unreachable when no legal path
+    exists.
     """
-    start = (init.pos_x, init.pos_y, init.rotation, init.color)
-    target = (goal.pos_x, goal.pos_y, goal.rotation, goal.color)
-    if start == target:
+    target = replace(init, pos_x=goal.pos_x, pos_y=goal.pos_y,
+                     rotation=goal.rotation, color=goal.color)
+    if init == target:
         return ()
-    parents: dict[tuple, tuple | None] = {start: None}
-    queue = deque([start])
+    parents: dict[ObjectState, tuple | None] = {init: None}
+    queue = deque([init])
     while queue:
-        cur = queue.popleft()
-        state = ObjectState(init.type_id, cur[0], cur[1], cur[2], cur[3], init.size)
+        state = queue.popleft()
         for action in ACTIONS:
             try:
-                nxt_state = apply_action(state, action, env)
+                nxt = apply_action(state, action, env)
             except ActionError:
                 continue
-            nxt = (nxt_state.pos_x, nxt_state.pos_y, nxt_state.rotation, nxt_state.color)
             if nxt in parents:
                 continue
-            parents[nxt] = (cur, action)
+            parents[nxt] = (state, action)
             if nxt == target:
                 plan = []
                 node = nxt
@@ -111,7 +110,7 @@ def oracle_shortest_plan(env: EnvConfig, init: ObjectState,
                     plan.append(action)
                 return tuple(reversed(plan))
             queue.append(nxt)
-    raise Unreachable(f"goal {target} unreachable from {start}")
+    raise Unreachable(f"goal {target} unreachable from {init}")
 
 
 def _free_cells_connected(blocked: set[tuple[int, int]]) -> bool:
@@ -149,13 +148,12 @@ def _sample_env(level: int, rng: np.random.Generator) -> EnvConfig | None:
     return EnvConfig(level=level, obstacles=obstacles, dyer=dyer, dyer_color=dyer_color)
 
 
-def _sample_states(level: int, env: EnvConfig, rng: np.random.Generator,
-                   n_types: int) -> tuple[ObjectState, ObjectState]:
-    free = [(x, y) for x in range(X_CELLS) for y in range(Y_CELLS)
-            if (x, y) not in env.blocked]
+def _sample_states(level: int, env: EnvConfig,
+                   rng: np.random.Generator) -> tuple[ObjectState, ObjectState]:
+    free = [(x, y) for x in range(X_CELLS) for y in range(Y_CELLS) if env.free[x][y]]
     init_pos = free[int(rng.integers(len(free)))]
     goal_pos = free[int(rng.integers(len(free)))]
-    type_id = int(rng.integers(n_types))
+    type_id = int(rng.integers(N_TYPES))
     size = int(rng.integers(N_SIZES))
     init_rot = ROTATIONS[int(rng.integers(4))]
     goal_rot = init_rot if level <= 3 else ROTATIONS[int(rng.integers(4))]
@@ -173,7 +171,7 @@ def _sample_states(level: int, env: EnvConfig, rng: np.random.Generator,
 
 
 def generate_task(level: int, rng: np.random.Generator, *,
-                  max_attempts: int = 1000, n_types: int = N_TYPES) -> Task:
+                  max_attempts: int = 1000) -> Task:
     """Sample one task whose gt plan is nonempty and within the level's cap."""
     if level not in (1, 2, 3, 4):
         raise ValueError(f"level must be 1..4, got {level}")
@@ -181,7 +179,7 @@ def generate_task(level: int, rng: np.random.Generator, *,
         env = _sample_env(level, rng)
         if env is None:
             continue
-        init, goal = _sample_states(level, env, rng, n_types)
+        init, goal = _sample_states(level, env, rng)
         try:
             plan = oracle_shortest_plan(env, init, goal)
         except Unreachable:
@@ -204,8 +202,7 @@ def _split_of(index: int, counts: tuple[int, int, int]) -> str:
     return "test"
 
 
-def generate_dataset(level: int, counts: tuple[int, int, int], seed: int, *,
-                     codebook_seed: int | None = None) -> Dataset:
+def generate_dataset(level: int, counts: tuple[int, int, int], seed: int) -> Dataset:
     """Generate train/val/test tasks; byte-reproducible under a fixed seed."""
     if min(counts) < 0 or sum(counts) == 0:
         raise ValueError("counts must be nonnegative and sum to > 0")
@@ -214,8 +211,7 @@ def generate_dataset(level: int, counts: tuple[int, int, int], seed: int, *,
         task = generate_task(level, _task_rng(seed, _STREAM_TASK, i))
         tasks.append(replace(task, task_id=f"L{level}-{i:05d}",
                              split=_split_of(i, counts)))
-    return Dataset(level=level, tasks=tasks, seed=seed,
-                   codebook_seed=seed if codebook_seed is None else codebook_seed,
+    return Dataset(level=level, tasks=tasks, seed=seed, codebook_seed=seed,
                    split_sizes=tuple(counts))
 
 

@@ -55,15 +55,16 @@ class ActionTransitionMaps:
 def fit_affine(pairs_by_action: dict[str, Sequence[tuple[np.ndarray, np.ndarray]]],
                dim: int) -> ActionTransitionMaps:
     """Closed-form normal-equations fit of one affine map per action key."""
-    keys = tuple(sorted(pairs_by_action, key=_key_rank))
+    # rare contexts (a seldom-seen dyer color at small data sizes) get no map;
+    # the transition counts keep them
+    keys = tuple(sorted((k for k, pairs in pairs_by_action.items()
+                         if len(pairs) >= MIN_PAIRS), key=_key_rank))
     if not keys:
-        raise InsufficientPairs("no training pairs at all")
+        raise InsufficientPairs(f"no action has the {MIN_PAIRS} pairs a token map needs")
     width = 6 * dim
     matrices, offsets, mses, npairs = {}, {}, {}, {}
     for key in keys:
         pairs = pairs_by_action[key]
-        if len(pairs) < MIN_PAIRS:
-            raise InsufficientPairs(f"{key!r} has {len(pairs)} pairs, need {MIN_PAIRS}")
         x = np.stack([before.ravel() for before, _ in pairs])
         y = np.stack([after.ravel() for _, after in pairs])
         xa = np.hstack([x, np.ones((len(x), 1))])

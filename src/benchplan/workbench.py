@@ -8,7 +8,7 @@ pure functions, so states and configs are freely shareable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # only for the adjudicate() type hint
@@ -112,6 +112,10 @@ class EnvConfig:
     obstacles: tuple[tuple[int, int], ...] = ()
     dyer: tuple[int, int] | None = None
     dyer_color: int | None = None
+    # the bench tables every reader of the layout uses, derived once: free[x][y]
+    # (neither an obstacle nor the dyer), near_dyer[x][y] (one move from the dyer)
+    free: tuple[tuple[bool, ...], ...] = field(init=False, repr=False, compare=False)
+    near_dyer: tuple[tuple[bool, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.level not in MAX_LEN_BY_LEVEL:
@@ -137,17 +141,17 @@ class EnvConfig:
                 raise ValueError("a dyer needs a color in 0..5")
         elif self.dyer_color is not None:
             raise ValueError("dyer_color given without a dyer")
+        near = set() if self.dyer is None else {
+            (self.dyer[0] + dx, self.dyer[1] + dy) for dx, dy in _MOVE_DELTAS.values()}
+        grid = [[(x, y) for y in range(Y_CELLS)] for x in range(X_CELLS)]
+        object.__setattr__(self, "free", tuple(
+            tuple(c not in cells and c != self.dyer for c in col) for col in grid))
+        object.__setattr__(self, "near_dyer", tuple(
+            tuple(c in near for c in col) for col in grid))
 
     @property
     def max_len(self) -> int:
         return MAX_LEN_BY_LEVEL[self.level]
-
-    @property
-    def blocked(self) -> frozenset[tuple[int, int]]:
-        cells = set(self.obstacles)
-        if self.dyer is not None:
-            cells.add(self.dyer)
-        return frozenset(cells)
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,7 @@ def apply_action(state: ObjectState, action: str, env: EnvConfig) -> ObjectState
         nx, ny = state.pos_x + dx, state.pos_y + dy
         if not (0 <= nx < X_CELLS and 0 <= ny < Y_CELLS):
             raise OutOfBounds(f"{action} from {state.pos} exits the grid")
-        if (nx, ny) in env.blocked:
+        if not env.free[nx][ny]:
             raise Collision(f"{action} from {state.pos} hits {(nx, ny)}")
         return replace(state, pos_x=nx, pos_y=ny)
     if action == "rotate_left":
@@ -182,7 +186,7 @@ def apply_action(state: ObjectState, action: str, env: EnvConfig) -> ObjectState
     if action == "change_color":
         if env.dyer is None:
             raise DyerUnavailable("no dyer on this bench")
-        if abs(state.pos_x - env.dyer[0]) + abs(state.pos_y - env.dyer[1]) != 1:
+        if not env.near_dyer[state.pos_x][state.pos_y]:
             raise DyerUnavailable(f"object at {state.pos} not adjacent to dyer at {env.dyer}")
         return replace(state, color=env.dyer_color)
     raise ValueError(f"unknown action {action!r}")
@@ -190,7 +194,7 @@ def apply_action(state: ObjectState, action: str, env: EnvConfig) -> ObjectState
 
 def is_valid_state(state: ObjectState, env: EnvConfig) -> bool:
     """True iff the object sits on a free on-grid cell."""
-    return state.pos not in env.blocked
+    return env.free[state.pos_x][state.pos_y]
 
 
 def simulate(init: ObjectState, actions: Sequence[str], env: EnvConfig) -> list[ObjectState]:

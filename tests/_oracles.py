@@ -45,7 +45,7 @@ def oracle_masks(env, x_values, y_values, cardinalities):
     value-space build: the joint grid of free cells, its per-axis marginals
     read through the position value maps, and each symbol pair's grid cell."""
     joint = np.ones((X_CELLS, Y_CELLS), dtype=bool)
-    for (x, y) in env.blocked:
+    for (x, y) in env.obstacles + ((env.dyer,) if env.dyer is not None else ()):
         joint[x, y] = False
     per = []
     for k, c in enumerate(cardinalities):

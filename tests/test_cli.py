@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from benchplan.artifacts import load_dataset
 from benchplan.cli import main
 
 
@@ -23,6 +24,9 @@ PLAN = ("plan", "--artifacts", "arts", "--level", 1,
 EVAL = ("eval", "--data", "data.txt", "--artifacts", "arts", "--jobs", 1)
 FIT = ("fit", "--data", "data.txt", "--artifacts", "arts2", "--sigma", 0)
 GEN = ("gen", "--level", 1, "--train", 10, "--val", 1, "--test", 2, "--out", "g.txt")
+# datasets that some usage-error cases read, made with GEN and these options
+THIN = {"notrain.txt": ("--train", 0), "fivetrain.txt": ("--train", 5),
+        "noval.txt": ("--val", 0)}
 
 
 class TestGen:
@@ -47,6 +51,12 @@ class TestGen:
         assert run("gen", "--level", 1, "--train", 12, "--val", 2, "--test", 4,
                    "--seed", 3, "--variant", "unseen_task", "--out", "ut.txt") == 0
         assert "variant unseen_task" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("variant", ["standard", "unseen_object", "unseen_task"])
+    def test_codebook_seed_applies_to_every_variant(self, workdir, variant):
+        assert run(*GEN, "--seed", 3, "--codebook-seed", 7, "--variant", variant) == 0
+        dataset = load_dataset("g.txt")
+        assert (dataset.seed, dataset.codebook_seed) == (3, 7)
 
 
 class TestPipeline:
@@ -96,6 +106,14 @@ class TestPipeline:
         assert "task L3-00160" in out
         assert "token rollout" in out
 
+    def test_plan_by_task_id_on_unseen_object_task(self, workdir, capsys):
+        run("gen", "--level", 1, "--train", 40, "--val", 5, "--test", 10,
+            "--seed", 2, "--variant", "unseen_object", "--out", "uo.txt")
+        assert run("fit", "--data", "uo.txt", "--artifacts", "uo", "--sigma", 0) == 0
+        assert run("plan", "--artifacts", "uo", "--data", "uo.txt",
+                   "--task-id", "L1-00050") == 0
+        assert "task L1-00050" in capsys.readouterr().out
+
     def test_plan_adhoc_replays_successfully(self, fitted_dir, capsys):
         assert run("plan", "--artifacts", "arts", "--level", 1,
                    "--init", "0,0,0,0,2,1", "--goal", "0,2,1,0,2,1") == 0
@@ -136,15 +154,32 @@ class TestPipeline:
         GEN + ("--train", 0, "--val", 0, "--test", 0),
         GEN + ("--train", -1),
         GEN + ("--variant", "unseen_object", "--unseen-types", 0),
+        GEN + ("--seed", -1),
+        GEN + ("--codebook-seed", -1),
+        FIT + ("--seed", -1),
+        PLAN + ("--seed", -1),
+        EVAL + ("--seed", -1),
+        ("report", "--artifacts", "arts", "--out", "rep", "--seed", -1),
+        GEN + ("--level", 3, "--variant", "unseen_task"),
+        FIT + ("--data", "notrain.txt"),
+        FIT + ("--data", "fivetrain.txt"),
+        EVAL + ("--data", "noval.txt", "--split", "val"),
     ], ids=["rotation", "level3-no-dyer", "init-on-obstacle", "short-state",
             "unknown-type", "one-int-obstacle", "one-int-dyer", "plan-negative-sigma",
             "fit-negative-sigma", "eval-negative-sigma", "plan-topk-0", "eval-topk-0",
             "eval-negative-l-max", "eval-jobs-0", "fit-dim-1", "fit-thresh-0",
             "fit-thresh-1", "fit-restarts-0", "fit-negative-min-sep",
             "fit-unachievable-min-sep", "gen-no-tasks", "gen-negative-train",
-            "gen-unseen-types-0"])
+            "gen-unseen-types-0", "gen-negative-seed", "gen-negative-codebook-seed",
+            "fit-negative-seed", "plan-negative-seed", "eval-negative-seed",
+            "report-negative-seed", "gen-unseen-task-level-3", "fit-no-training-tasks",
+            "fit-too-few-pairs", "eval-empty-split"])
     def test_plan_bad_adhoc_input_is_one_line_usage_error(self, fitted_dir, capsys,
                                                           argv):
+        for name, options in THIN.items():
+            if name in argv:
+                assert run(*GEN, *options, "--out", name) == 0
+        capsys.readouterr()
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -99,25 +99,21 @@ class TestEncode:
 class TestExtendCodebook:
     def test_prefix_bit_identical(self):
         cb = build_codebook(seed=4)
-        ext = extend_codebook(cb, 0, 4)
+        ext = extend_codebook(cb, 4)
         assert ext.cardinalities[0] == 12
         assert np.array_equal(ext.centroids[0][:8], cb.centroids[0])
 
     def test_separation_still_holds(self):
-        ext = extend_codebook(build_codebook(seed=4, min_sep=1.0), 0, 4)
+        ext = extend_codebook(build_codebook(seed=4, min_sep=1.0), 4)
         for a, b in itertools.combinations(ext.centroids[0], 2):
             assert np.linalg.norm(a - b) >= 1.0
 
     def test_unseen_type_shares_other_tokens(self):
-        cb = extend_codebook(build_codebook(seed=4), 0, 4)
+        cb = extend_codebook(build_codebook(seed=4), 4)
         seen = encode(ObjectState(2, 1, 1, 90, 3, 2), cb)
         unseen = encode(ObjectState(10, 1, 1, 90, 3, 2), cb)
         assert not np.array_equal(seen[0], unseen[0])
         assert np.array_equal(seen[1:], unseen[1:])
-
-    def test_only_type_extendable(self):
-        with pytest.raises(ValueError):
-            extend_codebook(build_codebook(seed=4), COLOR, 2)
 
 
 class TestChangedConceptIndex:

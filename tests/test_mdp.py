@@ -60,7 +60,7 @@ class TestFitTransitions:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit_transitions([])
+            fit_transitions([], cardinalities=(3, 2))
 
     @pytest.mark.parametrize("run", ["level1_run", "level3_run", "level4_run"])
     def test_derived_tables_equal_frozen_accumulation(self, request, run):
@@ -160,6 +160,16 @@ def test_masks_equal_frozen_value_space_build(run, request):
     for task in dataset.subset("test"):
         _assert_masks_equal_oracle(task.env, maps)
         _assert_masks_equal_oracle(task.env, tuple(merged))
+
+
+@pytest.mark.parametrize("run", ("level3_run", "level4_run"))
+def test_identity_maps_give_the_bench_tables(run, request):
+    dataset, _ = request.getfixturevalue(run)
+    identity = tuple(tuple(range(c)) for c in DEFAULT_CARDINALITIES)
+    for task in dataset.subset("test"):
+        masks = SymbolMasks.build(task.env, identity)
+        assert masks.valid == task.env.free
+        assert masks.adjacent == task.env.near_dyer
 
 
 class TestPropagate:

@@ -93,7 +93,7 @@ class TestGenerateTask:
             task = generate_task(2, np.random.default_rng([102, i]))
             assert 1 <= len(task.env.obstacles) <= 3
             trajectory = simulate(task.init, task.gt_actions, task.env)  # no error
-            assert all(s.pos not in task.env.blocked for s in trajectory)
+            assert all(s.pos not in task.env.obstacles for s in trajectory)
 
     def test_level3_change_color_applied_adjacent_to_dyer(self):
         saw_change = 0
@@ -154,7 +154,7 @@ class TestGenerateDataset:
         ds = generate_dataset(2, (40, 5, 10), seed=9)
         for task in ds.tasks:
             free = [(x, y) for x in range(3) for y in range(5)
-                    if (x, y) not in task.env.blocked]
+                    if (x, y) not in task.env.obstacles + (task.env.dyer,)]
             seen = {free[0]}
             queue = deque([free[0]])
             while queue:

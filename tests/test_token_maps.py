@@ -96,6 +96,15 @@ class TestFitAffine:
             fit_affine({"move_left": movement_pairs(cb, "move_left", 7, rng)},
                        dim=cb.dim)
 
+    def test_thin_key_dropped_beside_supported_key(self):
+        cb = build_codebook(seed=1)
+        rng = np.random.default_rng(6)
+        maps = fit_affine({"move_left": movement_pairs(cb, "move_left", 7, rng),
+                           "move_right": movement_pairs(cb, "move_right", 8, rng)},
+                          dim=cb.dim)
+        assert maps.action_keys == ("move_right",)
+        assert maps.pair_counts == {"move_right": 8}
+
 
 class TestTransitionRollout:
     def test_identity_fit(self):

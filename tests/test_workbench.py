@@ -1,3 +1,5 @@
+import pickle
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -206,3 +208,24 @@ class TestEnvConfig:
         assert EnvConfig(level=2, obstacles=((0, 0),)).max_len == 9
         assert EnvConfig(level=3, dyer=(0, 0), dyer_color=0).max_len == 15
         assert EnvConfig(level=4, dyer=(0, 0), dyer_color=0).max_len == 16
+
+    def test_bench_tables(self):
+        env = EnvConfig(level=3, obstacles=((0, 1),), dyer=(1, 1), dyer_color=2)
+        cells = [(x, y) for x in range(3) for y in range(5)]
+        assert [c for c in cells if not env.free[c[0]][c[1]]] == [(0, 1), (1, 1)]
+        assert [c for c in cells if env.near_dyer[c[0]][c[1]]] == \
+            [(0, 1), (1, 0), (1, 2), (2, 1)]
+        assert not any(any(row) for row in EnvConfig(level=2, obstacles=((0, 1),)).near_dyer)
+
+    def test_obstacle_order_changes_neither_equality_nor_hash(self):
+        a = EnvConfig(level=3, obstacles=((2, 4), (0, 1)), dyer=(1, 1), dyer_color=2)
+        b = EnvConfig(level=3, obstacles=((0, 1), (2, 4)), dyer=(1, 1), dyer_color=2)
+        assert a == b and hash(a) == hash(b)
+        assert (a.free, a.near_dyer) == (b.free, b.near_dyer)
+        assert "free" not in repr(a) and "near_dyer" not in repr(a)
+
+    def test_pickle_round_trip_keeps_tables(self):
+        env = EnvConfig(level=3, obstacles=((0, 1),), dyer=(1, 1), dyer_color=2)
+        copy = pickle.loads(pickle.dumps(env))
+        assert copy == env
+        assert (copy.free, copy.near_dyer) == (env.free, env.near_dyer)
