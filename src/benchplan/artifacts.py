@@ -1,19 +1,21 @@
-"""Versioned plain-text artifact files.
+"""Versioned plain-text artifact files: a dataset, and one fit file `fit.txt`.
 
 A header line carries the schema tag and the resolved configuration; every
 loader reads the body through one grammar (`_records`): a line of key=value
 fields opens a record, and the rows under it start with a tag: `c` (symbolizer
-centers), `n`/`m` (model transition/occurrence counts), `A`/`b` (affine maps).
-The model is rebuilt from its `n` rows; the loader checks what the file repeats
-(`actions`, `base_actions`, every `m` row) against it, every row count the file
-states, the model's cardinalities against the symbolizer's, and that the three
-fit headers agree. Malformed content raises SchemaMismatch naming the file.
-Floats are written with repr(), so round-trips are exact and reruns with equal
-seeds write byte-identical files.
+centers), `n` (transition counts), `A`/`b` (affine maps). The fit file writes
+only what cannot be derived: the loader rebuilds the codebook from its seed,
+the cardinalities from the `c` rows and the whole transition model from the
+`n` rows. Every file ends in a seal, one `sha256=<hex>` line over all bytes
+above it; a cut at any point, a flipped byte or an edited header breaks it.
+A wrong magic line, a broken seal or malformed content raises SchemaMismatch
+naming the file. Floats are written with repr(), so round-trips are exact and
+reruns with equal seeds write byte-identical files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import numpy as np
@@ -27,15 +29,11 @@ from .taskgen import Dataset, Task
 from .workbench import EnvConfig, ObjectState
 from .token_maps import ActionTransitionMaps
 
-DATASET_MAGIC = "#workbench-dataset v1"
-SYMBOLIZER_MAGIC = "#workbench-symbolizer v1"
-MODEL_MAGIC = "#workbench-mdp v1"
-MAPS_MAGIC = "#workbench-maps v1"
+DATASET_MAGIC = "#workbench-dataset v2"
+FIT_MAGIC = "#workbench-fit v2"
 REPORT_MAGIC = "#workbench-report v1"
 
-SYMBOLIZER_FILE = "symbolizer.txt"
-MODEL_FILE = "model.txt"
-MAPS_FILE = "maps.txt"
+FIT_FILE = "fit.txt"
 
 
 class MissingArtifact(Exception):
@@ -43,7 +41,7 @@ class MissingArtifact(Exception):
 
 
 class SchemaMismatch(Exception):
-    """Artifact content is malformed, truncated, or disagrees with other files."""
+    """Artifact content is malformed, truncated, edited, or disagrees with another."""
 
 
 def _fmt(value) -> str:
@@ -88,18 +86,28 @@ def _records(lines: list[str]) -> list[tuple[dict[str, str], list[list[str]]]]:
     return records
 
 
-def _read(path: str, magic: str, parse, *args):
-    """`parse(header, records, *args)` of one file; a wrong magic line, or any
-    ValueError, KeyError or IndexError while parsing, raises SchemaMismatch."""
+def _seal(text: str) -> str:
+    """`text` and its seal line: the sha256 of every byte above it."""
+    return text + f"sha256={hashlib.sha256(text.encode()).hexdigest()}\n"
+
+
+def _read(path: str, magic: str, parse):
+    """`parse(header, records)` of one sealed file; a wrong magic line, a broken
+    seal, or any ValueError, KeyError or IndexError while parsing, raises
+    SchemaMismatch."""
     if not os.path.exists(path):
         raise MissingArtifact(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(magic):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(magic.encode()):
         raise SchemaMismatch(f"{path}: expected header {magic!r}")
+    body, _, seal = data.rpartition(b"sha256=")
+    if seal != hashlib.sha256(body).hexdigest().encode() + b"\n":
+        raise SchemaMismatch(f"{path}: sha256 seal does not match; "
+                             "the file is truncated or edited")
     try:
-        return parse(_parse_kv(lines[0][len(magic):].split()), _records(lines[1:]),
-                     *args)
+        header, *lines = body.decode("utf-8").splitlines()
+        return parse(_parse_kv(header[len(magic):].split()), _records(lines))
     except (ValueError, KeyError, IndexError) as err:
         raise SchemaMismatch(f"{path}: {type(err).__name__}: {err}") from err
 
@@ -161,7 +169,7 @@ def save_dataset(path: str, dataset: Dataset):
         fields.update(_state_fields("goal", task.goal))
         fields["gt_actions"] = ",".join(task.gt_actions) if task.gt_actions else "-"
         lines.append(_kv_line(**fields))
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, _seal("\n".join(lines) + "\n"))
 
 
 def _parse_dataset(header, records) -> Dataset:
@@ -189,65 +197,31 @@ def load_dataset(path: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# fitted artifacts: symbolizer, transition model, affine maps
-
-def _fit_header(magic: str, fitted: Fitted) -> str:
-    c = fitted.config
-    return magic + " " + _kv_line(
-        dim=c.dim, min_sep=c.min_sep, noise_sigma=c.noise_sigma, thresh=c.thresh,
-        fit_seed=c.seed, restarts=c.restarts, codebook_seed=fitted.codebook_seed)
-
-
-def _fit_of(header: dict[str, str]) -> tuple[FitConfig, int]:
-    """The fit config and codebook seed that every fit header repeats."""
-    config = FitConfig(dim=int(header["dim"]), min_sep=float(header["min_sep"]),
-                       noise_sigma=float(header["noise_sigma"]),
-                       thresh=float(header["thresh"]), seed=int(header["fit_seed"]),
-                       restarts=int(header["restarts"]))
-    return config, int(header["codebook_seed"])
-
-
-def _occurrence_rows(model: TransitionModel) -> list[list[str]]:
-    """The `m` rows of a model file: the nonzero occurrence counts."""
-    return [["m", str(k), str(w), model.base_actions[j], str(occ[w, j])]
-            for k, occ in enumerate(model.occurrences)
-            for (w, j) in zip(*np.nonzero(occ))]
-
+# the fit file: fit config, symbolizer, transition counts, affine maps
 
 def save_fitted(directory: str, fitted: Fitted):
-    """Write the three fit artifacts; each header repeats the full fit config."""
-    sym = fitted.symbolizer
-    lines = [_fit_header(SYMBOLIZER_MAGIC, fitted),
-             _kv_line(sym_seed=sym.seed,
-                      purity=",".join(repr(p) for p in fitted.train_purity))]
+    """Write `fit.txt`: the header, then the symbolizer, the counts and the maps."""
+    c, sym, maps = fitted.config, fitted.symbolizer, fitted.maps
+    lines = [FIT_MAGIC + " " + _kv_line(
+        dim=c.dim, min_sep=c.min_sep, noise_sigma=c.noise_sigma, thresh=c.thresh,
+        fit_seed=c.seed, restarts=c.restarts, codebook_seed=fitted.codebook_seed),
+        _kv_line(sym_seed=sym.seed,
+                 purity=",".join(repr(p) for p in fitted.train_purity))]
     for k, centers in enumerate(sym.centers):
-        lines.append(_kv_line(concept=k, k=len(centers), inertia=sym.inertia[k],
+        lines.append(_kv_line(concept=k, inertia=sym.inertia[k],
                               iterations=sym.iterations[k]))
-        for i, row in enumerate(centers):
-            lines.append(f"c {k} {i} {_vec(row)}")
-    _write(os.path.join(directory, SYMBOLIZER_FILE), "\n".join(lines) + "\n")
-
-    model = fitted.model
-    lines = [_fit_header(MODEL_MAGIC, fitted),
-             _kv_line(cardinalities=",".join(str(c) for c in model.cardinalities),
-                      actions=",".join(model.action_keys),
-                      base_actions=",".join(model.base_actions))]
-    for key in model.action_keys:
-        for k, mat in enumerate(model.counts[key]):
+        lines.extend(f"c {_vec(row)}" for row in centers)
+    lines.append(_kv_line(model="counts"))
+    for key in fitted.model.action_keys:
+        for k, mat in enumerate(fitted.model.counts[key]):
             for (w, w2) in zip(*np.nonzero(mat)):
                 lines.append(f"n {key} {k} {w} {w2} {mat[w, w2]}")
-    lines.extend(" ".join(row) for row in _occurrence_rows(model))
-    _write(os.path.join(directory, MODEL_FILE), "\n".join(lines) + "\n")
-
-    maps = fitted.maps
-    lines = [_fit_header(MAPS_MAGIC, fitted)]
     for key in maps.action_keys:
         lines.append(_kv_line(action=key, pairs=maps.pair_counts[key],
                               mse=maps.residual_mse[key]))
-        for row in maps.matrices[key]:
-            lines.append(f"A {_vec(row)}")
+        lines.extend(f"A {_vec(row)}" for row in maps.matrices[key])
         lines.append(f"b {_vec(maps.offsets[key])}")
-    _write(os.path.join(directory, MAPS_FILE), "\n".join(lines) + "\n")
+    _write(os.path.join(directory, FIT_FILE), _seal("\n".join(lines) + "\n"))
 
 
 def _vectors(rows, tags: list[str], width: int, what: str) -> np.ndarray:
@@ -259,73 +233,52 @@ def _vectors(rows, tags: list[str], width: int, what: str) -> np.ndarray:
     return values
 
 
-def _parse_symbolizer(header, records):
-    fit = _fit_of(header)
-    config, codebook_seed = fit
-    codebook = build_codebook(dim=config.dim, seed=codebook_seed,
+def _parse_fit(header, records) -> Fitted:
+    config = FitConfig(dim=int(header["dim"]), min_sep=float(header["min_sep"]),
+                       noise_sigma=float(header["noise_sigma"]),
+                       thresh=float(header["thresh"]), seed=int(header["fit_seed"]),
+                       restarts=int(header["restarts"]))
+    codebook = build_codebook(dim=config.dim, seed=int(header["codebook_seed"]),
                               min_sep=config.min_sep)
-    (meta, _), *blocks = records
+    (meta, _), *rest = records
     purity = tuple(float(p) for p in meta["purity"].split(","))
-    _expect(len(blocks) == len(purity),
-            f"{len(blocks)} concepts for {len(purity)} purity values")
-    centers = tuple(_vectors(rows, ["c"] * int(kv["k"]), config.dim,
-                             f"concept {kv['concept']}") for kv, rows in blocks)
-    symbolizer = Symbolizer(centers=centers,
-                            inertia=tuple(float(kv["inertia"]) for kv, _ in blocks),
-                            iterations=tuple(int(kv["iterations"]) for kv, _ in blocks),
-                            seed=int(meta["sym_seed"]))
-    return fit, codebook, symbolizer, purity
+    concepts, ((_, count_rows), *map_records) = rest[:len(purity)], rest[len(purity):]
+    symbolizer = Symbolizer(
+        centers=tuple(_vectors(rows, ["c"] * len(rows), config.dim,
+                               f"concept {kv['concept']}") for kv, rows in concepts),
+        inertia=tuple(float(kv["inertia"]) for kv, _ in concepts),
+        iterations=tuple(int(kv["iterations"]) for kv, _ in concepts),
+        seed=int(meta["sym_seed"]))
 
-
-def _parse_model(header, records, fit, cardinalities):
-    _expect(_fit_of(header) == fit, f"header disagrees with {SYMBOLIZER_FILE}")
-    (meta, rows), = records
-    cards = tuple(int(c) for c in meta["cardinalities"].split(","))
-    _expect(cards == cardinalities,
-            f"cardinalities {cards} are not the symbolizer's {cardinalities}")
     counts: dict[str, list[np.ndarray]] = {}
-    for row in rows:
-        if row[0] == "n":
-            _, key, k, w, w2, n = row
-            if key not in counts:
-                counts[key] = [np.zeros((c, c), dtype=np.int64) for c in cards]
-            counts[key][int(k)][int(w), int(w2)] = int(n)
-    model = TransitionModel(cardinalities=cards, thresh=fit[0].thresh, counts=counts)
-    _expect(meta["actions"] == ",".join(model.action_keys),
-            "actions are not the keys of the n rows")
-    _expect(meta["base_actions"] == ",".join(model.base_actions),
-            "base_actions are not the atomic actions of the n rows")
-    _expect([row for row in rows if row[0] != "n"] == _occurrence_rows(model),
-            "m rows are not the occurrences of the n rows")
-    return model
+    for tag, key, k, w, w2, n in count_rows:
+        _expect(tag == "n", f"row {tag!r} among the counts")
+        if key not in counts:
+            counts[key] = [np.zeros((c, c), dtype=np.int64)
+                           for c in symbolizer.cardinalities]
+        counts[key][int(k)][int(w), int(w2)] = int(n)
+    model = TransitionModel(cardinalities=symbolizer.cardinalities,
+                            thresh=config.thresh, counts=counts)
 
-
-def _parse_maps(header, records, fit):
-    _expect(_fit_of(header) == fit, f"header disagrees with {SYMBOLIZER_FILE}")
-    size = 6 * fit[0].dim
+    size = 6 * config.dim
     matrices, offsets, mses, pair_counts = {}, {}, {}, {}
-    for kv, rows in records:
+    for kv, rows in map_records:
         key = kv["action"]
         values = _vectors(rows, ["A"] * size + ["b"], size, f"action {key}")
         matrices[key], offsets[key] = values[:-1], values[-1]
         mses[key] = float(kv["mse"])
         pair_counts[key] = int(kv["pairs"])
-    return ActionTransitionMaps(dim=fit[0].dim,
+    maps = ActionTransitionMaps(dim=config.dim,
                                 action_keys=tuple(sorted(matrices, key=_key_rank)),
                                 matrices=matrices, offsets=offsets,
                                 residual_mse=mses, pair_counts=pair_counts)
+    return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,
+                  model=model, maps=maps, train_purity=purity)
 
 
 def load_fitted(directory: str) -> Fitted:
-    """Read the three fit artifacts; the codebook is rebuilt from its seed."""
-    sym_path, model_path, maps_path = (os.path.join(directory, name) for name in
-                                       (SYMBOLIZER_FILE, MODEL_FILE, MAPS_FILE))
-    fit, codebook, symbolizer, purity = _read(sym_path, SYMBOLIZER_MAGIC,
-                                              _parse_symbolizer)
-    model = _read(model_path, MODEL_MAGIC, _parse_model, fit, symbolizer.cardinalities)
-    maps = _read(maps_path, MAPS_MAGIC, _parse_maps, fit)
-    return Fitted(config=fit[0], codebook=codebook, symbolizer=symbolizer,
-                  model=model, maps=maps, train_purity=purity)
+    """Read `fit.txt`; the codebook is rebuilt from its seed."""
+    return _read(os.path.join(directory, FIT_FILE), FIT_MAGIC, _parse_fit)
 
 
 def check_compatible(dataset: Dataset, fitted: Fitted):

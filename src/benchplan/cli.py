@@ -15,11 +15,11 @@ import sys
 import numpy as np
 
 from . import artifacts
-from .concepts import SeparationUnachievable, UnknownValue, encode
-from .evaluate import interpretability_report, run_experiment
+from .concepts import SeparationUnachievable, UnknownValue
+from .evaluate import interpretability_report, plan_task, run_experiment
 from .fitting import FitConfig, codebook_for_tasks, fit_pipeline
-from .mdp import InvalidInit, NoPlanFound, SymbolMasks, plan
-from .symbols import InsufficientPoints, symbolize
+from .mdp import InvalidInit, NoPlanFound
+from .symbols import InsufficientPoints
 from .taskgen import (
     N_TYPES,
     Task,
@@ -45,9 +45,10 @@ _BOUNDS = {
     **{name: (">= 0", lambda v: v >= 0)
        for name in ("sigma", "min_sep", "train", "val", "test", "seed", "codebook_seed")},
     **{name: (">= 1", lambda v: v >= 1)
-       for name in ("topk", "jobs", "l_max", "restarts", "unseen_types")},
+       for name in ("topk", "jobs", "l_max", "restarts", "unseen_types", "samples")},
     "dim": (">= 2", lambda v: v >= 2),
     "thresh": ("in (0, 1)", lambda v: 0 < v < 1),
+    "min_top1": ("in [0, 100]", lambda v: 0 <= v <= 100),
 }
 
 
@@ -133,15 +134,10 @@ def cmd_plan(args) -> int:
             return EXIT_USAGE
     # a dataset task may carry held-out object types, which eval encodes the same way
     codebook = codebook_for_tasks(fitted, [task]) if args.task_id else fitted.codebook
-    rng = np.random.default_rng([args.seed, 3])
-    l_max = args.l_max if args.l_max else task.env.max_len
     try:
-        init_tokens = encode(task.init, codebook, args.sigma, rng)
-        goal_tokens = encode(task.goal, codebook, args.sigma, rng)
-        result = plan(fitted.model, symbolize(init_tokens, fitted.symbolizer),
-                      symbolize(goal_tokens, fitted.symbolizer),
-                      SymbolMasks.build(task.env, fitted.value_maps.symbol_to_value),
-                      top_k=args.topk, l_max=l_max)
+        result, init_tokens, goal_tokens = plan_task(
+            task, fitted, codebook, planner="symbolic", noise_sigma=args.sigma,
+            top_k=args.topk, l_max=args.l_max, rng=np.random.default_rng([args.seed, 3]))
     except NoPlanFound as err:
         print(f"no plan found: {err}", file=sys.stderr)
         return EXIT_THRESHOLD

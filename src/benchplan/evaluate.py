@@ -16,7 +16,8 @@ import numpy as np
 
 from .concepts import ConceptCodebook, encode
 from .fitting import Fitted, codebook_for_tasks
-from .mdp import InvalidInit, NoPlanFound, SymbolMasks, _key_rank, base_action, plan
+from .mdp import (InvalidInit, NoPlanFound, PlanResult, SymbolMasks, _key_rank,
+                  base_action, plan)
 from .symbols import assign, symbolize
 from .taskgen import Dataset, Task
 from .token_maps import plan_tokenspace, transition
@@ -100,29 +101,39 @@ def _keys_to_actions(keys: Sequence[str]) -> tuple[str, ...]:
     return tuple(base_action(k) for k in keys)
 
 
+def plan_task(task: Task, fitted: Fitted, codebook: ConceptCodebook, *,
+              planner: str, noise_sigma: float, top_k: int, l_max: int | None,
+              rng: np.random.Generator) -> tuple[PlanResult, np.ndarray, np.ndarray]:
+    """Encode init then goal, and plan between them on the task's bench with
+    the symbolic or the token planner; the plans and the two token sets.
+    Raises NoPlanFound or InvalidInit when there is no plan."""
+    budget = l_max if l_max is not None else task.env.max_len
+    init_tokens = encode(task.init, codebook, noise_sigma, rng)
+    goal_tokens = encode(task.goal, codebook, noise_sigma, rng)
+    masks = SymbolMasks.build(task.env, fitted.value_maps.symbol_to_value)
+    if planner == "symbolic":
+        result = plan(fitted.model, symbolize(init_tokens, fitted.symbolizer),
+                      symbolize(goal_tokens, fitted.symbolizer), masks,
+                      top_k=top_k, l_max=budget)
+    elif planner == "token":
+        result = plan_tokenspace(fitted.maps, init_tokens, goal_tokens,
+                                 fitted.symbolizer, masks, top_k=top_k, l_max=budget)
+    else:
+        raise ValueError(f"unknown planner {planner!r}")
+    return result, init_tokens, goal_tokens
+
+
 def evaluate_task(task: Task, fitted: Fitted, codebook: ConceptCodebook, *,
                   planner: str, noise_sigma: float, top_k: int,
                   l_max: int | None, rng: np.random.Generator) -> TaskRecord:
     """Plan one task, adjudicate every attempt, measure FSD on the first."""
-    budget = l_max if l_max is not None else task.env.max_len
     if planner == "chance":
         attempts = chance_baseline(task, rng, attempts=top_k)
     else:
-        init_tokens = encode(task.init, codebook, noise_sigma, rng)
-        goal_tokens = encode(task.goal, codebook, noise_sigma, rng)
-        masks = SymbolMasks.build(task.env, fitted.value_maps.symbol_to_value)
         try:
-            if planner == "symbolic":
-                init_sym = symbolize(init_tokens, fitted.symbolizer)
-                goal_sym = symbolize(goal_tokens, fitted.symbolizer)
-                result = plan(fitted.model, init_sym, goal_sym, masks,
-                              top_k=top_k, l_max=budget)
-            elif planner == "token":
-                result = plan_tokenspace(fitted.maps, init_tokens, goal_tokens,
-                                         fitted.symbolizer, masks,
-                                         top_k=top_k, l_max=budget)
-            else:
-                raise ValueError(f"unknown planner {planner!r}")
+            result, _, _ = plan_task(task, fitted, codebook, planner=planner,
+                                     noise_sigma=noise_sigma, top_k=top_k,
+                                     l_max=l_max, rng=rng)
             attempts = [_keys_to_actions(p.actions) for p in result.plans]
         except (NoPlanFound, InvalidInit):
             attempts = []

@@ -1,13 +1,13 @@
+import hashlib
 import os
 import re
 
 import numpy as np
 import pytest
 
+from _sealing import edit_sealed
 from benchplan.artifacts import (
-    MAPS_FILE,
-    MODEL_FILE,
-    SYMBOLIZER_FILE,
+    FIT_FILE,
     MissingArtifact,
     SchemaMismatch,
     check_compatible,
@@ -53,29 +53,63 @@ class TestDatasetFile:
         with pytest.raises(SchemaMismatch):
             load_dataset(path)
 
+    def test_ends_in_seal_over_all_bytes_above(self, tmp_path):
+        path = tmp_path / "d.txt"
+        save_dataset(path, generate_dataset(2, (4, 1, 1), seed=13))
+        body, _, seal = path.read_bytes().rpartition(b"sha256=")
+        assert body.startswith(b"#workbench-dataset v2 ") and body.endswith(b"\n")
+        assert seal == hashlib.sha256(body).hexdigest().encode() + b"\n"
+
     @pytest.mark.parametrize("field, value", [
         ("init.x", ""), ("init.x", "9"), ("goal.rot", "45"), ("obstacles", "1"),
     ], ids=["empty", "off-grid", "bad-rotation", "one-int-cell"])
     def test_malformed_task_is_schema_mismatch(self, tmp_path, field, value):
         path = tmp_path / "d.txt"
         save_dataset(path, generate_dataset(2, (4, 1, 1), seed=13))
-        text = re.sub(rf"{re.escape(field)}=\S*", f"{field}={value}",
-                      path.read_text(), count=1)
-        path.write_text(text)
+        edit_sealed(path, lambda text: re.sub(rf"{re.escape(field)}=\S*",
+                                              f"{field}={value}", text, count=1))
         with pytest.raises(SchemaMismatch, match="d.txt"):
             load_dataset(path)
+
+    def test_unsealed_edit_is_schema_mismatch(self, tmp_path):
+        # a valid value that the parser would accept; only the seal rejects it
+        path = tmp_path / "d.txt"
+        save_dataset(path, generate_dataset(2, (4, 1, 1), seed=13))
+        text = path.read_text()
+        edited = re.sub(r"init\.x=(\d)", lambda m: f"init.x={1 - int(m[1]) % 2}",
+                        text, count=1)
+        assert edited != text
+        path.write_text(edited)
+        with pytest.raises(SchemaMismatch, match="d.txt: sha256"):
+            load_dataset(path)
+
+    def test_truncation_is_schema_mismatch(self, tmp_path):
+        # every line-boundary cut, including the cuts between two tasks
+        path = tmp_path / "d.txt"
+        save_dataset(path, generate_dataset(2, (4, 1, 1), seed=13))
+        lines = path.read_text().splitlines(keepends=True)
+        for n in range(len(lines)):
+            path.write_text("".join(lines[:n]))
+            with pytest.raises(SchemaMismatch, match="d.txt"):
+                load_dataset(path)
 
 
 class TestFittedArtifacts:
     def test_round_trip(self, tmp_path, level3_run):
         _, fitted = level3_run
         save_fitted(tmp_path, fitted)
+        assert os.listdir(tmp_path) == [FIT_FILE]
         loaded = load_fitted(tmp_path)
         assert loaded.config == fitted.config
         assert loaded.codebook_seed == fitted.codebook_seed
         assert loaded.train_purity == fitted.train_purity
         for a, b in zip(loaded.symbolizer.centers, fitted.symbolizer.centers):
             assert np.array_equal(a, b)
+        assert (loaded.symbolizer.inertia, loaded.symbolizer.iterations,
+                loaded.symbolizer.seed) == (fitted.symbolizer.inertia,
+                                            fitted.symbolizer.iterations,
+                                            fitted.symbolizer.seed)
+        assert loaded.model.cardinalities == fitted.model.cardinalities
         assert loaded.model.action_keys == fitted.model.action_keys
         assert loaded.model.base_actions == fitted.model.base_actions
         for key in fitted.model.action_keys:
@@ -89,7 +123,20 @@ class TestFittedArtifacts:
                                   fitted.maps.matrices[key])
             assert np.array_equal(loaded.maps.offsets[key],
                                   fitted.maps.offsets[key])
+        assert loaded.maps.residual_mse == fitted.maps.residual_mse
+        assert loaded.maps.pair_counts == fitted.maps.pair_counts
         assert loaded.value_maps == fitted.value_maps
+
+    def test_writes_nothing_the_loader_derives(self, tmp_path, level3_run):
+        _, fitted = level3_run
+        save_fitted(tmp_path, fitted)
+        text = (tmp_path / FIT_FILE).read_text()
+        assert not re.search(r"\b(cardinalities|actions|base_actions|k)=", text)
+        assert not re.search(r"^m ", text, re.MULTILINE)
+
+    def test_missing_fit_file(self, tmp_path):
+        with pytest.raises(MissingArtifact, match=FIT_FILE):
+            load_fitted(tmp_path)
 
     def test_planning_behaviour_survives_round_trip(self, tmp_path, level3_run):
         dataset, fitted = level3_run
@@ -103,54 +150,64 @@ class TestFittedArtifacts:
         first, second = tmp_path / "one", tmp_path / "two"
         save_fitted(first, fitted)
         save_fitted(second, load_fitted(first))
-        for name in (SYMBOLIZER_FILE, MODEL_FILE, MAPS_FILE):
-            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert (first / FIT_FILE).read_bytes() == (second / FIT_FILE).read_bytes()
 
     def test_seed_disagreement_detected(self, tmp_path, level3_run):
+        # a header edit breaks the seal
         _, fitted = level3_run
         save_fitted(tmp_path, fitted)
-        model = (tmp_path / MODEL_FILE).read_text()
-        (tmp_path / MODEL_FILE).write_text(
-            model.replace("codebook_seed=7", "codebook_seed=8"))
-        with pytest.raises(SchemaMismatch):
+        text = (tmp_path / FIT_FILE).read_text()
+        assert "codebook_seed=7" in text
+        (tmp_path / FIT_FILE).write_text(text.replace("codebook_seed=7",
+                                                      "codebook_seed=8"))
+        with pytest.raises(SchemaMismatch, match=f"{FIT_FILE}: sha256"):
             load_fitted(tmp_path)
 
-    @pytest.mark.parametrize("name", [SYMBOLIZER_FILE, MODEL_FILE, MAPS_FILE])
-    def test_truncation_is_schema_mismatch(self, tmp_path, level1_run, name):
-        # every cut of the symbolizer or the model, and every cut of the maps
-        # inside an action section; a cut between map sections reads as keys
-        # the fit dropped, which the file cannot tell apart
+    @pytest.mark.parametrize("pattern", [r"\nA -?\d\.(\d)", r"thresh=0\.0(\d)"],
+                             ids=["A-float", "thresh"])
+    def test_one_character_edit_breaks_the_seal(self, tmp_path, level1_run, pattern):
         _, fitted = level1_run
         save_fitted(tmp_path, fitted)
-        lines = (tmp_path / name).read_text().splitlines(keepends=True)
-        cuts = range(len(lines))
-        if name == MAPS_FILE:
-            cuts = [n for n in cuts if n > 1 and not lines[n - 1].startswith("b ")]
+        text = (tmp_path / FIT_FILE).read_text()
+        at = re.search(pattern, text).start(1)
+        flipped = str((int(text[at]) + 1) % 10)
+        (tmp_path / FIT_FILE).write_text(text[:at] + flipped + text[at + 1:])
+        with pytest.raises(SchemaMismatch, match=f"{FIT_FILE}: sha256"):
+            load_fitted(tmp_path)
+
+    @pytest.mark.parametrize("part", ["symbolizer", "model", "maps"],
+                             ids=lambda part: f"{part}.txt")
+    def test_truncation_is_schema_mismatch(self, tmp_path, level1_run, part):
+        # every line-boundary cut that falls in one part of the fit file; the
+        # three parts together cover every cut, including the cuts between two
+        # map sections. The ids keep the names the parts had as files of their own
+        _, fitted = level1_run
+        save_fitted(tmp_path, fitted)
+        lines = (tmp_path / FIT_FILE).read_text().splitlines(keepends=True)
+        model = lines.index("model=counts\n")
+        maps = next(n for n, line in enumerate(lines) if line.startswith("action="))
+        cuts = {"symbolizer": range(model), "model": range(model, maps),
+                "maps": range(maps, len(lines))}[part]
+        assert len(cuts) > 1
         for n in cuts:
-            (tmp_path / name).write_text("".join(lines[:n]))
-            with pytest.raises(SchemaMismatch, match=name):
+            (tmp_path / FIT_FILE).write_text("".join(lines[:n]))
+            with pytest.raises(SchemaMismatch, match=FIT_FILE):
                 load_fitted(tmp_path)
 
-    @pytest.mark.parametrize("name, old, new", [
-        (MODEL_FILE, "actions=", "actions=move_back,"),
-        (MODEL_FILE, "base_actions=", "base_actions=move_back,"),
-        (MODEL_FILE, "\nm 0 ", "\nm 1 "),
-        (MODEL_FILE, "\nn ", "\nq "),
-        (MAPS_FILE, "\nA ", "\nA x,"),
-        (MAPS_FILE, "\nb ", "\nb 1.0,"),
-        (MAPS_FILE, "restarts=10", "restarts=11"),
-        (SYMBOLIZER_FILE, "k=", "k=1"),
-    ], ids=["actions", "base-actions", "m-row", "unknown-tag", "bad-float",
-            "long-b", "header", "symbol-count"])
-    def test_malformed_record_is_schema_mismatch(self, tmp_path, level1_run,
-                                                 name, old, new):
+    @pytest.mark.parametrize("old, new", [
+        ("\nn ", "\nq "),
+        ("\nA ", "\nA x,"),
+        ("\nb ", "\nb 1.0,"),
+        (" min_sep=1.0 ", " min_sep=100.0 "),
+    ], ids=["unknown-tag", "bad-float", "long-b", "unachievable-min-sep"])
+    def test_malformed_record_is_schema_mismatch(self, tmp_path, level1_run, old, new):
+        # re-sealed, so that the edit reaches the parser
         _, fitted = level1_run
         save_fitted(tmp_path, fitted)
-        text = (tmp_path / name).read_text()
-        assert old in text
-        (tmp_path / name).write_text(text.replace(old, new, 1))
-        with pytest.raises(SchemaMismatch, match=name):
+        edit_sealed(tmp_path / FIT_FILE, lambda text: text.replace(old, new, 1))
+        with pytest.raises(SchemaMismatch, match=FIT_FILE) as err:
             load_fitted(tmp_path)
+        assert "sha256" not in str(err.value)
 
     def test_check_compatible(self, level3_run):
         dataset, fitted = level3_run

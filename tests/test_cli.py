@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from _sealing import edit_sealed
 from benchplan.artifacts import load_dataset
 from benchplan.cli import main
 
@@ -85,8 +86,9 @@ class TestPipeline:
             assert os.path.exists(os.path.join("reports", name))
 
     def test_eval_threshold_gate(self, fitted_dir):
+        # a one-step budget fails every longer task, so top-1 falls below 100%
         assert run("eval", "--data", "data.txt", "--artifacts", "arts",
-                   "--jobs", 1, "--min-top1", 101) == 3
+                   "--jobs", 1, "--l-max", 1, "--min-top1", 100) == 3
 
     def test_eval_seed_mismatch(self, fitted_dir):
         run("gen", "--level", 3, "--train", 10, "--val", 2, "--test", 4,
@@ -164,6 +166,10 @@ class TestPipeline:
         FIT + ("--data", "notrain.txt"),
         FIT + ("--data", "fivetrain.txt"),
         EVAL + ("--data", "noval.txt", "--split", "val"),
+        ("report", "--artifacts", "arts", "--out", "rep", "--samples", 0),
+        ("report", "--artifacts", "arts", "--out", "rep", "--samples", -3),
+        EVAL + ("--min-top1", "nan"),
+        EVAL + ("--min-top1", 150),
     ], ids=["rotation", "level3-no-dyer", "init-on-obstacle", "short-state",
             "unknown-type", "one-int-obstacle", "one-int-dyer", "plan-negative-sigma",
             "fit-negative-sigma", "eval-negative-sigma", "plan-topk-0", "eval-topk-0",
@@ -173,7 +179,8 @@ class TestPipeline:
             "gen-unseen-types-0", "gen-negative-seed", "gen-negative-codebook-seed",
             "fit-negative-seed", "plan-negative-seed", "eval-negative-seed",
             "report-negative-seed", "gen-unseen-task-level-3", "fit-no-training-tasks",
-            "fit-too-few-pairs", "eval-empty-split"])
+            "fit-too-few-pairs", "eval-empty-split", "report-samples-0",
+            "report-negative-samples", "eval-min-top1-nan", "eval-min-top1-150"])
     def test_plan_bad_adhoc_input_is_one_line_usage_error(self, fitted_dir, capsys,
                                                           argv):
         for name, options in THIN.items():
@@ -184,27 +191,30 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
-    # the error names the first of the edited files
-    @pytest.mark.parametrize("names, edit", [
-        (["arts/model.txt"], lambda text: "".join(text.splitlines(True)[:3])),
-        (["arts/maps.txt"], lambda text: text.replace("\nA ", "\nA x,", 1)),
-        (["data.txt"], lambda text: re.sub(r"init\.x=\d+", "init.x=", text, count=1)),
-        (["arts/symbolizer.txt", "arts/model.txt", "arts/maps.txt"],
-         lambda text: text.replace(" min_sep=1.0 ", " min_sep=100.0 ", 1)),
-    ], ids=["model-cut-to-3-lines", "maps-bad-float", "dataset-empty-field",
-            "unachievable-min-sep-in-fit-headers"])
+    # a cut stops at the seal; the other edits are re-sealed to reach the parser
+    @pytest.mark.parametrize("name, edit, reseal", [
+        ("arts/fit.txt", lambda text: "".join(text.splitlines(True)[:3]), False),
+        ("data.txt", lambda text: "".join(text.splitlines(True)[:-50]), False),
+        ("arts/fit.txt", lambda text: text.replace("\nA ", "\nA x,", 1), True),
+        ("data.txt", lambda text: re.sub(r"init\.x=\d+", "init.x=", text, count=1),
+         True),
+        ("arts/fit.txt", lambda text: text.replace(" min_sep=1.0 ", " min_sep=100.0 ", 1),
+         True),
+    ], ids=["fit-cut-to-3-lines", "dataset-cut-by-50-lines", "maps-bad-float",
+            "dataset-empty-field", "unachievable-min-sep-in-fit-header"])
     def test_malformed_artifact_is_one_line_artifact_error(self, fitted_dir, capsys,
-                                                           names, edit):
-        for name in names:
+                                                           name, edit, reseal):
+        if reseal:
+            edit_sealed(name, edit)
+        else:
             with open(name) as fh:
                 text = fh.read()
-            assert edit(text) != text
             with open(name, "w") as fh:
                 fh.write(edit(text))
         capsys.readouterr()
         assert run(*EVAL) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {names[0]}: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, err
 
     def test_report_emits_tables(self, fitted_dir, capsys):
         assert run("report", "--artifacts", "arts", "--out", "rep") == 0
