@@ -23,7 +23,7 @@ import numpy as np
 from .concepts import build_codebook
 from .evaluate import EvalReport
 from .fitting import FitConfig, Fitted
-from .mdp import TransitionModel, _key_rank
+from .mdp import TransitionModel
 from .symbols import Symbolizer
 from .taskgen import Dataset, Task
 from .workbench import EnvConfig, ObjectState
@@ -268,9 +268,7 @@ def _parse_fit(header, records) -> Fitted:
         matrices[key], offsets[key] = values[:-1], values[-1]
         mses[key] = float(kv["mse"])
         pair_counts[key] = int(kv["pairs"])
-    maps = ActionTransitionMaps(dim=config.dim,
-                                action_keys=tuple(sorted(matrices, key=_key_rank)),
-                                matrices=matrices, offsets=offsets,
+    maps = ActionTransitionMaps(dim=config.dim, matrices=matrices, offsets=offsets,
                                 residual_mse=mses, pair_counts=pair_counts)
     return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,
                   model=model, maps=maps, train_purity=purity)

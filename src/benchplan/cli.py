@@ -1,8 +1,9 @@
 """Command-line pipeline: gen, fit, plan, eval, report.
 
 Exit codes: 0 success, 1 usage error, 2 missing, malformed or mismatched
-artifacts, 3 acceptance-threshold failure (including a planner that finds no
-plan). Exits 1 and 2 print one `error:` line.
+artifacts, or a path that cannot be read or written, 3 acceptance-threshold
+failure (including a planner that finds no plan). Exits 1 and 2 print one
+`error:` line.
 The default artifact directory can be set via BENCHPLAN_ARTIFACTS.
 """
 
@@ -22,6 +23,7 @@ from .mdp import InvalidInit, NoPlanFound
 from .symbols import InsufficientPoints
 from .taskgen import (
     N_TYPES,
+    SPLITS,
     Task,
     Unreachable,
     generate_dataset,
@@ -29,7 +31,7 @@ from .taskgen import (
     make_unseen_task_split,
     oracle_shortest_plan,
 )
-from .token_maps import InsufficientPairs, rollout, token_mse
+from .token_maps import MIN_PAIRS, InsufficientPairs, UnknownAction, rollout, token_mse
 from .workbench import CONCEPTS, EnvConfig
 
 ENV_ARTIFACT_DIR = "BENCHPLAN_ARTIFACTS"
@@ -102,6 +104,10 @@ def cmd_fit(args) -> int:
     for name, p in zip(CONCEPTS, fitted.train_purity):
         print(f"  purity[{name}] = {p:.4f}")
     print(f"  transition keys: {', '.join(fitted.model.action_keys)}")
+    unmapped = [f"{key} ({fitted.model.counts[key][0].sum()})"
+                for key in fitted.model.action_keys if key not in fitted.maps.matrices]
+    if unmapped:
+        print(f"  no token map (fewer than {MIN_PAIRS} pairs): {', '.join(unmapped)}")
     return EXIT_OK
 
 
@@ -149,9 +155,15 @@ def cmd_plan(args) -> int:
     for i, p in enumerate(result.plans, 1):
         seq = " ".join(p.actions) if p.actions else "(empty plan)"
         print(f"  {i}. {seq}  [score {p.score:.6f}]")
-    trace = rollout(init_tokens, result.best.actions, fitted.maps)
-    print(f"token rollout: final mse to goal tokens "
-          f"{token_mse(trace[-1], goal_tokens):.6f}")
+    for warning in result.warnings:
+        print(f"  warning: {warning}")
+    try:
+        trace = rollout(init_tokens, result.best.actions, fitted.maps)
+    except UnknownAction as err:  # fit gave the key too few pairs for a map
+        print(f"token rollout: {err}")
+    else:
+        print(f"token rollout: final mse to goal tokens "
+              f"{token_mse(trace[-1], goal_tokens):.6f}")
     return EXIT_OK
 
 
@@ -253,7 +265,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--artifacts", default=None)
     p.add_argument("--out", default="reports")
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--sigma", type=float, default=None,
                    help="eval-time token noise (default: the fit's sigma)")
     p.add_argument("--topk", type=int, default=5)
@@ -297,7 +309,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (artifacts.MissingArtifact, artifacts.SchemaMismatch) as err:
+    except (artifacts.MissingArtifact, artifacts.SchemaMismatch, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ARTIFACTS
 

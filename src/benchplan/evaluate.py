@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,10 +42,6 @@ class TaskRecord:
     @property
     def top1_success(self) -> bool:
         return bool(self.attempt_success) and self.attempt_success[0]
-
-    @property
-    def any_success(self) -> bool:
-        return any(self.attempt_success)
 
 
 @dataclass(frozen=True)
@@ -97,10 +94,6 @@ def chance_baseline(task: Task, rng: np.random.Generator,
     return out
 
 
-def _keys_to_actions(keys: Sequence[str]) -> tuple[str, ...]:
-    return tuple(base_action(k) for k in keys)
-
-
 def plan_task(task: Task, fitted: Fitted, codebook: ConceptCodebook, *,
               planner: str, noise_sigma: float, top_k: int, l_max: int | None,
               rng: np.random.Generator) -> tuple[PlanResult, np.ndarray, np.ndarray]:
@@ -134,7 +127,7 @@ def evaluate_task(task: Task, fitted: Fitted, codebook: ConceptCodebook, *,
             result, _, _ = plan_task(task, fitted, codebook, planner=planner,
                                      noise_sigma=noise_sigma, top_k=top_k,
                                      l_max=l_max, rng=rng)
-            attempts = [_keys_to_actions(p.actions) for p in result.plans]
+            attempts = [tuple(map(base_action, p.actions)) for p in result.plans]
         except (NoPlanFound, InvalidInit):
             attempts = []
 
@@ -236,17 +229,13 @@ def interpretability_report(maps, codebook: ConceptCodebook, *,
     """
     rng = np.random.default_rng([seed, 41])
     open_bench = EnvConfig(level=1)
-    present = sorted({base_action(k) for k in maps.action_keys},
-                     key=lambda a: ACTIONS.index(a))
-    keys_of = {a: [k for k in maps.action_keys if base_action(k) == a]
-               for a in present}
 
-    def sample_state(action: str, ctx: str) -> ObjectState:
+    def sample_state(action: str, dyer_color: int) -> ObjectState:
         while True:  # one draw per concept, in concept order
             t, x, y, r, c, s = (int(rng.integers(n)) for n in codebook.cardinalities)
             state = ObjectState(t, x, y, ROTATIONS[r], c, s)
             if action == "change_color":
-                if state.color != int(ctx):
+                if state.color != dyer_color:
                     return state
                 continue
             try:
@@ -255,25 +244,24 @@ def interpretability_report(maps, codebook: ConceptCodebook, *,
                 continue
             return state
 
-    displacement = np.zeros((len(CONCEPTS), len(present)))
+    # maps.action_keys are in key order, so each base action's keys are adjacent
+    groups = [(action, list(keys))
+              for action, keys in groupby(maps.action_keys, key=base_action)]
+    displacement = np.zeros((len(CONCEPTS), len(groups)))
     position_changes: dict[str, np.ndarray] = {}
-    for j, action in enumerate(present):
-        per_concept = np.zeros(len(CONCEPTS))
+    for j, (action, keys) in enumerate(groups):
         deltas = []
-        total = 0
-        for key in sorted(keys_of[action], key=_key_rank):
-            _, _, ctx = key.partition("@")
-            for _ in range(max(1, samples // len(keys_of[action]))):
-                state = sample_state(action, ctx)
+        for key in keys:
+            _, dyer_color = _key_rank(key)
+            for _ in range(max(1, samples // len(keys))):
+                state = sample_state(action, dyer_color)
                 before = encode(state, codebook)
                 after = transition(before, key, maps)
-                per_concept += np.linalg.norm(after - before, axis=1)
-                bx, by = _decode_position(before, codebook)
+                displacement[:, j] += np.linalg.norm(after - before, axis=1)
                 ax, ay = _decode_position(after, codebook)
-                deltas.append((ax - bx, ay - by))
-                total += 1
-        displacement[:, j] = per_concept / total
+                deltas.append((ax - state.pos_x, ay - state.pos_y))
+        displacement[:, j] /= len(deltas)
         position_changes[action] = np.array(deltas, dtype=int)
-    return InterpretabilityReport(actions=tuple(present),
+    return InterpretabilityReport(actions=tuple(action for action, _ in groups),
                                   displacement=displacement,
                                   position_changes=position_changes)

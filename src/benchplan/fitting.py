@@ -98,7 +98,7 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
     pairs: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     for task, states, tokens in per_task:
         symbols = [symbolize(t, symbolizer) for t in tokens]
-        keys = [action_key(a, task.env) for a in task.gt_actions]
+        keys = [action_key(a, task.env.dyer_color) for a in task.gt_actions]
         for t, key in enumerate(keys):
             triplets.append((symbols[t], key, symbols[t + 1]))
             pairs.setdefault(key, []).append((tokens[t], tokens[t + 1]))

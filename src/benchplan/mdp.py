@@ -20,12 +20,13 @@ MAP successors of symbol states, and the token-space ablation
 
 Actions are referred to by key. Movement and rotation keys equal the action
 names. change_color is context-dependent in truth (the object takes the
-dyer's color), so its counts are keyed per dyer color — "change_color@3" —
-and the environment's dyer selects the key at planning time. Likewise,
-adjacency to the dyer is an environment-derived legality: the factored
-occurrence counts pooled over benches with differently placed dyers cannot
-express it, so the search gates change_color on adjacency using the bench
-masks.
+dyer's color), so its counts are keyed per dyer color — "change_color@3".
+`action_key` is the one key rule: the fit counts each action under the key it
+gives, and a bench offers exactly the keys it gives for the bench's dyer. Only
+this module parses, orders or matches a key. Adjacency to the dyer is likewise
+an environment-derived legality: the factored occurrence counts pooled over
+benches with differently placed dyers cannot express it, so the search gates
+change_color on adjacency using the bench masks.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ class InvalidInit(ValueError):
     """The initial symbol state sits on a cell the bench masks out."""
 
 
-def action_key(action: str, env: EnvConfig) -> str:
-    """Model key for an action in a given environment."""
-    if action == "change_color" and env.dyer_color is not None:
-        return f"change_color@{env.dyer_color}"
+def action_key(action: str, dyer_color: int | None) -> str:
+    """Model key for an action on a bench whose dyer has `dyer_color` (None
+    without a dyer). The one key rule: a bench offers exactly these keys."""
+    if action == "change_color" and dyer_color is not None:
+        return f"change_color@{dyer_color}"
     return action
 
 
@@ -262,18 +264,9 @@ def _matches_goal(state: SymbolState, goal: SymbolState) -> bool:
 
 
 def available_keys(model, masks: SymbolMasks) -> tuple[str, ...]:
-    """Keys of a model or of token maps executable on this bench.
-
-    change_color keys count only for the bench's dyer color.
-    """
-    keys = []
-    for key in model.action_keys:
-        base, _, ctx = key.partition("@")
-        if base == "change_color" and ctx and (
-                masks.dyer_color is None or int(ctx) != masks.dyer_color):
-            continue
-        keys.append(key)
-    return tuple(keys)
+    """Keys of a model or of token maps that `action_key` gives on this bench."""
+    return tuple(k for k in model.action_keys
+                 if action_key(base_action(k), masks.dyer_color) == k)
 
 
 def _entry_order(entry):

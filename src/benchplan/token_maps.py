@@ -12,7 +12,7 @@ model, which is exactly what the ablation is meant to expose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,11 +45,15 @@ class UnknownAction(Exception):
 @dataclass(frozen=True)
 class ActionTransitionMaps:
     dim: int
-    action_keys: tuple[str, ...]
     matrices: dict[str, np.ndarray]   # key -> (6*dim, 6*dim)
     offsets: dict[str, np.ndarray]    # key -> (6*dim,)
     residual_mse: dict[str, float]
     pair_counts: dict[str, int]
+    action_keys: tuple[str, ...] = field(init=False)  # the mapped keys, in key order
+
+    def __post_init__(self):
+        object.__setattr__(self, "action_keys",
+                           tuple(sorted(self.matrices, key=_key_rank)))
 
 
 def fit_affine(pairs_by_action: dict[str, Sequence[tuple[np.ndarray, np.ndarray]]],
@@ -57,8 +61,7 @@ def fit_affine(pairs_by_action: dict[str, Sequence[tuple[np.ndarray, np.ndarray]
     """Closed-form normal-equations fit of one affine map per action key."""
     # rare contexts (a seldom-seen dyer color at small data sizes) get no map;
     # the transition counts keep them
-    keys = tuple(sorted((k for k, pairs in pairs_by_action.items()
-                         if len(pairs) >= MIN_PAIRS), key=_key_rank))
+    keys = [k for k, pairs in pairs_by_action.items() if len(pairs) >= MIN_PAIRS]
     if not keys:
         raise InsufficientPairs(f"no action has the {MIN_PAIRS} pairs a token map needs")
     width = 6 * dim
@@ -74,9 +77,8 @@ def fit_affine(pairs_by_action: dict[str, Sequence[tuple[np.ndarray, np.ndarray]
         offsets[key] = w[-1].copy()
         mses[key] = float(((xa @ w - y) ** 2).mean())
         npairs[key] = len(pairs)
-    return ActionTransitionMaps(dim=dim, action_keys=keys, matrices=matrices,
-                                offsets=offsets, residual_mse=mses,
-                                pair_counts=npairs)
+    return ActionTransitionMaps(dim=dim, matrices=matrices, offsets=offsets,
+                                residual_mse=mses, pair_counts=npairs)
 
 
 def transition(tokens: np.ndarray, key: str,

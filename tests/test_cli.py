@@ -216,6 +216,30 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("argv", [
+        EVAL + ("--out", "f"),
+        ("report", "--artifacts", "arts", "--out", "f"),
+        GEN[:-1] + ("f/x.txt",),
+        FIT[:4] + ("f",) + FIT[5:],
+        ("eval", "--data", "arts", "--artifacts", "arts", "--jobs", 1),
+    ], ids=["eval-out-file", "report-out-file", "gen-out-under-file",
+            "fit-artifacts-file", "eval-data-directory"])
+    def test_unusable_path_is_one_line_artifact_error(self, fitted_dir, capsys, argv):
+        open("f", "w").close()
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_plan_prints_planner_warnings(self, fitted_dir, capsys):
+        # type and size differ, and no action changes them
+        assert run("plan", "--artifacts", "arts", "--level", 3, "--dyer", "2,1",
+                   "--dyer-color", 1, "--init", "0,0,0,0,2,1",
+                   "--goal", "1,1,0,0,2,2") == 0
+        out = capsys.readouterr().out
+        assert "  warning: init/goal mismatch on unchangeable concept 0\n" in out
+        assert "  warning: init/goal mismatch on unchangeable concept 5\n" in out
+
     def test_report_emits_tables(self, fitted_dir, capsys):
         assert run("report", "--artifacts", "arts", "--out", "rep") == 0
         out = capsys.readouterr().out
@@ -227,6 +251,31 @@ class TestPipeline:
         monkeypatch.setenv("BENCHPLAN_ARTIFACTS", "arts")
         assert run("plan", "--level", 1,
                    "--init", "0,0,0,0,2,1", "--goal", "0,1,0,0,2,1") == 0
+
+
+class TestThinFit:
+    """A level-3 fit on 40 training tasks, too few for most change_color maps."""
+
+    @pytest.fixture()
+    def fit_out(self, workdir, capsys):
+        assert run("gen", "--level", 3, "--train", 40, "--val", 0, "--test", 20,
+                   "--seed", 1, "--out", "data.txt") == 0
+        assert run("fit", "--data", "data.txt", "--artifacts", "arts",
+                   "--sigma", 0) == 0
+        return capsys.readouterr().out
+
+    def test_fit_names_keys_without_token_map(self, fit_out):
+        assert ("  no token map (fewer than 8 pairs): change_color@0 (5), "
+                "change_color@1 (2), change_color@2 (2), change_color@3 (5), "
+                "change_color@4 (4)\n") in fit_out
+
+    def test_plan_rollout_names_unmapped_key(self, fit_out, capsys):
+        assert run("plan", "--artifacts", "arts", "--data", "data.txt",
+                   "--task-id", "L3-00048") == 0
+        out = capsys.readouterr().out
+        assert "change_color@4" in out.splitlines()[1]
+        assert out.endswith(
+            "token rollout: step 2: no fitted map for 'change_color@4'\n")
 
 
 class TestTopLevelUsage:

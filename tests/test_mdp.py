@@ -208,7 +208,7 @@ class TestPropagate:
         model = fitted.model
         env = EnvConfig(level=3, obstacles=((1, 1),), dyer=(2, 0), dyer_color=2)
         masks = SymbolMasks.build(env, fitted.value_maps.symbol_to_value).per_concept
-        keys = ["move_right", "move_front", action_key("change_color", env)]
+        keys = ["move_right", "move_front", action_key("change_color", env.dyer_color)]
         for concept in range(6):
             for start in range(model.cardinalities[concept]):
                 stepwise = oracle_sequence(model, concept, start, keys, masks)
@@ -253,7 +253,7 @@ def _training_triplets(dataset, fitted):
         _, tokens = encode_trajectory(task, fitted.codebook,
                                       fitted.config.noise_sigma, rng)
         symbols = [symbolize(t, fitted.symbolizer) for t in tokens]
-        triplets.extend((symbols[t], action_key(a, task.env), symbols[t + 1])
+        triplets.extend((symbols[t], action_key(a, task.env.dyer_color), symbols[t + 1])
                         for t, a in enumerate(task.gt_actions))
     return triplets
 

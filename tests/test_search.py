@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
-from _oracles import oracle_plan, oracle_plan_tokenspace
+from _oracles import (
+    _oracle_available_keys,
+    _oracle_tokenspace_keys,
+    oracle_plan,
+    oracle_plan_tokenspace,
+)
 from benchplan.concepts import encode
 from benchplan.fitting import codebook_for_tasks
-from benchplan.mdp import NoPlanFound, SymbolMasks, plan
+from benchplan.mdp import NoPlanFound, SymbolMasks, available_keys, plan
 from benchplan.symbols import symbolize
 from benchplan.token_maps import plan_tokenspace
+from benchplan.workbench import EnvConfig
 
 # Token-space searches take ~40 ms each on level 3 and ~200 ms on level 4, so
 # only the first few test tasks of those runs go to the token-space planner.
@@ -45,3 +51,19 @@ def test_planners_match_frozen_search(run, sigma, request):
         if cap is None or i < cap:
             assert_same(plan_tokenspace, oracle_plan_tokenspace, fitted.maps,
                         init_tokens, goal_tokens, fitted.symbolizer, masks, **budget)
+
+
+# a bench without a dyer, then one with a dyer of each color
+BENCHES = [EnvConfig(level=1)] + [EnvConfig(level=3, dyer=(2, 0), dyer_color=c)
+                                  for c in range(6)]
+
+
+@pytest.mark.parametrize("run", ["level3_run", "level4_run"])
+def test_available_keys_match_frozen_rules(run, request):
+    _, fitted = request.getfixturevalue(run)
+    for env in BENCHES:
+        masks = SymbolMasks.build(env, fitted.value_maps.symbol_to_value)
+        assert (available_keys(fitted.model, masks)
+                == _oracle_available_keys(fitted.model, masks))
+        assert (available_keys(fitted.maps, masks)
+                == tuple(_oracle_tokenspace_keys(fitted.maps, masks)))

@@ -179,7 +179,7 @@ class TestTransitionRollout:
         for task in dataset.subset("test"):
             if len(task.gt_actions) < 10:
                 continue
-            keys = [action_key(a, task.env) for a in task.gt_actions]
+            keys = [action_key(a, task.env.dyer_color) for a in task.gt_actions]
             if any(k not in fitted.maps.matrices for k in keys):
                 continue
             states = simulate(task.init, task.gt_actions, task.env)
@@ -212,7 +212,7 @@ class TestTokenMSE:
         for task in dataset.subset("test"):
             states, tokens = encode_trajectory(task, fitted.codebook, 0.1, rng)
             for t, action in enumerate(task.gt_actions):
-                key = action_key(action, task.env)
+                key = action_key(action, task.env.dyer_color)
                 pred = transition(tokens[t], key, fitted.maps)
                 errors.append(token_mse(pred, tokens[t + 1]))
         assert np.mean(errors) <= 2 * 0.1 ** 2 * 1.5
