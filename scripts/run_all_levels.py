@@ -13,7 +13,7 @@ import argparse
 import time
 
 from benchplan.evaluate import interpretability_report, run_experiment
-from benchplan.fitting import FitConfig, fit_pipeline
+from benchplan.fitting import FitConfig, fit_pipeline, unmapped_note
 from benchplan.taskgen import (
     N_TYPES,
     generate_dataset,
@@ -49,6 +49,8 @@ def main():
         fitted_by_level[level] = (dataset, fitted)
         print(f"level {level} (gen+fit {time.perf_counter() - t0:.1f}s, "
               f"purity min {min(fitted.train_purity):.3f})")
+        if note := unmapped_note(fitted):
+            print(f"  {note}")
         for planner in ("symbolic", "chance", "token"):
             rep = run_experiment(dataset, fitted, planner=planner,
                                  noise_sigma=args.sigma, jobs=args.jobs)

@@ -5,9 +5,11 @@ loader reads the body through one grammar (`_records`): a line of key=value
 fields opens a record, and the rows under it start with a tag: `c` (symbolizer
 centers), `n` (transition counts), `A`/`b` (affine maps). The fit file writes
 only what cannot be derived: the loader rebuilds the codebook from its seed,
-the cardinalities from the `c` rows and the whole transition model from the
-`n` rows. Every file ends in a seal, one `sha256=<hex>` line over all bytes
-above it; a cut at any point, a flipped byte or an edited header breaks it.
+the symbolizer's seed from the fit seed, the cardinalities from the `c` rows,
+and the whole transition model and each map's pair count from the `n` rows,
+which all pass the one count check (`mdp.count_tables`). Every file ends in a
+seal, one `sha256=<hex>` line over all bytes above it; a cut at any point, a
+flipped byte or an edited header breaks it.
 A wrong magic line, a broken seal or malformed content raises SchemaMismatch
 naming the file. Floats are written with repr(), so round-trips are exact and
 reruns with equal seeds write byte-identical files.
@@ -23,7 +25,7 @@ import numpy as np
 from .concepts import build_codebook
 from .evaluate import EvalReport
 from .fitting import FitConfig, Fitted
-from .mdp import TransitionModel
+from .mdp import TransitionModel, count_tables
 from .symbols import Symbolizer
 from .taskgen import Dataset, Task
 from .workbench import EnvConfig, ObjectState
@@ -113,7 +115,8 @@ def _read(path: str, magic: str, parse):
 
 
 def _write(path: str, text: str):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    if directory := os.path.dirname(path):  # as given, so errors name the given path
+        os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -205,8 +208,7 @@ def save_fitted(directory: str, fitted: Fitted):
     lines = [FIT_MAGIC + " " + _kv_line(
         dim=c.dim, min_sep=c.min_sep, noise_sigma=c.noise_sigma, thresh=c.thresh,
         fit_seed=c.seed, restarts=c.restarts, codebook_seed=fitted.codebook_seed),
-        _kv_line(sym_seed=sym.seed,
-                 purity=",".join(repr(p) for p in fitted.train_purity))]
+        _kv_line(purity=",".join(repr(p) for p in fitted.train_purity))]
     for k, centers in enumerate(sym.centers):
         lines.append(_kv_line(concept=k, inertia=sym.inertia[k],
                               iterations=sym.iterations[k]))
@@ -217,8 +219,7 @@ def save_fitted(directory: str, fitted: Fitted):
             for (w, w2) in zip(*np.nonzero(mat)):
                 lines.append(f"n {key} {k} {w} {w2} {mat[w, w2]}")
     for key in maps.action_keys:
-        lines.append(_kv_line(action=key, pairs=maps.pair_counts[key],
-                              mse=maps.residual_mse[key]))
+        lines.append(_kv_line(action=key, mse=maps.residual_mse[key]))
         lines.extend(f"A {_vec(row)}" for row in maps.matrices[key])
         lines.append(f"b {_vec(maps.offsets[key])}")
     _write(os.path.join(directory, FIT_FILE), _seal("\n".join(lines) + "\n"))
@@ -248,15 +249,12 @@ def _parse_fit(header, records) -> Fitted:
                                f"concept {kv['concept']}") for kv, rows in concepts),
         inertia=tuple(float(kv["inertia"]) for kv, _ in concepts),
         iterations=tuple(int(kv["iterations"]) for kv, _ in concepts),
-        seed=int(meta["sym_seed"]))
+        seed=config.seed)  # fit_pipeline seeds the symbolizer with the fit seed
 
-    counts: dict[str, list[np.ndarray]] = {}
-    for tag, key, k, w, w2, n in count_rows:
-        _expect(tag == "n", f"row {tag!r} among the counts")
-        if key not in counts:
-            counts[key] = [np.zeros((c, c), dtype=np.int64)
-                           for c in symbolizer.cardinalities]
-        counts[key][int(k)][int(w), int(w2)] = int(n)
+    _expect(all(row[0] == "n" for row in count_rows), "a non-'n' row among the counts")
+    counts = count_tables(((key, int(k), int(w), int(w2), int(n))
+                           for _, key, k, w, w2, n in count_rows),
+                          symbolizer.cardinalities)
     model = TransitionModel(cardinalities=symbolizer.cardinalities,
                             thresh=config.thresh, counts=counts)
 
@@ -267,7 +265,7 @@ def _parse_fit(header, records) -> Fitted:
         values = _vectors(rows, ["A"] * size + ["b"], size, f"action {key}")
         matrices[key], offsets[key] = values[:-1], values[-1]
         mses[key] = float(kv["mse"])
-        pair_counts[key] = int(kv["pairs"])
+        pair_counts[key] = int(counts[key][0].sum())  # one pair per counted step
     maps = ActionTransitionMaps(dim=config.dim, matrices=matrices, offsets=offsets,
                                 residual_mse=mses, pair_counts=pair_counts)
     return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,

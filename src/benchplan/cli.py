@@ -18,7 +18,7 @@ import numpy as np
 from . import artifacts
 from .concepts import SeparationUnachievable, UnknownValue
 from .evaluate import interpretability_report, plan_task, run_experiment
-from .fitting import FitConfig, codebook_for_tasks, fit_pipeline
+from .fitting import FitConfig, codebook_for_tasks, fit_pipeline, unmapped_note
 from .mdp import InvalidInit, NoPlanFound
 from .symbols import InsufficientPoints
 from .taskgen import (
@@ -31,7 +31,7 @@ from .taskgen import (
     make_unseen_task_split,
     oracle_shortest_plan,
 )
-from .token_maps import MIN_PAIRS, InsufficientPairs, UnknownAction, rollout, token_mse
+from .token_maps import InsufficientPairs, UnknownAction, rollout, token_mse
 from .workbench import CONCEPTS, EnvConfig
 
 ENV_ARTIFACT_DIR = "BENCHPLAN_ARTIFACTS"
@@ -104,10 +104,8 @@ def cmd_fit(args) -> int:
     for name, p in zip(CONCEPTS, fitted.train_purity):
         print(f"  purity[{name}] = {p:.4f}")
     print(f"  transition keys: {', '.join(fitted.model.action_keys)}")
-    unmapped = [f"{key} ({fitted.model.counts[key][0].sum()})"
-                for key in fitted.model.action_keys if key not in fitted.maps.matrices]
-    if unmapped:
-        print(f"  no token map (fewer than {MIN_PAIRS} pairs): {', '.join(unmapped)}")
+    if note := unmapped_note(fitted):
+        print(f"  {note}")
     return EXIT_OK
 
 
@@ -183,6 +181,7 @@ def cmd_eval(args) -> int:
         planners.append("chance")
     if args.compare:
         planners.append("token")
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before any planning
     reports = {}
     for planner in planners:
         report = run_experiment(dataset, fitted, planner=planner, split=args.split,

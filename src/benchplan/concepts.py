@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .workbench import CONCEPTS, DEFAULT_CARDINALITIES, ObjectState
+from .workbench import CONCEPTS, DEFAULT_CARDINALITIES, TYPE, ObjectState
 
 DEFAULT_DIM = 8
 DEFAULT_MIN_SEP = 1.0
-
-TYPE_CONCEPT = CONCEPTS.index("type")
 
 # offsets separating the build / extend RNG streams
 _STREAM_BUILD = 0
@@ -86,13 +84,13 @@ def extend_codebook(codebook: ConceptCodebook, new_values: int) -> ConceptCodebo
     """
     if new_values <= 0:
         raise ValueError("new_values must be positive")
-    existing = codebook.centroids[TYPE_CONCEPT]
+    existing = codebook.centroids[TYPE]
     rng = np.random.default_rng(
-        [codebook.seed, _STREAM_EXTEND + TYPE_CONCEPT, len(existing)])
+        [codebook.seed, _STREAM_EXTEND + TYPE, len(existing)])
     added = _draw_separated(rng, new_values, codebook.dim, codebook.min_sep,
                             existing=existing)
     tables = list(codebook.centroids)
-    tables[TYPE_CONCEPT] = np.vstack([existing, added])
+    tables[TYPE] = np.vstack([existing, added])
     return ConceptCodebook(dim=codebook.dim, seed=codebook.seed,
                            min_sep=codebook.min_sep, centroids=tuple(tables))
 

@@ -22,8 +22,8 @@ from .mdp import (InvalidInit, NoPlanFound, PlanResult, SymbolMasks, _key_rank,
 from .symbols import assign, symbolize
 from .taskgen import Dataset, Task
 from .token_maps import plan_tokenspace, transition
-from .workbench import (ACTIONS, CONCEPTS, ROTATIONS, ActionError, EnvConfig,
-                        ObjectState, adjudicate, apply_action)
+from .workbench import (ACTIONS, CONCEPTS, POS_X, POS_Y, ROTATIONS, ActionError,
+                        EnvConfig, ObjectState, adjudicate, apply_action)
 
 _STREAM_EVAL = 31
 _STREAM_CHANCE = 37
@@ -212,11 +212,6 @@ class InterpretabilityReport:
         return "\n".join(lines) + "\n"
 
 
-def _decode_position(tokens: np.ndarray, codebook: ConceptCodebook) -> tuple[int, int]:
-    return (assign(tokens[1], codebook.centroids[1]),
-            assign(tokens[2], codebook.centroids[2]))
-
-
 def interpretability_report(maps, codebook: ConceptCodebook, *,
                             samples: int = 200, seed: int = 0,
                             ) -> InterpretabilityReport:
@@ -258,7 +253,7 @@ def interpretability_report(maps, codebook: ConceptCodebook, *,
                 before = encode(state, codebook)
                 after = transition(before, key, maps)
                 displacement[:, j] += np.linalg.norm(after - before, axis=1)
-                ax, ay = _decode_position(after, codebook)
+                ax, ay = (assign(after[k], codebook.centroids[k]) for k in (POS_X, POS_Y))
                 deltas.append((ax - state.pos_x, ay - state.pos_y))
         displacement[:, j] /= len(deltas)
         position_changes[action] = np.array(deltas, dtype=int)

@@ -12,8 +12,8 @@ from .mdp import DEFAULT_THRESH, TransitionModel, action_key, fit_transitions
 from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, assign,
                       fit_symbolizer, purity, symbolize)
 from .taskgen import Dataset, Task
-from .token_maps import ActionTransitionMaps, fit_affine
-from .workbench import simulate
+from .token_maps import MIN_PAIRS, ActionTransitionMaps, fit_affine
+from .workbench import TYPE, simulate
 
 _STREAM_FIT_ENCODE = 23
 
@@ -111,10 +111,19 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
                   model=model, maps=maps, train_purity=train_purity)
 
 
+def unmapped_note(fitted: Fitted) -> str:
+    """One line naming each key the fit gave no token map, with its pair
+    count; empty when every key has a map."""
+    unmapped = [f"{key} ({fitted.model.counts[key][0].sum()})"
+                for key in fitted.model.action_keys if key not in fitted.maps.matrices]
+    return (f"no token map (fewer than {MIN_PAIRS} pairs): {', '.join(unmapped)}"
+            if unmapped else "")
+
+
 def codebook_for_tasks(fitted: Fitted, tasks: list[Task]) -> ConceptCodebook:
     """Extend the type table when tasks mention types beyond the fitted codebook."""
     max_type = max((t.init.type_id for t in tasks), default=-1)
-    n_known = fitted.codebook.cardinalities[0]
+    n_known = fitted.codebook.cardinalities[TYPE]
     if max_type < n_known:
         return fitted.codebook
     return extend_codebook(fitted.codebook, max_type + 1 - n_known)

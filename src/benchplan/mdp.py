@@ -31,16 +31,16 @@ change_color on adjacency using the bench masks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .workbench import ACTIONS, EnvConfig
+from .workbench import ACTIONS, POS_X, POS_Y, SIZE, TYPE, EnvConfig, goal_concepts
 
 DEFAULT_THRESH = 0.01
-POSX, POSY = 1, 2
-CHANGEABLE_CONCEPTS = (1, 2, 3, 4)  # pos_x, pos_y, rotation, color
 
 SymbolState = tuple[int, ...]
 
@@ -130,23 +130,31 @@ def _row_normalized(counts: np.ndarray) -> np.ndarray:
     return np.where(row_tot > 0, counts / np.maximum(row_tot, 1), 0.0)
 
 
+def count_tables(rows: Iterable[tuple[str, int, int, int, int]],
+                 cardinalities: Sequence[int]) -> dict[str, list[np.ndarray]]:
+    """Count tables from (key, k, w, w', n) rows, the one checked way to add a
+    count: k a concept, w and w' its symbols, n >= 1, else ValueError."""
+    counts: dict[str, list[np.ndarray]] = {}
+    for key, k, w, w2, n in rows:
+        if not (0 <= k < len(cardinalities) and 0 <= w < cardinalities[k]
+                and 0 <= w2 < cardinalities[k] and n >= 1):
+            raise ValueError(f"count row out of range: {key} {k} {w} {w2} {n}")
+        if key not in counts:
+            counts[key] = [np.zeros((c, c), dtype=np.int64) for c in cardinalities]
+        counts[key][k][w, w2] += n
+    return counts
+
+
 def fit_transitions(triplets: Iterable[tuple[SymbolState, str, SymbolState]],
                     cardinalities: Sequence[int],
                     thresh: float = DEFAULT_THRESH) -> TransitionModel:
     """Accumulate (symbol state, action key, symbol state) triplets into counts."""
-    triplets = list(triplets)
-    if not triplets:
-        raise ValueError("need at least one triplet")
     cards = tuple(int(c) for c in cardinalities)
-    counts: dict[str, list[np.ndarray]] = {}
-    for before, key, after in triplets:
-        if key not in counts:
-            counts[key] = [np.zeros((c, c), dtype=np.int64) for c in cards]
-        for k, c in enumerate(cards):
-            w, w2 = before[k], after[k]
-            if not (0 <= w < c and 0 <= w2 < c):
-                raise ValueError(f"symbol out of range for concept {k}: {w}, {w2}")
-            counts[key][k][w, w2] += 1
+    tally = Counter((key, k, w, w2) for before, key, after in triplets
+                    for k, (w, w2) in enumerate(zip(before, after, strict=True)))
+    if not tally:
+        raise ValueError("need at least one triplet")
+    counts = count_tables(((*row, n) for row, n in tally.items()), cards)
     return TransitionModel(cardinalities=cards, thresh=thresh, counts=counts)
 
 
@@ -162,30 +170,39 @@ class SymbolMasks:
     to the dyer, so the planner reads both on symbol states however the cluster
     labels came out. `per_concept` holds each concept's marginal validity, for
     propagation: a position symbol is valid when some free cell has its value.
+    `goal_concepts` are those the bench level's goal fixes; both planners test them.
     """
 
     valid: tuple[tuple[bool, ...], ...]
     adjacent: tuple[tuple[bool, ...], ...]
     per_concept: tuple[np.ndarray, ...]
     dyer_color: int | None
+    goal_concepts: tuple[int, ...]
 
     @classmethod
     def build(cls, env: EnvConfig,
               symbol_to_value: Sequence[Sequence[int]]) -> "SymbolMasks":
         """Masks of a bench, read through a fit's symbol -> value maps."""
         free, near = np.array(env.free), np.array(env.near_dyer)
-        xs, ys = (np.asarray(symbol_to_value[k]) for k in (POSX, POSY))
+        xs, ys = (np.asarray(symbol_to_value[k]) for k in (POS_X, POS_Y))
         per = [np.ones(len(values), dtype=bool) for values in symbol_to_value]
-        per[POSX], per[POSY] = free.any(axis=1)[xs], free.any(axis=0)[ys]
+        per[POS_X], per[POS_Y] = free.any(axis=1)[xs], free.any(axis=0)[ys]
         return cls(valid=tuple(map(tuple, free[np.ix_(xs, ys)].tolist())),
                    adjacent=tuple(map(tuple, near[np.ix_(xs, ys)].tolist())),
-                   per_concept=tuple(per), dyer_color=env.dyer_color)
+                   per_concept=tuple(per), dyer_color=env.dyer_color,
+                   goal_concepts=goal_concepts(env.level))
 
     def position_valid(self, state: SymbolState) -> bool:
-        return self.valid[state[POSX]][state[POSY]]
+        return self.valid[state[POS_X]][state[POS_Y]]
 
     def dyer_adjacent(self, state: SymbolState) -> bool:
-        return self.adjacent[state[POSX]][state[POSY]]
+        return self.adjacent[state[POS_X]][state[POS_Y]]
+
+    def goal_test(self, goal: SymbolState):
+        """`is_goal(state)`: state matches goal on the goal concepts."""
+        fixed = itemgetter(*self.goal_concepts)
+        target = fixed(goal)
+        return lambda state: fixed(state) == target
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +276,6 @@ def _map_successor(model: TransitionModel, state: SymbolState,
     return tuple(succ), prob
 
 
-def _matches_goal(state: SymbolState, goal: SymbolState) -> bool:
-    return all(state[c] == goal[c] for c in CHANGEABLE_CONCEPTS)
-
-
 def available_keys(model, masks: SymbolMasks) -> tuple[str, ...]:
     """Keys of a model or of token maps that `action_key` gives on this bench."""
     return tuple(k for k in model.action_keys
@@ -316,14 +329,14 @@ def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
     reachable symbol state, the top_k highest-scoring length-d action
     sequences arriving there (score = product of stepwise max transition
     probabilities). A sequence is accepted when its state matches the goal on
-    the changeable concepts. Ties break on the fixed action ordering.
+    the bench's goal concepts. Ties break on the fixed action ordering.
     """
     if not masks.position_valid(init):
         raise InvalidInit("initial symbol state is invalid under the masks")
-    warnings = tuple(
-        f"init/goal mismatch on unchangeable concept {c}"
-        for c in (0, 5) if init[c] != goal[c])
-    if _matches_goal(init, goal):
+    warnings = tuple(f"init/goal mismatch on unchangeable concept {c}"
+                     for c in (TYPE, SIZE) if init[c] != goal[c])
+    is_goal = masks.goal_test(goal)
+    if is_goal(init):
         return PlanResult(plans=(Plan((), 1.0),), warnings=warnings)
 
     keys = available_keys(model, masks)  # in model order, so ranks order as keys do
@@ -343,8 +356,7 @@ def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
             for score, seq, _ in entries:
                 yield succ, (score * step_p, seq + (rank,), None)
 
-    found = layered_kbest(init, (1.0, (), None), expand,
-                          lambda state: _matches_goal(state, goal), top_k, l_max)
+    found = layered_kbest(init, (1.0, (), None), expand, is_goal, top_k, l_max)
     return PlanResult(plans=tuple(
         Plan(tuple(keys[r] for r in seq), score)
         for score, seq, _ in found), warnings=warnings)

@@ -26,6 +26,7 @@ from .workbench import (
     EnvConfig,
     ObjectState,
     apply_action,
+    goal_key,
 )
 
 SPLITS = ("train", "val", "test")
@@ -79,16 +80,16 @@ class Dataset:
 
 def oracle_shortest_plan(env: EnvConfig, init: ObjectState,
                          goal: ObjectState) -> tuple[str, ...]:
-    """Shortest action sequence from init to goal's changeable concepts.
+    """Shortest action sequence from init to a state matching goal on the
+    concepts `goal_concepts(env.level)` names, the rule the judge applies.
 
-    BFS over states that keep init's type and size, with the fixed ACTIONS
-    ordering as tie-break, so the returned plan is the lexicographically
-    smallest among all shortest ones. Raises Unreachable when no legal path
-    exists.
+    BFS with the fixed ACTIONS ordering as tie-break, so the returned plan is
+    the lexicographically smallest among all shortest ones. Raises Unreachable
+    when no legal path exists.
     """
-    target = replace(init, pos_x=goal.pos_x, pos_y=goal.pos_y,
-                     rotation=goal.rotation, color=goal.color)
-    if init == target:
+    key = goal_key(env.level)
+    target = key(goal)
+    if key(init) == target:
         return ()
     parents: dict[ObjectState, tuple | None] = {init: None}
     queue = deque([init])
@@ -102,7 +103,7 @@ def oracle_shortest_plan(env: EnvConfig, init: ObjectState,
             if nxt in parents:
                 continue
             parents[nxt] = (state, action)
-            if nxt == target:
+            if key(nxt) == target:
                 plan = []
                 node = nxt
                 while parents[node] is not None:
@@ -110,7 +111,7 @@ def oracle_shortest_plan(env: EnvConfig, init: ObjectState,
                     plan.append(action)
                 return tuple(reversed(plan))
             queue.append(nxt)
-    raise Unreachable(f"goal {target} unreachable from {init}")
+    raise Unreachable(f"goal {goal} unreachable from {init}")
 
 
 def _free_cells_connected(blocked: set[tuple[int, int]]) -> bool:

@@ -22,7 +22,6 @@ from .mdp import (
     PlanResult,
     SymbolMasks,
     _key_rank,
-    _matches_goal,
     available_keys,
     layered_kbest,
 )
@@ -138,13 +137,13 @@ def plan_tokenspace(maps: ActionTransitionMaps, init_tokens: np.ndarray,
     tokens survive. Sequences are scored by negative token distance to the
     goal, so accepted sequences rank within a depth by that distance.
     """
-    goal_sym = symbolize(goal_tokens, symbolizer)
+    is_goal = masks.goal_test(symbolize(goal_tokens, symbolizer))
 
     def score(tokens: np.ndarray) -> float:
         return -float(np.linalg.norm(tokens - goal_tokens))
 
     init_sym = symbolize(init_tokens, symbolizer)
-    if _matches_goal(init_sym, goal_sym):
+    if is_goal(init_sym):
         return PlanResult(plans=(Plan((), score(init_tokens)),))
 
     keys = available_keys(maps, masks)  # in map order, so ranks order as keys do
@@ -162,7 +161,6 @@ def plan_tokenspace(maps: ActionTransitionMaps, init_tokens: np.ndarray,
                 yield nxt_sym, (score(nxt), seq + (rank,), nxt)
 
     found = layered_kbest(init_sym, (score(init_tokens), (), init_tokens), expand,
-                          lambda sym_state: _matches_goal(sym_state, goal_sym),
-                          top_k, l_max)
+                          is_goal, top_k, l_max)
     return PlanResult(plans=tuple(
         Plan(tuple(keys[r] for r in seq), value) for value, seq, _ in found))

@@ -8,7 +8,8 @@ pure functions, so states and configs are freely shareable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # only for the adjudicate() type hint
@@ -22,6 +23,7 @@ N_SIZES = 4
 N_TYPES = 8  # default object-type library; unseen-object splits extend past this
 
 CONCEPTS = ("type", "pos_x", "pos_y", "rotation", "color", "size")
+TYPE, POS_X, POS_Y, ROTATION, COLOR, SIZE = range(len(CONCEPTS))  # concept indices
 DEFAULT_CARDINALITIES = (N_TYPES, X_CELLS, Y_CELLS, len(ROTATIONS), N_COLORS, N_SIZES)
 
 ACTIONS = (
@@ -210,20 +212,28 @@ def simulate(init: ObjectState, actions: Sequence[str], env: EnvConfig) -> list[
     return trajectory
 
 
+def goal_concepts(level: int) -> tuple[int, ...]:
+    """The concepts a level's goal fixes: position and color, plus rotation at
+    level 4. No action changes type or size, so no goal fixes them."""
+    return (POS_X, POS_Y, ROTATION, COLOR) if level == 4 else (POS_X, POS_Y, COLOR)
+
+
+def goal_key(level: int):
+    """`state -> its values on goal_concepts(level)`, one attribute lookup."""
+    names = [f.name for f in fields(ObjectState)]  # in CONCEPTS order
+    return attrgetter(*(names[k] for k in goal_concepts(level)))
+
+
 def goal_reached(final: ObjectState, goal: ObjectState, level: int) -> bool:
-    """Success rule: position and color must match; rotation only at level 4."""
-    if final.pos != goal.pos or final.color != goal.color:
-        return False
-    if level == 4 and final.rotation != goal.rotation:
-        return False
-    return True
+    """Success rule: final matches goal on every concept the level's goal fixes."""
+    key = goal_key(level)
+    return key(final) == key(goal)
 
 
 def adjudicate(task: "Task", actions: Sequence[str]) -> SuccessReport:
     """Execute a candidate sequence and judge it against the task's goal.
 
-    Type and size are never altered by actions, so they match by construction;
-    dyer adjacency is enforced by apply_action's change_color precondition.
+    Dyer adjacency is enforced by apply_action's change_color precondition.
     On failure the report carries the last state reached before the illegal step.
     """
     current = task.init

@@ -11,7 +11,6 @@ the value-space bench mask the symbol masks were once read from.
 import numpy as np
 
 from benchplan.mdp import (
-    CHANGEABLE_CONCEPTS,
     NoPlanFound,
     Plan,
     PlanResult,
@@ -21,6 +20,10 @@ from benchplan.mdp import (
 from benchplan.symbols import symbolize
 from benchplan.token_maps import _min_center_gaps, _snap_trusted, transition
 from benchplan.workbench import ACTIONS, X_CELLS, Y_CELLS
+
+# the concepts the planners matched a goal on at every level, before the goal
+# rule was read from workbench.goal_concepts: pos_x, pos_y, rotation, color
+CHANGEABLE_CONCEPTS = (1, 2, 3, 4)
 
 
 def oracle_occurrences(triplets, cardinalities):

@@ -131,8 +131,21 @@ class TestFittedArtifacts:
         _, fitted = level3_run
         save_fitted(tmp_path, fitted)
         text = (tmp_path / FIT_FILE).read_text()
-        assert not re.search(r"\b(cardinalities|actions|base_actions|k)=", text)
+        assert not re.search(r"\b(cardinalities|actions|base_actions|k|sym_seed|pairs)=",
+                             text)
         assert not re.search(r"^m ", text, re.MULTILINE)
+
+    def test_reads_v2_files_with_derived_fields(self, tmp_path, level1_run):
+        # v2 files written before sym_seed= and pairs= were dropped still load
+        _, fitted = level1_run
+        save_fitted(tmp_path, fitted)
+        edit_sealed(tmp_path / FIT_FILE, lambda text: re.sub(
+            r"^action=(\S+)",
+            lambda m: f"action={m[1]} pairs={fitted.maps.pair_counts[m[1]]}",
+            text.replace("\npurity=", "\nsym_seed=0 purity=", 1), flags=re.MULTILINE))
+        loaded = load_fitted(tmp_path)
+        assert loaded.symbolizer.seed == fitted.symbolizer.seed
+        assert loaded.maps.pair_counts == fitted.maps.pair_counts
 
     def test_missing_fit_file(self, tmp_path):
         with pytest.raises(MissingArtifact, match=FIT_FILE):
@@ -208,6 +221,22 @@ class TestFittedArtifacts:
         with pytest.raises(SchemaMismatch, match=FIT_FILE) as err:
             load_fitted(tmp_path)
         assert "sha256" not in str(err.value)
+
+    # one count row of move_front on pos_x (3 symbols): source symbol -1, a
+    # source symbol equal to the cardinality, concept 6, and a count of 0
+    @pytest.mark.parametrize("row", [
+        "n move_front 1 -1 0 {n}", "n move_front 1 3 0 {n}", "n move_front 6 0 0 {n}",
+        "n move_front 1 0 0 0",
+    ], ids=["symbol-minus-1", "symbol-cardinality", "concept-6", "count-0"])
+    def test_count_row_out_of_range_is_schema_mismatch(self, tmp_path, level3_run, row):
+        _, fitted = level3_run
+        save_fitted(tmp_path, fitted)
+        n = fitted.model.counts["move_front"][1][0, 0]
+        assert n > 0
+        edit_sealed(tmp_path / FIT_FILE, lambda text: text.replace(
+            f"\nn move_front 1 0 0 {n}\n", "\n" + row.format(n=n) + "\n", 1))
+        with pytest.raises(SchemaMismatch, match=f"{FIT_FILE}: ValueError: count row"):
+            load_fitted(tmp_path)
 
     def test_check_compatible(self, level3_run):
         dataset, fitted = level3_run

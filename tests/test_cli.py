@@ -6,7 +6,8 @@ import re
 import pytest
 
 from _sealing import edit_sealed
-from benchplan.artifacts import load_dataset
+from benchplan import cli
+from benchplan.artifacts import load_dataset, save_fitted
 from benchplan.cli import main
 
 
@@ -231,6 +232,19 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_eval_unusable_out_fails_before_planning(self, fitted_dir, capsys,
+                                                     monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("eval planned before it checked --out")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        open("repfile", "w").close()
+        capsys.readouterr()
+        assert run(*EVAL, "--out", "repfile") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'repfile'" in err
+
     def test_plan_prints_planner_warnings(self, fitted_dir, capsys):
         # type and size differ, and no action changes them
         assert run("plan", "--artifacts", "arts", "--level", 3, "--dyer", "2,1",
@@ -251,6 +265,17 @@ class TestPipeline:
         monkeypatch.setenv("BENCHPLAN_ARTIFACTS", "arts")
         assert run("plan", "--level", 1,
                    "--init", "0,0,0,0,2,1", "--goal", "0,1,0,0,2,1") == 0
+
+
+def test_plan_level3_goal_fixes_no_rotation(tmp_path, level3_run, capsys):
+    # the fit of `gen --level 3 --train 300 --seed 7`; a level-3 goal fixes
+    # position and color, so one step front reaches a goal turned a quarter
+    save_fitted(tmp_path, level3_run[1])
+    assert run("plan", "--artifacts", tmp_path, "--level", 3, "--dyer", "2,1",
+               "--dyer-color", 1, "--init", "0,0,0,0,2,1", "--goal", "0,0,1,90,2,1") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "task adhoc (level 3, gt length 1)"
+    assert out[1].startswith("  1. move_front  [score ")
 
 
 class TestThinFit:

@@ -402,7 +402,7 @@ class TestPlan:
                                for x in inverse[1]),
                 per_concept=tuple(masks.per_concept[k][inverse[k]]
                                   for k in range(6)),
-                dyer_color=masks.dyer_color)
+                dyer_color=masks.dyer_color, goal_concepts=masks.goal_concepts)
             relabeled = plan(permuted, p_init, p_goal, p_masks, top_k=5,
                              l_max=task.env.max_len)
             assert [p.actions for p in relabeled.plans] == \

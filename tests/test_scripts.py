@@ -21,6 +21,10 @@ def test_run_all_levels_small():
     out = done.stdout
     for level in (1, 2, 3, 4):
         assert f"level {level} (gen+fit" in out
+    # at this scale the change_color keys of the level-4 fit get no token map,
+    # so the interpretability block below has no change_color line
+    level4 = out.split("level 4 (gen+fit")[1].splitlines()[1]
+    assert level4.startswith("  no token map (fewer than 8 pairs): change_color@"), level4
     block = out.split("interpretability: dominant concept per action\n")[1].splitlines()
     assert block
     for line in block:
