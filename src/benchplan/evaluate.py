@@ -22,8 +22,8 @@ from .mdp import (InvalidInit, NoPlanFound, PlanResult, SymbolMasks, _key_rank,
 from .symbols import assign, symbolize
 from .taskgen import Dataset, Task
 from .token_maps import plan_tokenspace, transition
-from .workbench import (ACTIONS, CONCEPTS, POS_X, POS_Y, ROTATIONS, ActionError,
-                        EnvConfig, ObjectState, adjudicate, apply_action)
+from .workbench import (ACTIONS, CONCEPTS, POS_X, POS_Y, ROTATIONS, EnvConfig, ObjectState,
+                        adjudicate, next_code, state_code)
 
 _STREAM_EVAL = 31
 _STREAM_CHANCE = 37
@@ -218,7 +218,7 @@ def interpretability_report(maps, codebook: ConceptCodebook, *,
     """Apply each fitted map to sampled in-distribution states and measure effects.
 
     Sources are sampled so the action was physically possible on an open bench
-    (`apply_action` accepts it; for a change_color key, the color differs from
+    (its move table allows it; for a change_color key, the color differs from
     its dyer color), keeping the maps inside the regime they were trained on.
     change_color keys are pooled into one column.
     """
@@ -232,12 +232,8 @@ def interpretability_report(maps, codebook: ConceptCodebook, *,
             if action == "change_color":
                 if state.color != dyer_color:
                     return state
-                continue
-            try:
-                apply_action(state, action, open_bench)
-            except ActionError:
-                continue
-            return state
+            elif next_code(state_code(x, y, r, c), ACTIONS.index(action), open_bench) >= 0:
+                return state
 
     # maps.action_keys are in key order, so each base action's keys are adjacent
     groups = [(action, list(keys))

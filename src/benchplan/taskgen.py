@@ -19,14 +19,18 @@ from .workbench import (
     N_COLORS,
     N_SIZES,
     N_TYPES,
+    POS_X,
     ROTATIONS,
+    SIZE,
     X_CELLS,
     Y_CELLS,
-    ActionError,
     EnvConfig,
     ObjectState,
-    apply_action,
-    goal_key,
+    apply_action,  # noqa: F401  unused; perfbench's trace points patch this name
+    cells_connected,
+    goal_codes,
+    next_code,
+    state_code,
 )
 
 SPLITS = ("train", "val", "test")
@@ -83,52 +87,31 @@ def oracle_shortest_plan(env: EnvConfig, init: ObjectState,
     """Shortest action sequence from init to a state matching goal on the
     concepts `goal_concepts(env.level)` names, the rule the judge applies.
 
-    BFS with the fixed ACTIONS ordering as tie-break, so the returned plan is
-    the lexicographically smallest among all shortest ones. Raises Unreachable
-    when no legal path exists.
+    BFS over `workbench.state_code`s with the fixed ACTIONS ordering as
+    tie-break, so the returned plan is the lexicographically smallest among
+    all shortest ones. Raises Unreachable when no legal path exists.
     """
-    key = goal_key(env.level)
-    target = key(goal)
-    if key(init) == target:
+    goals = goal_codes(goal, env.level)
+    start = state_code(*init.values()[POS_X:SIZE])
+    if start in goals:
         return ()
-    parents: dict[ObjectState, tuple | None] = {init: None}
-    queue = deque([init])
+    parents: dict[int, tuple[int, str] | None] = {start: None}
+    queue = deque([start])
     while queue:
-        state = queue.popleft()
-        for action in ACTIONS:
-            try:
-                nxt = apply_action(state, action, env)
-            except ActionError:
+        code = queue.popleft()
+        for a, action in enumerate(ACTIONS):
+            nxt = next_code(code, a, env)
+            if nxt < 0 or nxt in parents:
                 continue
-            if nxt in parents:
-                continue
-            parents[nxt] = (state, action)
-            if key(nxt) == target:
+            parents[nxt] = (code, action)
+            if nxt in goals:
                 plan = []
-                node = nxt
-                while parents[node] is not None:
-                    node, action = parents[node]
+                while parents[nxt] is not None:
+                    nxt, action = parents[nxt]
                     plan.append(action)
                 return tuple(reversed(plan))
             queue.append(nxt)
     raise Unreachable(f"goal {goal} unreachable from {init}")
-
-
-def _free_cells_connected(blocked: set[tuple[int, int]]) -> bool:
-    free = [(x, y) for x in range(X_CELLS) for y in range(Y_CELLS)
-            if (x, y) not in blocked]
-    if not free:
-        return False
-    seen = {free[0]}
-    queue = deque([free[0]])
-    while queue:
-        x, y = queue.popleft()
-        for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if 0 <= nx < X_CELLS and 0 <= ny < Y_CELLS and (nx, ny) not in blocked \
-                    and (nx, ny) not in seen:
-                seen.add((nx, ny))
-                queue.append((nx, ny))
-    return len(seen) == len(free)
 
 
 def _sample_env(level: int, rng: np.random.Generator) -> EnvConfig | None:
@@ -143,7 +126,7 @@ def _sample_env(level: int, rng: np.random.Generator) -> EnvConfig | None:
     obstacles = tuple(chosen[:n_obstacles])
     dyer = chosen[n_obstacles] if level >= 3 else None
     blocked = set(obstacles) | ({dyer} if dyer else set())
-    if not _free_cells_connected(blocked):
+    if not cells_connected(blocked):
         return None
     dyer_color = int(rng.integers(N_COLORS)) if level >= 3 else None
     return EnvConfig(level=level, obstacles=obstacles, dyer=dyer, dyer_color=dyer_color)

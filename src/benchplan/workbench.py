@@ -8,8 +8,8 @@ pure functions, so states and configs are freely shareable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, field
+from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # only for the adjudicate() type hint
@@ -42,6 +42,12 @@ _MOVE_DELTAS = {
     "move_left": (-1, 0),
     "move_right": (1, 0),
 }
+
+_ACTION_INDEX = {action: a for a, action in enumerate(ACTIONS)}
+_N_ACTIONS, _CHANGE_COLOR = len(ACTIONS), _ACTION_INDEX["change_color"]
+_CELL_CODES = len(ROTATIONS) * N_COLORS  # state codes per cell: a quarter turn adds N_COLORS
+_TURNS = tuple(N_COLORS * {"rotate_left": -1, "rotate_right": 1}.get(a, 0) for a in ACTIONS)
+_OFF_GRID, _COLLISION, _NO_DYER = -1, -2, -3  # move-table codes of an illegal action
 
 MAX_LEN_BY_LEVEL = {1: 6, 2: 9, 3: 15, 4: 16}
 
@@ -115,9 +121,11 @@ class EnvConfig:
     dyer: tuple[int, int] | None = None
     dyer_color: int | None = None
     # the bench tables every reader of the layout uses, derived once: free[x][y]
-    # (neither an obstacle nor the dyer), near_dyer[x][y] (one move from the dyer)
+    # (neither an obstacle nor the dyer), near_dyer[x][y] (one move from the dyer),
+    # moves[(x * Y_CELLS + y) * 7 + a] (ACTIONS[a]'s destination cell; < 0: illegal)
     free: tuple[tuple[bool, ...], ...] = field(init=False, repr=False, compare=False)
     near_dyer: tuple[tuple[bool, ...], ...] = field(init=False, repr=False, compare=False)
+    moves: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.level not in MAX_LEN_BY_LEVEL:
@@ -150,6 +158,13 @@ class EnvConfig:
             tuple(c not in cells and c != self.dyer for c in col) for col in grid))
         object.__setattr__(self, "near_dyer", tuple(
             tuple(c in near for c in col) for col in grid))
+        object.__setattr__(self, "moves", tuple(
+            _OFF_GRID if not (0 <= x + dx < X_CELLS and 0 <= y + dy < Y_CELLS)
+            else _COLLISION if action in _MOVE_DELTAS and not self.free[x + dx][y + dy]
+            else _NO_DYER if action == "change_color" and (x, y) not in near
+            else (x + dx) * Y_CELLS + y + dy
+            for x, y in product(range(X_CELLS), range(Y_CELLS))
+            for action in ACTIONS for dx, dy in [_MOVE_DELTAS.get(action, (0, 0))]))
 
     @property
     def max_len(self) -> int:
@@ -171,27 +186,51 @@ class SuccessReport:
             raise ValueError("success must hold exactly when failure_reason is 'none'")
 
 
+def state_code(x: int, y: int, rotation: int, color: int) -> int:
+    """What an action reads or changes of a state, its `values()[POS_X:SIZE]`,
+    as one int in [0, 360): (cell x * Y_CELLS + y) * _CELL_CODES + rotation
+    index * N_COLORS + color. Type and size never change."""
+    return (x * Y_CELLS + y) * _CELL_CODES + rotation * N_COLORS + color
+
+
+def next_code(code: int, a: int, env: EnvConfig) -> int:
+    """The state code after ACTIONS[a], or the move table's negative code
+    when the action is illegal."""
+    cell, rest = divmod(code, _CELL_CODES)
+    dest = env.moves[cell * _N_ACTIONS + a]
+    if dest >= 0 and a == _CHANGE_COLOR:
+        rest += env.dyer_color - rest % N_COLORS
+    return dest if dest < 0 else dest * _CELL_CODES + (rest + _TURNS[a]) % _CELL_CODES
+
+
 def apply_action(state: ObjectState, action: str, env: EnvConfig) -> ObjectState:
     """Apply one atomic action; raises ActionError when it is illegal."""
-    if action in _MOVE_DELTAS:
+    if action not in _ACTION_INDEX:
+        raise ValueError(f"unknown action {action!r}")
+    code = next_code(state_code(*state.values()[POS_X:SIZE]), _ACTION_INDEX[action], env)
+    if code == _OFF_GRID:
+        raise OutOfBounds(f"{action} from {state.pos} exits the grid")
+    if code == _COLLISION:
         dx, dy = _MOVE_DELTAS[action]
-        nx, ny = state.pos_x + dx, state.pos_y + dy
-        if not (0 <= nx < X_CELLS and 0 <= ny < Y_CELLS):
-            raise OutOfBounds(f"{action} from {state.pos} exits the grid")
-        if not env.free[nx][ny]:
-            raise Collision(f"{action} from {state.pos} hits {(nx, ny)}")
-        return replace(state, pos_x=nx, pos_y=ny)
-    if action == "rotate_left":
-        return replace(state, rotation=(state.rotation - 90) % 360)
-    if action == "rotate_right":
-        return replace(state, rotation=(state.rotation + 90) % 360)
-    if action == "change_color":
-        if env.dyer is None:
-            raise DyerUnavailable("no dyer on this bench")
-        if not env.near_dyer[state.pos_x][state.pos_y]:
-            raise DyerUnavailable(f"object at {state.pos} not adjacent to dyer at {env.dyer}")
-        return replace(state, color=env.dyer_color)
-    raise ValueError(f"unknown action {action!r}")
+        raise Collision(f"{action} from {state.pos} hits {(state.pos_x + dx, state.pos_y + dy)}")
+    if code == _NO_DYER:
+        raise DyerUnavailable("no dyer on this bench" if env.dyer is None else
+                              f"object at {state.pos} not adjacent to dyer at {env.dyer}")
+    cell, rest = divmod(code, _CELL_CODES)
+    return ObjectState(state.type_id, *divmod(cell, Y_CELLS), ROTATIONS[rest // N_COLORS],
+                       rest % N_COLORS, state.size)
+
+
+def cells_connected(blocked: set[tuple[int, int]]) -> bool:
+    """True iff the cells outside `blocked` form one region under the moves."""
+    free = set(product(range(X_CELLS), range(Y_CELLS))) - blocked
+    seen, stack = set(), sorted(free)[:1]
+    while stack:
+        x, y = stack.pop()
+        if (x, y) in free and (x, y) not in seen:
+            seen.add((x, y))
+            stack.extend((x + dx, y + dy) for dx, dy in _MOVE_DELTAS.values())
+    return bool(seen) and seen == free
 
 
 def is_valid_state(state: ObjectState, env: EnvConfig) -> bool:
@@ -218,16 +257,18 @@ def goal_concepts(level: int) -> tuple[int, ...]:
     return (POS_X, POS_Y, ROTATION, COLOR) if level == 4 else (POS_X, POS_Y, COLOR)
 
 
-def goal_key(level: int):
-    """`state -> its values on goal_concepts(level)`, one attribute lookup."""
-    names = [f.name for f in fields(ObjectState)]  # in CONCEPTS order
-    return attrgetter(*(names[k] for k in goal_concepts(level)))
-
-
 def goal_reached(final: ObjectState, goal: ObjectState, level: int) -> bool:
     """Success rule: final matches goal on every concept the level's goal fixes."""
-    key = goal_key(level)
-    return key(final) == key(goal)
+    return state_code(*final.values()[POS_X:SIZE]) in goal_codes(goal, level)
+
+
+def goal_codes(goal: ObjectState, level: int) -> frozenset[int]:
+    """The state codes of every state that matches goal on goal_concepts(level)."""
+    fixed, values = goal_concepts(level), goal.values()
+    return frozenset(state_code(*c) for c in product(*(
+        (values[k],) if k in fixed else range(n)
+        for k, n in ((POS_X, X_CELLS), (POS_Y, Y_CELLS),
+                     (ROTATION, len(ROTATIONS)), (COLOR, N_COLORS)))))
 
 
 def adjudicate(task: "Task", actions: Sequence[str]) -> SuccessReport:

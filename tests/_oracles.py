@@ -5,8 +5,15 @@ Python loops — no shared code with the numpy propagation path. The planner
 oracles are the two k-best searches frozen before they were merged into one,
 the occurrence oracle is the accumulation `fit_transitions` ran before the
 model derived its occurrence tables from the counts, and the mask oracle is
-the value-space bench mask the symbol masks were once read from.
+the value-space bench mask the symbol masks were once read from. The
+simulator oracles are `apply_action`, the BFS oracle and the bench
+connectivity check frozen before they read a bench's move table and searched
+int state codes.
 """
+
+from collections import deque
+from dataclasses import fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -19,11 +26,102 @@ from benchplan.mdp import (
 )
 from benchplan.symbols import symbolize
 from benchplan.token_maps import _min_center_gaps, _snap_trusted, transition
-from benchplan.workbench import ACTIONS, X_CELLS, Y_CELLS
+from benchplan.workbench import (
+    ACTIONS,
+    X_CELLS,
+    Y_CELLS,
+    ActionError,
+    Collision,
+    DyerUnavailable,
+    ObjectState,
+    OutOfBounds,
+    goal_concepts,
+)
 
 # the concepts the planners matched a goal on at every level, before the goal
 # rule was read from workbench.goal_concepts: pos_x, pos_y, rotation, color
 CHANGEABLE_CONCEPTS = (1, 2, 3, 4)
+
+
+_MOVE_DELTAS = {
+    "move_front": (0, 1),
+    "move_back": (0, -1),
+    "move_left": (-1, 0),
+    "move_right": (1, 0),
+}
+
+
+def oracle_apply_action(state, action, env):
+    """`workbench.apply_action`, frozen: the rules written out per action."""
+    if action in _MOVE_DELTAS:
+        dx, dy = _MOVE_DELTAS[action]
+        nx, ny = state.pos_x + dx, state.pos_y + dy
+        if not (0 <= nx < X_CELLS and 0 <= ny < Y_CELLS):
+            raise OutOfBounds(f"{action} from {state.pos} exits the grid")
+        if not env.free[nx][ny]:
+            raise Collision(f"{action} from {state.pos} hits {(nx, ny)}")
+        return replace(state, pos_x=nx, pos_y=ny)
+    if action == "rotate_left":
+        return replace(state, rotation=(state.rotation - 90) % 360)
+    if action == "rotate_right":
+        return replace(state, rotation=(state.rotation + 90) % 360)
+    if action == "change_color":
+        if env.dyer is None:
+            raise DyerUnavailable("no dyer on this bench")
+        if not env.near_dyer[state.pos_x][state.pos_y]:
+            raise DyerUnavailable(f"object at {state.pos} not adjacent to dyer at {env.dyer}")
+        return replace(state, color=env.dyer_color)
+    raise ValueError(f"unknown action {action!r}")
+
+
+def oracle_bfs(env, init, goal):
+    """`taskgen.oracle_shortest_plan`, frozen: BFS over `ObjectState`s through
+    `oracle_apply_action`, ACTIONS order as tie-break, each new state tested on
+    the fields `goal_concepts(env.level)` names. None when unreachable."""
+    names = [f.name for f in fields(ObjectState)]  # in CONCEPTS order
+    key = attrgetter(*(names[k] for k in goal_concepts(env.level)))
+    target = key(goal)
+    if key(init) == target:
+        return ()
+    parents = {init: None}
+    queue = deque([init])
+    while queue:
+        state = queue.popleft()
+        for action in ACTIONS:
+            try:
+                nxt = oracle_apply_action(state, action, env)
+            except ActionError:
+                continue
+            if nxt in parents:
+                continue
+            parents[nxt] = (state, action)
+            if key(nxt) == target:
+                plan = []
+                node = nxt
+                while parents[node] is not None:
+                    node, action = parents[node]
+                    plan.append(action)
+                return tuple(reversed(plan))
+            queue.append(nxt)
+    return None
+
+
+def oracle_cells_connected(blocked):
+    """`taskgen._free_cells_connected`, frozen: BFS over the free cells."""
+    free = [(x, y) for x in range(X_CELLS) for y in range(Y_CELLS)
+            if (x, y) not in blocked]
+    if not free:
+        return False
+    seen = {free[0]}
+    queue = deque([free[0]])
+    while queue:
+        x, y = queue.popleft()
+        for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if 0 <= nx < X_CELLS and 0 <= ny < Y_CELLS and (nx, ny) not in blocked \
+                    and (nx, ny) not in seen:
+                seen.add((nx, ny))
+                queue.append((nx, ny))
+    return len(seen) == len(free)
 
 
 def oracle_occurrences(triplets, cardinalities):

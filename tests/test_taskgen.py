@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from benchplan.artifacts import save_dataset
 from benchplan.taskgen import (
     TEST_FAMILIES,
     TRAIN_FAMILIES,
@@ -207,3 +209,24 @@ class TestUnseenTaskSplit:
         a = make_unseen_task_split(2, (20, 2, 6), seed=4)
         b = make_unseen_task_split(2, (20, 2, 6), seed=4)
         assert a.tasks == b.tasks
+
+
+# sha256 of save_dataset's bytes for (40, 5, 5) tasks at seed 11, as generated
+# before the BFS oracle searched state codes. A new digest here is a change to
+# the oracle's tie-break or to the RNG order, and must be declared as one.
+PINNED_DATASETS = {
+    ("standard", 1): "f5b80e274313980886c23ce265600a828c978a0e2667a720663dff239b088cb4",
+    ("standard", 2): "46a8e33ef2121d17b222818c565d3d1b8e637f90e00f5c77ae0f68c638cc5d44",
+    ("standard", 3): "49156e08a87bb6fdaf299c0bac9963ab07ef110b03884cda07841a05cca94c71",
+    ("standard", 4): "736f754029adcdce11da980953165df2fa63a876ebea350f9750ccfd516748ae",
+    ("unseen_task", 1): "a8749d731c6635e7955291ee75c6839ecec8423372dac4329472fa92890d7251",
+    ("unseen_task", 2): "067f53530b2db92a0bd9e3abdf46d9f8669d315074f18585e7d39af965d14687",
+}
+
+
+@pytest.mark.parametrize("variant, level", sorted(PINNED_DATASETS))
+def test_dataset_bytes_are_pinned(tmp_path, variant, level):
+    make = generate_dataset if variant == "standard" else make_unseen_task_split
+    save_dataset(str(tmp_path / "data.txt"), make(level, (40, 5, 5), 11))
+    digest = hashlib.sha256((tmp_path / "data.txt").read_bytes()).hexdigest()
+    assert digest == PINNED_DATASETS[variant, level]

@@ -1,4 +1,6 @@
+import copy
 import pickle
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -216,16 +218,28 @@ class TestEnvConfig:
         assert [c for c in cells if env.near_dyer[c[0]][c[1]]] == \
             [(0, 1), (1, 0), (1, 2), (2, 1)]
         assert not any(any(row) for row in EnvConfig(level=2, obstacles=((0, 1),)).near_dyer)
+        # the move table, row by row in ACTIONS order: cell 0 is (0, 0), cell 5 is (1, 0)
+        assert env.moves[0:7] == (-2, -1, -1, 5, 0, 0, -3)  # (0, 1) is an obstacle
+        assert env.moves[35:42] == (-2, -1, 0, 10, 5, 5, 5)  # (1, 1) is the dyer
+        assert len(env.moves) == 15 * len(ACTIONS) and sys.getsizeof(env.moves) <= 1024
 
     def test_obstacle_order_changes_neither_equality_nor_hash(self):
         a = EnvConfig(level=3, obstacles=((2, 4), (0, 1)), dyer=(1, 1), dyer_color=2)
         b = EnvConfig(level=3, obstacles=((0, 1), (2, 4)), dyer=(1, 1), dyer_color=2)
         assert a == b and hash(a) == hash(b)
-        assert (a.free, a.near_dyer) == (b.free, b.near_dyer)
-        assert "free" not in repr(a) and "near_dyer" not in repr(a)
+        assert (a.free, a.near_dyer, a.moves) == (b.free, b.near_dyer, b.moves)
+        assert "free" not in repr(a) and "near_dyer" not in repr(a) and "moves" not in repr(a)
+
+    def test_tables_stay_out_of_equality_and_hash(self):
+        a = EnvConfig(level=3, obstacles=((0, 1),), dyer=(1, 1), dyer_color=2)
+        b = EnvConfig(level=3, obstacles=((0, 1),), dyer=(1, 1), dyer_color=2)
+        object.__setattr__(b, "moves", ())
+        object.__setattr__(b, "free", ())
+        assert a == b and hash(a) == hash(b)
 
     def test_pickle_round_trip_keeps_tables(self):
         env = EnvConfig(level=3, obstacles=((0, 1),), dyer=(1, 1), dyer_color=2)
-        copy = pickle.loads(pickle.dumps(env))
-        assert copy == env
-        assert (copy.free, copy.near_dyer) == (env.free, env.near_dyer)
+        for twin in (pickle.loads(pickle.dumps(env)), copy.copy(env), copy.deepcopy(env)):
+            assert twin == env
+            assert (twin.free, twin.near_dyer, twin.moves) == \
+                (env.free, env.near_dyer, env.moves)
