@@ -143,8 +143,17 @@ def evaluate_task(task: Task, fitted: Fitted, codebook: ConceptCodebook, *,
                       top1_len=top1_len, fsd=fsd(final, task.goal))
 
 
-def _eval_one(args) -> TaskRecord:
-    index, task, fitted, codebook, planner, noise_sigma, top_k, l_max, seed = args
+_shared: tuple = ()  # run_experiment's arguments in a pool worker, set by its initializer
+
+
+def _share(*shared):
+    global _shared
+    _shared = shared
+
+
+def _eval_one(item: tuple[int, Task], shared: tuple = ()) -> TaskRecord:
+    index, task = item
+    fitted, codebook, planner, noise_sigma, top_k, l_max, seed = shared or _shared
     stream = _STREAM_CHANCE if planner == "chance" else _STREAM_EVAL
     rng = np.random.default_rng([seed, stream, index])
     return evaluate_task(task, fitted, codebook, planner=planner,
@@ -163,14 +172,13 @@ def run_experiment(dataset: Dataset, fitted: Fitted, *, planner: str = "symbolic
     if not tasks:
         raise ValueError(f"dataset has no {split!r} tasks")
     sigma = fitted.config.noise_sigma if noise_sigma is None else noise_sigma
-    codebook = codebook_for_tasks(fitted, tasks)
-    work = [(i, task, fitted, codebook, planner, sigma, top_k, l_max, seed)
-            for i, task in enumerate(tasks)]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_eval_one, work, chunksize=8))
+    shared = (fitted, codebook_for_tasks(fitted, tasks), planner, sigma, top_k, l_max, seed)
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_share,
+                                 initargs=shared) as pool:
+            records = list(pool.map(_eval_one, enumerate(tasks), chunksize=8))
     else:
-        records = [_eval_one(w) for w in work]
+        records = [_eval_one(item, shared) for item in enumerate(tasks)]
 
     top1, top5 = asacc([r.attempt_success for r in records])
     efficiency = ase((r.gt_len, r.top1_len if r.top1_len is not None else 0,

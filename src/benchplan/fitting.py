@@ -10,7 +10,8 @@ from .concepts import (DEFAULT_DIM, DEFAULT_MIN_SEP, ConceptCodebook, build_code
                        encode, extend_codebook)
 from .mdp import DEFAULT_THRESH, TransitionModel, action_key, fit_transitions
 from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, assign,
-                      fit_symbolizer, purity, symbolize)
+                      assign_many, fit_symbolizer, purity)
+from .symbols import symbolize  # noqa: F401  unused; perfbench's trace points patch this name
 from .taskgen import Dataset, Task
 from .token_maps import MIN_PAIRS, ActionTransitionMaps, fit_affine
 from .workbench import TYPE, simulate
@@ -77,36 +78,35 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
     """Fit all stages on the dataset's training split."""
     codebook = build_codebook(dim=config.dim, seed=dataset.codebook_seed,
                               min_sep=config.min_sep)
-    per_task: list[tuple[Task, list, list[np.ndarray]]] = []
-    all_tokens: list[np.ndarray] = []
-    all_states: list = []
-    for i, task in enumerate(dataset.tasks):
-        if task.split != "train":
-            continue
-        rng = np.random.default_rng([config.seed, _STREAM_FIT_ENCODE, i])
-        states, tokens = encode_trajectory(task, codebook, config.noise_sigma, rng)
-        per_task.append((task, states, tokens))
-        all_tokens.extend(tokens)
-        all_states.extend(states)
-    if not per_task:
+    train = [(i, task) for i, task in enumerate(dataset.tasks) if task.split == "train"]
+    if not train:
         raise InsufficientPoints("dataset has no training tasks")
+    # every training state's tokens in one (n, 6, dim) stack, task after task,
+    # and the key of the action taken from each state (None from a path's last)
+    tokens = np.empty((sum(len(task.gt_actions) + 1 for _, task in train),
+                       len(codebook.cardinalities), config.dim))
+    states, keys = [], []
+    for i, task in train:
+        rng = np.random.default_rng([config.seed, _STREAM_FIT_ENCODE, i])
+        path, path_tokens = encode_trajectory(task, codebook, config.noise_sigma, rng)
+        tokens[len(states):len(states) + len(path)] = path_tokens
+        states.extend(path)
+        keys.extend([*(action_key(a, task.env.dyer_color) for a in task.gt_actions), None])
 
-    symbolizer = fit_symbolizer(all_tokens, codebook.cardinalities,
+    symbolizer = fit_symbolizer(tokens, codebook.cardinalities,
                                 seed=config.seed, restarts=config.restarts)
-
+    symbols = list(zip(*(assign_many(tokens[:, k, :], centers).tolist()
+                         for k, centers in enumerate(symbolizer.centers))))
     triplets = []
     pairs: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for task, states, tokens in per_task:
-        symbols = [symbolize(t, symbolizer) for t in tokens]
-        keys = [action_key(a, task.env.dyer_color) for a in task.gt_actions]
-        for t, key in enumerate(keys):
+    for t, key in enumerate(keys):
+        if key is not None:
             triplets.append((symbols[t], key, symbols[t + 1]))
             pairs.setdefault(key, []).append((tokens[t], tokens[t + 1]))
 
     model = fit_transitions(triplets, symbolizer.cardinalities, thresh=config.thresh)
     maps = fit_affine(pairs, dim=config.dim)
-    train_purity = tuple(float(p) for p in
-                         purity(symbolizer, list(zip(all_tokens, all_states))))
+    train_purity = tuple(float(p) for p in purity(symbolizer, tokens, states))
     return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,
                   model=model, maps=maps, train_purity=train_purity)
 

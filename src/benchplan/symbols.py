@@ -16,6 +16,9 @@ import numpy as np
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-9
 DEFAULT_RESTARTS = 10
+# The expanded and the exact squared distance |p - c|^2 differ by under
+# (2 dim + 6) eps (|p|^2 + |c|^2); a slack of over twice that, per coordinate:
+_SLACK = 40 * np.finfo(float).eps
 
 
 class InsufficientPoints(Exception):
@@ -64,24 +67,41 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
+def _nearest(points: np.ndarray, sq_norms: np.ndarray,
+             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The labels of `_sq_dists(points, centers).argmin(axis=1)`, picked by one
+    matmul of the expanded norm |p|^2 - 2 p.c + |c|^2, and each point's exact
+    squared distance to its center. Where a second center is within rounding
+    error of the best (coincident centers, ties), the exact form picks again."""
+    c2 = (centers ** 2).sum(axis=1)
+    expanded = points @ np.ascontiguousarray(-2.0 * centers.T) + sq_norms[:, None] + c2
+    labels = expanded.argmin(axis=1)
+    best = np.take_along_axis(expanded, labels[:, None], axis=1)
+    close = expanded <= best + _SLACK * points.shape[1] * (sq_norms + c2.max())[:, None]
+    if np.count_nonzero(close) > len(points):  # a second center within the error
+        near = np.flatnonzero(close.sum(axis=1) > 1)
+        labels[near] = _sq_dists(points[near], centers).argmin(axis=1)
+    return labels, ((points - centers.take(labels, axis=0)) ** 2).sum(axis=1)
+
+
 def _lloyd(points: np.ndarray,
            centers: np.ndarray) -> tuple[np.ndarray, float, int, list[float]]:
     k = len(centers)
+    sq_norms = (points ** 2).sum(axis=1)
     history: list[float] = []
-    inertia = np.inf
     iterations = 0
     for it in range(KMEANS_MAX_ITER):
         iterations = it + 1
-        d2 = _sq_dists(points, centers)
-        labels = d2.argmin(axis=1)
-        point_costs = d2[np.arange(len(points)), labels]
-        inertia = float(point_costs.sum())
-        history.append(inertia)
+        labels, point_costs = _nearest(points, sq_norms, centers)
+        history.append(float(point_costs.sum()))
+        # each cluster's members in index order, grouped by one stable (radix) sort
+        grouped = points.take(labels.astype(np.min_scalar_type(k)).argsort(kind="stable"),
+                              axis=0)
+        ends = np.bincount(labels, minlength=k).cumsum()
         new_centers = centers.copy()
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                new_centers[j] = points[members].mean(axis=0)
+        for j, (start, end) in enumerate(zip([0, *ends[:-1]], ends)):
+            if end > start:
+                new_centers[j] = grouped[start:end].mean(axis=0)
             else:
                 # re-seed an empty cluster from the farthest point
                 new_centers[j] = points[int(point_costs.argmax())]
@@ -89,15 +109,14 @@ def _lloyd(points: np.ndarray,
         centers = new_centers
         if shift < KMEANS_TOL:
             break
-    d2 = _sq_dists(points, centers)
-    inertia = float(d2.min(axis=1).sum())
+    inertia = float(_nearest(points, sq_norms, centers)[1].sum())
     return centers, inertia, iterations, history
 
 
 def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
                seed: int | Sequence[int], restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
     """k-means++ plus Lloyd; best of `restarts` runs by inertia."""
-    pts = np.asarray(points, dtype=float)
+    pts = np.ascontiguousarray(points, dtype=float)  # a concept's column of a token stack
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
     if k < 1:
@@ -148,13 +167,13 @@ def symbolize(tokens: np.ndarray, symbolizer: Symbolizer) -> tuple[int, ...]:
                  for k in range(len(symbolizer.centers)))
 
 
-def purity(symbolizer: Symbolizer, labeled: Sequence[tuple[np.ndarray, object]],
-           ) -> np.ndarray:
-    """Majority-vote purity per concept over (tokens, ObjectState) pairs."""
-    if not len(labeled):
+def purity(symbolizer: Symbolizer, tokens: np.ndarray, states: Sequence) -> np.ndarray:
+    """Majority-vote purity per concept over an (n, 6, dim) token stack and the
+    n ObjectStates it encodes."""
+    if not len(states):
         raise ValueError("need labeled examples")
-    tokens = np.asarray([t for t, _ in labeled], dtype=float)
-    values = np.asarray([s.values() for _, s in labeled])
+    tokens = np.asarray(tokens, dtype=float)
+    values = np.asarray([s.values() for s in states])
     out = np.empty(len(symbolizer.centers))
     for k, centers in enumerate(symbolizer.centers):
         clusters = assign_many(tokens[:, k, :], centers)
@@ -164,5 +183,5 @@ def purity(symbolizer: Symbolizer, labeled: Sequence[tuple[np.ndarray, object]],
             members = truth[clusters == c]
             if len(members):
                 correct += int(np.bincount(members).max())
-        out[k] = correct / len(labeled)
+        out[k] = correct / len(states)
     return out

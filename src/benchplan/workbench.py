@@ -166,6 +166,9 @@ class EnvConfig:
             for x, y in product(range(X_CELLS), range(Y_CELLS))
             for action in ACTIONS for dx, dy in [_MOVE_DELTAS.get(action, (0, 0))]))
 
+    def __reduce__(self):  # pickle and copy the init fields; the tables are rebuilt
+        return EnvConfig, (self.level, self.obstacles, self.dyer, self.dyer_color)
+
     @property
     def max_len(self) -> int:
         return MAX_LEN_BY_LEVEL[self.level]

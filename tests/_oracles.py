@@ -8,12 +8,14 @@ model derived its occurrence tables from the counts, and the mask oracle is
 the value-space bench mask the symbol masks were once read from. The
 simulator oracles are `apply_action`, the BFS oracle and the bench
 connectivity check frozen before they read a bench's move table and searched
-int state codes.
+int state codes. The k-means oracles are the k-means++ init, the Lloyd loop
+and `fit_kmeans` frozen before each Lloyd step assigned points by one matmul.
 """
 
 from collections import deque
 from dataclasses import fields, replace
 from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +26,14 @@ from benchplan.mdp import (
     _key_rank,
     base_action,
 )
-from benchplan.symbols import symbolize
+from benchplan.symbols import (
+    DEFAULT_RESTARTS,
+    KMEANS_MAX_ITER,
+    KMEANS_TOL,
+    InsufficientPoints,
+    KMeansResult,
+    symbolize,
+)
 from benchplan.token_maps import _min_center_gaps, _snap_trusted, transition
 from benchplan.workbench import (
     ACTIONS,
@@ -122,6 +131,82 @@ def oracle_cells_connected(blocked):
                 seen.add((nx, ny))
                 queue.append((nx, ny))
     return len(seen) == len(free)
+
+
+def _sq_dists(points, centers):
+    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n, dim = points.shape
+    centers = np.empty((k, dim))
+    centers[0] = points[int(rng.integers(n))]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:  # fewer distinct points than k; fall back to uniform picks
+            idx = int(rng.integers(n))
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def oracle_lloyd(points: np.ndarray,
+                 centers: np.ndarray) -> tuple[np.ndarray, float, int, list[float]]:
+    """`symbols._lloyd`, frozen: broadcast distances and one mask per cluster."""
+    k = len(centers)
+    history: list[float] = []
+    inertia = np.inf
+    iterations = 0
+    for it in range(KMEANS_MAX_ITER):
+        iterations = it + 1
+        d2 = _sq_dists(points, centers)
+        labels = d2.argmin(axis=1)
+        point_costs = d2[np.arange(len(points)), labels]
+        inertia = float(point_costs.sum())
+        history.append(inertia)
+        new_centers = centers.copy()
+        for j in range(k):
+            members = labels == j
+            if members.any():
+                new_centers[j] = points[members].mean(axis=0)
+            else:
+                # re-seed an empty cluster from the farthest point
+                new_centers[j] = points[int(point_costs.argmax())]
+        shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
+        centers = new_centers
+        if shift < KMEANS_TOL:
+            break
+    d2 = _sq_dists(points, centers)
+    inertia = float(d2.min(axis=1).sum())
+    return centers, inertia, iterations, history
+
+
+def oracle_fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
+                      seed: int | Sequence[int],
+                      restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
+    """`symbols.fit_kmeans`, frozen with the Lloyd step above."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must be a 2-D array")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if len(pts) < k:
+        raise InsufficientPoints(f"{len(pts)} points for k={k}")
+    seed_key = [seed] if isinstance(seed, int) else list(seed)
+    best: tuple[np.ndarray, float, int, list[float]] | None = None
+    for r in range(restarts):
+        rng = np.random.default_rng([*seed_key, r])
+        init = _kmeanspp_init(pts, k, rng)
+        result = oracle_lloyd(pts, init)
+        if best is None or result[1] < best[1]:
+            best = result
+    centers, inertia, iterations, history = best
+    order = np.lexsort(centers.T[::-1])  # canonical: sort rows lexicographically
+    return KMeansResult(centers=centers[order], inertia=inertia,
+                        iterations=iterations, inertia_history=tuple(history))
 
 
 def oracle_occurrences(triplets, cardinalities):

@@ -218,7 +218,7 @@ def test_criterion_07_symbol_purity():
             tokens.append(encode(state, cb, sigma, rng) if sigma
                           else encode(state, cb))
         symbolizer = fit_symbolizer(tokens, cb.cardinalities, seed=0)
-        scores = purity(symbolizer, list(zip(tokens, states)))
+        scores = purity(symbolizer, tokens, states)
         assert scores.min() >= floor, f"sigma={sigma}: {scores}"
         if sigma == 0.0:
             assert np.array_equal(scores, np.ones(6))

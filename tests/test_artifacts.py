@@ -20,6 +20,7 @@ from benchplan.artifacts import (
     save_report,
 )
 from benchplan.evaluate import run_experiment
+from benchplan.fitting import FitConfig, fit_pipeline
 from benchplan.taskgen import generate_dataset
 
 
@@ -263,3 +264,22 @@ class TestReports:
         report = run_experiment(dataset, fitted, planner="chance", seed=5)
         if report.ase is None:
             assert "ase=absent" in report_summary(report, {})
+
+
+# sha256 of fit.txt for (80, 5, 5)-task datasets at seed 11, as written before
+# k-means assigned points by matmul and fit_pipeline symbolized in one batch.
+# A new digest here is a change to the fit's arithmetic and must be declared.
+PINNED_FITS = {
+    (3, 0.0): "fddfe8b74013ad174a902c232935dc397b3ca2fceb2a1d7b6e9b1f074c21ce82",
+    (3, 0.2): "257efaf35d12f288d8ebd4cdd05c45282148e99fe13d93a803b85b1889ec214f",
+    (4, 0.0): "c2e03893f98c84a141047c09a1b3045ee9d496d1883417c5ae9fb323d3f5cd7a",
+    (4, 0.2): "7aa3ca8424fd31367a2c5191bb7c318b269271b232b7362e91605568f7d3f276",
+}
+
+
+@pytest.mark.parametrize("level, sigma", sorted(PINNED_FITS))
+def test_fit_bytes_are_pinned(tmp_path, level, sigma):
+    fitted = fit_pipeline(generate_dataset(level, (80, 5, 5), 11), FitConfig(noise_sigma=sigma))
+    save_fitted(tmp_path, fitted)
+    digest = hashlib.sha256((tmp_path / FIT_FILE).read_bytes()).hexdigest()
+    assert digest == PINNED_FITS[level, sigma]

@@ -1,10 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from benchplan import evaluate
 from benchplan.evaluate import (
     asacc,
     ase,
@@ -14,7 +16,7 @@ from benchplan.evaluate import (
     interpretability_report,
     run_experiment,
 )
-from benchplan.taskgen import generate_task
+from benchplan.taskgen import Task, generate_task
 from benchplan.workbench import ObjectState
 
 states = st.builds(
@@ -111,6 +113,35 @@ class TestRunExperiment:
         serial = run_experiment(dataset, fitted, noise_sigma=0.0, jobs=1)
         parallel = run_experiment(dataset, fitted, noise_sigma=0.0, jobs=2)
         assert serial == parallel
+
+    def test_pool_ships_the_fit_once_per_worker(self, level1_run, monkeypatch):
+        dataset, fitted = level1_run
+        seen = {}
+
+        class InlinePool:  # runs the worker initializer and the work items here
+            def __init__(self, max_workers, initializer, initargs):
+                seen["initargs"] = initargs
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                seen["items"] = list(items)
+                return map(fn, seen["items"])
+
+        monkeypatch.setattr(evaluate, "_shared", ())
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", InlinePool)
+        pooled = run_experiment(dataset, fitted, noise_sigma=0.0, jobs=2)
+        assert seen["initargs"][0] is fitted
+        items = seen["items"]
+        assert [i for i, _ in items] == list(range(len(dataset.subset("test"))))
+        assert all(isinstance(task, Task) for _, task in items)
+        assert max(len(pickle.dumps(item)) for item in items) < 2_000  # the fit: ~100 KB
+        assert pooled == run_experiment(dataset, fitted, noise_sigma=0.0, jobs=1)
 
     def test_successful_tasks_have_zero_fsd(self, level3_run):
         dataset, fitted = level3_run

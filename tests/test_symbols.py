@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from benchplan.concepts import build_codebook, encode
+from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, encode_trajectory, fit_pipeline
+from benchplan.mdp import action_key, fit_transitions
 from benchplan.symbols import (
     InsufficientPoints,
     Symbolizer,
     assign,
+    assign_many,
     fit_kmeans,
     fit_symbolizer,
     purity,
     symbolize,
 )
+from benchplan.taskgen import generate_dataset
 from benchplan.workbench import DEFAULT_CARDINALITIES, ObjectState
 
 
@@ -169,18 +173,55 @@ class TestSymbolizer:
         assert same / 500 >= 0.98
 
 
+def assert_batch_equals_symbolize(stack, sym):
+    """One assign_many call per concept gives what symbolize gives per token."""
+    batched = zip(*(assign_many(stack[:, k, :], c).tolist() for k, c in enumerate(sym.centers)))
+    assert list(batched) == [symbolize(t, sym) for t in stack]
+
+
+class TestBatchedSymbols:
+    def test_batched_training_symbols_equal_symbolize(self):
+        # fit_pipeline symbolizes its training stack in one batch per concept
+        dataset = generate_dataset(4, (80, 5, 5), 11)
+        fitted = fit_pipeline(dataset, FitConfig(noise_sigma=0.2))
+        sym = fitted.symbolizer
+        paths, triplets = [], []
+        for i, task in enumerate(dataset.tasks):
+            if task.split == "train":
+                rng = np.random.default_rng([0, _STREAM_FIT_ENCODE, i])
+                paths.append(np.stack(encode_trajectory(task, fitted.codebook, 0.2, rng)[1]))
+                symbols = [symbolize(t, sym) for t in paths[-1]]
+                triplets += [(symbols[t], action_key(a, task.env.dyer_color), symbols[t + 1])
+                             for t, a in enumerate(task.gt_actions)]
+        assert_batch_equals_symbolize(np.concatenate(paths), sym)
+        refit = fit_transitions(triplets, sym.cardinalities, thresh=fitted.model.thresh)
+        assert refit.action_keys == fitted.model.action_keys
+        for key in refit.action_keys:
+            for a, b in zip(refit.counts[key], fitted.model.counts[key]):
+                assert np.array_equal(a, b)
+
+    def test_ties_break_as_symbolize_does(self):
+        cb = build_codebook(seed=11)
+        _, tokens = token_sample(cb, 300, sigma=0.0, seed=24)
+        sym = fit_symbolizer(tokens, cb.cardinalities, seed=0)
+        # tokens halfway between two centers of every concept, and on a center
+        halfway = np.stack([[(c[0] + c[1]) / 2 for c in sym.centers],
+                            [c[-1] for c in sym.centers]])
+        assert_batch_equals_symbolize(np.concatenate([np.asarray(tokens), halfway]), sym)
+
+
 class TestPurity:
     def test_noiseless_is_one(self):
         cb = build_codebook(seed=18)
         states, tokens = token_sample(cb, 1200, sigma=0.0, seed=19)
         sym = fit_symbolizer(tokens, cb.cardinalities, seed=0)
-        assert np.array_equal(purity(sym, list(zip(tokens, states))), np.ones(6))
+        assert np.array_equal(purity(sym, tokens, states), np.ones(6))
 
     def test_noisy_still_above_99(self):
         cb = build_codebook(seed=18, min_sep=1.0)
         states, tokens = token_sample(cb, 3000, sigma=0.1, seed=20)
         sym = fit_symbolizer(tokens, cb.cardinalities, seed=0)
-        assert purity(sym, list(zip(tokens, states))).min() >= 0.99
+        assert purity(sym, tokens, states).min() >= 0.99
 
     def test_untrained_random_centers_score_near_chance(self):
         # noise-dominated tokens (sigma >> separation) carry no label signal,
@@ -192,7 +233,7 @@ class TestPurity:
             centers=tuple(rng.normal(size=(c, cb.dim))
                           for c in DEFAULT_CARDINALITIES),
             inertia=(0.0,) * 6, iterations=(0,) * 6, seed=0)
-        scores = purity(random_sym, list(zip(tokens, states)))
+        scores = purity(random_sym, tokens, states)
         for k, card in enumerate(DEFAULT_CARDINALITIES):
             # majority-vote purity hovers at 1/k with a small upward bias
             assert abs(scores[k] - 1.0 / card) <= 0.06

@@ -243,3 +243,7 @@ class TestEnvConfig:
             assert twin == env
             assert (twin.free, twin.near_dyer, twin.moves) == \
                 (env.free, env.near_dyer, env.moves)
+        # only the init fields are pickled (523 bytes with the tables); loading
+        # rebuilds the tables
+        assert len(pickle.dumps(env)) <= 96
+        assert b"moves" not in pickle.dumps(env)
