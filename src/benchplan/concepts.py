@@ -114,18 +114,3 @@ def encode(state: ObjectState, codebook: ConceptCodebook,
         tokens = tokens + rng.normal(0.0, noise_sigma, tokens.shape)
     return tokens
 
-
-def changed_concept_index(a: np.ndarray, b: np.ndarray) -> int:
-    """Index of the concept whose token moved the most (l2); ties -> lowest index."""
-    if a.shape != b.shape:
-        raise ValueError(f"token shape mismatch: {a.shape} vs {b.shape}")
-    return int(np.argmax(np.linalg.norm(a - b, axis=1)))
-
-
-def disentanglement_score(
-        pairs: list[tuple[np.ndarray, np.ndarray, int]]) -> float:
-    """Fraction of (tokens, tokens, true index) pairs identified correctly."""
-    if not pairs:
-        raise ValueError("need at least one pair")
-    hits = sum(1 for a, b, truth in pairs if changed_concept_index(a, b) == truth)
-    return hits / len(pairs)

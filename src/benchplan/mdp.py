@@ -14,9 +14,10 @@ grid directly. Both are tabulated once per bench on the position symbols.
 
 The model compiles its legality indicator and its MAP successors into per-key
 lookup tables once, when it is built; propagation and planning read them.
-`layered_kbest` is the one k-best search of the package: `plan` runs it over
-MAP successors of symbol states, and the token-space ablation
-(`token_maps.plan_tokenspace`) runs it over affine-map successors of tokens.
+`layered_kbest` is the one k-best search of the package; its expand step hands
+over each successor's entries as one batch. `plan` runs it over MAP successors
+of symbol states, compiled once per state and call, and the token-space
+ablation (`token_maps.plan_tokenspace`) over affine-map successors of tokens.
 
 Actions are referred to by key. Movement and rotation keys equal the action
 names. change_color is context-dependent in truth (the object takes the
@@ -282,21 +283,25 @@ def available_keys(model, masks: SymbolMasks) -> tuple[str, ...]:
                  if action_key(base_action(k), masks.dyer_color) == k)
 
 
-def _entry_order(entry):
-    score, seq, _ = entry
-    return (-score, seq)
+_SCORE, _SEQ = itemgetter(0), itemgetter(1)
+
+
+def _rank_entries(entries: list) -> None:
+    """Sort entries into (-score, seq) order: two stable sorts on C keys."""
+    entries.sort(key=_SEQ)
+    entries.sort(key=_SCORE, reverse=True)
 
 
 def layered_kbest(init, start_entry, expand, is_goal, top_k: int, l_max: int):
     """Layered k-best enumeration of action sequences from `init`.
 
     Entries are (score, seq, payload), with seq a tuple of action ranks.
-    `expand(node, entries)` yields (successor node, entry) pairs one step
-    deeper. Depth d keeps, for every node reached, its top_k entries in
-    (-score, seq) order; entries arriving at a node where `is_goal` holds are
-    accepted. Returns up to top_k accepted entries, shortest first and in
-    (-score, seq) order within a length. Deterministic, because seq is unique
-    per entry.
+    `expand(node, entries)` yields (successor node, batch) pairs, a batch
+    being the list of entries one step deeper that arrive at the successor.
+    Depth d keeps, for every node reached, its top_k entries in (-score, seq)
+    order; entries arriving at a node where `is_goal` holds are accepted.
+    Returns up to top_k accepted entries, shortest first and in (-score, seq)
+    order within a length. Deterministic, because seq is unique per entry.
     """
     results = []
     layer = {init: [start_entry]}
@@ -305,16 +310,16 @@ def layered_kbest(init, start_entry, expand, is_goal, top_k: int, l_max: int):
             break
         successors: dict = {}
         for node, entries in layer.items():
-            for succ, entry in expand(node, entries):
-                successors.setdefault(succ, []).append(entry)
+            for succ, batch in expand(node, entries):
+                successors.setdefault(succ, []).extend(batch)
         layer = {}
         arrivals = []
         for node, bucket in successors.items():
-            bucket.sort(key=_entry_order)
+            _rank_entries(bucket)
             layer[node] = bucket[:top_k]
             if is_goal(node):
                 arrivals.extend(layer[node])
-        arrivals.sort(key=_entry_order)
+        _rank_entries(arrivals)
         results.extend(arrivals)
     if not results:
         raise NoPlanFound(f"no plan within {l_max} steps")
@@ -330,6 +335,10 @@ def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
     sequences arriving there (score = product of stepwise max transition
     probabilities). A sequence is accepted when its state matches the goal on
     the bench's goal concepts. Ties break on the fixed action ordering.
+
+    Each state's successors (legality gate, dyer adjacency, MAP successor,
+    position mask) are compiled once per call into (successor, step
+    probability, rank) steps, when the search first reaches the state.
     """
     if not masks.position_valid(init):
         raise InvalidInit("initial symbol state is invalid under the masks")
@@ -340,21 +349,26 @@ def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
         return PlanResult(plans=(Plan((), 1.0),), warnings=warnings)
 
     keys = available_keys(model, masks)  # in model order, so ranks order as keys do
+    compiled: dict[SymbolState, list[tuple[SymbolState, float, int]]] = {}
 
-    def expand(state, entries):
+    def steps_from(state):
+        steps = []
         for rank, key in enumerate(keys):
             if not action_legal(model, state, key):
                 continue
             if base_action(key) == "change_color" and not masks.dyer_adjacent(state):
                 continue  # adjacency is environment knowledge, not in the counts
             step = _map_successor(model, state, key)
-            if step is None:
-                continue
-            succ, step_p = step
-            if not masks.position_valid(succ):
-                continue
-            for score, seq, _ in entries:
-                yield succ, (score * step_p, seq + (rank,), None)
+            if step is not None and masks.position_valid(step[0]):
+                steps.append((*step, rank))
+        return steps
+
+    def expand(state, entries):
+        if state not in compiled:
+            compiled[state] = steps_from(state)
+        for succ, step_p, rank in compiled[state]:
+            yield succ, [(score * step_p, seq + (rank,), None)
+                         for score, seq, _ in entries]
 
     found = layered_kbest(init, (1.0, (), None), expand, is_goal, top_k, l_max)
     return PlanResult(plans=tuple(

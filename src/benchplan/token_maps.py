@@ -158,7 +158,7 @@ def plan_tokenspace(maps: ActionTransitionMaps, init_tokens: np.ndarray,
                     continue
                 if not masks.position_valid(nxt_sym):
                     continue
-                yield nxt_sym, (score(nxt), seq + (rank,), nxt)
+                yield nxt_sym, [(score(nxt), seq + (rank,), nxt)]
 
     found = layered_kbest(init_sym, (score(init_tokens), (), init_tokens), expand,
                           is_goal, top_k, l_max)

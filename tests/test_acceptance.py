@@ -227,7 +227,7 @@ def test_criterion_07_symbol_purity():
 
 
 def test_criterion_08_changed_concept_identification():
-    from benchplan.concepts import disentanglement_score
+    from _metrics import disentanglement_score
     cb = build_codebook(seed=SEED, min_sep=1.0)
     scores = {}
     for sigma in (0.0, 0.05):

@@ -6,12 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _metrics import changed_concept_index, disentanglement_score
 from benchplan.concepts import (
     SeparationUnachievable,
     UnknownValue,
     build_codebook,
-    changed_concept_index,
-    disentanglement_score,
     encode,
     extend_codebook,
 )

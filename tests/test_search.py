@@ -11,7 +11,8 @@ from _oracles import (
 )
 from benchplan.concepts import encode
 from benchplan.fitting import codebook_for_tasks
-from benchplan.mdp import NoPlanFound, SymbolMasks, available_keys, plan
+from benchplan import mdp
+from benchplan.mdp import NoPlanFound, SymbolMasks, available_keys, layered_kbest, plan
 from benchplan.symbols import symbolize
 from benchplan.token_maps import plan_tokenspace
 from benchplan.workbench import EnvConfig
@@ -51,6 +52,91 @@ def test_planners_match_frozen_search(run, sigma, request):
         if cap is None or i < cap:
             assert_same(plan_tokenspace, oracle_plan_tokenspace, fitted.maps,
                         init_tokens, goal_tokens, fitted.symbolizer, masks, **budget)
+
+
+def _symbolic_cases(run, sigma, request):
+    """(model, init symbols, goal symbols, masks, ground-truth length) per test task."""
+    dataset, fitted = request.getfixturevalue(run)
+    tasks = dataset.subset("test")
+    codebook = codebook_for_tasks(fitted, tasks)
+    for i, task in enumerate(tasks):
+        rng = np.random.default_rng([11, i])
+        yield (fitted.model,
+               symbolize(encode(task.init, codebook, sigma, rng), fitted.symbolizer),
+               symbolize(encode(task.goal, codebook, sigma, rng), fitted.symbolizer),
+               SymbolMasks.build(task.env, fitted.value_maps.symbol_to_value),
+               len(task.gt_actions))
+
+
+@pytest.mark.parametrize("sigma", (0.0, 0.2))
+@pytest.mark.parametrize("run", ["level3_run", "level4_run"])
+def test_symbolic_planner_matches_frozen_search_over_budgets(run, sigma, request):
+    # top_k 1 and 3 truncate buckets the default 5 keeps; l_max one short of
+    # the ground-truth length takes the NoPlanFound path
+    outcomes = set()
+    for model, init, goal, masks, gt_len in _symbolic_cases(run, sigma, request):
+        for top_k in (1, 3, 8):
+            for l_max in (gt_len - 1, gt_len):
+                assert_same(plan, oracle_plan, model, init, goal, masks,
+                            top_k=top_k, l_max=l_max)
+                try:
+                    outcomes.add(len(plan(model, init, goal, masks,
+                                          top_k=top_k, l_max=l_max).plans))
+                except NoPlanFound:
+                    outcomes.add("no plan")
+    assert {"no plan", 1, 3, 8} <= outcomes
+
+
+def test_plan_checks_each_state_and_key_once(level4_run, monkeypatch, request):
+    checked, legal = [], mdp.action_legal
+
+    def recording(model, state, key):
+        checked.append((state, key))
+        return legal(model, state, key)
+
+    monkeypatch.setattr(mdp, "action_legal", recording)
+    for sigma in (0.0, 0.2):
+        for model, init, goal, masks, gt_len in _symbolic_cases("level4_run", sigma,
+                                                                request):
+            checked.clear()
+            try:
+                plan(model, init, goal, masks, top_k=5, l_max=gt_len + 2)
+            except NoPlanFound:
+                pass
+            assert checked
+            assert len(set(checked)) == len(checked)
+
+
+def _graph_expand(edges):
+    """`expand` over a hand-built graph: node -> [(successor, step p, rank)]."""
+    def expand(node, entries):
+        for succ, step_p, rank in edges.get(node, ()):
+            yield succ, [(score * step_p, seq + (rank,), None)
+                         for score, seq, _ in entries]
+    return expand
+
+
+def test_layered_kbest_breaks_score_ties_on_seq():
+    # s reaches g in two steps four ways. Three arrive tied at 0.25 = 0.5 * 0.5
+    # = 0.25 * 1.0, the one through c first though its seq is larger; via d the
+    # score is higher, so it leads although its seq is the largest. s yields
+    # two batches for b, which the search merges into one bucket.
+    edges = {"s": [("c", 0.25, 1), ("b", 0.5, 0), ("d", 1.0, 3), ("b", 0.5, 2)],
+             "b": [("g", 0.5, 0)], "c": [("g", 1.0, 0)], "d": [("g", 0.5, 1)]}
+    expand = _graph_expand(edges)
+    start = (1.0, (), None)
+
+    def search(top_k):
+        return layered_kbest("s", start, expand, lambda n: n == "g", top_k, 2)
+
+    assert search(4) == [(0.5, (3, 1), None), (0.25, (0, 0), None),
+                         (0.25, (1, 0), None), (0.25, (2, 0), None)]
+    assert search(2) == [(0.5, (3, 1), None), (0.25, (0, 0), None)]
+    assert search(1) == [(0.5, (3, 1), None)]
+    assert layered_kbest("s", start, expand, lambda n: n == "b", 2, 2) == [
+        (0.5, (0,), None), (0.5, (2,), None)]
+    with pytest.raises(NoPlanFound):
+        layered_kbest("s", start, expand, lambda n: n == "g", 4, 1)
 
 
 # a bench without a dyer, then one with a dyer of each color
