@@ -19,6 +19,14 @@ over each successor's entries as one batch. `plan` runs it over MAP successors
 of symbol states, compiled once per state and call, and the token-space
 ablation (`token_maps.plan_tokenspace`) over affine-map successors of tokens.
 
+`plan` bounds its search by a goal distance: one backward BFS per call over
+the goal concepts' symbols alone, with the legality gate, type and size
+dropped, gives each state a lower bound on the steps left to the goal. A step
+whose depth plus that bound exceeds the search's bound cannot lie on a plan
+within it, so it is skipped; when too few plans come back the bound rises to
+the smallest value skipped and the search runs again (the iterative-deepening
+bound of IDA*). The plans are exactly those of the unbounded search.
+
 Actions are referred to by key. Movement and rotation keys equal the action
 names. change_color is context-dependent in truth (the object takes the
 dyer's color), so its counts are keyed per dyer color — "change_color@3".
@@ -32,6 +40,7 @@ change_color on adjacency using the bench masks.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -326,6 +335,53 @@ def layered_kbest(init, start_entry, expand, is_goal, top_k: int, l_max: int):
     return results[:top_k]
 
 
+def _steps_to_goal(model: TransitionModel, masks: SymbolMasks, goal: SymbolState,
+                   keys: Sequence[str], recolors: Sequence[bool], l_max: int):
+    """`to_goal(state)`: a lower bound on the steps `plan` needs to reach the goal.
+
+    A backward BFS of at most l_max rounds, in numpy, over the codes of the
+    goal concepts' symbols; each round labels the codes one step further from
+    the goal. An edge is a key's MAP successor on the goal concepts, kept where
+    every goal-concept row is seen and the successor cell is free;
+    change_color runs only from cells next to the dyer. Every step `plan`
+    compiles projects onto such an edge (the legality gate, type and size are
+    dropped), so the distance never exceeds the compiled graph's. Codes the
+    BFS does not reach get l_max + 1.
+    """
+    concepts = masks.goal_concepts
+    cards = tuple(model.cardinalities[c] for c in concepts)
+    n = math.prod(cards)
+    sym = np.indices(cards).reshape(len(cards), n)  # each code's goal-concept symbols
+    nxt = np.stack([np.array([model.succ[key][c] for key in keys], dtype=np.int64)
+                    .reshape(len(keys), card)[:, row]
+                    for c, card, row in zip(concepts, cards, sym)])  # (concept, key, code)
+    ix, iy = concepts.index(POS_X), concepts.index(POS_Y)
+    edge = (nxt >= 0).all(axis=0) & np.array(masks.valid)[nxt[ix], nxt[iy]]
+    edge[np.array(recolors, dtype=bool)] &= np.array(masks.adjacent)[sym[ix], sym[iy]]
+    # each edge's head code, n for a missing edge; gathered flat, which is faster
+    heads = np.where(edge, np.ravel_multi_index(tuple(np.maximum(nxt, 0)), cards), n).ravel()
+    strides = [math.prod(cards[i + 1:]) for i in range(len(cards))]
+    place = tuple(zip(concepts, strides))
+
+    def code(state):
+        return sum(state[c] * stride for c, stride in place)
+
+    target = code(goal)
+    dist = np.full(n, l_max + 1)
+    dist[target] = 0
+    front = np.zeros(n + 1, dtype=bool)  # missing edges read entry n, always False
+    front[target] = True
+    for depth in range(1, l_max + 1):
+        new = front[heads].reshape(len(keys), n).any(axis=0)
+        new &= dist > l_max
+        if not new.any():
+            break
+        dist[new] = depth
+        front[:n] = new
+    table = dist.tolist()
+    return lambda state: table[code(state)]
+
+
 def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
          masks: SymbolMasks, top_k: int = 5, l_max: int = 16) -> PlanResult:
     """Search the MAP symbol-state graph for up to top_k goal-reaching sequences.
@@ -338,7 +394,20 @@ def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
 
     Each state's successors (legality gate, dyer adjacency, MAP successor,
     position mask) are compiled once per call into (successor, step
-    probability, rank) steps, when the search first reaches the state.
+    probability, rank, `to_goal(successor)`) steps, when the search first
+    reaches the state; `to_goal` is `_steps_to_goal`'s lower bound.
+
+    The search is bounded: a step is skipped when its depth plus `to_goal`
+    exceeds the bound, which starts at min(to_goal(init), l_max). When fewer
+    than top_k plans come back and a skipped step's depth plus `to_goal` was
+    at most l_max, the bound rises to the smallest such value and the search
+    runs again on the same compiled steps. The result is exactly the unbounded
+    search's. `to_goal` never exceeds the true distance, so a state that can
+    still reach the goal within the bound is kept, and so is each of its
+    predecessors, which can too. Every bucket on such a path, truncated to
+    top_k at its own state, is thus the unbounded one, and the search stops at
+    the same depth with the same plans. When nothing at most l_max was
+    skipped, no plan within l_max was cut.
     """
     if not masks.position_valid(init):
         raise InvalidInit("initial symbol state is invalid under the masks")
@@ -349,28 +418,47 @@ def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
         return PlanResult(plans=(Plan((), 1.0),), warnings=warnings)
 
     keys = available_keys(model, masks)  # in model order, so ranks order as keys do
-    compiled: dict[SymbolState, list[tuple[SymbolState, float, int]]] = {}
+    recolors = [base_action(key) == "change_color" for key in keys]
+    to_goal = _steps_to_goal(model, masks, goal, keys, recolors, l_max)
+    compiled: dict[SymbolState, list[tuple[SymbolState, float, int, int]]] = {}
 
     def steps_from(state):
         steps = []
         for rank, key in enumerate(keys):
             if not action_legal(model, state, key):
                 continue
-            if base_action(key) == "change_color" and not masks.dyer_adjacent(state):
+            if recolors[rank] and not masks.dyer_adjacent(state):
                 continue  # adjacency is environment knowledge, not in the counts
             step = _map_successor(model, state, key)
             if step is not None and masks.position_valid(step[0]):
-                steps.append((*step, rank))
+                steps.append((*step, rank, to_goal(step[0])))
         return steps
 
     def expand(state, entries):
-        if state not in compiled:
-            compiled[state] = steps_from(state)
-        for succ, step_p, rank in compiled[state]:
+        nonlocal skipped
+        steps = compiled.get(state)
+        if steps is None:
+            steps = compiled[state] = steps_from(state)
+        depth = len(entries[0][1]) + 1
+        for succ, step_p, rank, steps_left in steps:
+            if depth + steps_left > bound:
+                skipped = min(skipped, depth + steps_left)
+                continue
             yield succ, [(score * step_p, seq + (rank,), None)
                          for score, seq, _ in entries]
 
-    found = layered_kbest(init, (1.0, (), None), expand, is_goal, top_k, l_max)
+    bound = min(to_goal(init), l_max)
+    while True:
+        skipped = l_max + 1  # the smallest depth + to_goal above the bound
+        try:
+            found = layered_kbest(init, (1.0, (), None), expand, is_goal, top_k, l_max)
+        except NoPlanFound:
+            if skipped > l_max:
+                raise
+            found = []
+        if len(found) >= top_k or skipped > l_max:
+            break
+        bound = skipped
     return PlanResult(plans=tuple(
         Plan(tuple(keys[r] for r in seq), score)
         for score, seq, _ in found), warnings=warnings)

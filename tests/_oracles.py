@@ -10,6 +10,8 @@ simulator oracles are `apply_action`, the BFS oracle and the bench
 connectivity check frozen before they read a bench's move table and searched
 int state codes. The k-means oracles are the k-means++ init, the Lloyd loop
 and `fit_kmeans` frozen before each Lloyd step assigned points by one matmul.
+The unbounded planner is `mdp.plan` frozen before its search was bounded by a
+goal-distance lower bound.
 """
 
 from collections import deque
@@ -19,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from benchplan import mdp
 from benchplan.mdp import (
     NoPlanFound,
     Plan,
@@ -504,3 +507,78 @@ def oracle_plan_tokenspace(maps, init_tokens, goal_tokens, symbolizer, masks,
         raise NoPlanFound(f"no token-space plan within {l_max} steps")
     return PlanResult(plans=tuple(Plan(seq, -goal_dist(tokens))
                                   for tokens, seq in results[:top_k]))
+
+
+# ---------------------------------------------------------------------------
+# the symbolic planner frozen before its search was bounded: each symbol
+# state's steps compiled once per call, and the batched layered k-best loop
+# with no bound. It reads the model's tables through the production helpers,
+# and looks `mdp.action_legal` up at call time, so a wrapper sees its checks.
+
+
+def oracle_compiled_steps(model, masks, keys, state):
+    """A symbol state's (successor, step probability, rank) steps under `keys`."""
+    steps = []
+    for rank, key in enumerate(keys):
+        if not mdp.action_legal(model, state, key):
+            continue
+        if base_action(key) == "change_color" and not masks.dyer_adjacent(state):
+            continue
+        step = mdp._map_successor(model, state, key)
+        if step is not None and masks.position_valid(step[0]):
+            steps.append((*step, rank))
+    return steps
+
+
+def _oracle_batched_kbest(init, start_entry, expand, is_goal, top_k, l_max):
+    def rank_entries(entries):
+        entries.sort(key=lambda entry: entry[1])
+        entries.sort(key=lambda entry: entry[0], reverse=True)
+
+    results = []
+    layer = {init: [start_entry]}
+    for _ in range(l_max):
+        if len(results) >= top_k or not layer:
+            break
+        successors = {}
+        for node, entries in layer.items():
+            for succ, batch in expand(node, entries):
+                successors.setdefault(succ, []).extend(batch)
+        layer = {}
+        arrivals = []
+        for node, bucket in successors.items():
+            rank_entries(bucket)
+            layer[node] = bucket[:top_k]
+            if is_goal(node):
+                arrivals.extend(layer[node])
+        rank_entries(arrivals)
+        results.extend(arrivals)
+    if not results:
+        raise NoPlanFound(f"no plan within {l_max} steps")
+    return results[:top_k]
+
+
+def oracle_unbounded_plan(model, init, goal, masks, top_k=5, l_max=16):
+    """`mdp.plan` as it was: the compiled-step search with no goal-distance bound."""
+    if not masks.position_valid(init):
+        raise mdp.InvalidInit("initial symbol state is invalid under the masks")
+    warnings = tuple(f"init/goal mismatch on unchangeable concept {c}"
+                     for c in (0, 5) if init[c] != goal[c])
+    is_goal = masks.goal_test(goal)
+    if is_goal(init):
+        return PlanResult(plans=(Plan((), 1.0),), warnings=warnings)
+
+    keys = mdp.available_keys(model, masks)
+    compiled = {}
+
+    def expand(state, entries):
+        if state not in compiled:
+            compiled[state] = oracle_compiled_steps(model, masks, keys, state)
+        for succ, step_p, rank in compiled[state]:
+            yield succ, [(score * step_p, seq + (rank,), None)
+                         for score, seq, _ in entries]
+
+    found = _oracle_batched_kbest(init, (1.0, (), None), expand, is_goal, top_k, l_max)
+    return PlanResult(plans=tuple(
+        Plan(tuple(keys[r] for r in seq), score)
+        for score, seq, _ in found), warnings=warnings)

@@ -1,4 +1,7 @@
-"""The shared layered k-best search, checked against the two frozen planners."""
+"""The shared layered k-best search and the bounded symbolic planner, checked
+against the frozen planners."""
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -6,8 +9,10 @@ import pytest
 from _oracles import (
     _oracle_available_keys,
     _oracle_tokenspace_keys,
+    oracle_compiled_steps,
     oracle_plan,
     oracle_plan_tokenspace,
+    oracle_unbounded_plan,
 )
 from benchplan.concepts import encode
 from benchplan.fitting import codebook_for_tasks
@@ -23,14 +28,17 @@ TOKEN_TASK_CAP = {"level1_run": None, "level3_run": 16, "level4_run": 3}
 
 
 def assert_same(new, frozen, *args, **kwargs):
-    """Equal PlanResults (exact scores), or an exception of the frozen type."""
+    """Equal PlanResults (exact scores), or an exception of the frozen type.
+    Returns the new planner's result, or None when both raised."""
     try:
         expected = frozen(*args, **kwargs)
     except (NoPlanFound, ValueError) as err:
         with pytest.raises(type(err)):
             new(*args, **kwargs)
-        return
-    assert new(*args, **kwargs) == expected
+        return None
+    result = new(*args, **kwargs)
+    assert result == expected
+    return result
 
 
 @pytest.mark.parametrize("sigma", (0.0, 0.2))
@@ -105,6 +113,131 @@ def test_plan_checks_each_state_and_key_once(level4_run, monkeypatch, request):
                 pass
             assert checked
             assert len(set(checked)) == len(checked)
+
+
+def _budget_cases(run, sigma, request):
+    """`_symbolic_cases` with the l_max values gt - 1, gt and the bench's max_len."""
+    tasks = request.getfixturevalue(run)[0].subset("test")
+    for (*case, gt_len), task in zip(_symbolic_cases(run, sigma, request), tasks,
+                                     strict=True):
+        yield (*case, (gt_len - 1, gt_len, task.env.max_len))
+
+
+@pytest.mark.parametrize("sigma", (0.0, 0.2, 0.4))
+@pytest.mark.parametrize("run", ["level3_run", "level4_run"])
+def test_bounded_plan_matches_unbounded_search(run, sigma, request):
+    outcomes = set()
+    for model, init, goal, masks, budgets in _budget_cases(run, sigma, request):
+        for top_k in (1, 3, 5, 8):
+            for l_max in budgets:
+                result = assert_same(plan, oracle_unbounded_plan, model, init, goal,
+                                     masks, top_k=top_k, l_max=l_max)
+                outcomes.add("no plan" if result is None else len(result.plans))
+    assert {"no plan", 1, 3, 5, 8} <= outcomes
+
+
+def _recording_search(monkeypatch):
+    """Record `plan`'s (state, key) legality checks, its `to_goal` functions
+    and the `layered_kbest` runs of each call."""
+    record = {"checked": [], "to_goal": [], "searches": 0}
+    legal, steps_to_goal, search = mdp.action_legal, mdp._steps_to_goal, mdp.layered_kbest
+
+    def recording_legal(model, state, key):
+        record["checked"].append((state, key))
+        return legal(model, state, key)
+
+    def recording_steps_to_goal(*args):
+        record["to_goal"].append(steps_to_goal(*args))
+        return record["to_goal"][-1]
+
+    def counting_search(*args):
+        record["searches"] += 1
+        assert record["searches"] <= args[-1]  # each retry raises the bound <= l_max
+        return search(*args)
+
+    monkeypatch.setattr(mdp, "action_legal", recording_legal)
+    monkeypatch.setattr(mdp, "_steps_to_goal", recording_steps_to_goal)
+    monkeypatch.setattr(mdp, "layered_kbest", counting_search)
+    return record
+
+
+def _checks(record, planner, *args, **kwargs):
+    """The set of (state, key) checks one planner call makes."""
+    record["checked"].clear()
+    record["searches"] = 0
+    try:
+        planner(*args, **kwargs)
+    except NoPlanFound:
+        pass
+    return set(record["checked"])
+
+
+@pytest.mark.parametrize("sigma", (0.0, 0.2))
+def test_goal_bound_is_admissible(sigma, monkeypatch, request):
+    record = _recording_search(monkeypatch)
+    for model, init, goal, masks, gt_len in _symbolic_cases("level4_run", sigma, request):
+        compiled = {state for state, _ in
+                    _checks(record, plan, model, init, goal, masks, l_max=gt_len + 2)}
+        to_goal = record["to_goal"][-1]
+        # the fully compiled graph reachable from init, and its exact distances
+        keys = available_keys(model, masks)
+        into, frontier = {init: set()}, [init]
+        while frontier:
+            state = frontier.pop()
+            for succ, _, _ in oracle_compiled_steps(model, masks, keys, state):
+                if succ not in into:
+                    into[succ] = set()
+                    frontier.append(succ)
+                into[succ].add(state)
+        is_goal = masks.goal_test(goal)
+        exact = {state: 0 for state in into if is_goal(state)}
+        queue = deque(exact)
+        while queue:
+            state = queue.popleft()
+            for pred in into[state] - exact.keys():
+                exact[pred] = exact[state] + 1
+                queue.append(pred)
+        assert compiled <= into.keys()
+        for state in into:
+            assert to_goal(state) <= exact.get(state, float("inf"))
+            assert (to_goal(state) == 0) == is_goal(state)
+
+
+def test_bounded_plan_prunes_and_retries(level4_run, monkeypatch, request):
+    record = _recording_search(monkeypatch)
+    bounded_total = unbounded_total = most_searches = 0
+    for sigma in (0.0, 0.2):
+        for model, init, goal, masks, gt_len in _symbolic_cases("level4_run", sigma,
+                                                                request):
+            budget = dict(top_k=5, l_max=gt_len + 2)
+            unbounded = _checks(record, oracle_unbounded_plan, model, init, goal,
+                                masks, **budget)
+            bounded = _checks(record, plan, model, init, goal, masks, **budget)
+            most_searches = max(most_searches, record["searches"])
+            assert bounded <= unbounded
+            bounded_total += len(bounded)
+            unbounded_total += len(unbounded)
+    assert bounded_total < unbounded_total
+    assert most_searches >= 2
+
+
+def test_goal_the_relaxed_graph_cannot_reach(level4_run, monkeypatch):
+    dataset, fitted = level4_run
+    record = _recording_search(monkeypatch)
+    task = dataset.subset("test")[0]
+    masks = SymbolMasks.build(task.env, fitted.value_maps.symbol_to_value)
+    init = tuple(fitted.value_maps.value_to_symbol[k][v]
+                 for k, v in enumerate(task.init.values()))
+    blocked = next((sx, sy) for sx, row in enumerate(masks.valid)
+                   for sy, free in enumerate(row) if not free)
+    goal = (*init[:1], *blocked, *init[3:])
+    l_max = task.env.max_len
+    for planner in (oracle_unbounded_plan, plan):
+        record["checked"].clear()
+        with pytest.raises(NoPlanFound, match=f"^no plan within {l_max} steps$"):
+            planner(fitted.model, init, goal, masks, l_max=l_max)
+        assert init in {state for state, _ in record["checked"]}
+    assert record["to_goal"][-1](init) == l_max + 1
 
 
 def _graph_expand(edges):
