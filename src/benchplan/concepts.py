@@ -13,6 +13,7 @@ being the token of CONCEPTS[k].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,10 @@ class ConceptCodebook:
     @property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.centroids)
+
+    @cached_property
+    def stacked(self) -> tuple[np.ndarray, tuple[int, ...]]:  # the tables as one; their starts
+        return np.concatenate(self.centroids), (0, *np.cumsum(self.cardinalities).tolist())
 
 
 def _draw_separated(rng: np.random.Generator, count: int, dim: int, min_sep: float,
@@ -95,22 +100,29 @@ def extend_codebook(codebook: ConceptCodebook, new_values: int) -> ConceptCodebo
                            min_sep=codebook.min_sep, centroids=tuple(tables))
 
 
-def encode(state: ObjectState, codebook: ConceptCodebook,
-           noise_sigma: float = 0.0,
-           rng: np.random.Generator | None = None) -> np.ndarray:
-    """Tokens for a state: mu[k][value_k] plus iid N(0, noise_sigma^2) per coordinate."""
+def encode_states(states: list[ObjectState], codebook: ConceptCodebook,
+                  noise_sigma: float = 0.0,
+                  rng: np.random.Generator | None = None) -> np.ndarray:
+    """Tokens of states, (len(states), 6, dim): mu[k][value_k] plus iid N(0, noise_sigma^2)
+    noise, drawn at once in C order, so rng is read as by one draw per state in turn."""
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
-    tokens = np.empty((len(CONCEPTS), codebook.dim))
-    for k, v in enumerate(state.values()):
-        table = codebook.centroids[k]
-        if not 0 <= v < len(table):
-            raise UnknownValue(f"{CONCEPTS[k]} value {v} outside codebook "
-                               f"(cardinality {len(table)})")
-        tokens[k] = table[v]
+    (table, starts), rows = codebook.stacked, []
+    for state in states:
+        for k, v in enumerate(state.values()):
+            if not 0 <= v < starts[k + 1] - starts[k]:
+                raise UnknownValue(f"{CONCEPTS[k]} value {v} outside codebook "
+                                   f"(cardinality {starts[k + 1] - starts[k]})")
+            rows.append(starts[k] + v)
+    tokens = table.take(rows, axis=0).reshape(len(states), len(CONCEPTS), codebook.dim)
     if noise_sigma > 0:
         if rng is None:
             raise ValueError("noisy encoding needs a caller-provided rng")
         tokens = tokens + rng.normal(0.0, noise_sigma, tokens.shape)
     return tokens
 
+
+def encode(state: ObjectState, codebook: ConceptCodebook, noise_sigma: float = 0.0,
+           rng: np.random.Generator | None = None) -> np.ndarray:
+    """Tokens for one state, shape (6, dim): `encode_states` of [state]."""
+    return encode_states([state], codebook, noise_sigma, rng)[0]

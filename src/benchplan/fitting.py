@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .concepts import (DEFAULT_DIM, DEFAULT_MIN_SEP, ConceptCodebook, build_codebook,
-                       encode, extend_codebook)
+                       encode_states, extend_codebook)
+from .concepts import encode  # noqa: F401  unused; perfbench's trace points patch this name
 from .mdp import DEFAULT_THRESH, TransitionModel, action_key, fit_transitions
 from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, assign,
                       assign_many, fit_symbolizer, purity)
@@ -67,11 +68,10 @@ class Fitted:
 
 
 def encode_trajectory(task: Task, codebook: ConceptCodebook, sigma: float,
-                      rng: np.random.Generator) -> tuple[list, list[np.ndarray]]:
-    """States along the gt plan and one token observation per state."""
+                      rng: np.random.Generator | None) -> tuple[list, np.ndarray]:
+    """States along the gt plan and their (T, 6, dim) token observations."""
     states = simulate(task.init, task.gt_actions, task.env)
-    tokens = [encode(s, codebook, sigma, rng) for s in states]
-    return states, tokens
+    return states, encode_states(states, codebook, sigma, rng)
 
 
 def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
@@ -87,7 +87,8 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
                        len(codebook.cardinalities), config.dim))
     states, keys = [], []
     for i, task in train:
-        rng = np.random.default_rng([config.seed, _STREAM_FIT_ENCODE, i])
+        rng = (np.random.default_rng([config.seed, _STREAM_FIT_ENCODE, i])
+               if config.noise_sigma > 0 else None)  # noiseless: nothing reads it
         path, path_tokens = encode_trajectory(task, codebook, config.noise_sigma, rng)
         tokens[len(states):len(states) + len(path)] = path_tokens
         states.extend(path)

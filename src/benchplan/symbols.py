@@ -106,10 +106,10 @@ def _lloyd(points: np.ndarray,
                 # re-seed an empty cluster from the farthest point
                 new_centers[j] = points[int(point_costs.argmax())]
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
-        centers = new_centers
+        centers, unmoved = new_centers, new_centers.tobytes() == centers.tobytes()  # bitwise
         if shift < KMEANS_TOL:
             break
-    inertia = float(_nearest(points, sq_norms, centers)[1].sum())
+    inertia = history[-1] if unmoved else float(_nearest(points, sq_norms, centers)[1].sum())
     return centers, inertia, iterations, history
 
 
@@ -143,7 +143,8 @@ def assign(token: np.ndarray, centers: np.ndarray) -> int:
 
 
 def assign_many(tokens: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return _sq_dists(np.asarray(tokens, dtype=float), centers).argmin(axis=1)
+    points = np.asarray(tokens, dtype=float)  # `assign` per row, by one matmul
+    return _nearest(points, (points ** 2).sum(axis=1), centers)[0]
 
 
 def fit_symbolizer(tokens: Sequence[np.ndarray], cardinalities: Sequence[int],

@@ -9,7 +9,6 @@ makes generation embarrassingly parallel.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +28,7 @@ from .workbench import (
     apply_action,  # noqa: F401  unused; perfbench's trace points patch this name
     cells_connected,
     goal_codes,
-    next_code,
+    next_codes,
     state_code,
 )
 
@@ -96,11 +95,9 @@ def oracle_shortest_plan(env: EnvConfig, init: ObjectState,
     if start in goals:
         return ()
     parents: dict[int, tuple[int, str] | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        code = queue.popleft()
-        for a, action in enumerate(ACTIONS):
-            nxt = next_code(code, a, env)
+    queue = [start]
+    for code in queue:  # first in, first out: the loop reads what it appends
+        for action, nxt in zip(ACTIONS, next_codes(code, env)):
             if nxt < 0 or nxt in parents:
                 continue
             parents[nxt] = (code, action)
@@ -118,15 +115,12 @@ def _sample_env(level: int, rng: np.random.Generator) -> EnvConfig | None:
     """One env draw; None when the free cells come out disconnected."""
     if level == 1:
         return EnvConfig(level=1)
-    cells = [(x, y) for x in range(X_CELLS) for y in range(Y_CELLS)]
     n_obstacles = int(rng.integers(1, 4))
-    n_special = n_obstacles + (1 if level >= 3 else 0)
-    picks = rng.choice(len(cells), size=n_special, replace=False)
-    chosen = [cells[int(i)] for i in picks]
+    picks = rng.choice(X_CELLS * Y_CELLS, size=n_obstacles + (level >= 3), replace=False)
+    chosen = [divmod(int(i), Y_CELLS) for i in picks]  # the (x, y) of cell i in x-major order
     obstacles = tuple(chosen[:n_obstacles])
     dyer = chosen[n_obstacles] if level >= 3 else None
-    blocked = set(obstacles) | ({dyer} if dyer else set())
-    if not cells_connected(blocked):
+    if not cells_connected(set(chosen)):
         return None
     dyer_color = int(rng.integers(N_COLORS)) if level >= 3 else None
     return EnvConfig(level=level, obstacles=obstacles, dyer=dyer, dyer_color=dyer_color)
@@ -190,11 +184,9 @@ def generate_dataset(level: int, counts: tuple[int, int, int], seed: int) -> Dat
     """Generate train/val/test tasks; byte-reproducible under a fixed seed."""
     if min(counts) < 0 or sum(counts) == 0:
         raise ValueError("counts must be nonnegative and sum to > 0")
-    tasks = []
-    for i in range(sum(counts)):
-        task = generate_task(level, _task_rng(seed, _STREAM_TASK, i))
-        tasks.append(replace(task, task_id=f"L{level}-{i:05d}",
-                             split=_split_of(i, counts)))
+    tasks = [replace(generate_task(level, _task_rng(seed, _STREAM_TASK, i)),
+                     task_id=f"L{level}-{i:05d}", split=_split_of(i, counts))
+             for i in range(sum(counts))]
     return Dataset(level=level, tasks=tasks, seed=seed, codebook_seed=seed,
                    split_sizes=tuple(counts))
 

@@ -9,7 +9,7 @@ pure functions, so states and configs are freely shareable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # only for the adjudicate() type hint
@@ -48,6 +48,20 @@ _N_ACTIONS, _CHANGE_COLOR = len(ACTIONS), _ACTION_INDEX["change_color"]
 _CELL_CODES = len(ROTATIONS) * N_COLORS  # state codes per cell: a quarter turn adds N_COLORS
 _TURNS = tuple(N_COLORS * {"rotate_left": -1, "rotate_right": 1}.get(a, 0) for a in ACTIONS)
 _OFF_GRID, _COLLISION, _NO_DYER = -1, -2, -3  # move-table codes of an illegal action
+# the move table of a bench with no obstacle and no dyer, and per cell the entries moving into it
+_GRID_MOVES = tuple(_OFF_GRID if not (0 <= x + dx < X_CELLS and 0 <= y + dy < Y_CELLS)
+                    else _NO_DYER if action == "change_color" else (x + dx) * Y_CELLS + y + dy
+                    for x, y in product(range(X_CELLS), range(Y_CELLS))
+                    for action in ACTIONS for dx, dy in [_MOVE_DELTAS.get(action, (0, 0))])
+_MOVES_INTO = tuple(tuple(i for i, dest in enumerate(_GRID_MOVES)
+                          if dest == cell and ACTIONS[i % _N_ACTIONS] in _MOVE_DELTAS)
+                    for cell in range(X_CELLS * Y_CELLS))
+# [c][rest][a]: rest = code % _CELL_CODES (rotation, color) after ACTIONS[a] with dyer color c
+_RESTS = tuple(tuple(tuple(
+    rest - rest % N_COLORS + c if a == _CHANGE_COLOR else (rest + turn) % _CELL_CODES
+    for a, turn in enumerate(_TURNS)) for rest in range(_CELL_CODES)) for c in range(N_COLORS))
+_COLS = tuple(range(x * Y_CELLS, (x + 1) * Y_CELLS) for x in range(X_CELLS))  # cells by column
+_FIRST_ROW = sum(1 << x * Y_CELLS for x in range(X_CELLS))  # cells with y == 0, as a mask
 
 MAX_LEN_BY_LEVEL = {1: 6, 2: 9, 3: 15, 4: 16}
 
@@ -151,20 +165,17 @@ class EnvConfig:
                 raise ValueError("a dyer needs a color in 0..5")
         elif self.dyer_color is not None:
             raise ValueError("dyer_color given without a dyer")
-        near = set() if self.dyer is None else {
-            (self.dyer[0] + dx, self.dyer[1] + dy) for dx, dy in _MOVE_DELTAS.values()}
-        grid = [[(x, y) for y in range(Y_CELLS)] for x in range(X_CELLS)]
-        object.__setattr__(self, "free", tuple(
-            tuple(c not in cells and c != self.dyer for c in col) for col in grid))
-        object.__setattr__(self, "near_dyer", tuple(
-            tuple(c in near for c in col) for col in grid))
-        object.__setattr__(self, "moves", tuple(
-            _OFF_GRID if not (0 <= x + dx < X_CELLS and 0 <= y + dy < Y_CELLS)
-            else _COLLISION if action in _MOVE_DELTAS and not self.free[x + dx][y + dy]
-            else _NO_DYER if action == "change_color" and (x, y) not in near
-            else (x + dx) * Y_CELLS + y + dy
-            for x, y in product(range(X_CELLS), range(Y_CELLS))
-            for action in ACTIONS for dx, dy in [_MOVE_DELTAS.get(action, (0, 0))]))
+        dyer = () if self.dyer is None else (self.dyer[0] * Y_CELLS + self.dyer[1],)
+        blocked = {x * Y_CELLS + y for x, y in cells}.union(dyer)
+        near = {i // _N_ACTIONS for d in dyer for i in _MOVES_INTO[d]}  # one move from the dyer
+        moves = list(_GRID_MOVES)  # moves into blocked cells collide; dyeing works by the dyer
+        for i in chain.from_iterable(_MOVES_INTO[cell] for cell in blocked):
+            moves[i] = _COLLISION
+        for cell in near:
+            moves[cell * _N_ACTIONS + _CHANGE_COLOR] = cell
+        object.__setattr__(self, "free", tuple(tuple(c not in blocked for c in x) for x in _COLS))
+        object.__setattr__(self, "near_dyer", tuple(tuple(c in near for c in x) for x in _COLS))
+        object.__setattr__(self, "moves", tuple(moves))
 
     def __reduce__(self):  # pickle and copy the init fields; the tables are rebuilt
         return EnvConfig, (self.level, self.obstacles, self.dyer, self.dyer_color)
@@ -196,14 +207,18 @@ def state_code(x: int, y: int, rotation: int, color: int) -> int:
     return (x * Y_CELLS + y) * _CELL_CODES + rotation * N_COLORS + color
 
 
+def next_codes(code: int, env: EnvConfig) -> list[int]:
+    """The state code after each of ACTIONS; the move table's code (< 0) if illegal."""
+    cell, rest = divmod(code, _CELL_CODES)
+    return [dest if dest < 0 else dest * _CELL_CODES + after for dest, after in zip(
+        env.moves[cell * _N_ACTIONS:(cell + 1) * _N_ACTIONS], _RESTS[env.dyer_color or 0][rest])]
+
+
 def next_code(code: int, a: int, env: EnvConfig) -> int:
-    """The state code after ACTIONS[a], or the move table's negative code
-    when the action is illegal."""
+    """`next_codes(code, env)[a]`, read from the same tables for one action."""
     cell, rest = divmod(code, _CELL_CODES)
     dest = env.moves[cell * _N_ACTIONS + a]
-    if dest >= 0 and a == _CHANGE_COLOR:
-        rest += env.dyer_color - rest % N_COLORS
-    return dest if dest < 0 else dest * _CELL_CODES + (rest + _TURNS[a]) % _CELL_CODES
+    return dest if dest < 0 else dest * _CELL_CODES + _RESTS[env.dyer_color or 0][rest][a]
 
 
 def apply_action(state: ObjectState, action: str, env: EnvConfig) -> ObjectState:
@@ -225,15 +240,14 @@ def apply_action(state: ObjectState, action: str, env: EnvConfig) -> ObjectState
 
 
 def cells_connected(blocked: set[tuple[int, int]]) -> bool:
-    """True iff the cells outside `blocked` form one region under the moves."""
-    free = set(product(range(X_CELLS), range(Y_CELLS))) - blocked
-    seen, stack = set(), sorted(free)[:1]
-    while stack:
-        x, y = stack.pop()
-        if (x, y) in free and (x, y) not in seen:
-            seen.add((x, y))
-            stack.extend((x + dx, y + dy) for dx, dy in _MOVE_DELTAS.values())
-    return bool(seen) and seen == free
+    """True iff the cells outside `blocked` are one region: a flood fill of cell bit masks."""
+    free = (1 << X_CELLS * Y_CELLS) - 1 & ~sum(1 << x * Y_CELLS + y for x, y in set(blocked))
+    region, grown = 0, free & -free  # the lowest free cell
+    while grown != region:
+        region = grown
+        grown = free & (region | region << Y_CELLS | region >> Y_CELLS | region << 1
+                        & ~_FIRST_ROW | region >> 1 & ~(_FIRST_ROW << Y_CELLS - 1))
+    return region != 0 and region == free
 
 
 def is_valid_state(state: ObjectState, env: EnvConfig) -> bool:

@@ -11,17 +11,22 @@ connectivity check frozen before they read a bench's move table and searched
 int state codes. The k-means oracles are the k-means++ init, the Lloyd loop
 and `fit_kmeans` frozen before each Lloyd step assigned points by one matmul.
 The unbounded planner is `mdp.plan` frozen before its search was bounded by a
-goal-distance lower bound.
+goal-distance lower bound. The bench-table oracle is `EnvConfig.__post_init__`
+frozen before each bench copied its move table from one grid table, and the
+encoding oracle is `concepts.encode` frozen before a trajectory was encoded
+by one gather and one noise draw.
 """
 
 from collections import deque
 from dataclasses import fields, replace
+from itertools import product
 from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from benchplan import mdp
+from benchplan.concepts import UnknownValue
 from benchplan.mdp import (
     NoPlanFound,
     Plan,
@@ -40,6 +45,9 @@ from benchplan.symbols import (
 from benchplan.token_maps import _min_center_gaps, _snap_trusted, transition
 from benchplan.workbench import (
     ACTIONS,
+    CONCEPTS,
+    MAX_LEN_BY_LEVEL,
+    N_COLORS,
     X_CELLS,
     Y_CELLS,
     ActionError,
@@ -134,6 +142,66 @@ def oracle_cells_connected(blocked):
                 seen.add((nx, ny))
                 queue.append((nx, ny))
     return len(seen) == len(free)
+
+
+def oracle_bench_tables(level, obstacles=(), dyer=None, dyer_color=None):
+    """`EnvConfig.__post_init__`, frozen: its checks in their order, then the
+    normalized obstacles and the free, near_dyer and moves tables, each cell
+    and action tested in turn."""
+    if level not in MAX_LEN_BY_LEVEL:
+        raise ValueError(f"level must be 1..4, got {level}")
+    cells = tuple(sorted(set(map(tuple, obstacles))))
+    for c in cells:
+        if not (0 <= c[0] < X_CELLS and 0 <= c[1] < Y_CELLS):
+            raise ValueError(f"obstacle {c} off the grid")
+    if level == 1 and (cells or dyer is not None):
+        raise ValueError("level 1 admits no obstacles and no dyer")
+    if level == 2 and dyer is not None:
+        raise ValueError("level 2 admits no dyer")
+    if level >= 3 and dyer is None:
+        raise ValueError(f"level {level} requires a dyer")
+    if dyer is not None:
+        if dyer in cells:
+            raise ValueError("dyer cell clashes with an obstacle")
+        if not (0 <= dyer[0] < X_CELLS and 0 <= dyer[1] < Y_CELLS):
+            raise ValueError(f"dyer {dyer} off the grid")
+        if dyer_color is None or not 0 <= dyer_color < N_COLORS:
+            raise ValueError("a dyer needs a color in 0..5")
+    elif dyer_color is not None:
+        raise ValueError("dyer_color given without a dyer")
+    near = set() if dyer is None else {
+        (dyer[0] + dx, dyer[1] + dy) for dx, dy in _MOVE_DELTAS.values()}
+    grid = [[(x, y) for y in range(Y_CELLS)] for x in range(X_CELLS)]
+    free = tuple(tuple(c not in cells and c != dyer for c in col) for col in grid)
+    near_dyer = tuple(tuple(c in near for c in col) for col in grid)
+    off_grid, collision, no_dyer = -1, -2, -3
+    moves = tuple(
+        off_grid if not (0 <= x + dx < X_CELLS and 0 <= y + dy < Y_CELLS)
+        else collision if action in _MOVE_DELTAS and not free[x + dx][y + dy]
+        else no_dyer if action == "change_color" and (x, y) not in near
+        else (x + dx) * Y_CELLS + y + dy
+        for x, y in product(range(X_CELLS), range(Y_CELLS))
+        for action in ACTIONS for dx, dy in [_MOVE_DELTAS.get(action, (0, 0))])
+    return cells, free, near_dyer, moves
+
+
+def oracle_encode(state, codebook, noise_sigma=0.0, rng=None):
+    """`concepts.encode`, frozen: each concept's centroid row copied in turn,
+    then one (6, dim) noise draw."""
+    if noise_sigma < 0:
+        raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
+    tokens = np.empty((len(CONCEPTS), codebook.dim))
+    for k, v in enumerate(state.values()):
+        table = codebook.centroids[k]
+        if not 0 <= v < len(table):
+            raise UnknownValue(f"{CONCEPTS[k]} value {v} outside codebook "
+                               f"(cardinality {len(table)})")
+        tokens[k] = table[v]
+    if noise_sigma > 0:
+        if rng is None:
+            raise ValueError("noisy encoding needs a caller-provided rng")
+        tokens = tokens + rng.normal(0.0, noise_sigma, tokens.shape)
+    return tokens
 
 
 def _sq_dists(points, centers):

@@ -283,3 +283,20 @@ def test_fit_bytes_are_pinned(tmp_path, level, sigma):
     save_fitted(tmp_path, fitted)
     digest = hashlib.sha256((tmp_path / FIT_FILE).read_bytes()).hexdigest()
     assert digest == PINNED_FITS[level, sigma]
+
+
+# sha256 of fit.txt for the benchmark's own input, the level-4 800/100/100-task
+# dataset at seed 11, as written before the fit encoded each trajectory in one
+# batch and k-means reused the last assignment of centers that did not move
+PINNED_BENCHMARK_FITS = {
+    0.0: "3e2482cc3b04b984a0b11bd71d3a0023e2eaf1b1b9b55d2c1f180f9053727958",
+    0.2: "4e3387f97dd591f524c3194b17bce2ac5c88e801955dac82558c4aa8cf186f0e",
+}
+
+
+@pytest.mark.parametrize("sigma", sorted(PINNED_BENCHMARK_FITS))
+def test_benchmark_fit_bytes_are_pinned(tmp_path, sigma):
+    fitted = fit_pipeline(generate_dataset(4, (800, 100, 100), 11), FitConfig(noise_sigma=sigma))
+    save_fitted(tmp_path, fitted)
+    digest = hashlib.sha256((tmp_path / FIT_FILE).read_bytes()).hexdigest()
+    assert digest == PINNED_BENCHMARK_FITS[sigma]

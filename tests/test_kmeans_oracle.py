@@ -1,11 +1,13 @@
-"""k-means assigns points by one matmul per Lloyd step; its results must stay
-those of the broadcast form frozen in `_oracles`, bit for bit."""
+"""k-means assigns points by one matmul per Lloyd step, and skips the last
+assignment when no center moved; its results must stay those of the broadcast
+form frozen in `_oracles`, bit for bit."""
 
 import numpy as np
 
 from _oracles import _sq_dists, oracle_fit_kmeans, oracle_lloyd
+from benchplan import symbols
 from benchplan.concepts import build_codebook
-from benchplan.symbols import _lloyd, _nearest, fit_kmeans
+from benchplan.symbols import _kmeanspp_init, _lloyd, _nearest, fit_kmeans
 
 KINDS = ("normal", "k=1", "k=n", "codebook", "few distinct", "far offset")
 
@@ -70,3 +72,26 @@ def test_nearest_keeps_the_exact_labels_and_costs_at_ties():
         labels, costs = _nearest(points, (points ** 2).sum(axis=1), centers)
         assert labels.tolist() == d2.argmin(axis=1).tolist()
         assert costs.tobytes() == d2.min(axis=1).tobytes()
+
+
+def test_lloyd_reuses_the_last_assignment_when_no_center_moved(monkeypatch):
+    """Noisy tokens settle on centers that come back bit for bit: one `_nearest`
+    per step, the last step's inertia. Noiseless ones settle a rounding error
+    away from where they started, and the inertia is assigned again."""
+    calls = []
+    monkeypatch.setattr(symbols, "_nearest", lambda *args: calls.append(1) or _nearest(*args))
+    rng = np.random.default_rng(9)
+    table = build_codebook(seed=4).centroids[4]
+    values = rng.integers(len(table), size=400)
+    extra = []
+    for sigma in (0.2, 0.0):
+        for restart in range(5):
+            points = table[values] + rng.normal(0.0, sigma, (400, table.shape[1]))
+            init = _kmeanspp_init(points, len(table), np.random.default_rng(restart))
+            calls.clear()
+            centers, inertia, iterations, history = _lloyd(points, init.copy())
+            frozen = oracle_lloyd(points, init.copy())
+            assert centers.tobytes() == frozen[0].tobytes()
+            assert (inertia, iterations, history) == frozen[1:]
+            extra.append((sigma, len(calls) - iterations))
+    assert set(extra) == {(0.2, 0), (0.0, 1)}, extra

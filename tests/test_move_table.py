@@ -1,5 +1,7 @@
 """One compiled move table per bench: `apply_action` and the BFS oracle read it
-and agree with the per-action rules and the ObjectState BFS they replaced."""
+and agree with the per-action rules and the ObjectState BFS they replaced.
+Each bench copies its tables from one grid table, and they equal those of the
+builder that tested every cell and action in turn."""
 
 import itertools
 
@@ -22,9 +24,16 @@ from benchplan.workbench import (
     OutOfBounds,
     apply_action,
     cells_connected,
+    next_code,
+    next_codes,
 )
 
-from _oracles import oracle_apply_action, oracle_bfs, oracle_cells_connected
+from _oracles import (
+    oracle_apply_action,
+    oracle_bench_tables,
+    oracle_bfs,
+    oracle_cells_connected,
+)
 
 CELLS = list(itertools.product(range(X_CELLS), range(Y_CELLS)))
 
@@ -115,9 +124,89 @@ def test_oracle_equals_frozen_bfs(level):
 
 
 def test_cells_connected_equals_frozen_check():
-    # every blocked set the bench sampler can draw: up to 3 obstacles and a dyer
-    for n in range(5):
+    # every blocked set: the sampler draws up to 3 obstacles and a dyer
+    for n in range(len(CELLS) + 1):
         for blocked in itertools.combinations(CELLS, n):
             assert cells_connected(set(blocked)) == oracle_cells_connected(set(blocked)), \
                 blocked
     assert not cells_connected({(1, y) for y in range(Y_CELLS)})
+
+
+def sampler_layouts():
+    """Every layout the bench sampler can draw, and the obstacle-free ones it
+    cannot: levels 2-4 with 0-3 obstacles, at levels 3 and 4 with the dyer on
+    each other cell, of a color that cycles with the cell."""
+    yield 1, (), None, None
+    for n in range(4):
+        for obstacles in itertools.combinations(CELLS, n):
+            yield 2, obstacles, None, None
+            for i, dyer in enumerate(c for c in CELLS if c not in obstacles):
+                for level in (3, 4):
+                    yield level, obstacles, dyer, (i + n) % N_COLORS
+
+
+def built(level, obstacles, dyer, dyer_color):
+    """What EnvConfig makes of a layout, or the class and message of its error."""
+    try:
+        env = EnvConfig(level, obstacles, dyer, dyer_color)
+    except ValueError as err:
+        return type(err), str(err)
+    return env.obstacles, env.free, env.near_dyer, env.moves
+
+
+def frozen(*layout):
+    try:
+        return oracle_bench_tables(*layout)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def test_bench_tables_equal_frozen_builder():
+    layouts = list(sampler_layouts())
+    assert len(layouts) == 1 + 576 + 2 * 7050  # 576 obstacle sets, 7050 with a dyer
+    for layout in layouts:
+        assert built(*layout) == frozen(*layout), layout
+
+
+INVALID_LAYOUTS = (
+    (0, (), None, None),
+    (5, (), None, None),
+    (2, ((3, 0),), None, None),  # obstacles off the grid
+    (2, ((0, -1), (1, 1)), None, None),
+    (3, ((1, 5),), (0, 0), 2),
+    (3, (), (3, 1), 2),  # dyers off the grid
+    (4, ((0, 0),), (-1, 4), 2),
+    (3, ((1, 1), (2, 2)), (1, 1), 2),  # a dyer on an obstacle
+    (4, ((3, 3),), (3, 3), 2),  # ... that is off the grid: the obstacle is named
+    (3, (), (1, 1), None),  # a missing dyer color
+    (4, ((0, 0),), (1, 1), 6),
+    (3, (), (1, 1), -1),
+    (2, (), None, 4),  # an extra dyer color
+    (2, ((0, 0),), None, 0),
+    (1, ((0, 0),), None, None),
+    (1, (), (0, 0), 1),
+    (2, (), (1, 1), 1),
+    (3, ((0, 0),), None, None),
+    (4, (), None, 3),
+)
+
+
+def test_invalid_layouts_raise_as_the_frozen_builder_does():
+    for layout in INVALID_LAYOUTS:
+        error = built(*layout)
+        assert error[0] is ValueError, layout
+        assert error == frozen(*layout), layout
+    # obstacles as lists, unsorted and repeated, are normalized as before
+    layout = (3, [[2, 4], (0, 1), (2, 4)], (1, 1), 5)
+    assert built(*layout)[0] == ((0, 1), (2, 4))
+    assert built(*layout) == frozen(*layout)
+
+
+@pytest.mark.parametrize("level", (1, 2, 3, 4))
+def test_next_code_is_one_entry_of_next_codes(level):
+    rng = np.random.default_rng([31, level])
+    for _ in range(1 if level == 1 else 40):
+        env = random_bench(level, rng)
+        for code in range(X_CELLS * Y_CELLS * len(ROTATIONS) * N_COLORS):
+            assert [next_code(code, a, env) for a in range(len(ACTIONS))] == \
+                next_codes(code, env), (env, code)

@@ -230,3 +230,15 @@ def test_dataset_bytes_are_pinned(tmp_path, variant, level):
     save_dataset(str(tmp_path / "data.txt"), make(level, (40, 5, 5), 11))
     digest = hashlib.sha256((tmp_path / "data.txt").read_bytes()).hexdigest()
     assert digest == PINNED_DATASETS[variant, level]
+
+
+# sha256 of the save_dataset bytes of the benchmark's own input, level 4 at seed 11
+# with 800/100/100 tasks, as generated before each bench copied its tables from
+# one grid table and the BFS oracle read all seven successors in one call
+PINNED_BENCHMARK_DATASET = "4b259b63cbef83059988da4a641aa0f55b344aba2019cd6d791bef9f66015fd5"
+
+
+def test_benchmark_dataset_bytes_are_pinned(tmp_path):
+    save_dataset(str(tmp_path / "data.txt"), generate_dataset(4, (800, 100, 100), 11))
+    digest = hashlib.sha256((tmp_path / "data.txt").read_bytes()).hexdigest()
+    assert digest == PINNED_BENCHMARK_DATASET

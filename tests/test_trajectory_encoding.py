@@ -1,0 +1,67 @@
+"""The fit encodes each trajectory by one gather and one noise draw
+(`encode_states`); its tokens must be, bit for bit, those of one `encode` per
+state from the same stream, and `encode` is that rule's one-state case."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from _oracles import oracle_encode
+from benchplan.concepts import (
+    UnknownValue,
+    build_codebook,
+    encode,
+    encode_states,
+    extend_codebook,
+)
+from benchplan.fitting import encode_trajectory
+from benchplan.workbench import ObjectState
+
+
+@pytest.mark.parametrize("sigma", (0.0, 0.2))
+def test_trajectory_encoding_equals_per_state_encode(level4_run, sigma):
+    dataset, _ = level4_run
+    codebook = build_codebook(seed=dataset.codebook_seed)
+    for i, task in enumerate(dataset.tasks):
+        rngs = [np.random.default_rng([5, i]) for _ in range(3)]
+        states, tokens = encode_trajectory(task, codebook, sigma, rngs[0] if sigma else None)
+        assert tokens.shape == (len(task.gt_actions) + 1, 6, codebook.dim)
+        for per_state, rng in zip((oracle_encode, encode), rngs[1:]):
+            expected = np.array([per_state(s, codebook, sigma, rng) for s in states])
+            assert tokens.tobytes() == expected.tobytes(), (task.task_id, per_state)
+        # all three streams were read equally far
+        assert len({rng.random() for rng in rngs}) == 1
+
+
+def test_unseen_type_raises_unknown_value_not_index_error():
+    codebook = build_codebook(seed=3)
+    seen, unseen = ObjectState(2, 0, 0, 0, 1, 3), ObjectState(8, 0, 1, 90, 1, 3)
+    message = r"^type value 8 outside codebook \(cardinality 8\)$"
+    for call in (lambda: encode(unseen, codebook),
+                 lambda: encode_states([seen, unseen, seen], codebook),
+                 lambda: encode_states([seen, unseen], codebook, 0.2, np.random.default_rng(0)),
+                 lambda: oracle_encode(unseen, codebook)):
+        with pytest.raises(UnknownValue, match=message):
+            call()
+    extended = extend_codebook(codebook, 1)
+    assert encode(unseen, extended).tobytes() == oracle_encode(unseen, extended).tobytes()
+
+
+def test_a_trajectory_through_an_unseen_type_raises_unknown_value(level4_run):
+    dataset, _ = level4_run
+    task = dataset.tasks[0]
+    retyped = replace(task, init=replace(task.init, type_id=9))
+    with pytest.raises(UnknownValue, match="type value 9"):
+        encode_trajectory(retyped, build_codebook(seed=1), 0.0, None)
+
+
+def test_size_past_a_smaller_codebook_raises_unknown_value():
+    # the last table's row past its end would be past the stacked tables too
+    codebook = build_codebook(seed=3)
+    small = replace(codebook, centroids=(*codebook.centroids[:-1], codebook.centroids[-1][:2]))
+    state = ObjectState(0, 0, 0, 0, 0, 3)
+    with pytest.raises(UnknownValue, match=r"^size value 3 outside codebook \(cardinality 2\)$"):
+        encode(state, small)
+    assert encode(replace(state, size=1), small).tobytes() == \
+        oracle_encode(replace(state, size=1), small).tobytes()
