@@ -96,8 +96,9 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
 
     symbolizer = fit_symbolizer(tokens, codebook.cardinalities,
                                 seed=config.seed, restarts=config.restarts)
-    symbols = list(zip(*(assign_many(tokens[:, k, :], centers).tolist()
-                         for k, centers in enumerate(symbolizer.centers))))
+    labels = np.stack([assign_many(tokens[:, k, :], centers)
+                       for k, centers in enumerate(symbolizer.centers)], axis=1)
+    symbols = labels.tolist()
     triplets = []
     pairs: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     for t, key in enumerate(keys):
@@ -107,7 +108,7 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
 
     model = fit_transitions(triplets, symbolizer.cardinalities, thresh=config.thresh)
     maps = fit_affine(pairs, dim=config.dim)
-    train_purity = tuple(float(p) for p in purity(symbolizer, tokens, states))
+    train_purity = tuple(float(p) for p in purity(labels, states))
     return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,
                   model=model, maps=maps, train_purity=train_purity)
 

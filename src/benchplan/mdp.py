@@ -13,19 +13,20 @@ propagation; the k-best plan search checks successor validity on the joint
 grid directly. Both are tabulated once per bench on the position symbols.
 
 The model compiles its legality indicator and its MAP successors into per-key
-lookup tables once, when it is built; propagation and planning read them.
-`layered_kbest` is the one k-best search of the package; its expand step hands
-over each successor's entries as one batch. `plan` runs it over MAP successors
-of symbol states, compiled once per state and call, and the token-space
-ablation (`token_maps.plan_tokenspace`) over affine-map successors of tokens.
+lookup tables once, when it is built; propagation reads them. On its first
+`plan` call in a process the model compiles them into step tables over every
+symbol-state code. `layered_kbest` is the one k-best search of the package; its
+expand step hands over each successor's entries as one batch. `plan` runs it
+over int codes of symbol states, and the token-space ablation
+(`token_maps.plan_tokenspace`) over affine-map successors of tokens.
 
-`plan` bounds its search by a goal distance: one backward BFS per call over
-the goal concepts' symbols alone, with the legality gate, type and size
-dropped, gives each state a lower bound on the steps left to the goal. A step
-whose depth plus that bound exceeds the search's bound cannot lie on a plan
-within it, so it is skipped; when too few plans come back the bound rises to
-the smallest value skipped and the search runs again (the iterative-deepening
-bound of IDA*). The plans are exactly those of the unbounded search.
+`plan` gathers the step tables' rows over the states it can reach, applies the
+bench masks, and runs one backward BFS over that graph: each state's exact
+distance to the goal. A step whose depth plus that distance exceeds the
+search's bound cannot lie on a plan within it, so it is skipped; when too few
+plans come back the bound rises to the smallest value skipped and the search
+runs again (the iterative-deepening bound of IDA*). The plans are exactly
+those of the unbounded search.
 
 Actions are referred to by key. Movement and rotation keys equal the action
 names. change_color is context-dependent in truth (the object takes the
@@ -43,7 +44,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import cache, cached_property, reduce
+from operator import and_, itemgetter, mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,14 +101,14 @@ class TransitionModel:
     counts: dict[str, list[np.ndarray]]  # key -> per concept (k_k, k_k) ints
     # derived from the counts: the observed keys and atomic actions in action
     # order, occurrences per concept (k_k, n_base_actions), the probabilities,
-    # and per key, concept and symbol the legality indicator, the MAP
-    # successor (-1 for an unseen row) and its probability
+    # and per key, concept and symbol the legality indicator (a bool array),
+    # the MAP successor (-1 for an unseen row) and its probability
     action_keys: tuple[str, ...] = field(init=False)
     base_actions: tuple[str, ...] = field(init=False)
     occurrences: list[np.ndarray] = field(init=False, repr=False)
     trans_p: dict[str, list[np.ndarray]] = field(init=False, repr=False)
     act_p: list[np.ndarray] = field(init=False, repr=False)
-    legal: dict[str, list[list[bool]]] = field(init=False, repr=False)
+    legal: dict[str, list[np.ndarray]] = field(init=False, repr=False)
     succ: dict[str, list[list[int]]] = field(init=False, repr=False)
     succ_p: dict[str, list[list[float]]] = field(init=False, repr=False)
 
@@ -126,12 +128,36 @@ class TransitionModel:
         self.trans_p, self.legal, self.succ, self.succ_p = {}, {}, {}, {}
         for key, j in zip(self.action_keys, base_of):
             mats = self.trans_p[key] = [_row_normalized(n) for n in self.counts[key]]
-            self.legal[key] = [(p[:, j] > self.thresh).tolist() for p in self.act_p]
+            self.legal[key] = [p[:, j] > self.thresh for p in self.act_p]
             best = [p.argmax(axis=1) for p in mats]
             self.succ[key] = [np.where(p.sum(axis=1) > 0.0, b, -1).tolist()
                               for p, b in zip(mats, best)]
             self.succ_p[key] = [p[np.arange(len(p)), b].tolist()
                                 for p, b in zip(mats, best)]
+
+    def __getstate__(self):  # the step tables are rebuilt per process, not pickled
+        return {name: value for name, value in self.__dict__.items() if name != "steps"}
+
+    @cached_property
+    def steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per key (row) and symbol-state code `ravel_multi_index(state,
+        cardinalities, order="F")`: `succ`, the MAP successor's code, -1 where
+        the key is illegal (one `action_legal` read per key) or a row unseen;
+        `prob`, the step probability, multiplied in concept order from 1.0.
+        `cell[code]` is sx * cardinalities[POS_Y] + sy. Built on first use."""
+        cards = self.cardinalities
+        grid = np.ix_(*map(range, reversed(cards)))[::-1]  # concept 0 on the last axis
+        succ = np.empty((len(self.action_keys), math.prod(cards)), dtype=np.int32)
+        prob = np.empty(succ.shape)
+        for i, key in enumerate(self.action_keys):
+            nxt = [np.array(row)[w] for row, w in zip(self.succ[key], grid)]
+            ok = action_legal(self, grid, key) & reduce(and_, [w >= 0 for w in nxt])
+            code = sum(w * stride for w, stride in zip(nxt, np.cumprod([1, *cards[:-1]])))
+            succ[i] = np.where(ok, code, -1).ravel()
+            p = [np.array(row)[w] for row, w in zip(self.succ_p[key], grid)]
+            prob[i] = reduce(mul, p, 1.0).ravel()
+        cell = np.broadcast_to(grid[POS_X] * cards[POS_Y] + grid[POS_Y], cards[::-1])
+        return succ, prob, cell.ravel().astype(np.int16)
 
 
 def _row_normalized(counts: np.ndarray) -> np.ndarray:
@@ -205,9 +231,6 @@ class SymbolMasks:
     def position_valid(self, state: SymbolState) -> bool:
         return self.valid[state[POS_X]][state[POS_Y]]
 
-    def dyer_adjacent(self, state: SymbolState) -> bool:
-        return self.adjacent[state[POS_X]][state[POS_Y]]
-
     def goal_test(self, goal: SymbolState):
         """`is_goal(state)`: state matches goal on the goal concepts."""
         fixed = itemgetter(*self.goal_concepts)
@@ -246,10 +269,11 @@ def propagate(dist: Sequence[np.ndarray], key: str, model: TransitionModel,
     return out
 
 
-def action_legal(model: TransitionModel, state: SymbolState, key: str) -> bool:
-    """Legality indicator: empirical P(action | symbol) above thresh for every concept."""
+def action_legal(model: TransitionModel, state, key: str):
+    """Legality indicator: empirical P(action | symbol) above thresh for every
+    concept; per-concept symbol arrays that broadcast give an array of them."""
     legal = model.legal.get(key)
-    return legal is not None and all(row[w] for row, w in zip(legal, state))
+    return legal is not None and reduce(and_, [row[w] for row, w in zip(legal, state)])
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +295,6 @@ class PlanResult:
     @property
     def best(self) -> Plan:
         return self.plans[0]
-
-
-def _map_successor(model: TransitionModel, state: SymbolState,
-                   key: str) -> tuple[SymbolState, float] | None:
-    succ = []
-    prob = 1.0
-    for w, nxt, nxt_p in zip(state, model.succ[key], model.succ_p[key]):
-        w2 = nxt[w]
-        if w2 < 0:
-            return None
-        succ.append(w2)
-        prob *= nxt_p[w]
-    return tuple(succ), prob
 
 
 def available_keys(model, masks: SymbolMasks) -> tuple[str, ...]:
@@ -335,51 +346,62 @@ def layered_kbest(init, start_entry, expand, is_goal, top_k: int, l_max: int):
     return results[:top_k]
 
 
-def _steps_to_goal(model: TransitionModel, masks: SymbolMasks, goal: SymbolState,
-                   keys: Sequence[str], recolors: Sequence[bool], l_max: int):
-    """`to_goal(state)`: a lower bound on the steps `plan` needs to reach the goal.
+def _search_graph(model: TransitionModel, masks: SymbolMasks, init: SymbolState,
+                  goal: SymbolState, keys: Sequence[str], l_max: int):
+    """The graph one `plan` call searches, with exact goal distances.
 
-    A backward BFS of at most l_max rounds, in numpy, over the codes of the
-    goal concepts' symbols; each round labels the codes one step further from
-    the goal. An edge is a key's MAP successor on the goal concepts, kept where
-    every goal-concept row is seen and the successor cell is free;
-    change_color runs only from cells next to the dyer. Every step `plan`
-    compiles projects onto such an edge (the legality gate, type and size are
-    dropped), so the distance never exceeds the compiled graph's. Codes the
-    BFS does not reach get l_max + 1.
+    Its nodes are the codes, ascending, of the product of each concept's
+    symbols reachable from init's under the keys' MAP successors: every state
+    the search can reach. A node's steps are the model's `steps` where the
+    successor cell is free and, for change_color, the node's cell is next to
+    the dyer. A backward BFS from the goal nodes gives each node its distance,
+    l_max + 1 when above l_max. Returns the codes, the distances and
+    `steps_from(i)`: node i's (successor node, step probability, rank,
+    successor distance) steps in rank order, but none onto a successor l_max
+    or more steps from the goal, which no plan within l_max takes.
     """
-    concepts = masks.goal_concepts
-    cards = tuple(model.cardinalities[c] for c in concepts)
-    n = math.prod(cards)
-    sym = np.indices(cards).reshape(len(cards), n)  # each code's goal-concept symbols
-    nxt = np.stack([np.array([model.succ[key][c] for key in keys], dtype=np.int64)
-                    .reshape(len(keys), card)[:, row]
-                    for c, card, row in zip(concepts, cards, sym)])  # (concept, key, code)
-    ix, iy = concepts.index(POS_X), concepts.index(POS_Y)
-    edge = (nxt >= 0).all(axis=0) & np.array(masks.valid)[nxt[ix], nxt[iy]]
-    edge[np.array(recolors, dtype=bool)] &= np.array(masks.adjacent)[sym[ix], sym[iy]]
-    # each edge's head code, n for a missing edge; gathered flat, which is faster
-    heads = np.where(edge, np.ravel_multi_index(tuple(np.maximum(nxt, 0)), cards), n).ravel()
-    strides = [math.prod(cards[i + 1:]) for i in range(len(cards))]
-    place = tuple(zip(concepts, strides))
-
-    def code(state):
-        return sum(state[c] * stride for c, stride in place)
-
-    target = code(goal)
-    dist = np.full(n, l_max + 1)
-    dist[target] = 0
-    front = np.zeros(n + 1, dtype=bool)  # missing edges read entry n, always False
-    front[target] = True
-    for depth in range(1, l_max + 1):
-        new = front[heads].reshape(len(keys), n).any(axis=0)
-        new &= dist > l_max
-        if not new.any():
+    succ_rows = [model.succ[key] for key in keys]
+    closures = []
+    for k, w in enumerate(init):
+        reached = [w]
+        for w in reached:  # grows while it is read
+            reached.extend({rows[k][w] for rows in succ_rows}.difference(reached, (-1,)))
+        closures.append(sorted(reached))
+    at = _codes(closures, model.cardinalities)
+    succ_table, prob_table, cell = model.steps
+    rows = [model.action_keys.index(key) for key in keys]
+    succ = succ_table.take(at, axis=1)[rows]  # (key, node)
+    ok = (succ >= 0) & np.ravel(masks.valid)[cell[succ]]
+    recolors = [base_action(key) == "change_color" for key in keys]
+    ok[recolors] &= np.ravel(masks.adjacent)[cell[at]]  # environment knowledge, not counts
+    n = len(at)
+    heads = np.where(ok, np.searchsorted(at, succ), n)  # node n: no step
+    preds = (np.argsort(heads, axis=None, kind="stable") % n).tolist()  # grouped by head
+    ends = [0, *np.bincount(heads.ravel(), minlength=n + 1).cumsum().tolist()]
+    queue = np.searchsorted(at, _codes([[w for w in syms if k not in masks.goal_concepts
+                                         or w == goal[k]] for k, syms in enumerate(closures)],
+                                       model.cardinalities)).tolist()
+    dist = [0 if i in queue else l_max + 1 for i in range(n + 1)]
+    for i in queue:  # grows while it is read
+        if dist[i] >= l_max:
             break
-        dist[new] = depth
-        front[:n] = new
-    table = dist.tolist()
-    return lambda state: table[code(state)]
+        for j in preds[ends[i]:ends[i + 1]]:
+            if dist[j] > l_max:
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    heads_of, probs_of = heads.T.tolist(), prob_table.take(at, axis=1)[rows].T.tolist()
+
+    @cache
+    def steps_from(i):
+        return [(h, p, rank, dist[h]) for rank, (h, p) in enumerate(zip(heads_of[i], probs_of[i]))
+                if dist[h] < l_max]
+
+    return at.tolist(), dist[:n], steps_from
+
+
+def _codes(symbols: Sequence[Sequence[int]], cards: Sequence[int]) -> np.ndarray:
+    """The codes of the product of per-concept sorted symbol lists, ascending."""
+    return np.ravel_multi_index(np.ix_(*symbols), cards, order="F").ravel(order="F")
 
 
 def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
@@ -392,16 +414,15 @@ def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
     probabilities). A sequence is accepted when its state matches the goal on
     the bench's goal concepts. Ties break on the fixed action ordering.
 
-    Each state's successors (legality gate, dyer adjacency, MAP successor,
-    position mask) are compiled once per call into (successor, step
-    probability, rank, `to_goal(successor)`) steps, when the search first
-    reaches the state; `to_goal` is `_steps_to_goal`'s lower bound.
+    The search runs over the nodes of `_search_graph`, whose steps (legality
+    gate, MAP successor, dyer adjacency, position mask) the model's step
+    tables give, and whose exact distances to the goal are `to_goal` below.
 
     The search is bounded: a step is skipped when its depth plus `to_goal`
     exceeds the bound, which starts at min(to_goal(init), l_max). When fewer
     than top_k plans come back and a skipped step's depth plus `to_goal` was
     at most l_max, the bound rises to the smallest such value and the search
-    runs again on the same compiled steps. The result is exactly the unbounded
+    runs again on the same steps. The result is exactly the unbounded
     search's. `to_goal` never exceeds the true distance, so a state that can
     still reach the goal within the bound is kept, and so is each of its
     predecessors, which can too. Every bucket on such a path, truncated to
@@ -413,45 +434,28 @@ def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
         raise InvalidInit("initial symbol state is invalid under the masks")
     warnings = tuple(f"init/goal mismatch on unchangeable concept {c}"
                      for c in (TYPE, SIZE) if init[c] != goal[c])
-    is_goal = masks.goal_test(goal)
-    if is_goal(init):
-        return PlanResult(plans=(Plan((), 1.0),), warnings=warnings)
-
     keys = available_keys(model, masks)  # in model order, so ranks order as keys do
-    recolors = [base_action(key) == "change_color" for key in keys]
-    to_goal = _steps_to_goal(model, masks, goal, keys, recolors, l_max)
-    compiled: dict[SymbolState, list[tuple[SymbolState, float, int, int]]] = {}
+    codes, dist, steps_from = _search_graph(model, masks, init, goal, keys, l_max)
+    start = codes.index(int(np.ravel_multi_index(init, model.cardinalities, order="F")))
+    if dist[start] == 0:  # init matches the goal
+        return PlanResult(plans=(Plan((), 1.0),), warnings=warnings)
+    is_goal = frozenset(i for i, d in enumerate(dist) if d == 0).__contains__
 
-    def steps_from(state):
-        steps = []
-        for rank, key in enumerate(keys):
-            if not action_legal(model, state, key):
-                continue
-            if recolors[rank] and not masks.dyer_adjacent(state):
-                continue  # adjacency is environment knowledge, not in the counts
-            step = _map_successor(model, state, key)
-            if step is not None and masks.position_valid(step[0]):
-                steps.append((*step, rank, to_goal(step[0])))
-        return steps
-
-    def expand(state, entries):
+    def expand(node, entries):
         nonlocal skipped
-        steps = compiled.get(state)
-        if steps is None:
-            steps = compiled[state] = steps_from(state)
         depth = len(entries[0][1]) + 1
-        for succ, step_p, rank, steps_left in steps:
+        for succ, step_p, rank, steps_left in steps_from(node):
             if depth + steps_left > bound:
                 skipped = min(skipped, depth + steps_left)
                 continue
             yield succ, [(score * step_p, seq + (rank,), None)
                          for score, seq, _ in entries]
 
-    bound = min(to_goal(init), l_max)
+    bound = min(dist[start], l_max)
     while True:
         skipped = l_max + 1  # the smallest depth + to_goal above the bound
         try:
-            found = layered_kbest(init, (1.0, (), None), expand, is_goal, top_k, l_max)
+            found = layered_kbest(start, (1.0, (), None), expand, is_goal, top_k, l_max)
         except NoPlanFound:
             if skipped > l_max:
                 raise

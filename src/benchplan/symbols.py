@@ -168,21 +168,15 @@ def symbolize(tokens: np.ndarray, symbolizer: Symbolizer) -> tuple[int, ...]:
                  for k in range(len(symbolizer.centers)))
 
 
-def purity(symbolizer: Symbolizer, tokens: np.ndarray, states: Sequence) -> np.ndarray:
-    """Majority-vote purity per concept over an (n, 6, dim) token stack and the
-    n ObjectStates it encodes."""
+def purity(labels, states: Sequence) -> np.ndarray:
+    """Majority-vote purity per concept of (n, n_concepts) cluster labels
+    against the n ObjectStates they label."""
     if not len(states):
         raise ValueError("need labeled examples")
-    tokens = np.asarray(tokens, dtype=float)
     values = np.asarray([s.values() for s in states])
-    out = np.empty(len(symbolizer.centers))
-    for k, centers in enumerate(symbolizer.centers):
-        clusters = assign_many(tokens[:, k, :], centers)
-        truth = values[:, k]
-        correct = 0
-        for c in range(len(centers)):
-            members = truth[clusters == c]
-            if len(members):
-                correct += int(np.bincount(members).max())
+    out = np.empty(values.shape[1])
+    for k, (clusters, truth) in enumerate(zip(np.asarray(labels).T, values.T)):
+        correct = sum(int(np.bincount(truth[clusters == c]).max())
+                      for c in np.unique(clusters))
         out[k] = correct / len(states)
     return out

@@ -144,9 +144,10 @@ class EnvConfig:
     def __post_init__(self):
         if self.level not in MAX_LEN_BY_LEVEL:
             raise ValueError(f"level must be 1..4, got {self.level}")
-        # normalize: sorted, deduplicated obstacle cells
+        # normalize: sorted, deduplicated obstacle cells, and cells as tuples
         cells = tuple(sorted(set(map(tuple, self.obstacles))))
         object.__setattr__(self, "obstacles", cells)
+        object.__setattr__(self, "dyer", None if self.dyer is None else tuple(self.dyer))
         for c in cells:
             if not (0 <= c[0] < X_CELLS and 0 <= c[1] < Y_CELLS):
                 raise ValueError(f"obstacle {c} off the grid")

@@ -11,10 +11,11 @@ connectivity check frozen before they read a bench's move table and searched
 int state codes. The k-means oracles are the k-means++ init, the Lloyd loop
 and `fit_kmeans` frozen before each Lloyd step assigned points by one matmul.
 The unbounded planner is `mdp.plan` frozen before its search was bounded by a
-goal-distance lower bound. The bench-table oracle is `EnvConfig.__post_init__`
-frozen before each bench copied its move table from one grid table, and the
-encoding oracle is `concepts.encode` frozen before a trajectory was encoded
-by one gather and one noise draw.
+goal-distance lower bound, with the MAP successor rule it read per state and
+call before `plan` read the model's compiled step tables. The bench-table
+oracle is `EnvConfig.__post_init__` frozen before each bench copied its move
+table from one grid table, and the encoding oracle is `concepts.encode`
+frozen before a trajectory was encoded by one gather and one noise draw.
 """
 
 from collections import deque
@@ -48,6 +49,8 @@ from benchplan.workbench import (
     CONCEPTS,
     MAX_LEN_BY_LEVEL,
     N_COLORS,
+    POS_X,
+    POS_Y,
     X_CELLS,
     Y_CELLS,
     ActionError,
@@ -484,7 +487,8 @@ def oracle_plan(model, init, goal, masks, top_k=5, l_max=16):
             for key in keys:
                 if not _oracle_action_legal(model, state, key):
                     continue
-                if base_action(key) == "change_color" and not masks.dyer_adjacent(state):
+                if (base_action(key) == "change_color"
+                        and not masks.adjacent[state[POS_X]][state[POS_Y]]):
                     continue
                 step = _oracle_map_successor(model, state, key)
                 if step is None:
@@ -580,8 +584,23 @@ def oracle_plan_tokenspace(maps, init_tokens, goal_tokens, symbolizer, masks,
 # ---------------------------------------------------------------------------
 # the symbolic planner frozen before its search was bounded: each symbol
 # state's steps compiled once per call, and the batched layered k-best loop
-# with no bound. It reads the model's tables through the production helpers,
-# and looks `mdp.action_legal` up at call time, so a wrapper sees its checks.
+# with no bound. It reads the model's per-concept tables through the scalar
+# `mdp.action_legal` and the MAP successor rule `plan` read before it planned
+# over compiled step tables, `oracle_map_successor`.
+
+
+def oracle_map_successor(model, state, key):
+    """`mdp._map_successor` as it was: a key's MAP successor of a symbol state
+    and its step probability, or None where a concept's row is unseen."""
+    succ = []
+    prob = 1.0
+    for w, nxt, nxt_p in zip(state, model.succ[key], model.succ_p[key]):
+        w2 = nxt[w]
+        if w2 < 0:
+            return None
+        succ.append(w2)
+        prob *= nxt_p[w]
+    return tuple(succ), prob
 
 
 def oracle_compiled_steps(model, masks, keys, state):
@@ -590,9 +609,10 @@ def oracle_compiled_steps(model, masks, keys, state):
     for rank, key in enumerate(keys):
         if not mdp.action_legal(model, state, key):
             continue
-        if base_action(key) == "change_color" and not masks.dyer_adjacent(state):
+        if (base_action(key) == "change_color"
+                and not masks.adjacent[state[POS_X]][state[POS_Y]]):
             continue
-        step = mdp._map_successor(model, state, key)
+        step = oracle_map_successor(model, state, key)
         if step is not None and masks.position_valid(step[0]):
             steps.append((*step, rank))
     return steps

@@ -23,7 +23,7 @@ from benchplan.mdp import (
     point_mass,
     propagate,
 )
-from benchplan.symbols import fit_symbolizer, purity
+from benchplan.symbols import fit_symbolizer, purity, symbolize
 from benchplan.taskgen import (
     generate_dataset,
     make_unseen_object_split,
@@ -218,7 +218,7 @@ def test_criterion_07_symbol_purity():
             tokens.append(encode(state, cb, sigma, rng) if sigma
                           else encode(state, cb))
         symbolizer = fit_symbolizer(tokens, cb.cardinalities, seed=0)
-        scores = purity(symbolizer, tokens, states)
+        scores = purity([symbolize(t, symbolizer) for t in tokens], states)
         assert scores.min() >= floor, f"sigma={sigma}: {scores}"
         if sigma == 0.0:
             assert np.array_equal(scores, np.ones(6))

@@ -1,9 +1,13 @@
 """Transition-model tests, checked against the brute-force propagation oracle."""
 
+import pickle
+from itertools import product
+
 import numpy as np
 import pytest
 
 from _oracles import (
+    oracle_map_successor,
     oracle_masks,
     oracle_occurrences,
     oracle_paths,
@@ -11,7 +15,7 @@ from _oracles import (
     oracle_step,
 )
 from benchplan.concepts import encode
-from benchplan.fitting import _STREAM_FIT_ENCODE, encode_trajectory
+from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, encode_trajectory, fit_pipeline
 from benchplan.mdp import (
     DeadDistribution,
     NoPlanFound,
@@ -26,7 +30,8 @@ from benchplan.mdp import (
 )
 from benchplan.symbols import symbolize
 from benchplan.taskgen import oracle_shortest_plan
-from benchplan.workbench import DEFAULT_CARDINALITIES, EnvConfig, ObjectState, simulate
+from benchplan.workbench import (DEFAULT_CARDINALITIES, POS_X, POS_Y, EnvConfig, ObjectState,
+                                 simulate)
 
 
 def toy_model(thresh=0.1):
@@ -78,6 +83,24 @@ class TestFitTransitions:
         for a, b in zip(model.occurrences, occ):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
+    @pytest.mark.parametrize("sigma", (0.0, 0.2))
+    @pytest.mark.parametrize("run", ["level3_run", "level4_run"])
+    def test_step_tables_equal_scalar_rules(self, request, run, sigma):
+        dataset, fitted = request.getfixturevalue(run)
+        if sigma:
+            fitted = fit_pipeline(dataset, FitConfig(noise_sigma=sigma))
+        _assert_step_tables_equal_scalar_rules(fitted.model)
+
+    def test_step_tables_equal_scalar_rules_on_random_counts(self):
+        # few probabilities are 1 and the gate cuts rows that were seen, so
+        # the multiplication order and the legality read both show
+        rng = np.random.default_rng(5)
+        cards = (2, 3, 5, 4, 3, 2)
+        counts = {key: [rng.integers(0, 4, size=(c, c)) * (rng.random((c, 1)) < 0.8)
+                        for c in cards]
+                  for key in ("move_left", "move_right", "rotate_right", "change_color@1")}
+        _assert_step_tables_equal_scalar_rules(TransitionModel(cards, 0.3, counts))
+
     def test_level1_position_transitions_deterministic(self, level1_run):
         dataset, fitted = level1_run
         vmap = fitted.value_maps.value_to_symbol
@@ -105,6 +128,28 @@ class TestFitTransitions:
 
 
 IDENTITY = tuple(tuple(range(c)) for c in DEFAULT_CARDINALITIES)
+
+
+def _assert_step_tables_equal_scalar_rules(model):
+    """`model.steps` against the scalar legality and the frozen MAP successor,
+    for every (code, key), bit for bit."""
+    succ, prob, cell = model.steps
+    n_steps = 0
+    for code, state in enumerate(product(*map(range, reversed(model.cardinalities)))):
+        state = state[::-1]  # concept 0 varies fastest
+        assert code == np.ravel_multi_index(state, model.cardinalities, order="F")
+        assert cell[code] == state[POS_X] * model.cardinalities[POS_Y] + state[POS_Y]
+        for i, key in enumerate(model.action_keys):
+            step = oracle_map_successor(model, state, key)
+            if not action_legal(model, state, key) or step is None:
+                assert succ[i, code] == -1
+                continue
+            n_steps += 1
+            assert succ[i, code] == np.ravel_multi_index(step[0], model.cardinalities,
+                                                         order="F")
+            assert prob[i, code] == step[1]  # bit for bit
+    assert 0 < n_steps < succ.size
+    assert "steps" not in vars(pickle.loads(pickle.dumps(model)))  # per process
 
 
 def _count(table):

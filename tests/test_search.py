@@ -6,6 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+import _oracles
 from _oracles import (
     _oracle_available_keys,
     _oracle_tokenspace_keys,
@@ -17,7 +18,8 @@ from _oracles import (
 from benchplan.concepts import encode
 from benchplan.fitting import codebook_for_tasks
 from benchplan import mdp
-from benchplan.mdp import NoPlanFound, SymbolMasks, available_keys, layered_kbest, plan
+from benchplan.mdp import (NoPlanFound, SymbolMasks, TransitionModel, available_keys,
+                           layered_kbest, plan)
 from benchplan.symbols import symbolize
 from benchplan.token_maps import plan_tokenspace
 from benchplan.workbench import EnvConfig
@@ -95,24 +97,27 @@ def test_symbolic_planner_matches_frozen_search_over_budgets(run, sigma, request
     assert {"no plan", 1, 3, 8} <= outcomes
 
 
-def test_plan_checks_each_state_and_key_once(level4_run, monkeypatch, request):
+def test_model_tables_check_each_key_once(level4_run, monkeypatch, request):
+    # a fresh model: the session's fitted one may hold its tables already
+    model = level4_run[1].model
+    fresh = TransitionModel(model.cardinalities, model.thresh, model.counts)
     checked, legal = [], mdp.action_legal
 
     def recording(model, state, key):
-        checked.append((state, key))
+        checked.append(key)
         return legal(model, state, key)
 
     monkeypatch.setattr(mdp, "action_legal", recording)
+    planned = 0
     for sigma in (0.0, 0.2):
-        for model, init, goal, masks, gt_len in _symbolic_cases("level4_run", sigma,
-                                                                request):
-            checked.clear()
+        for _, init, goal, masks, gt_len in _symbolic_cases("level4_run", sigma, request):
             try:
-                plan(model, init, goal, masks, top_k=5, l_max=gt_len + 2)
+                plan(fresh, init, goal, masks, top_k=5, l_max=gt_len + 2)
             except NoPlanFound:
                 pass
-            assert checked
-            assert len(set(checked)) == len(checked)
+            planned += 1
+            assert checked == list(fresh.action_keys)  # the first call's, and no more
+    assert planned > 1
 
 
 def _budget_cases(run, sigma, request):
@@ -136,49 +141,60 @@ def test_bounded_plan_matches_unbounded_search(run, sigma, request):
     assert {"no plan", 1, 3, 5, 8} <= outcomes
 
 
+def _state(code, cardinalities):
+    """The symbol state of a code of the model's step tables."""
+    return tuple(map(int, np.unravel_index(code, cardinalities, order="F")))
+
+
 def _recording_search(monkeypatch):
-    """Record `plan`'s (state, key) legality checks, its `to_goal` functions
-    and the `layered_kbest` runs of each call."""
-    record = {"checked": [], "to_goal": [], "searches": 0}
-    legal, steps_to_goal, search = mdp.action_legal, mdp._steps_to_goal, mdp.layered_kbest
+    """Record `plan`'s search graph, the states each planner expands, and the
+    `layered_kbest` runs of each `plan` call."""
+    record = {"graph": None, "states": None, "expanded": set(), "searches": 0}
+    search_graph, search = mdp._search_graph, mdp.layered_kbest
 
-    def recording_legal(model, state, key):
-        record["checked"].append((state, key))
-        return legal(model, state, key)
+    def recording_graph(model, *args):
+        codes, dist, steps_from = record["graph"] = search_graph(model, *args)
+        record["states"] = [_state(code, model.cardinalities) for code in codes]
+        return codes, dist, steps_from
 
-    def recording_steps_to_goal(*args):
-        record["to_goal"].append(steps_to_goal(*args))
-        return record["to_goal"][-1]
+    def recording(search, state_of):
+        def run(init, start_entry, expand, *args):
+            def expand_recorded(node, entries):
+                record["expanded"].add(state_of(node))
+                return expand(node, entries)
+            return search(init, start_entry, expand_recorded, *args)
+        return run
 
     def counting_search(*args):
         record["searches"] += 1
         assert record["searches"] <= args[-1]  # each retry raises the bound <= l_max
-        return search(*args)
+        return recording(search, lambda node: record["states"][node])(*args)
 
-    monkeypatch.setattr(mdp, "action_legal", recording_legal)
-    monkeypatch.setattr(mdp, "_steps_to_goal", recording_steps_to_goal)
+    monkeypatch.setattr(mdp, "_search_graph", recording_graph)
     monkeypatch.setattr(mdp, "layered_kbest", counting_search)
+    monkeypatch.setattr(_oracles, "_oracle_batched_kbest",
+                        recording(_oracles._oracle_batched_kbest, lambda state: state))
     return record
 
 
-def _checks(record, planner, *args, **kwargs):
-    """The set of (state, key) checks one planner call makes."""
-    record["checked"].clear()
+def _expanded(record, planner, *args, **kwargs):
+    """The set of states one planner call expands."""
+    record["expanded"] = set()
     record["searches"] = 0
     try:
         planner(*args, **kwargs)
     except NoPlanFound:
         pass
-    return set(record["checked"])
+    return record["expanded"]
 
 
 @pytest.mark.parametrize("sigma", (0.0, 0.2))
 def test_goal_bound_is_admissible(sigma, monkeypatch, request):
     record = _recording_search(monkeypatch)
     for model, init, goal, masks, gt_len in _symbolic_cases("level4_run", sigma, request):
-        compiled = {state for state, _ in
-                    _checks(record, plan, model, init, goal, masks, l_max=gt_len + 2)}
-        to_goal = record["to_goal"][-1]
+        l_max = gt_len + 2
+        expanded = _expanded(record, plan, model, init, goal, masks, l_max=l_max)
+        to_goal = dict(zip(record["states"], record["graph"][1], strict=True))
         # the fully compiled graph reachable from init, and its exact distances
         keys = available_keys(model, masks)
         into, frontier = {init: set()}, [init]
@@ -197,10 +213,10 @@ def test_goal_bound_is_admissible(sigma, monkeypatch, request):
             for pred in into[state] - exact.keys():
                 exact[pred] = exact[state] + 1
                 queue.append(pred)
-        assert compiled <= into.keys()
+        assert expanded <= into.keys() <= to_goal.keys()
         for state in into:
-            assert to_goal(state) <= exact.get(state, float("inf"))
-            assert (to_goal(state) == 0) == is_goal(state)
+            assert to_goal[state] == min(exact.get(state, l_max + 1), l_max + 1)
+            assert (to_goal[state] == 0) == is_goal(state)
 
 
 def test_bounded_plan_prunes_and_retries(level4_run, monkeypatch, request):
@@ -210,9 +226,9 @@ def test_bounded_plan_prunes_and_retries(level4_run, monkeypatch, request):
         for model, init, goal, masks, gt_len in _symbolic_cases("level4_run", sigma,
                                                                 request):
             budget = dict(top_k=5, l_max=gt_len + 2)
-            unbounded = _checks(record, oracle_unbounded_plan, model, init, goal,
-                                masks, **budget)
-            bounded = _checks(record, plan, model, init, goal, masks, **budget)
+            unbounded = _expanded(record, oracle_unbounded_plan, model, init, goal,
+                                  masks, **budget)
+            bounded = _expanded(record, plan, model, init, goal, masks, **budget)
             most_searches = max(most_searches, record["searches"])
             assert bounded <= unbounded
             bounded_total += len(bounded)
@@ -233,11 +249,14 @@ def test_goal_the_relaxed_graph_cannot_reach(level4_run, monkeypatch):
     goal = (*init[:1], *blocked, *init[3:])
     l_max = task.env.max_len
     for planner in (oracle_unbounded_plan, plan):
-        record["checked"].clear()
+        record["expanded"] = set()
         with pytest.raises(NoPlanFound, match=f"^no plan within {l_max} steps$"):
             planner(fitted.model, init, goal, masks, l_max=l_max)
-        assert init in {state for state, _ in record["checked"]}
-    assert record["to_goal"][-1](init) == l_max + 1
+        assert init in record["expanded"]
+    to_goal = dict(zip(record["states"], record["graph"][1], strict=True))
+    assert to_goal[init] == l_max + 1
+    # only the goal states on the blocked cell are labelled: no step enters it
+    assert {d for state, d in to_goal.items() if state[1:3] != blocked} == {l_max + 1}
 
 
 def _graph_expand(edges):

@@ -210,18 +210,22 @@ class TestBatchedSymbols:
         assert_batch_equals_symbolize(np.concatenate([np.asarray(tokens), halfway]), sym)
 
 
+def _labels(symbolizer, tokens):
+    return [symbolize(t, symbolizer) for t in tokens]
+
+
 class TestPurity:
     def test_noiseless_is_one(self):
         cb = build_codebook(seed=18)
         states, tokens = token_sample(cb, 1200, sigma=0.0, seed=19)
         sym = fit_symbolizer(tokens, cb.cardinalities, seed=0)
-        assert np.array_equal(purity(sym, tokens, states), np.ones(6))
+        assert np.array_equal(purity(_labels(sym, tokens), states), np.ones(6))
 
     def test_noisy_still_above_99(self):
         cb = build_codebook(seed=18, min_sep=1.0)
         states, tokens = token_sample(cb, 3000, sigma=0.1, seed=20)
         sym = fit_symbolizer(tokens, cb.cardinalities, seed=0)
-        assert purity(sym, tokens, states).min() >= 0.99
+        assert purity(_labels(sym, tokens), states).min() >= 0.99
 
     def test_untrained_random_centers_score_near_chance(self):
         # noise-dominated tokens (sigma >> separation) carry no label signal,
@@ -233,7 +237,7 @@ class TestPurity:
             centers=tuple(rng.normal(size=(c, cb.dim))
                           for c in DEFAULT_CARDINALITIES),
             inertia=(0.0,) * 6, iterations=(0,) * 6, seed=0)
-        scores = purity(random_sym, tokens, states)
+        scores = purity(_labels(random_sym, tokens), states)
         for k, card in enumerate(DEFAULT_CARDINALITIES):
             # majority-vote purity hovers at 1/k with a small upward bias
             assert abs(scores[k] - 1.0 / card) <= 0.06

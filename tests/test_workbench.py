@@ -202,8 +202,15 @@ class TestEnvConfig:
             EnvConfig(level=3)
 
     def test_dyer_obstacle_clash(self):
-        with pytest.raises(ValueError):
-            EnvConfig(level=3, obstacles=((1, 1),), dyer=(1, 1), dyer_color=0)
+        for dyer in ((1, 1), [1, 1]):
+            with pytest.raises(ValueError, match="dyer cell clashes with an obstacle"):
+                EnvConfig(level=3, obstacles=((1, 1),), dyer=dyer, dyer_color=0)
+
+    def test_list_cells_equal_tuple_cells(self):
+        a = EnvConfig(level=3, obstacles=[[0, 1]], dyer=[1, 1], dyer_color=2)
+        b = EnvConfig(level=3, obstacles=((0, 1),), dyer=(1, 1), dyer_color=2)
+        assert a == b and hash(a) == hash(b) and a.dyer == (1, 1)
+        assert (a.free, a.near_dyer, a.moves) == (b.free, b.near_dyer, b.moves)
 
     def test_max_len_by_level(self):
         assert EnvConfig(level=1).max_len == 6
