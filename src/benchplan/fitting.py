@@ -11,7 +11,7 @@ from .concepts import (DEFAULT_DIM, DEFAULT_MIN_SEP, ConceptCodebook, build_code
 from .concepts import encode  # noqa: F401  unused; perfbench's trace points patch this name
 from .mdp import DEFAULT_THRESH, TransitionModel, action_key, fit_transitions
 from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, assign,
-                      assign_many, fit_symbolizer, purity)
+                      fit_symbolizer, purity)
 from .symbols import symbolize  # noqa: F401  unused; perfbench's trace points patch this name
 from .taskgen import Dataset, Task
 from .token_maps import MIN_PAIRS, ActionTransitionMaps, fit_affine
@@ -94,10 +94,8 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
         states.extend(path)
         keys.extend([*(action_key(a, task.env.dyer_color) for a in task.gt_actions), None])
 
-    symbolizer = fit_symbolizer(tokens, codebook.cardinalities,
-                                seed=config.seed, restarts=config.restarts)
-    labels = np.stack([assign_many(tokens[:, k, :], centers)
-                       for k, centers in enumerate(symbolizer.centers)], axis=1)
+    symbolizer, labels = fit_symbolizer(tokens, codebook.cardinalities,
+                                        seed=config.seed, restarts=config.restarts)
     symbols = labels.tolist()
     triplets = []
     pairs: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}

@@ -3,7 +3,8 @@
 Each concept gets its own k-means fit with k equal to that concept's known
 value-space size; a token's symbol is the index of its nearest center. The
 fit is deterministic under a seed (k-means++ init, fixed restarts, centers
-canonicalized to lexicographic order).
+canonicalized to lexicographic order). Points are held as (dim, n) columns;
+exact near-tie picks and numpy's row-sum order keep every label and bit.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class KMeansResult:
     inertia: float
     iterations: int
     inertia_history: tuple[float, ...]  # inertia at each assignment step
+    labels: np.ndarray  # (n,) each point's nearest center, an index into centers
 
 
 @dataclass(frozen=True)
@@ -51,90 +53,109 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n, dim = points.shape
+def _sq_norms(diff: np.ndarray) -> np.ndarray:
+    """`(diff ** 2).T.sum(axis=1)` of a (dim, n) scratch array, which it
+    overwrites, a whole row at a time in the order numpy sums each short row:
+    left to right below 8 entries, from 8 in 8 accumulators, a tree, the tail."""
+    diff *= diff
+    tail = 1 if len(diff) < 8 else len(diff) - len(diff) % 8
+    for i in range(8, tail, 8):
+        diff[:8] += diff[i:i + 8]
+    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)) if tail > 1 else ():
+        diff[a] += diff[b]
+    for row in diff[tail:]:
+        diff[0] += row
+    return diff[0]
+
+
+def _kmeanspp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    dim, n = cols.shape
     centers = np.empty((k, dim))
-    centers[0] = points[int(rng.integers(n))]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    centers[0] = cols[:, int(rng.integers(n))]
+    d2 = _sq_norms(cols - centers[0][:, None])
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
             idx = int(rng.choice(n, p=d2 / total))
         else:  # fewer distinct points than k; fall back to uniform picks
             idx = int(rng.integers(n))
-        centers[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+        centers[j] = cols[:, idx]
+        d2 = np.minimum(d2, _sq_norms(cols - centers[j][:, None]))
     return centers
 
 
-def _nearest(points: np.ndarray, sq_norms: np.ndarray,
-             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The labels of `_sq_dists(points, centers).argmin(axis=1)`, picked by one
-    matmul of the expanded norm |p|^2 - 2 p.c + |c|^2, and each point's exact
-    squared distance to its center. Where a second center is within rounding
-    error of the best (coincident centers, ties), the exact form picks again."""
-    c2 = (centers ** 2).sum(axis=1)
-    expanded = points @ np.ascontiguousarray(-2.0 * centers.T) + sq_norms[:, None] + c2
-    labels = expanded.argmin(axis=1)
-    best = np.take_along_axis(expanded, labels[:, None], axis=1)
-    close = expanded <= best + _SLACK * points.shape[1] * (sq_norms + c2.max())[:, None]
-    if np.count_nonzero(close) > len(points):  # a second center within the error
-        near = np.flatnonzero(close.sum(axis=1) > 1)
-        labels[near] = _sq_dists(points[near], centers).argmin(axis=1)
-    return labels, ((points - centers.take(labels, axis=0)) ** 2).sum(axis=1)
+def _nearest(cols: np.ndarray, sq_norms: np.ndarray,
+             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_sq_dists(cols.T, centers).argmin(axis=1)` by one matmul of |p|^2 - 2 p.c
+    + |c|^2, each point's exact cost, and the points a second center came within
+    rounding error of (coincident centers, ties), which the exact form picks."""
+    k, c2 = len(centers), (centers ** 2).sum(axis=1)
+    expanded = (-2.0 * centers) @ cols  # (k, n)
+    expanded += sq_norms
+    expanded += c2[:, None]
+    best = expanded.min(axis=0)
+    # the one j with expanded[j] == best; a point with two is near, and picked again
+    labels = np.einsum("kn,k->n", (expanded == best).view(np.uint8),
+                       np.arange(k, dtype=np.min_scalar_type(k))).astype(np.intp)
+    close = expanded <= best + _SLACK * len(cols) * (sq_norms + c2.max())
+    near = np.empty(0, dtype=np.intp)
+    if np.count_nonzero(close) > len(best):  # a second center within the error
+        near = np.flatnonzero(close.sum(axis=0) > 1)
+        labels[near] = _sq_dists(cols[:, near].T, centers).argmin(axis=1)
+    diff = centers.T.take(labels, axis=1)
+    diff -= cols  # (c - p)^2 has the bits of (p - c)^2
+    return labels, _sq_norms(diff), near
 
 
-def _lloyd(points: np.ndarray,
-           centers: np.ndarray) -> tuple[np.ndarray, float, int, list[float]]:
+def _lloyd(cols: np.ndarray, centers: np.ndarray) -> tuple[
+        np.ndarray, float, int, list[float], np.ndarray, np.ndarray]:
+    """Lloyd steps on (dim, n) points: the final centers, inertia, step count and
+    inertia history, with `_nearest`'s labels and near points at those centers."""
     k = len(centers)
-    sq_norms = (points ** 2).sum(axis=1)
+    sq_norms = _sq_norms(cols.copy())
     history: list[float] = []
     iterations = 0
     for it in range(KMEANS_MAX_ITER):
         iterations = it + 1
-        labels, point_costs = _nearest(points, sq_norms, centers)
+        labels, point_costs, near = _nearest(cols, sq_norms, centers)
         history.append(float(point_costs.sum()))
-        # each cluster's members in index order, grouped by one stable (radix) sort
-        grouped = points.take(labels.astype(np.min_scalar_type(k)).argsort(kind="stable"),
-                              axis=0)
-        ends = np.bincount(labels, minlength=k).cumsum()
-        new_centers = centers.copy()
-        for j, (start, end) in enumerate(zip([0, *ends[:-1]], ends)):
-            if end > start:
-                new_centers[j] = grouped[start:end].mean(axis=0)
-            else:
-                # re-seed an empty cluster from the farthest point
-                new_centers[j] = points[int(point_costs.argmax())]
+        # cluster sums in point order, as numpy's mean adds rows (one column: pairwise)
+        counts = np.bincount(labels, minlength=k)
+        sums = (np.stack([np.bincount(labels, weights=col, minlength=k) for col in cols])
+                if len(cols) > 1 else [[cols[0][labels == j].sum() for j in range(k)]])
+        new_centers = (sums / np.maximum(counts, 1)).T
+        # re-seed an empty cluster from the farthest point
+        new_centers[counts == 0] = cols[:, int(point_costs.argmax())]
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
         centers, unmoved = new_centers, new_centers.tobytes() == centers.tobytes()  # bitwise
         if shift < KMEANS_TOL:
             break
-    inertia = history[-1] if unmoved else float(_nearest(points, sq_norms, centers)[1].sum())
-    return centers, inertia, iterations, history
+    if not unmoved:  # the last step moved the centers: assign once more
+        labels, point_costs, near = _nearest(cols, sq_norms, centers)
+    return centers, float(point_costs.sum()), iterations, history, labels, near
 
 
 def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
                seed: int | Sequence[int], restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
     """k-means++ plus Lloyd; best of `restarts` runs by inertia."""
-    pts = np.ascontiguousarray(points, dtype=float)  # a concept's column of a token stack
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-D array")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or not np.isfinite(pts).all():
+        raise ValueError("points must be a 2-D array of finite values")
+    if k < 1 or restarts < 1:
+        raise ValueError(f"k and restarts must be >= 1, got {k} and {restarts}")
     if len(pts) < k:
         raise InsufficientPoints(f"{len(pts)} points for k={k}")
+    cols = np.ascontiguousarray(pts.T)  # (dim, n): each step works on whole rows
     seed_key = [seed] if isinstance(seed, int) else list(seed)
-    best: tuple[np.ndarray, float, int, list[float]] | None = None
-    for r in range(restarts):
-        rng = np.random.default_rng([*seed_key, r])
-        init = _kmeanspp_init(pts, k, rng)
-        result = _lloyd(pts, init)
-        if best is None or result[1] < best[1]:
-            best = result
-    centers, inertia, iterations, history = best
+    runs = (_lloyd(cols, _kmeanspp_init(cols, k, np.random.default_rng([*seed_key, r])))
+            for r in range(restarts))
+    centers, inertia, iterations, history, labels, near = min(runs, key=lambda run: run[1])
     order = np.lexsort(centers.T[::-1])  # canonical: sort rows lexicographically
-    return KMeansResult(centers=centers[order], inertia=inertia,
-                        iterations=iterations, inertia_history=tuple(history))
+    labels = order.argsort()[labels]
+    # a tie between distinct centers goes to the lowest canonical index, as in `assign`
+    labels[near] = _sq_dists(cols[:, near].T, centers[order]).argmin(axis=1)
+    return KMeansResult(centers=centers[order], inertia=inertia, iterations=iterations,
+                        inertia_history=tuple(history), labels=labels)
 
 
 def assign(token: np.ndarray, centers: np.ndarray) -> int:
@@ -143,23 +164,23 @@ def assign(token: np.ndarray, centers: np.ndarray) -> int:
 
 
 def assign_many(tokens: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    points = np.asarray(tokens, dtype=float)  # `assign` per row, by one matmul
-    return _nearest(points, (points ** 2).sum(axis=1), centers)[0]
+    cols = np.ascontiguousarray(np.asarray(tokens, dtype=float).T)  # `assign` per row
+    return _nearest(cols, _sq_norms(cols.copy()), centers)[0]
 
 
 def fit_symbolizer(tokens: Sequence[np.ndarray], cardinalities: Sequence[int],
-                   seed: int, restarts: int = DEFAULT_RESTARTS) -> Symbolizer:
-    """Fit one k-means per concept, k fixed to the concept's value-space size."""
+                   seed: int, restarts: int = DEFAULT_RESTARTS) -> tuple[Symbolizer, np.ndarray]:
+    """Fit one k-means per concept, k fixed to the concept's value-space size.
+    Also returns each token's symbols, (n, n_concepts), as `symbolize` gives them."""
     if not len(tokens):
         raise InsufficientPoints("no tokens to fit on")
     stack = np.asarray(tokens, dtype=float)  # (n, 6, dim)
-    fits = [fit_kmeans(stack[:, k, :], cardinalities[k], seed=[seed, k],
-                       restarts=restarts)
-            for k in range(len(cardinalities))]
+    fits = [fit_kmeans(stack[:, k, :], card, seed=[seed, k], restarts=restarts)
+            for k, card in enumerate(cardinalities)]
     return Symbolizer(centers=tuple(f.centers for f in fits),
                       inertia=tuple(f.inertia for f in fits),
                       iterations=tuple(f.iterations for f in fits),
-                      seed=seed)
+                      seed=seed), np.stack([f.labels for f in fits], axis=1)
 
 
 def symbolize(tokens: np.ndarray, symbolizer: Symbolizer) -> tuple[int, ...]:

@@ -9,7 +9,8 @@ the value-space bench mask the symbol masks were once read from. The
 simulator oracles are `apply_action`, the BFS oracle and the bench
 connectivity check frozen before they read a bench's move table and searched
 int state codes. The k-means oracles are the k-means++ init, the Lloyd loop
-and `fit_kmeans` frozen before each Lloyd step assigned points by one matmul.
+and `fit_kmeans` frozen before each Lloyd step assigned points by one matmul;
+the oracle's labels are each point's broadcast argmin over the sorted centers.
 The unbounded planner is `mdp.plan` frozen before its search was bounded by a
 goal-distance lower bound, with the MAP successor rule it read per state and
 call before `plan` read the model's compiled step tables. The bench-table
@@ -280,7 +281,8 @@ def oracle_fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
     centers, inertia, iterations, history = best
     order = np.lexsort(centers.T[::-1])  # canonical: sort rows lexicographically
     return KMeansResult(centers=centers[order], inertia=inertia,
-                        iterations=iterations, inertia_history=tuple(history))
+                        iterations=iterations, inertia_history=tuple(history),
+                        labels=_sq_dists(pts, centers[order]).argmin(axis=1))
 
 
 def oracle_occurrences(triplets, cardinalities):

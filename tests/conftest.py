@@ -1,7 +1,8 @@
 import hypothesis
+import numpy as np
 import pytest
 
-from benchplan.fitting import FitConfig, fit_pipeline
+from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, encode_trajectory, fit_pipeline
 from benchplan.taskgen import generate_dataset
 
 hypothesis.settings.register_profile("suite", max_examples=50, deadline=None)
@@ -30,3 +31,16 @@ def level4_run():
     dataset = generate_dataset(4, (300, 20, 50), seed=7)
     fitted = fit_pipeline(dataset, FitConfig(noise_sigma=0.0))
     return dataset, fitted
+
+
+@pytest.fixture(scope="session")
+def training_tokens():
+    """`(run, sigma) ->` the (n, 6, dim) training tokens `fit_pipeline` (seed 0)
+    fits a run's dataset on at noise `sigma`, encoded with the run's codebook."""
+    def tokens(run, sigma):
+        dataset, fitted = run
+        return np.concatenate([
+            encode_trajectory(task, fitted.codebook, sigma, np.random.default_rng(
+                [0, _STREAM_FIT_ENCODE, i]) if sigma else None)[1]
+            for i, task in enumerate(dataset.tasks) if task.split == "train"])
+    return tokens

@@ -217,7 +217,7 @@ def test_criterion_07_symbol_purity():
             states.append(state)
             tokens.append(encode(state, cb, sigma, rng) if sigma
                           else encode(state, cb))
-        symbolizer = fit_symbolizer(tokens, cb.cardinalities, seed=0)
+        symbolizer, _ = fit_symbolizer(tokens, cb.cardinalities, seed=0)
         scores = purity([symbolize(t, symbolizer) for t in tokens], states)
         assert scores.min() >= floor, f"sigma={sigma}: {scores}"
         if sigma == 0.0:

@@ -1,20 +1,22 @@
-"""k-means assigns points by one matmul per Lloyd step, and skips the last
+"""k-means holds a concept's points as (dim, n) columns, assigns them by one
+matmul per Lloyd step, sums clusters by `bincount`, and skips the last
 assignment when no center moved; its results must stay those of the broadcast
 form frozen in `_oracles`, bit for bit."""
 
 import numpy as np
+import pytest
 
 from _oracles import _sq_dists, oracle_fit_kmeans, oracle_lloyd
 from benchplan import symbols
 from benchplan.concepts import build_codebook
-from benchplan.symbols import _kmeanspp_init, _lloyd, _nearest, fit_kmeans
+from benchplan.symbols import _kmeanspp_init, _lloyd, _nearest, _sq_norms, fit_kmeans
 
 KINDS = ("normal", "k=1", "k=n", "codebook", "few distinct", "far offset")
 
 
-def _case(rng, kind):
-    """(points, k) of one random case of the given kind."""
-    n, dim = int(rng.integers(2, 120)), int(rng.integers(1, 9))
+def _case(rng, kind, dims=(1, 9)):
+    """(points, k) of one random case of the given kind, dim in [dims)."""
+    n, dim = int(rng.integers(2, 120)), int(rng.integers(*dims))
     k = int(rng.integers(1, min(n, 8) + 1))
     if kind == "k=1":
         return rng.normal(size=(n, dim)), 1
@@ -34,10 +36,24 @@ def _case(rng, kind):
     return rng.normal(size=(n, dim)), k
 
 
+def columns(points):
+    """A (dim, n) copy of the points, which `_sq_norms` may overwrite."""
+    return np.array(points.T, order="C")
+
+
 def assert_same(result, oracle):
     assert result.centers.tobytes() == oracle.centers.tobytes()
     assert (result.inertia, result.iterations, result.inertia_history) == \
         (oracle.inertia, oracle.iterations, oracle.inertia_history)
+    assert result.labels.tolist() == oracle.labels.tolist()
+
+
+def assert_same_lloyd(points, init):
+    centers, inertia, iterations, history, labels, _ = _lloyd(columns(points), init.copy())
+    frozen = oracle_lloyd(points, init.copy())
+    assert centers.tobytes() == frozen[0].tobytes()
+    assert (inertia, iterations, history) == frozen[1:]
+    assert labels.tolist() == _sq_dists(points, centers).argmin(axis=1).tolist()
 
 
 def test_fit_kmeans_equals_frozen_oracle():
@@ -48,6 +64,55 @@ def test_fit_kmeans_equals_frozen_oracle():
                     oracle_fit_kmeans(points, k, seed=[case, 1], restarts=2))
 
 
+def test_fit_kmeans_equals_frozen_oracle_at_high_dims():
+    # from dim 8 the squared norms add 8 accumulators, a tree, then the tail
+    rng = np.random.default_rng(2025)
+    for case in range(60):
+        points, k = _case(rng, KINDS[case % len(KINDS)], dims=(9, 21))
+        assert_same(fit_kmeans(points, k, seed=[case, 2], restarts=2),
+                    oracle_fit_kmeans(points, k, seed=[case, 2], restarts=2))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_fit_kmeans_equals_frozen_oracle_at_scale(level4_run, training_tokens, sigma):
+    stack = training_tokens(level4_run, sigma)
+    for k, card in enumerate(level4_run[1].codebook.cardinalities):
+        assert_same(fit_kmeans(stack[:, k, :], card, seed=[0, k], restarts=2),
+                    oracle_fit_kmeans(stack[:, k, :], card, seed=[0, k], restarts=2))
+
+
+def test_sq_norms_add_rows_as_numpy_sums_each_row():
+    """A numpy that sums short rows in another order fails here, not as shifted
+    fit.txt bytes."""
+    rng = np.random.default_rng(3)
+    for dim in range(1, 41):
+        x = rng.normal(size=(300, dim)) * 10.0 ** rng.uniform(-3, 3, size=(300, dim))
+        assert _sq_norms(columns(x)).tobytes() == (x ** 2).sum(axis=1).tobytes(), dim
+
+
+def test_cluster_sums_add_as_numpy_means():
+    """Lloyd sums each cluster by `bincount`, in index order, as numpy's mean
+    adds a group's rows; a group of one column numpy sums pairwise, as does
+    Lloyd. Pinned on numpy itself and through `_lloyd`, with -0.0 coordinates
+    and a cluster no point is nearest to."""
+    rng = np.random.default_rng(4)
+    for dim in range(1, 13):
+        points = rng.normal(size=(400, dim)) * 10.0 ** rng.uniform(-3, 3, size=(400, dim))
+        points[rng.random(400) < 0.4, 0] = -0.0
+        if dim > 1:
+            points[:, 1] = -0.0
+        init = np.vstack([points[np.flatnonzero(points[:, 0])[:3]], np.full(dim, 1e9)])
+        labels = _sq_dists(points, init).argmin(axis=1)
+        assert set(labels) == {0, 1, 2}
+        for j in range(3):
+            members = points[labels == j]
+            sums = ([np.bincount(labels, weights=col)[j] for col in points.T] if dim > 1
+                    else [members[:, 0].copy().sum()])
+            assert (np.array(sums) / len(members)).tobytes() == \
+                members.mean(axis=0).tobytes(), (dim, j)
+        assert_same_lloyd(points, init)
+
+
 def test_lloyd_reseeds_an_empty_cluster_as_the_oracle_does():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -55,10 +120,7 @@ def test_lloyd_reseeds_an_empty_cluster_as_the_oracle_does():
         init = points[rng.choice(60, size=4, replace=False)].copy()
         init[2] = 1e3  # no point is nearest to it at the first step
         assert 2 not in _sq_dists(points, init).argmin(axis=1)
-        centers, inertia, iterations, history = _lloyd(points, init.copy())
-        frozen = oracle_lloyd(points, init.copy())
-        assert centers.tobytes() == frozen[0].tobytes()
-        assert (inertia, iterations, history) == frozen[1:]
+        assert_same_lloyd(points, init)
 
 
 def test_nearest_keeps_the_exact_labels_and_costs_at_ties():
@@ -69,9 +131,12 @@ def test_nearest_keeps_the_exact_labels_and_costs_at_ties():
         centers[3] = centers[1]  # an exact tie: the lower index wins
         centers[4] = np.nextafter(centers[0], np.inf)  # within rounding of center 0
         d2 = _sq_dists(points, centers)
-        labels, costs = _nearest(points, (points ** 2).sum(axis=1), centers)
+        labels, costs, near = _nearest(columns(points), _sq_norms(columns(points)), centers)
         assert labels.tolist() == d2.argmin(axis=1).tolist()
         assert costs.tobytes() == d2.min(axis=1).tobytes()
+        # every point at a tie is among those the exact form picked again
+        assert set(np.flatnonzero((d2 == d2.min(axis=1)[:, None]).sum(axis=1) > 1)) <= set(near)
+        assert len(near)
 
 
 def test_lloyd_reuses_the_last_assignment_when_no_center_moved(monkeypatch):
@@ -87,11 +152,9 @@ def test_lloyd_reuses_the_last_assignment_when_no_center_moved(monkeypatch):
     for sigma in (0.2, 0.0):
         for restart in range(5):
             points = table[values] + rng.normal(0.0, sigma, (400, table.shape[1]))
-            init = _kmeanspp_init(points, len(table), np.random.default_rng(restart))
+            init = _kmeanspp_init(columns(points), len(table), np.random.default_rng(restart))
             calls.clear()
-            centers, inertia, iterations, history = _lloyd(points, init.copy())
-            frozen = oracle_lloyd(points, init.copy())
-            assert centers.tobytes() == frozen[0].tobytes()
-            assert (inertia, iterations, history) == frozen[1:]
+            iterations = _lloyd(columns(points), init.copy())[2]
             extra.append((sigma, len(calls) - iterations))
+            assert_same_lloyd(points, init)
     assert set(extra) == {(0.2, 0), (0.0, 1)}, extra

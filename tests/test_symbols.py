@@ -77,6 +77,29 @@ class TestFitKMeans:
         with pytest.raises(InsufficientPoints):
             fit_kmeans(np.zeros((2, 3)), k=3, seed=0)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_rejects_fewer_than_one_restart(self, restarts):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            fit_kmeans(np.zeros((4, 2)), k=2, seed=0, restarts=restarts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        points = np.random.default_rng(5).normal(size=(20, 3))
+        points[7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_kmeans(points, k=2, seed=0)
+
+    def test_labels_break_ties_as_assign_does(self):
+        # -1 is 2 from both 1 = mean(3, -1) and -3: Lloyd gives it to the lower
+        # unsorted index, `assign` to the lower sorted one
+        points = np.array([[3.0], [-1.0], [-3.0], [-3.0]])
+        reordered = 0
+        for seed in range(20):
+            result = fit_kmeans(points, k=2, seed=seed, restarts=1)
+            assert result.labels.tolist() == [assign(p, result.centers) for p in points]
+            reordered += result.centers.tolist() == [[-3.0], [1.0]]
+        assert reordered
+
     def test_centers_canonically_sorted(self):
         rng = np.random.default_rng(7)
         points = rng.normal(size=(100, 2))
@@ -107,7 +130,7 @@ class TestAssign:
     def test_agreement_with_true_centroids_under_noise(self):
         cb = build_codebook(seed=9, min_sep=1.0)
         _, tokens = token_sample(cb, 2000, sigma=0.1, seed=10)
-        sym = fit_symbolizer(tokens, cb.cardinalities, seed=0)
+        sym, _ = fit_symbolizer(tokens, cb.cardinalities, seed=0)
         agree = 0
         for t in tokens:
             fitted = symbolize(t, sym)
@@ -125,7 +148,7 @@ class TestSymbolizer:
     def test_noiseless_centers_match_codebook(self):
         cb = build_codebook(seed=11)
         _, tokens = token_sample(cb, 1500, sigma=0.0, seed=12)
-        sym = fit_symbolizer(tokens, cb.cardinalities, seed=0)
+        sym, _ = fit_symbolizer(tokens, cb.cardinalities, seed=0)
         for k in range(6):
             fitted = np.array(sorted(map(tuple, sym.centers[k])))
             truth = np.array(sorted(map(tuple, cb.centroids[k])))
@@ -134,15 +157,15 @@ class TestSymbolizer:
     def test_refit_identical(self):
         cb = build_codebook(seed=11)
         _, tokens = token_sample(cb, 500, sigma=0.1, seed=13)
-        a = fit_symbolizer(tokens, cb.cardinalities, seed=4)
-        b = fit_symbolizer(tokens, cb.cardinalities, seed=4)
+        a, _ = fit_symbolizer(tokens, cb.cardinalities, seed=4)
+        b, _ = fit_symbolizer(tokens, cb.cardinalities, seed=4)
         for ca, cb_ in zip(a.centers, b.centers):
             assert np.array_equal(ca, cb_)
 
     def test_symbolize_encode_bijective_at_sigma_zero(self):
         cb = build_codebook(seed=11)
         states, tokens = token_sample(cb, 1500, sigma=0.0, seed=14)
-        sym = fit_symbolizer(tokens, cb.cardinalities, seed=0)
+        sym, _ = fit_symbolizer(tokens, cb.cardinalities, seed=0)
         forward = {}
         for state in states:
             key = state.values()
@@ -162,7 +185,7 @@ class TestSymbolizer:
     def test_same_state_same_symbols_under_noise(self):
         cb = build_codebook(seed=15, min_sep=1.0)
         _, tokens = token_sample(cb, 1000, sigma=0.1, seed=16)
-        sym = fit_symbolizer(tokens, cb.cardinalities, seed=0)
+        sym, _ = fit_symbolizer(tokens, cb.cardinalities, seed=0)
         rng = np.random.default_rng(17)
         same = 0
         for _ in range(500):
@@ -200,10 +223,21 @@ class TestBatchedSymbols:
             for a, b in zip(refit.counts[key], fitted.model.counts[key]):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("run", ["level3_run", "level4_run"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    def test_fit_labels_equal_assign_many(self, request, training_tokens, run, sigma):
+        # fit_pipeline takes its training symbols from the fit, not a second pass
+        run = request.getfixturevalue(run)
+        stack = training_tokens(run, sigma)
+        sym, labels = fit_symbolizer(stack, run[1].codebook.cardinalities, seed=0)
+        assert labels.shape == stack.shape[:2]
+        for k, centers in enumerate(sym.centers):
+            assert labels[:, k].tolist() == assign_many(stack[:, k, :], centers).tolist()
+
     def test_ties_break_as_symbolize_does(self):
         cb = build_codebook(seed=11)
         _, tokens = token_sample(cb, 300, sigma=0.0, seed=24)
-        sym = fit_symbolizer(tokens, cb.cardinalities, seed=0)
+        sym, _ = fit_symbolizer(tokens, cb.cardinalities, seed=0)
         # tokens halfway between two centers of every concept, and on a center
         halfway = np.stack([[(c[0] + c[1]) / 2 for c in sym.centers],
                             [c[-1] for c in sym.centers]])
@@ -218,13 +252,13 @@ class TestPurity:
     def test_noiseless_is_one(self):
         cb = build_codebook(seed=18)
         states, tokens = token_sample(cb, 1200, sigma=0.0, seed=19)
-        sym = fit_symbolizer(tokens, cb.cardinalities, seed=0)
+        sym, _ = fit_symbolizer(tokens, cb.cardinalities, seed=0)
         assert np.array_equal(purity(_labels(sym, tokens), states), np.ones(6))
 
     def test_noisy_still_above_99(self):
         cb = build_codebook(seed=18, min_sep=1.0)
         states, tokens = token_sample(cb, 3000, sigma=0.1, seed=20)
-        sym = fit_symbolizer(tokens, cb.cardinalities, seed=0)
+        sym, _ = fit_symbolizer(tokens, cb.cardinalities, seed=0)
         assert purity(_labels(sym, tokens), states).min() >= 0.99
 
     def test_untrained_random_centers_score_near_chance(self):

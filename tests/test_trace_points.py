@@ -11,8 +11,11 @@ import numpy as np
 from perfbench.protocol import trace_points
 from perfbench.tracing import Tracer, patched
 
+from benchplan import fitting
 from benchplan.evaluate import evaluate_task
+from benchplan.fitting import FitConfig
 from benchplan.mdp import TransitionModel
+from benchplan.taskgen import generate_dataset
 
 
 def test_every_trace_point_resolves():
@@ -41,3 +44,14 @@ def test_traced_planners_count_their_inner_calls(level1_run):
     assert tracer.counts["mdp.action_legal"] == len(model.action_keys)
     assert tracer.counts["token_maps.transition"] > 0
     assert tracer.calls("symbols.symbolize") > 0
+
+
+def test_traced_fit_times_each_kmeans():
+    dataset = generate_dataset(2, (40, 4, 4), seed=5)
+    tracer = Tracer()
+    with patched(trace_points(tracer)):
+        fitted = fitting.fit_pipeline(dataset, FitConfig(noise_sigma=0.2))
+    symbolizer = fitted.symbolizer
+    assert tracer.calls("symbols.fit_kmeans") == len(symbolizer.centers)
+    assert tracer.counts["symbols.lloyd_iters"] == sum(symbolizer.iterations)
+    assert sum(symbolizer.iterations) > len(symbolizer.centers)  # noisy: Lloyd steps run
