@@ -5,9 +5,9 @@ loader reads the body through one grammar (`_records`): a line of key=value
 fields opens a record, and the rows under it start with a tag: `c` (symbolizer
 centers), `n` (transition counts), `A`/`b` (affine maps). The fit file writes
 only what cannot be derived: the loader rebuilds the codebook from its seed,
-the symbolizer's seed from the fit seed, the cardinalities from the `c` rows,
-and the whole transition model and each map's pair count from the `n` rows,
-which all pass the one count check (`mdp.count_tables`). Every file ends in a
+the cardinalities from the `c` rows, and the whole transition model from the
+`n` rows, which all pass the one count check (`mdp.count_tables`); its floats
+must be finite, its noise sigma nonnegative. Every file ends in a
 seal, one `sha256=<hex>` line over all bytes above it; a cut at any point, a
 flipped byte or an edited header breaks it.
 A wrong magic line, a broken seal or malformed content raises SchemaMismatch
@@ -28,7 +28,7 @@ from .fitting import FitConfig, Fitted
 from .mdp import TransitionModel, count_tables
 from .symbols import Symbolizer
 from .taskgen import Dataset, Task
-from .workbench import EnvConfig, ObjectState
+from .workbench import ACTIONS, EnvConfig, ObjectState
 from .token_maps import ActionTransitionMaps
 
 DATASET_MAGIC = "#workbench-dataset v2"
@@ -186,6 +186,8 @@ def _parse_dataset(header, records) -> Dataset:
         init, goal = (parse_state([kv[f"{prefix}.{key}"] for key in _STATE_KEYS])
                       for prefix in ("init", "goal"))
         actions = () if kv["gt_actions"] == "-" else tuple(kv["gt_actions"].split(","))
+        _expect(set(actions) <= set(ACTIONS),
+                f"task {kv['task_id']}: unknown action in gt_actions={kv['gt_actions']}")
         tasks.append(Task(env=env, init=init, goal=goal, gt_actions=actions,
                           task_id=kv["task_id"], split=kv["split"]))
     return Dataset(level=int(header["level"]), tasks=tasks, seed=int(header["seed"]),
@@ -231,6 +233,7 @@ def _vectors(rows, tags: list[str], width: int, what: str) -> np.ndarray:
     values = np.array([list(map(float, row[-1].split(","))) for row in rows])
     _expect([row[0] for row in rows] == tags and values.shape == (len(tags), width),
             f"{what} needs {len(tags)} rows of {width} values")
+    _expect(np.isfinite(values).all(), f"{what} has a value that is not finite")
     return values
 
 
@@ -248,8 +251,7 @@ def _parse_fit(header, records) -> Fitted:
         centers=tuple(_vectors(rows, ["c"] * len(rows), config.dim,
                                f"concept {kv['concept']}") for kv, rows in concepts),
         inertia=tuple(float(kv["inertia"]) for kv, _ in concepts),
-        iterations=tuple(int(kv["iterations"]) for kv, _ in concepts),
-        seed=config.seed)  # fit_pipeline seeds the symbolizer with the fit seed
+        iterations=tuple(int(kv["iterations"]) for kv, _ in concepts))
 
     _expect(all(row[0] == "n" for row in count_rows), "a non-'n' row among the counts")
     counts = count_tables(((key, int(k), int(w), int(w2), int(n))
@@ -259,15 +261,17 @@ def _parse_fit(header, records) -> Fitted:
                             thresh=config.thresh, counts=counts)
 
     size = 6 * config.dim
-    matrices, offsets, mses, pair_counts = {}, {}, {}, {}
+    matrices, offsets, mses = {}, {}, {}
     for kv, rows in map_records:
         key = kv["action"]
         values = _vectors(rows, ["A"] * size + ["b"], size, f"action {key}")
         matrices[key], offsets[key] = values[:-1], values[-1]
         mses[key] = float(kv["mse"])
-        pair_counts[key] = int(counts[key][0].sum())  # one pair per counted step
+    _expect(np.isfinite([config.noise_sigma, *purity, *symbolizer.inertia, *mses.values()]).all(),
+            "noise_sigma, purity, inertia or mse is not finite")
+    _expect(config.noise_sigma >= 0, f"noise_sigma is negative: {config.noise_sigma}")
     maps = ActionTransitionMaps(dim=config.dim, matrices=matrices, offsets=offsets,
-                                residual_mse=mses, pair_counts=pair_counts)
+                                residual_mse=mses)
     return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,
                   model=model, maps=maps, train_purity=purity)
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import artifacts
 from .concepts import SeparationUnachievable, UnknownValue
 from .evaluate import interpretability_report, plan_task, run_experiment
-from .fitting import FitConfig, codebook_for_tasks, fit_pipeline, unmapped_note
+from .fitting import FitConfig, InvalidGtPlan, codebook_for_tasks, fit_pipeline, unmapped_note
 from .mdp import InvalidInit, NoPlanFound
 from .symbols import InsufficientPoints
 from .taskgen import (
@@ -98,6 +98,8 @@ def cmd_fit(args) -> int:
     except (InsufficientPoints, InsufficientPairs) as err:  # too little training data
         print(f"error: {args.data}: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except InvalidGtPlan as err:  # the dataset's content, so an artifact error
+        raise artifacts.SchemaMismatch(f"{args.data}: {err}") from err
     out = _artifact_dir(args)
     artifacts.save_fitted(out, fitted)
     print(f"fit {len(dataset.subset('train'))} training tasks -> {out}")

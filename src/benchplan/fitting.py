@@ -15,9 +15,13 @@ from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, assign,
 from .symbols import symbolize  # noqa: F401  unused; perfbench's trace points patch this name
 from .taskgen import Dataset, Task
 from .token_maps import MIN_PAIRS, ActionTransitionMaps, fit_affine
-from .workbench import TYPE, simulate
+from .workbench import TYPE, SimulationError, simulate
 
 _STREAM_FIT_ENCODE = 23
+
+
+class InvalidGtPlan(Exception):
+    """A training task's gt plan does not replay on its bench."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,10 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
     for i, task in train:
         rng = (np.random.default_rng([config.seed, _STREAM_FIT_ENCODE, i])
                if config.noise_sigma > 0 else None)  # noiseless: nothing reads it
-        path, path_tokens = encode_trajectory(task, codebook, config.noise_sigma, rng)
+        try:
+            path, path_tokens = encode_trajectory(task, codebook, config.noise_sigma, rng)
+        except SimulationError as err:
+            raise InvalidGtPlan(f"task {task.task_id}: gt plan does not replay: {err}") from err
         tokens[len(states):len(states) + len(path)] = path_tokens
         states.extend(path)
         keys.extend([*(action_key(a, task.env.dyer_color) for a in task.gt_actions), None])

@@ -8,25 +8,13 @@ the learned transition matrix, and a state-validity mask over destinations
 with renormalization.
 
 Position validity couples the two position concepts, so validity is evaluated
-on the joint (x, y) grid and marginalized onto each axis for distribution
-propagation; the k-best plan search checks successor validity on the joint
-grid directly. Both are tabulated once per bench on the position symbols.
+on the joint (x, y) grid: the k-best plan search checks successor validity on
+it, tabulated once per bench on the position symbols (`SymbolMasks`), and
+distribution propagation reads its marginal on each axis (`marginal_masks`).
 
-The model compiles its legality indicator and its MAP successors into per-key
-lookup tables once, when it is built; propagation reads them. On its first
-`plan` call in a process the model compiles them into step tables over every
-symbol-state code. `layered_kbest` is the one k-best search of the package; its
-expand step hands over each successor's entries as one batch. `plan` runs it
-over int codes of symbol states, and the token-space ablation
-(`token_maps.plan_tokenspace`) over affine-map successors of tokens.
-
-`plan` gathers the step tables' rows over the states it can reach, applies the
-bench masks, and runs one backward BFS over that graph: each state's exact
-distance to the goal. A step whose depth plus that distance exceeds the
-search's bound cannot lie on a plan within it, so it is skipped; when too few
-plans come back the bound rises to the smallest value skipped and the search
-runs again (the iterative-deepening bound of IDA*). The plans are exactly
-those of the unbounded search.
+`layered_kbest` is the one k-best search of the package. `plan` runs it over
+int codes of symbol states, bounded by exact goal distances, and the
+token-space ablation (`token_maps.plan_tokenspace`) over affine-map successors.
 
 Actions are referred to by key. Movement and rotation keys equal the action
 names. change_color is context-dependent in truth (the object takes the
@@ -204,14 +192,12 @@ class SymbolMasks:
     `valid[sx][sy]` holds when the cell that position symbols (sx, sy) stand
     for under the fit's value maps is free, `adjacent[sx][sy]` when it is next
     to the dyer, so the planner reads both on symbol states however the cluster
-    labels came out. `per_concept` holds each concept's marginal validity, for
-    propagation: a position symbol is valid when some free cell has its value.
-    `goal_concepts` are those the bench level's goal fixes; both planners test them.
+    labels came out. `goal_concepts` are those the bench level's goal fixes;
+    both planners test them.
     """
 
     valid: tuple[tuple[bool, ...], ...]
     adjacent: tuple[tuple[bool, ...], ...]
-    per_concept: tuple[np.ndarray, ...]
     dyer_color: int | None
     goal_concepts: tuple[int, ...]
 
@@ -219,14 +205,10 @@ class SymbolMasks:
     def build(cls, env: EnvConfig,
               symbol_to_value: Sequence[Sequence[int]]) -> "SymbolMasks":
         """Masks of a bench, read through a fit's symbol -> value maps."""
-        free, near = np.array(env.free), np.array(env.near_dyer)
-        xs, ys = (np.asarray(symbol_to_value[k]) for k in (POS_X, POS_Y))
-        per = [np.ones(len(values), dtype=bool) for values in symbol_to_value]
-        per[POS_X], per[POS_Y] = free.any(axis=1)[xs], free.any(axis=0)[ys]
-        return cls(valid=tuple(map(tuple, free[np.ix_(xs, ys)].tolist())),
-                   adjacent=tuple(map(tuple, near[np.ix_(xs, ys)].tolist())),
-                   per_concept=tuple(per), dyer_color=env.dyer_color,
-                   goal_concepts=goal_concepts(env.level))
+        xs, ys = symbol_to_value[POS_X], symbol_to_value[POS_Y]
+        return cls(valid=tuple(tuple(env.free[x][y] for y in ys) for x in xs),
+                   adjacent=tuple(tuple(env.near_dyer[x][y] for y in ys) for x in xs),
+                   dyer_color=env.dyer_color, goal_concepts=goal_concepts(env.level))
 
     def position_valid(self, state: SymbolState) -> bool:
         return self.valid[state[POS_X]][state[POS_Y]]
@@ -248,6 +230,18 @@ def point_mass(state: SymbolState, cardinalities: Sequence[int]) -> list[np.ndar
         v[state[k]] = 1.0
         dist.append(v)
     return dist
+
+
+def marginal_masks(env: EnvConfig,
+                   symbol_to_value: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """Each concept's marginal validity on a bench, the masks `propagate` takes:
+    a position symbol is valid when some free cell has its value under the
+    fit's symbol -> value maps, and every other symbol is."""
+    free = np.array(env.free)
+    masks = [np.ones(len(values), dtype=bool) for values in symbol_to_value]
+    masks[POS_X] = free.any(axis=1)[np.asarray(symbol_to_value[POS_X])]
+    masks[POS_Y] = free.any(axis=0)[np.asarray(symbol_to_value[POS_Y])]
+    return masks
 
 
 def propagate(dist: Sequence[np.ndarray], key: str, model: TransitionModel,
@@ -321,7 +315,8 @@ def layered_kbest(init, start_entry, expand, is_goal, top_k: int, l_max: int):
     Depth d keeps, for every node reached, its top_k entries in (-score, seq)
     order; entries arriving at a node where `is_goal` holds are accepted.
     Returns up to top_k accepted entries, shortest first and in (-score, seq)
-    order within a length. Deterministic, because seq is unique per entry.
+    order within a length, and none when no entry reached a goal within l_max
+    steps. Deterministic, because seq is unique per entry.
     """
     results = []
     layer = {init: [start_entry]}
@@ -341,8 +336,6 @@ def layered_kbest(init, start_entry, expand, is_goal, top_k: int, l_max: int):
                 arrivals.extend(layer[node])
         _rank_entries(arrivals)
         results.extend(arrivals)
-    if not results:
-        raise NoPlanFound(f"no plan within {l_max} steps")
     return results[:top_k]
 
 
@@ -454,15 +447,12 @@ def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
     bound = min(dist[start], l_max)
     while True:
         skipped = l_max + 1  # the smallest depth + to_goal above the bound
-        try:
-            found = layered_kbest(start, (1.0, (), None), expand, is_goal, top_k, l_max)
-        except NoPlanFound:
-            if skipped > l_max:
-                raise
-            found = []
+        found = layered_kbest(start, (1.0, (), None), expand, is_goal, top_k, l_max)
         if len(found) >= top_k or skipped > l_max:
             break
         bound = skipped
+    if not found:
+        raise NoPlanFound(f"no plan within {l_max} steps")
     return PlanResult(plans=tuple(
         Plan(tuple(keys[r] for r in seq), score)
         for score, seq, _ in found), warnings=warnings)

@@ -42,7 +42,6 @@ class Symbolizer:
     centers: tuple[np.ndarray, ...]  # concept k -> (k_k, dim)
     inertia: tuple[float, ...]
     iterations: tuple[int, ...]
-    seed: int
 
     @property
     def cardinalities(self) -> tuple[int, ...]:
@@ -163,11 +162,6 @@ def assign(token: np.ndarray, centers: np.ndarray) -> int:
     return int(((centers - token) ** 2).sum(axis=1).argmin())
 
 
-def assign_many(tokens: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    cols = np.ascontiguousarray(np.asarray(tokens, dtype=float).T)  # `assign` per row
-    return _nearest(cols, _sq_norms(cols.copy()), centers)[0]
-
-
 def fit_symbolizer(tokens: Sequence[np.ndarray], cardinalities: Sequence[int],
                    seed: int, restarts: int = DEFAULT_RESTARTS) -> tuple[Symbolizer, np.ndarray]:
     """Fit one k-means per concept, k fixed to the concept's value-space size.
@@ -177,10 +171,10 @@ def fit_symbolizer(tokens: Sequence[np.ndarray], cardinalities: Sequence[int],
     stack = np.asarray(tokens, dtype=float)  # (n, 6, dim)
     fits = [fit_kmeans(stack[:, k, :], card, seed=[seed, k], restarts=restarts)
             for k, card in enumerate(cardinalities)]
-    return Symbolizer(centers=tuple(f.centers for f in fits),
-                      inertia=tuple(f.inertia for f in fits),
-                      iterations=tuple(f.iterations for f in fits),
-                      seed=seed), np.stack([f.labels for f in fits], axis=1)
+    symbolizer = Symbolizer(centers=tuple(f.centers for f in fits),
+                            inertia=tuple(f.inertia for f in fits),
+                            iterations=tuple(f.iterations for f in fits))
+    return symbolizer, np.stack([f.labels for f in fits], axis=1)
 
 
 def symbolize(tokens: np.ndarray, symbolizer: Symbolizer) -> tuple[int, ...]:

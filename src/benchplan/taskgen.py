@@ -33,6 +33,7 @@ from .workbench import (
 )
 
 SPLITS = ("train", "val", "test")
+MAX_ATTEMPTS = 1000  # env and state draws `generate_task` makes per task
 
 # action-combination families for the unseen-task protocol (levels 1-2 only)
 TRAIN_FAMILIES = (
@@ -148,12 +149,11 @@ def _sample_states(level: int, env: EnvConfig,
     return init, goal
 
 
-def generate_task(level: int, rng: np.random.Generator, *,
-                  max_attempts: int = 1000) -> Task:
+def generate_task(level: int, rng: np.random.Generator) -> Task:
     """Sample one task whose gt plan is nonempty and within the level's cap."""
     if level not in (1, 2, 3, 4):
         raise ValueError(f"level must be 1..4, got {level}")
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         env = _sample_env(level, rng)
         if env is None:
             continue
@@ -165,7 +165,7 @@ def generate_task(level: int, rng: np.random.Generator, *,
         if not plan or len(plan) > env.max_len:
             continue
         return Task(env=env, init=init, goal=goal, gt_actions=plan)
-    raise GenerationExhausted(f"no valid level-{level} task in {max_attempts} attempts")
+    raise GenerationExhausted(f"no valid level-{level} task in {MAX_ATTEMPTS} attempts")
 
 
 def _task_rng(seed: int, stream: int, index: int) -> np.random.Generator:

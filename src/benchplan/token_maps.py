@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .mdp import (
+    NoPlanFound,
     Plan,
     PlanResult,
     SymbolMasks,
@@ -47,7 +48,6 @@ class ActionTransitionMaps:
     matrices: dict[str, np.ndarray]   # key -> (6*dim, 6*dim)
     offsets: dict[str, np.ndarray]    # key -> (6*dim,)
     residual_mse: dict[str, float]
-    pair_counts: dict[str, int]
     action_keys: tuple[str, ...] = field(init=False)  # the mapped keys, in key order
 
     def __post_init__(self):
@@ -64,7 +64,7 @@ def fit_affine(pairs_by_action: dict[str, Sequence[tuple[np.ndarray, np.ndarray]
     if not keys:
         raise InsufficientPairs(f"no action has the {MIN_PAIRS} pairs a token map needs")
     width = 6 * dim
-    matrices, offsets, mses, npairs = {}, {}, {}, {}
+    matrices, offsets, mses = {}, {}, {}
     for key in keys:
         pairs = pairs_by_action[key]
         x = np.stack([before.ravel() for before, _ in pairs])
@@ -75,9 +75,8 @@ def fit_affine(pairs_by_action: dict[str, Sequence[tuple[np.ndarray, np.ndarray]
         matrices[key] = w[:-1].T.copy()
         offsets[key] = w[-1].copy()
         mses[key] = float(((xa @ w - y) ** 2).mean())
-        npairs[key] = len(pairs)
     return ActionTransitionMaps(dim=dim, matrices=matrices, offsets=offsets,
-                                residual_mse=mses, pair_counts=npairs)
+                                residual_mse=mses)
 
 
 def transition(tokens: np.ndarray, key: str,
@@ -162,5 +161,7 @@ def plan_tokenspace(maps: ActionTransitionMaps, init_tokens: np.ndarray,
 
     found = layered_kbest(init_sym, (score(init_tokens), (), init_tokens), expand,
                           is_goal, top_k, l_max)
+    if not found:
+        raise NoPlanFound(f"no plan within {l_max} steps")
     return PlanResult(plans=tuple(
         Plan(tuple(keys[r] for r in seq), value) for value, seq, _ in found))

@@ -20,6 +20,7 @@ from benchplan.mdp import (
     SymbolMasks,
     action_legal,
     available_keys,
+    marginal_masks,
     point_mass,
     propagate,
 )
@@ -149,7 +150,7 @@ def test_criterion_05_propagation_matches_brute_force(runs):
         model = fitted.model
         masks = SymbolMasks.build(env, fitted.value_maps.symbol_to_value)
         keys = available_keys(model, masks)
-        valid = masks.per_concept
+        valid = marginal_masks(env, fitted.value_maps.symbol_to_value)
         max_card = max(model.cardinalities)
         for length in (1, 2, 3):
             for seq in itertools.product(keys, repeat=length):

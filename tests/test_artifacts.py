@@ -63,7 +63,8 @@ class TestDatasetFile:
 
     @pytest.mark.parametrize("field, value", [
         ("init.x", ""), ("init.x", "9"), ("goal.rot", "45"), ("obstacles", "1"),
-    ], ids=["empty", "off-grid", "bad-rotation", "one-int-cell"])
+        ("gt_actions", "jump"),
+    ], ids=["empty", "off-grid", "bad-rotation", "one-int-cell", "unknown-action"])
     def test_malformed_task_is_schema_mismatch(self, tmp_path, field, value):
         path = tmp_path / "d.txt"
         save_dataset(path, generate_dataset(2, (4, 1, 1), seed=13))
@@ -106,10 +107,8 @@ class TestFittedArtifacts:
         assert loaded.train_purity == fitted.train_purity
         for a, b in zip(loaded.symbolizer.centers, fitted.symbolizer.centers):
             assert np.array_equal(a, b)
-        assert (loaded.symbolizer.inertia, loaded.symbolizer.iterations,
-                loaded.symbolizer.seed) == (fitted.symbolizer.inertia,
-                                            fitted.symbolizer.iterations,
-                                            fitted.symbolizer.seed)
+        assert (loaded.symbolizer.inertia, loaded.symbolizer.iterations) == \
+            (fitted.symbolizer.inertia, fitted.symbolizer.iterations)
         assert loaded.model.cardinalities == fitted.model.cardinalities
         assert loaded.model.action_keys == fitted.model.action_keys
         assert loaded.model.base_actions == fitted.model.base_actions
@@ -125,7 +124,6 @@ class TestFittedArtifacts:
             assert np.array_equal(loaded.maps.offsets[key],
                                   fitted.maps.offsets[key])
         assert loaded.maps.residual_mse == fitted.maps.residual_mse
-        assert loaded.maps.pair_counts == fitted.maps.pair_counts
         assert loaded.value_maps == fitted.value_maps
 
     def test_writes_nothing_the_loader_derives(self, tmp_path, level3_run):
@@ -137,16 +135,18 @@ class TestFittedArtifacts:
         assert not re.search(r"^m ", text, re.MULTILINE)
 
     def test_reads_v2_files_with_derived_fields(self, tmp_path, level1_run):
-        # v2 files written before sym_seed= and pairs= were dropped still load
+        # v2 files written before sym_seed= and pairs= were dropped still load,
+        # to the fit they were written from
         _, fitted = level1_run
-        save_fitted(tmp_path, fitted)
-        edit_sealed(tmp_path / FIT_FILE, lambda text: re.sub(
+        save_fitted(tmp_path / "one", fitted)
+        edit_sealed(tmp_path / "one" / FIT_FILE, lambda text: re.sub(
             r"^action=(\S+)",
-            lambda m: f"action={m[1]} pairs={fitted.maps.pair_counts[m[1]]}",
+            lambda m: f"action={m[1]} pairs={fitted.model.counts[m[1]][0].sum()}",
             text.replace("\npurity=", "\nsym_seed=0 purity=", 1), flags=re.MULTILINE))
-        loaded = load_fitted(tmp_path)
-        assert loaded.symbolizer.seed == fitted.symbolizer.seed
-        assert loaded.maps.pair_counts == fitted.maps.pair_counts
+        save_fitted(tmp_path / "two", load_fitted(tmp_path / "one"))
+        save_fitted(tmp_path / "three", fitted)
+        assert (tmp_path / "two" / FIT_FILE).read_bytes() == \
+            (tmp_path / "three" / FIT_FILE).read_bytes()
 
     def test_missing_fit_file(self, tmp_path):
         with pytest.raises(MissingArtifact, match=FIT_FILE):

@@ -201,8 +201,17 @@ class TestPipeline:
          True),
         ("arts/fit.txt", lambda text: text.replace(" min_sep=1.0 ", " min_sep=100.0 ", 1),
          True),
+        ("arts/fit.txt", lambda text: text.replace(" noise_sigma=0.0 ", " noise_sigma=-1.0 ", 1),
+         True),
+        ("arts/fit.txt", lambda text: text.replace(" noise_sigma=0.0 ", " noise_sigma=nan ", 1),
+         True),
+        ("arts/fit.txt", lambda text: text.replace(" noise_sigma=0.0 ", " noise_sigma=inf ", 1),
+         True),
+        ("arts/fit.txt", lambda text: re.sub(r"\nc [^,\n]+,", "\nc nan,", text, count=1), True),
     ], ids=["fit-cut-to-3-lines", "dataset-cut-by-50-lines", "maps-bad-float",
-            "dataset-empty-field", "unachievable-min-sep-in-fit-header"])
+            "dataset-empty-field", "unachievable-min-sep-in-fit-header",
+            "negative-sigma-in-fit-header", "nan-sigma-in-fit-header",
+            "inf-sigma-in-fit-header", "nan-center"])
     def test_malformed_artifact_is_one_line_artifact_error(self, fitted_dir, capsys,
                                                            name, edit, reseal):
         if reseal:
@@ -216,6 +225,20 @@ class TestPipeline:
         assert run(*EVAL) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, err
+
+    # the first task's gt plan names an unknown action, or leaves the grid
+    @pytest.mark.parametrize("edit", [
+        lambda text: re.sub(r"gt_actions=\S+", "gt_actions=jump", text, count=1),
+        lambda text: re.sub(r"gt_actions=(\S+)", r"gt_actions=\1" + ",move_left" * 3,
+                            text, count=1),
+    ], ids=["unknown-action", "off-grid"])
+    def test_unreplayable_gt_plan_is_one_line_artifact_error(self, fitted_dir, capsys, edit):
+        edit_sealed("data.txt", edit)
+        capsys.readouterr()
+        assert run(*FIT) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data.txt: ") and err.count("\n") == 1, err
+        assert "task L3-00000: " in err
 
     @pytest.mark.parametrize("argv", [
         EVAL + ("--out", "f"),

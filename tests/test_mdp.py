@@ -24,6 +24,7 @@ from benchplan.mdp import (
     action_key,
     action_legal,
     fit_transitions,
+    marginal_masks,
     plan,
     point_mass,
     propagate,
@@ -162,7 +163,7 @@ class TestStateMask:
     def test_no_obstacles(self):
         mask = SymbolMasks.build(EnvConfig(level=1), IDENTITY)
         assert _count(mask.valid) == 15
-        assert all(m.all() for m in mask.per_concept)
+        assert all(m.all() for m in marginal_masks(EnvConfig(level=1), IDENTITY))
 
     def test_one_obstacle(self):
         mask = SymbolMasks.build(EnvConfig(level=2, obstacles=((1, 1),)), IDENTITY)
@@ -177,9 +178,9 @@ class TestStateMask:
 
     def test_blocked_row_marginalizes(self):
         env = EnvConfig(level=2, obstacles=((0, 1), (1, 1), (2, 1)))
-        mask = SymbolMasks.build(env, IDENTITY)
-        assert list(mask.per_concept[2]) == [True, False, True, True, True]
-        assert mask.per_concept[1].all()
+        marginals = marginal_masks(env, IDENTITY)
+        assert list(marginals[2]) == [True, False, True, True, True]
+        assert marginals[1].all()
 
 
 def _assert_masks_equal_oracle(env, symbol_to_value):
@@ -190,8 +191,9 @@ def _assert_masks_equal_oracle(env, symbol_to_value):
     assert masks.valid == valid
     assert masks.adjacent == adjacent
     assert masks.dyer_color == dyer_color
-    assert len(masks.per_concept) == len(per_concept)
-    for got, expected in zip(masks.per_concept, per_concept):
+    marginals = marginal_masks(env, symbol_to_value)
+    assert len(marginals) == len(per_concept)
+    for got, expected in zip(marginals, per_concept):
         assert got.dtype == bool and got.tolist() == expected.tolist()
 
 
@@ -240,19 +242,19 @@ class TestPropagate:
     def test_uniform_source_matches_oracle(self, level1_run):
         _, fitted = level1_run
         model = fitted.model
-        masks = SymbolMasks.build(EnvConfig(level=1), fitted.value_maps.symbol_to_value)
+        masks = marginal_masks(EnvConfig(level=1), fitted.value_maps.symbol_to_value)
         dist = [np.full(c, 1.0 / c) for c in model.cardinalities]
-        out = propagate(dist, "move_right", model, masks.per_concept)
+        out = propagate(dist, "move_right", model, masks)
         for k in range(6):
             start = [1.0 / model.cardinalities[k]] * model.cardinalities[k]
-            expect = oracle_step(model, k, start, "move_right", masks.per_concept)
+            expect = oracle_step(model, k, start, "move_right", masks)
             assert out[k] == pytest.approx(expect, abs=1e-9)
 
     def test_composition_matches_path_enumeration(self, level3_run):
         _, fitted = level3_run
         model = fitted.model
         env = EnvConfig(level=3, obstacles=((1, 1),), dyer=(2, 0), dyer_color=2)
-        masks = SymbolMasks.build(env, fitted.value_maps.symbol_to_value).per_concept
+        masks = marginal_masks(env, fitted.value_maps.symbol_to_value)
         keys = ["move_right", "move_front", action_key("change_color", env.dyer_color)]
         for concept in range(6):
             for start in range(model.cardinalities[concept]):
@@ -268,12 +270,12 @@ class TestPropagate:
         _, fitted = level3_run
         model = fitted.model
         env = EnvConfig(level=2, obstacles=((0, 2), (1, 2), (2, 2)))
-        masks = SymbolMasks.build(env, fitted.value_maps.symbol_to_value)
+        masks = marginal_masks(env, fitted.value_maps.symbol_to_value)
         dist = [np.full(c, 1.0 / c) for c in model.cardinalities]
         for key in ("move_front", "move_back", "move_left"):
-            out = propagate(dist, key, model, masks.per_concept)
+            out = propagate(dist, key, model, masks)
             for k in range(6):
-                assert (out[k][~masks.per_concept[k]] == 0.0).all()
+                assert (out[k][~masks[k]] == 0.0).all()
 
     def test_conservation_without_masking(self, level1_run):
         _, fitted = level1_run
@@ -445,8 +447,6 @@ class TestPlan:
                             for x in inverse[1]),
                 adjacent=tuple(tuple(masks.adjacent[x][y] for y in inverse[2])
                                for x in inverse[1]),
-                per_concept=tuple(masks.per_concept[k][inverse[k]]
-                                  for k in range(6)),
                 dyer_color=masks.dyer_color, goal_concepts=masks.goal_concepts)
             relabeled = plan(permuted, p_init, p_goal, p_masks, top_k=5,
                              l_max=task.env.max_len)

@@ -287,8 +287,7 @@ def test_layered_kbest_breaks_score_ties_on_seq():
     assert search(1) == [(0.5, (3, 1), None)]
     assert layered_kbest("s", start, expand, lambda n: n == "b", 2, 2) == [
         (0.5, (0,), None), (0.5, (2,), None)]
-    with pytest.raises(NoPlanFound):
-        layered_kbest("s", start, expand, lambda n: n == "g", 4, 1)
+    assert layered_kbest("s", start, expand, lambda n: n == "g", 4, 1) == []
 
 
 # a bench without a dyer, then one with a dyer of each color

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from benchplan import taskgen
 from benchplan.artifacts import save_dataset
 from benchplan.taskgen import (
     TEST_FAMILIES,
@@ -118,9 +119,10 @@ class TestGenerateTask:
                    for i in range(2000)]
         assert 2.0 <= np.mean(lengths) <= 3.5
 
-    def test_exhaustion_raises(self):
+    def test_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(taskgen, "MAX_ATTEMPTS", 0)
         with pytest.raises(GenerationExhausted):
-            generate_task(1, np.random.default_rng(0), max_attempts=0)
+            generate_task(1, np.random.default_rng(0))
 
     def test_bad_level(self):
         with pytest.raises(ValueError):

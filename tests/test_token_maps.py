@@ -103,7 +103,6 @@ class TestFitAffine:
                            "move_right": movement_pairs(cb, "move_right", 8, rng)},
                           dim=cb.dim)
         assert maps.action_keys == ("move_right",)
-        assert maps.pair_counts == {"move_right": 8}
 
 
 class TestTransitionRollout:
