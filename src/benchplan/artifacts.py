@@ -28,7 +28,7 @@ from .fitting import FitConfig, Fitted
 from .mdp import TransitionModel, count_tables
 from .symbols import Symbolizer
 from .taskgen import Dataset, Task
-from .workbench import ACTIONS, EnvConfig, ObjectState
+from .workbench import ACTIONS, EnvConfig, ObjectState, is_valid_state
 from .token_maps import ActionTransitionMaps
 
 DATASET_MAGIC = "#workbench-dataset v2"
@@ -185,6 +185,8 @@ def _parse_dataset(header, records) -> Dataset:
                         dyer_color=None if kv["dyer_color"] == "-" else int(kv["dyer_color"]))
         init, goal = (parse_state([kv[f"{prefix}.{key}"] for key in _STATE_KEYS])
                       for prefix in ("init", "goal"))
+        _expect(is_valid_state(init, env) and is_valid_state(goal, env),
+                f"task {kv['task_id']}: init or goal on an obstacle or the dyer")
         actions = () if kv["gt_actions"] == "-" else tuple(kv["gt_actions"].split(","))
         _expect(set(actions) <= set(ACTIONS),
                 f"task {kv['task_id']}: unknown action in gt_actions={kv['gt_actions']}")

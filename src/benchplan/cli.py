@@ -10,6 +10,7 @@ The default artifact directory can be set via BENCHPLAN_ARTIFACTS.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -44,8 +45,10 @@ EXIT_THRESHOLD = 3
 # option -> (rule, test), checked right after parsing unless the option is
 # not given (None)
 _BOUNDS = {
+    **{name: ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+       for name in ("sigma", "min_sep")},
     **{name: (">= 0", lambda v: v >= 0)
-       for name in ("sigma", "min_sep", "train", "val", "test", "seed", "codebook_seed")},
+       for name in ("train", "val", "test", "seed", "codebook_seed")},
     **{name: (">= 1", lambda v: v >= 1)
        for name in ("topk", "jobs", "l_max", "restarts", "unseen_types", "samples")},
     "dim": (">= 2", lambda v: v >= 2),

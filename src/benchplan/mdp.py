@@ -123,8 +123,15 @@ class TransitionModel:
             self.succ_p[key] = [p[np.arange(len(p)), b].tolist()
                                 for p, b in zip(mats, best)]
 
-    def __getstate__(self):  # the step tables are rebuilt per process, not pickled
-        return {name: value for name, value in self.__dict__.items() if name != "steps"}
+    def __getstate__(self):  # the step tables and closures are rebuilt per process
+        return {name: value for name, value in self.__dict__.items()
+                if name not in ("steps", "closures")}
+
+    @cached_property
+    def closures(self) -> dict[tuple[tuple[str, ...], int, int], list[int]]:
+        """(keys, k, w) -> concept k's symbols reachable from w under the keys' MAP successors,
+        sorted. A bench's keys depend only on its dyer color: at most 7 key sets."""
+        return {}
 
     @cached_property
     def steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,22 +351,24 @@ def _search_graph(model: TransitionModel, masks: SymbolMasks, init: SymbolState,
     """The graph one `plan` call searches, with exact goal distances.
 
     Its nodes are the codes, ascending, of the product of each concept's
-    symbols reachable from init's under the keys' MAP successors: every state
-    the search can reach. A node's steps are the model's `steps` where the
-    successor cell is free and, for change_color, the node's cell is next to
-    the dyer. A backward BFS from the goal nodes gives each node its distance,
-    l_max + 1 when above l_max. Returns the codes, the distances and
-    `steps_from(i)`: node i's (successor node, step probability, rank,
-    successor distance) steps in rank order, but none onto a successor l_max
-    or more steps from the goal, which no plan within l_max takes.
+    `closures` from init's symbol: every state the search can reach. A node's
+    steps are the model's `steps` where the successor cell is free and, for
+    change_color, the node's cell is next to the dyer; a dense code -> node
+    table, whose entry for code -1 is the "no step" node n, maps them to nodes.
+    A backward BFS from the goal nodes gives each node its distance, l_max + 1
+    when above l_max. Returns the codes, the distances and `steps_from(i)`:
+    node i's (successor node, step probability, rank, successor distance)
+    steps in rank order, but none onto a successor l_max or more steps from
+    the goal, which no plan within l_max takes.
     """
-    succ_rows = [model.succ[key] for key in keys]
     closures = []
     for k, w in enumerate(init):
-        reached = [w]
-        for w in reached:  # grows while it is read
-            reached.extend({rows[k][w] for rows in succ_rows}.difference(reached, (-1,)))
-        closures.append(sorted(reached))
+        if (keys, k, w) not in model.closures:
+            reached, rows = [w], [model.succ[key][k] for key in keys]
+            for v in reached:  # grows while it is read
+                reached.extend({row[v] for row in rows}.difference(reached, (-1,)))
+            model.closures[keys, k, w] = sorted(reached)
+        closures.append(model.closures[keys, k, w])
     at = _codes(closures, model.cardinalities)
     succ_table, prob_table, cell = model.steps
     rows = [model.action_keys.index(key) for key in keys]
@@ -368,13 +377,16 @@ def _search_graph(model: TransitionModel, masks: SymbolMasks, init: SymbolState,
     recolors = [base_action(key) == "change_color" for key in keys]
     ok[recolors] &= np.ravel(masks.adjacent)[cell[at]]  # environment knowledge, not counts
     n = len(at)
-    heads = np.where(ok, np.searchsorted(at, succ), n)  # node n: no step
+    node = np.empty(succ_table.shape[1] + 1, dtype=np.intp)
+    node[at], node[-1] = np.arange(n), n
+    heads = node[np.where(ok, succ, -1)]
     preds = (np.argsort(heads, axis=None, kind="stable") % n).tolist()  # grouped by head
     ends = [0, *np.bincount(heads.ravel(), minlength=n + 1).cumsum().tolist()]
-    queue = np.searchsorted(at, _codes([[w for w in syms if k not in masks.goal_concepts
-                                         or w == goal[k]] for k, syms in enumerate(closures)],
-                                       model.cardinalities)).tolist()
-    dist = [0 if i in queue else l_max + 1 for i in range(n + 1)]
+    queue = node[_codes([[w for w in syms if k not in masks.goal_concepts or w == goal[k]]
+                         for k, syms in enumerate(closures)], model.cardinalities)].tolist()
+    dist = [l_max + 1] * (n + 1)
+    for i in queue:
+        dist[i] = 0
     for i in queue:  # grows while it is read
         if dist[i] >= l_max:
             break
@@ -393,8 +405,12 @@ def _search_graph(model: TransitionModel, masks: SymbolMasks, init: SymbolState,
 
 
 def _codes(symbols: Sequence[Sequence[int]], cards: Sequence[int]) -> np.ndarray:
-    """The codes of the product of per-concept sorted symbol lists, ascending."""
-    return np.ravel_multi_index(np.ix_(*symbols), cards, order="F").ravel(order="F")
+    """The codes of the product of per-concept sorted symbol lists, ascending ints."""
+    codes, stride = np.zeros(1, dtype=np.intp), math.prod(cards)
+    for syms, card in zip(symbols[::-1], cards[::-1]):
+        stride //= card
+        codes = (codes[:, None] + np.asarray(syms, dtype=np.intp) * stride).ravel()
+    return codes
 
 
 def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,

@@ -10,6 +10,7 @@ exact near-tie picks and numpy's row-sum order keep every label and bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +47,17 @@ class Symbolizer:
     @property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.centers)
+
+    @cached_property
+    def center_table(self) -> np.ndarray:
+        """(n_concepts, max k, dim): each concept's centers, padded to max k with
+        copies of its last center, which lose every tie to it. Not pickled."""
+        width = max(self.cardinalities)
+        return np.stack([np.concatenate([c, c[-1:].repeat(width - len(c), axis=0)])
+                         for c in self.centers])
+
+    def __getstate__(self):  # the center table is rebuilt per process, not pickled
+        return {name: value for name, value in self.__dict__.items() if name != "center_table"}
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -178,9 +190,10 @@ def fit_symbolizer(tokens: Sequence[np.ndarray], cardinalities: Sequence[int],
 
 
 def symbolize(tokens: np.ndarray, symbolizer: Symbolizer) -> tuple[int, ...]:
-    """Nearest-center symbol per concept."""
-    return tuple(assign(tokens[k], symbolizer.centers[k])
-                 for k in range(len(symbolizer.centers)))
+    """`assign` per concept, in one broadcast over the padded center table; each
+    row sums over dim as in `assign`, so every distance, tie and symbol is the same."""
+    dists = ((symbolizer.center_table - tokens[:, None, :]) ** 2).sum(axis=2)
+    return tuple(dists.argmin(axis=1).tolist())
 
 
 def purity(labels, states: Sequence) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, product
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # only for the adjudicate() type hint
@@ -235,9 +236,14 @@ def apply_action(state: ObjectState, action: str, env: EnvConfig) -> ObjectState
     if code == _NO_DYER:
         raise DyerUnavailable("no dyer on this bench" if env.dyer is None else
                               f"object at {state.pos} not adjacent to dyer at {env.dyer}")
+    return _state_at(code, state)
+
+
+def _state_at(code: int, like: ObjectState) -> ObjectState:
+    """The state whose `state_code` is `code`, with `like`'s type and size."""
     cell, rest = divmod(code, _CELL_CODES)
-    return ObjectState(state.type_id, *divmod(cell, Y_CELLS), ROTATIONS[rest // N_COLORS],
-                       rest % N_COLORS, state.size)
+    return ObjectState(like.type_id, *divmod(cell, Y_CELLS), ROTATIONS[rest // N_COLORS],
+                       rest % N_COLORS, like.size)
 
 
 def cells_connected(blocked: set[tuple[int, int]]) -> bool:
@@ -277,7 +283,8 @@ def goal_concepts(level: int) -> tuple[int, ...]:
 
 def goal_reached(final: ObjectState, goal: ObjectState, level: int) -> bool:
     """Success rule: final matches goal on every concept the level's goal fixes."""
-    return state_code(*final.values()[POS_X:SIZE]) in goal_codes(goal, level)
+    fixed = itemgetter(*goal_concepts(level))
+    return fixed(final.values()) == fixed(goal.values())
 
 
 def goal_codes(goal: ObjectState, level: int) -> frozenset[int]:
@@ -292,16 +299,20 @@ def goal_codes(goal: ObjectState, level: int) -> frozenset[int]:
 def adjudicate(task: "Task", actions: Sequence[str]) -> SuccessReport:
     """Execute a candidate sequence and judge it against the task's goal.
 
-    Dyer adjacency is enforced by apply_action's change_color precondition.
-    On failure the report carries the last state reached before the illegal step.
+    Walks state codes with `next_code` and builds one ObjectState, the report's:
+    on failure (a collision, or an off-grid or no-dyer illegal_action) the last
+    state reached before the illegal step. An unknown action raises ValueError.
     """
-    current = task.init
+    env, code, reason = task.env, state_code(*task.init.values()[POS_X:SIZE]), "none"
     for action in actions:
-        try:
-            current = apply_action(current, action, task.env)
-        except ActionError as err:
-            reason = "collision" if isinstance(err, Collision) else "illegal_action"
-            return SuccessReport(False, reason, current)
-    if goal_reached(current, task.goal, task.env.level):
-        return SuccessReport(True, "none", current)
-    return SuccessReport(False, "wrong_final_state", current)
+        if action not in _ACTION_INDEX:
+            raise ValueError(f"unknown action {action!r}")
+        step = next_code(code, _ACTION_INDEX[action], env)
+        if step < 0:
+            reason = "collision" if step == _COLLISION else "illegal_action"
+            break
+        code = step
+    final = _state_at(code, task.init)
+    if reason == "none" and not goal_reached(final, task.goal, env.level):
+        reason = "wrong_final_state"
+    return SuccessReport(reason == "none", reason, final)

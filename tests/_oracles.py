@@ -17,6 +17,11 @@ call before `plan` read the model's compiled step tables. The bench-table
 oracle is `EnvConfig.__post_init__` frozen before each bench copied its move
 table from one grid table, and the encoding oracle is `concepts.encode`
 frozen before a trajectory was encoded by one gather and one noise draw.
+The adjudication oracle is `workbench.adjudicate` frozen before it walked
+state codes, stepping ObjectStates with the frozen `oracle_apply_action`; the
+symbolize oracle is its `assign` per concept, frozen before one broadcast over
+a padded center table; the code oracle is `mdp._codes` frozen before it
+summed strides.
 """
 
 from collections import deque
@@ -52,6 +57,7 @@ from benchplan.workbench import (
     N_COLORS,
     POS_X,
     POS_Y,
+    SIZE,
     X_CELLS,
     Y_CELLS,
     ActionError,
@@ -59,7 +65,10 @@ from benchplan.workbench import (
     DyerUnavailable,
     ObjectState,
     OutOfBounds,
+    SuccessReport,
+    goal_codes,
     goal_concepts,
+    state_code,
 )
 
 # the concepts the planners matched a goal on at every level, before the goal
@@ -672,3 +681,30 @@ def oracle_unbounded_plan(model, init, goal, masks, top_k=5, l_max=16):
     return PlanResult(plans=tuple(
         Plan(tuple(keys[r] for r in seq), score)
         for score, seq, _ in found), warnings=warnings)
+
+
+def oracle_adjudicate(task, actions):
+    """`workbench.adjudicate` as it was: an ObjectState per step, the failure
+    reason from the error class, and the goal test on the goal's state codes."""
+    current = task.init
+    for action in actions:
+        try:
+            current = oracle_apply_action(current, action, task.env)
+        except ActionError as err:
+            reason = "collision" if isinstance(err, Collision) else "illegal_action"
+            return SuccessReport(False, reason, current)
+    if state_code(*current.values()[POS_X:SIZE]) in goal_codes(task.goal, task.env.level):
+        return SuccessReport(True, "none", current)
+    return SuccessReport(False, "wrong_final_state", current)
+
+
+def oracle_symbolize(tokens, symbolizer):
+    """`symbols.symbolize` as it was: `assign` per concept, the nearest center
+    by a row sum over dim and argmin, ties to the lowest index."""
+    return tuple(int(((centers - token) ** 2).sum(axis=1).argmin())
+                 for token, centers in zip(tokens, symbolizer.centers))
+
+
+def oracle_codes(symbols, cards):
+    """`mdp._codes` as it was: the product's codes by ravel_multi_index."""
+    return np.ravel_multi_index(np.ix_(*symbols), cards, order="F").ravel(order="F")

@@ -31,6 +31,18 @@ THIN = {"notrain.txt": ("--train", 0), "fivetrain.txt": ("--train", 5),
         "noval.txt": ("--val", 0)}
 
 
+def onto(prefix, place):
+    """An edit that moves the first task's init or goal onto the task's dyer or
+    its first obstacle."""
+    def edit(text):
+        record = re.search(r"^task_id=.*$", text, re.M)[0]
+        x, y = re.search(rf" {place}=(\d),(\d)", record).groups()
+        moved = re.sub(rf"{prefix}\.y=\d", f"{prefix}.y={y}",
+                       re.sub(rf"{prefix}\.x=\d", f"{prefix}.x={x}", record))
+        return text.replace(record, moved, 1)
+    return edit
+
+
 class TestGen:
     def test_writes_dataset(self, workdir, capsys):
         assert run("gen", "--level", 1, "--train", 20, "--val", 2, "--test", 5,
@@ -171,6 +183,11 @@ class TestPipeline:
         ("report", "--artifacts", "arts", "--out", "rep", "--samples", -3),
         EVAL + ("--min-top1", "nan"),
         EVAL + ("--min-top1", 150),
+        PLAN + ("--sigma", "inf"),
+        FIT + ("--sigma", "inf"),
+        EVAL + ("--sigma", "inf"),
+        FIT + ("--min-sep", "inf"),
+        EVAL + ("--sigma", "nan"),
     ], ids=["rotation", "level3-no-dyer", "init-on-obstacle", "short-state",
             "unknown-type", "one-int-obstacle", "one-int-dyer", "plan-negative-sigma",
             "fit-negative-sigma", "eval-negative-sigma", "plan-topk-0", "eval-topk-0",
@@ -181,7 +198,9 @@ class TestPipeline:
             "fit-negative-seed", "plan-negative-seed", "eval-negative-seed",
             "report-negative-seed", "gen-unseen-task-level-3", "fit-no-training-tasks",
             "fit-too-few-pairs", "eval-empty-split", "report-samples-0",
-            "report-negative-samples", "eval-min-top1-nan", "eval-min-top1-150"])
+            "report-negative-samples", "eval-min-top1-nan", "eval-min-top1-150",
+            "plan-inf-sigma", "fit-inf-sigma", "eval-inf-sigma", "fit-inf-min-sep",
+            "eval-nan-sigma"])
     def test_plan_bad_adhoc_input_is_one_line_usage_error(self, fitted_dir, capsys,
                                                           argv):
         for name, options in THIN.items():
@@ -208,10 +227,12 @@ class TestPipeline:
         ("arts/fit.txt", lambda text: text.replace(" noise_sigma=0.0 ", " noise_sigma=inf ", 1),
          True),
         ("arts/fit.txt", lambda text: re.sub(r"\nc [^,\n]+,", "\nc nan,", text, count=1), True),
+        ("data.txt", onto("init", "dyer"), True),
+        ("data.txt", onto("goal", "obstacles"), True),
     ], ids=["fit-cut-to-3-lines", "dataset-cut-by-50-lines", "maps-bad-float",
             "dataset-empty-field", "unachievable-min-sep-in-fit-header",
             "negative-sigma-in-fit-header", "nan-sigma-in-fit-header",
-            "inf-sigma-in-fit-header", "nan-center"])
+            "inf-sigma-in-fit-header", "nan-center", "init-on-dyer", "goal-on-obstacle"])
     def test_malformed_artifact_is_one_line_artifact_error(self, fitted_dir, capsys,
                                                            name, edit, reseal):
         if reseal:

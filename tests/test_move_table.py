@@ -1,5 +1,6 @@
-"""One compiled move table per bench: `apply_action` and the BFS oracle read it
-and agree with the per-action rules and the ObjectState BFS they replaced.
+"""One compiled move table per bench: `apply_action`, `adjudicate` and the BFS
+oracle read it and agree with the per-action rules, the ObjectState loop and
+the ObjectState BFS they replaced.
 Each bench copies its tables from one grid table, and they equal those of the
 builder that tested every cell and action in turn."""
 
@@ -8,9 +9,10 @@ import itertools
 import numpy as np
 import pytest
 
-from benchplan.taskgen import Unreachable, oracle_shortest_plan
+from benchplan.taskgen import Task, Unreachable, oracle_shortest_plan
 from benchplan.workbench import (
     ACTIONS,
+    FAILURE_REASONS,
     N_COLORS,
     N_SIZES,
     ROTATIONS,
@@ -22,6 +24,7 @@ from benchplan.workbench import (
     EnvConfig,
     ObjectState,
     OutOfBounds,
+    adjudicate,
     apply_action,
     cells_connected,
     next_code,
@@ -29,6 +32,7 @@ from benchplan.workbench import (
 )
 
 from _oracles import (
+    oracle_adjudicate,
     oracle_apply_action,
     oracle_bench_tables,
     oracle_bfs,
@@ -120,6 +124,40 @@ def test_oracle_equals_frozen_bfs(level):
         seen["planned"] += bool(expected)
     if level == 1:  # no obstacle, no dyer: nothing is blocked
         del seen["init blocked"], seen["goal blocked"]
+    assert all(seen.values()), seen
+
+
+def verdict(judge, task, actions):
+    """The report on a candidate sequence, or the class and message of its error."""
+    try:
+        return judge(task, actions)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("level", (1, 2, 3, 4))
+def test_adjudicate_equals_frozen_loop(level):
+    # random sequences of up to 16 actions, one in 20 names an unknown action,
+    # plus the shortest plan where there is one, so that every reason comes up
+    rng = np.random.default_rng([37, level])
+    names = (*ACTIONS, "jump")
+    seen = dict.fromkeys((*FAILURE_REASONS, ValueError), 0)
+    for _ in range(400):
+        env, init, goal = random_case(level, rng)
+        task = Task(env=env, init=init, goal=goal, gt_actions=())
+        candidates = [tuple(names[int(i)] for i in rng.choice(
+            len(names), size=int(rng.integers(17)), p=[0.95 / 7] * 7 + [0.05]))
+            for _ in range(5)]
+        try:
+            candidates.append(oracle_shortest_plan(env, init, goal))
+        except Unreachable:
+            pass
+        for actions in candidates:
+            report = verdict(adjudicate, task, actions)
+            assert report == verdict(oracle_adjudicate, task, actions), (task, actions)
+            seen[report[0] if isinstance(report, tuple) else report.failure_reason] += 1
+    if level == 1:  # no obstacle: nothing collides
+        del seen["collision"]
     assert all(seen.values()), seen
 
 

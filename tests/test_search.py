@@ -1,6 +1,7 @@
 """The shared layered k-best search and the bounded symbolic planner, checked
 against the frozen planners."""
 
+import pickle
 from collections import deque
 
 import numpy as np
@@ -10,6 +11,7 @@ import _oracles
 from _oracles import (
     _oracle_available_keys,
     _oracle_tokenspace_keys,
+    oracle_codes,
     oracle_compiled_steps,
     oracle_plan,
     oracle_plan_tokenspace,
@@ -22,7 +24,7 @@ from benchplan.mdp import (NoPlanFound, SymbolMasks, TransitionModel, available_
                            layered_kbest, plan)
 from benchplan.symbols import symbolize
 from benchplan.token_maps import plan_tokenspace
-from benchplan.workbench import EnvConfig
+from benchplan.workbench import COLOR, DEFAULT_CARDINALITIES, N_COLORS, EnvConfig
 
 # Token-space searches take ~40 ms each on level 3 and ~200 ms on level 4, so
 # only the first few test tasks of those runs go to the token-space planner.
@@ -118,6 +120,61 @@ def test_model_tables_check_each_key_once(level4_run, monkeypatch, request):
             planned += 1
             assert checked == list(fresh.action_keys)  # the first call's, and no more
     assert planned > 1
+
+
+def test_closures_are_cached_per_key_set_and_not_pickled(level4_run, request):
+    model = level4_run[1].model
+    fresh = TransitionModel(model.cardinalities, model.thresh, model.counts)
+    for sigma in (0.0, 0.2):
+        for _, init, goal, masks, gt_len in _symbolic_cases("level4_run", sigma, request):
+            try:
+                plan(fresh, init, goal, masks, top_k=5, l_max=gt_len + 2)
+            except NoPlanFound:
+                pass
+    assert len({keys for keys, _, _ in fresh.closures}) <= N_COLORS + 1
+    for (keys, k, w), reached in fresh.closures.items():  # a walk of the MAP successors
+        seen, frontier = {w}, [w]
+        while frontier:
+            nxt = {fresh.succ[key][k][v] for v in frontier for key in keys} - seen - {-1}
+            seen |= nxt
+            frontier = list(nxt)
+        assert reached == sorted(seen), (keys, k, w)
+    twin = pickle.loads(pickle.dumps(fresh))
+    assert fresh.closures and "steps" in vars(fresh)
+    assert "closures" not in vars(twin) and "steps" not in vars(twin)  # per process
+
+
+def test_codes_equal_frozen_ravel():
+    rng = np.random.default_rng(47)
+    cards = DEFAULT_CARDINALITIES
+    for _ in range(300):
+        symbols = [sorted(rng.choice(c, size=int(rng.integers(1, c + 1)), replace=False)
+                          .tolist()) for c in cards]
+        codes = mdp._codes(symbols, cards)
+        assert codes.tolist() == oracle_codes(symbols, cards).tolist(), symbols
+        assert codes.dtype.kind == "i"
+    # no symbol on one concept: no codes, as ints, so indexing with them works
+    symbols[COLOR] = []
+    codes = mdp._codes(symbols, cards)
+    assert codes.dtype.kind == "i" and codes.size == 0
+    assert oracle_codes(symbols, cards).size == 0
+
+
+def test_goal_symbol_outside_its_closure(level1_run):
+    # no dyer at level 1: the color closure is init's color alone, so a goal of
+    # another color has no goal node, and no plan
+    dataset, fitted = level1_run
+    task = dataset.subset("test")[0]
+    masks = SymbolMasks.build(task.env, fitted.value_maps.symbol_to_value)
+    init = tuple(fitted.value_maps.value_to_symbol[k][v]
+                 for k, v in enumerate(task.init.values()))
+    goal = (*init[:COLOR], (init[COLOR] + 1) % N_COLORS, *init[COLOR + 1:])
+    keys = available_keys(fitted.model, masks)
+    _, dist, _ = mdp._search_graph(fitted.model, masks, init, goal, keys, 6)
+    assert set(dist) == {7}
+    for planner in (oracle_unbounded_plan, plan):
+        with pytest.raises(NoPlanFound):
+            planner(fitted.model, init, goal, masks, l_max=6)
 
 
 def _budget_cases(run, sigma, request):

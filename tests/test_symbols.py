@@ -1,7 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from benchplan.concepts import build_codebook, encode
+from _oracles import oracle_symbolize
+from benchplan.concepts import build_codebook, encode, extend_codebook
 from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, encode_trajectory, fit_pipeline
 from benchplan.mdp import action_key, fit_transitions
 from benchplan.symbols import (
@@ -250,6 +253,65 @@ class TestBatchedSymbols:
         halfway = np.stack([[(c[0] + c[1]) / 2 for c in sym.centers],
                             [c[-1] for c in sym.centers]])
         assert_batch_equals_symbolize(np.concatenate([np.asarray(tokens), halfway]), sym)
+
+
+class TestSymbolizeOracle:
+    """`symbolize`'s one broadcast over the padded center table gives the frozen
+    per-concept `assign` loop's symbols."""
+
+    @pytest.mark.parametrize("sigma", (0.0, 0.4))
+    def test_noisy_tokens(self, level4_run, sigma):
+        _, fitted = level4_run
+        states, tokens = token_sample(fitted.codebook, 600, sigma, seed=43)
+        symbols = [symbolize(t, fitted.symbolizer) for t in tokens]
+        assert symbols == [oracle_symbolize(t, fitted.symbolizer) for t in tokens]
+        # at sigma 0.4 some tokens cross to another concept's center
+        clean = [symbolize(encode(s, fitted.codebook), fitted.symbolizer) for s in states]
+        assert (symbols != clean) == (sigma > 0)
+
+    def test_exact_ties(self):
+        # integer centers and half-integer tokens: every distance is exact, and
+        # many tokens sit as near to two centers, a padded last center among them
+        rng = np.random.default_rng(44)
+        sym = Symbolizer(centers=tuple(rng.integers(0, 3, size=(k, 3)).astype(float)
+                                       for k in (2, 5, 3, 1)),
+                         inertia=(0.0,) * 4, iterations=(1,) * 4)
+        ties = 0
+        for _ in range(2000):
+            tokens = rng.integers(0, 5, size=(4, 3)) / 2
+            assert symbolize(tokens, sym) == oracle_symbolize(tokens, sym), tokens
+            for token, centers in zip(tokens, sym.centers):
+                dists = ((centers - token) ** 2).sum(axis=1)
+                ties += np.count_nonzero(dists == dists.min()) > 1
+        assert ties > 500
+
+    def test_non_finite_tokens(self, level1_run):
+        # a padding row copies its concept's last center, so no token, not even
+        # an infinite or nan one, lands on an index past a concept's centers
+        sym = level1_run[1].symbolizer
+        for bad in (np.inf, -np.inf, np.nan):
+            tokens = np.zeros((6, sym.centers[0].shape[1]))
+            tokens[:, 1] = bad
+            assert symbolize(tokens, sym) == oracle_symbolize(tokens, sym)
+
+    def test_extended_unseen_type_codebook(self, level1_run):
+        _, fitted = level1_run
+        codebook = extend_codebook(fitted.codebook, 4)
+        rng = np.random.default_rng(45)
+        for type_id in range(12):
+            for sigma in (0.0, 0.4):
+                state = ObjectState(type_id, 1, 2, 90, 3, 1)
+                tokens = encode(state, codebook, sigma, rng)
+                assert symbolize(tokens, fitted.symbolizer) == \
+                    oracle_symbolize(tokens, fitted.symbolizer)
+
+    def test_pickle_carries_no_center_table(self, level1_run):
+        sym = level1_run[1].symbolizer
+        symbolize(np.zeros((6, sym.centers[0].shape[1])), sym)  # builds the table
+        assert "center_table" in vars(sym)
+        twin = pickle.loads(pickle.dumps(sym))
+        assert "center_table" not in vars(twin)
+        assert all(map(np.array_equal, twin.centers, sym.centers))
 
 
 def _labels(symbolizer, tokens):
