@@ -7,9 +7,10 @@ centers), `n` (transition counts), `A`/`b` (affine maps). The fit file writes
 only what cannot be derived: the loader rebuilds the codebook from its seed,
 the cardinalities from the `c` rows, and the whole transition model from the
 `n` rows, which all pass the one count check (`mdp.count_tables`); its floats
-must be finite, its noise sigma nonnegative. Every file ends in a
-seal, one `sha256=<hex>` line over all bytes above it; a cut at any point, a
-flipped byte or an edited header breaks it.
+must be finite, its noise sigma nonnegative. A dataset has at least one task,
+unique task ids, and known splits, and its header gives its tasks' one level
+and split sizes. Every file ends in a seal, one `sha256=<hex>` line over all
+bytes above it; a cut at any point, a flipped byte or an edited header breaks it.
 A wrong magic line, a broken seal or malformed content raises SchemaMismatch
 naming the file. Floats are written with repr(), so round-trips are exact and
 reruns with equal seeds write byte-identical files.
@@ -27,7 +28,7 @@ from .evaluate import EvalReport
 from .fitting import FitConfig, Fitted
 from .mdp import TransitionModel, count_tables
 from .symbols import Symbolizer
-from .taskgen import Dataset, Task
+from .taskgen import SPLITS, Dataset, Task
 from .workbench import ACTIONS, EnvConfig, ObjectState, is_valid_state
 from .token_maps import ActionTransitionMaps
 
@@ -160,8 +161,7 @@ def _state_fields(prefix: str, s: ObjectState) -> dict:
 def save_dataset(path: str, dataset: Dataset):
     lines = [DATASET_MAGIC + " " + _kv_line(
         level=dataset.level, seed=dataset.seed, codebook_seed=dataset.codebook_seed,
-        train=dataset.split_sizes[0], val=dataset.split_sizes[1],
-        test=dataset.split_sizes[2], variant=dataset.variant)]
+        **dict(zip(SPLITS, dataset.split_sizes)), variant=dataset.variant)]
     for task in dataset.tasks:
         fields = {"task_id": task.task_id, "split": task.split,
                   "level": task.env.level,
@@ -176,27 +176,34 @@ def save_dataset(path: str, dataset: Dataset):
 
 
 def _parse_dataset(header, records) -> Dataset:
-    tasks = []
+    level, tasks = int(header["level"]), {}
     for kv, rows in records:
         _expect(not rows, "a task record has no rows")
+        task_id, split = kv["task_id"], kv["split"]
+        _expect(task_id not in tasks, f"task {task_id}: task_id appears twice")
+        _expect(split in SPLITS, f"task {task_id}: split={split} is not {'/'.join(SPLITS)}")
         env = EnvConfig(level=int(kv["level"]),
                         obstacles=parse_cells(kv["obstacles"]),
                         dyer=None if kv["dyer"] == "-" else parse_cell(kv["dyer"]),
                         dyer_color=None if kv["dyer_color"] == "-" else int(kv["dyer_color"]))
+        _expect(env.level == level, f"task {task_id}: level={env.level}, header level={level}")
         init, goal = (parse_state([kv[f"{prefix}.{key}"] for key in _STATE_KEYS])
                       for prefix in ("init", "goal"))
         _expect(is_valid_state(init, env) and is_valid_state(goal, env),
-                f"task {kv['task_id']}: init or goal on an obstacle or the dyer")
+                f"task {task_id}: init or goal on an obstacle or the dyer")
         actions = () if kv["gt_actions"] == "-" else tuple(kv["gt_actions"].split(","))
         _expect(set(actions) <= set(ACTIONS),
-                f"task {kv['task_id']}: unknown action in gt_actions={kv['gt_actions']}")
-        tasks.append(Task(env=env, init=init, goal=goal, gt_actions=actions,
-                          task_id=kv["task_id"], split=kv["split"]))
-    return Dataset(level=int(header["level"]), tasks=tasks, seed=int(header["seed"]),
-                   codebook_seed=int(header["codebook_seed"]),
-                   split_sizes=(int(header["train"]), int(header["val"]),
-                                int(header["test"])),
-                   variant=header.get("variant", "standard"))
+                f"task {task_id}: unknown action in gt_actions={kv['gt_actions']}")
+        tasks[task_id] = Task(env=env, init=init, goal=goal, gt_actions=actions,
+                              task_id=task_id, split=split)
+    _expect(bool(tasks), "the dataset has no task")
+    dataset = Dataset(tasks=list(tasks.values()), seed=int(header["seed"]),
+                      codebook_seed=int(header["codebook_seed"]),
+                      variant=header.get("variant", "standard"))
+    for split, n in zip(SPLITS, dataset.split_sizes):
+        _expect(int(header[split]) == n,
+                f"header has {split}={header[split]} but there are {n} {split} tasks")
+    return dataset
 
 
 def load_dataset(path: str) -> Dataset:

@@ -131,10 +131,9 @@ def cmd_plan(args) -> int:
     if args.task_id:
         dataset = artifacts.load_dataset(args.data)
         artifacts.check_compatible(dataset, fitted)
-        matches = [t for t in dataset.tasks if t.task_id == args.task_id]
-        if not matches:
+        task = next((t for t in dataset.tasks if t.task_id == args.task_id), None)
+        if task is None:
             raise artifacts.MissingArtifact(f"task {args.task_id!r} not in {args.data}")
-        task = matches[0]
     else:
         try:
             task = _adhoc_task(args)

@@ -10,7 +10,7 @@ from .concepts import (DEFAULT_DIM, DEFAULT_MIN_SEP, ConceptCodebook, build_code
                        encode_states, extend_codebook)
 from .concepts import encode  # noqa: F401  unused; perfbench's trace points patch this name
 from .mdp import DEFAULT_THRESH, TransitionModel, action_key, fit_transitions
-from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, assign,
+from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, _sq_dists,
                       fit_symbolizer, purity)
 from .symbols import symbolize  # noqa: F401  unused; perfbench's trace points patch this name
 from .taskgen import Dataset, Task
@@ -44,11 +44,10 @@ class ValueMaps:
 
 def value_symbol_maps(codebook: ConceptCodebook, symbolizer: Symbolizer) -> ValueMaps:
     """Ground each cluster by nearest codebook centroid, and vice versa."""
-    fwd, inv = [], []
-    for centroids, centers in zip(codebook.centroids, symbolizer.centers):
-        fwd.append(tuple(assign(c, centers) for c in centroids))
-        inv.append(tuple(assign(c, centroids) for c in centers))
-    return ValueMaps(value_to_symbol=tuple(fwd), symbol_to_value=tuple(inv))
+    dists = [_sq_dists(centroids, centers)  # (values, symbols)
+             for centroids, centers in zip(codebook.centroids, symbolizer.centers)]
+    return ValueMaps(value_to_symbol=tuple(tuple(d.argmin(axis=1).tolist()) for d in dists),
+                     symbol_to_value=tuple(tuple(d.argmin(axis=0).tolist()) for d in dists))
 
 
 @dataclass

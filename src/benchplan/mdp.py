@@ -316,7 +316,7 @@ def _rank_entries(entries: list) -> None:
 def layered_kbest(init, start_entry, expand, is_goal, top_k: int, l_max: int):
     """Layered k-best enumeration of action sequences from `init`.
 
-    Entries are (score, seq, payload), with seq a tuple of action ranks.
+    Entries are tuples (score, seq, ...), with seq a tuple of action ranks.
     `expand(node, entries)` yields (successor node, batch) pairs, a batch
     being the list of entries one step deeper that arrive at the successor.
     Depth d keeps, for every node reached, its top_k entries in (-score, seq)
@@ -354,12 +354,12 @@ def _search_graph(model: TransitionModel, masks: SymbolMasks, init: SymbolState,
     `closures` from init's symbol: every state the search can reach. A node's
     steps are the model's `steps` where the successor cell is free and, for
     change_color, the node's cell is next to the dyer; a dense code -> node
-    table, whose entry for code -1 is the "no step" node n, maps them to nodes.
-    A backward BFS from the goal nodes gives each node its distance, l_max + 1
-    when above l_max. Returns the codes, the distances and `steps_from(i)`:
-    node i's (successor node, step probability, rank, successor distance)
-    steps in rank order, but none onto a successor l_max or more steps from
-    the goal, which no plan within l_max takes.
+    table maps them to nodes, and every code outside the graph, -1 among them,
+    to the "no step" node n. A backward BFS from the goal nodes gives each node
+    its distance, l_max + 1 when above l_max. Returns that table, the distances
+    and `steps_from(i)`: node i's (successor node, step probability, rank,
+    successor distance) steps in rank order, but none onto a successor l_max or
+    more steps from the goal, which no plan within l_max takes.
     """
     closures = []
     for k, w in enumerate(init):
@@ -377,8 +377,8 @@ def _search_graph(model: TransitionModel, masks: SymbolMasks, init: SymbolState,
     recolors = [base_action(key) == "change_color" for key in keys]
     ok[recolors] &= np.ravel(masks.adjacent)[cell[at]]  # environment knowledge, not counts
     n = len(at)
-    node = np.empty(succ_table.shape[1] + 1, dtype=np.intp)
-    node[at], node[-1] = np.arange(n), n
+    node = np.full(succ_table.shape[1] + 1, n, dtype=np.intp)
+    node[at] = np.arange(n)
     heads = node[np.where(ok, succ, -1)]
     preds = (np.argsort(heads, axis=None, kind="stable") % n).tolist()  # grouped by head
     ends = [0, *np.bincount(heads.ravel(), minlength=n + 1).cumsum().tolist()]
@@ -401,7 +401,7 @@ def _search_graph(model: TransitionModel, masks: SymbolMasks, init: SymbolState,
         return [(h, p, rank, dist[h]) for rank, (h, p) in enumerate(zip(heads_of[i], probs_of[i]))
                 if dist[h] < l_max]
 
-    return at.tolist(), dist[:n], steps_from
+    return node, dist[:n], steps_from
 
 
 def _codes(symbols: Sequence[Sequence[int]], cards: Sequence[int]) -> np.ndarray:
@@ -444,11 +444,10 @@ def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
     warnings = tuple(f"init/goal mismatch on unchangeable concept {c}"
                      for c in (TYPE, SIZE) if init[c] != goal[c])
     keys = available_keys(model, masks)  # in model order, so ranks order as keys do
-    codes, dist, steps_from = _search_graph(model, masks, init, goal, keys, l_max)
-    start = codes.index(int(np.ravel_multi_index(init, model.cardinalities, order="F")))
+    node_of, dist, steps_from = _search_graph(model, masks, init, goal, keys, l_max)
+    start = int(node_of[np.ravel_multi_index(init, model.cardinalities, order="F")])
     if dist[start] == 0:  # init matches the goal
         return PlanResult(plans=(Plan((), 1.0),), warnings=warnings)
-    is_goal = frozenset(i for i, d in enumerate(dist) if d == 0).__contains__
 
     def expand(node, entries):
         nonlocal skipped
@@ -457,13 +456,12 @@ def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
             if depth + steps_left > bound:
                 skipped = min(skipped, depth + steps_left)
                 continue
-            yield succ, [(score * step_p, seq + (rank,), None)
-                         for score, seq, _ in entries]
+            yield succ, [(score * step_p, seq + (rank,)) for score, seq in entries]
 
     bound = min(dist[start], l_max)
     while True:
         skipped = l_max + 1  # the smallest depth + to_goal above the bound
-        found = layered_kbest(start, (1.0, (), None), expand, is_goal, top_k, l_max)
+        found = layered_kbest(start, (1.0, ()), expand, lambda i: dist[i] == 0, top_k, l_max)
         if len(found) >= top_k or skipped > l_max:
             break
         bound = skipped
@@ -471,4 +469,4 @@ def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
         raise NoPlanFound(f"no plan within {l_max} steps")
     return PlanResult(plans=tuple(
         Plan(tuple(keys[r] for r in seq), score)
-        for score, seq, _ in found), warnings=warnings)
+        for score, seq in found), warnings=warnings)

@@ -71,12 +71,20 @@ class Task:
 
 @dataclass
 class Dataset:
-    level: int
+    """Tasks and their seeds; the level and split sizes are read off the tasks."""
+
     tasks: list[Task]
     seed: int
     codebook_seed: int
-    split_sizes: tuple[int, int, int]
     variant: str = "standard"
+
+    @property
+    def level(self) -> int:
+        return self.tasks[0].env.level
+
+    @property
+    def split_sizes(self) -> tuple[int, int, int]:
+        return tuple(sum(t.split == split for t in self.tasks) for split in SPLITS)
 
     def subset(self, split: str) -> list[Task]:
         return [t for t in self.tasks if t.split == split]
@@ -172,23 +180,21 @@ def _task_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream, index])
 
 
-def _split_of(index: int, counts: tuple[int, int, int]) -> str:
-    if index < counts[0]:
-        return "train"
-    if index < counts[0] + counts[1]:
-        return "val"
-    return "test"
+def _dataset(level: int, counts: tuple[int, int, int], seed: int, variant: str, draw) -> Dataset:
+    """Task i is `draw(i, split)` with its id and split: counts[0] train tasks,
+    then counts[1] val and counts[2] test. A dataset needs a task for a level."""
+    if min(counts) < 0 or sum(counts) == 0:
+        raise ValueError("counts must be nonnegative and sum to > 0")
+    splits = [split for split, n in zip(SPLITS, counts) for _ in range(n)]
+    tasks = [replace(draw(i, split), task_id=f"L{level}-{i:05d}", split=split)
+             for i, split in enumerate(splits)]
+    return Dataset(tasks=tasks, seed=seed, codebook_seed=seed, variant=variant)
 
 
 def generate_dataset(level: int, counts: tuple[int, int, int], seed: int) -> Dataset:
     """Generate train/val/test tasks; byte-reproducible under a fixed seed."""
-    if min(counts) < 0 or sum(counts) == 0:
-        raise ValueError("counts must be nonnegative and sum to > 0")
-    tasks = [replace(generate_task(level, _task_rng(seed, _STREAM_TASK, i)),
-                     task_id=f"L{level}-{i:05d}", split=_split_of(i, counts))
-             for i in range(sum(counts))]
-    return Dataset(level=level, tasks=tasks, seed=seed, codebook_seed=seed,
-                   split_sizes=tuple(counts))
+    return _dataset(level, counts, seed, "standard",
+                    lambda i, _: generate_task(level, _task_rng(seed, _STREAM_TASK, i)))
 
 
 def make_unseen_object_split(dataset: Dataset, held_out_types: set[int]) -> Dataset:
@@ -212,9 +218,7 @@ def make_unseen_object_split(dataset: Dataset, held_out_types: set[int]) -> Data
             task = replace(task, init=replace(task.init, type_id=t),
                            goal=replace(task.goal, type_id=t))
         tasks.append(task)
-    return Dataset(level=dataset.level, tasks=tasks, seed=dataset.seed,
-                   codebook_seed=dataset.codebook_seed,
-                   split_sizes=dataset.split_sizes, variant="unseen_object")
+    return replace(dataset, tasks=tasks, variant="unseen_object")
 
 
 def make_unseen_task_split(level: int, counts: tuple[int, int, int],
@@ -227,23 +231,16 @@ def make_unseen_task_split(level: int, counts: tuple[int, int, int],
     """
     if level not in (1, 2):
         raise ValueError("unseen-task splits are limited to levels 1 and 2")
-    tasks = []
-    for i in range(sum(counts)):
-        split = _split_of(i, counts)
+
+    def draw(i: int, split: str) -> Task:
         rng = _task_rng(seed, _STREAM_UNSEEN, i)
         for _ in range(1000):
             task = generate_task(level, rng)
             used = frozenset(task.gt_actions)
-            if split == "test":
-                ok = used in TEST_FAMILIES  # both held-out actions must appear
-            else:
-                ok = any(used <= fam for fam in TRAIN_FAMILIES)
-            if ok:
-                tasks.append(replace(task, task_id=f"L{level}-{i:05d}", split=split))
-                break
-        else:
-            raise GenerationExhausted(f"no family-conformant task for index {i}")
-    return Dataset(level=level, tasks=tasks, seed=seed, codebook_seed=seed,
-                   split_sizes=tuple(counts), variant="unseen_task")
+            if split == "test" and used in TEST_FAMILIES:  # both held-out actions appear
+                return task
+            if split != "test" and any(used <= fam for fam in TRAIN_FAMILIES):
+                return task
+        raise GenerationExhausted(f"no family-conformant task for index {i}")
 
-
+    return _dataset(level, counts, seed, "unseen_task", draw)

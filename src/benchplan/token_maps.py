@@ -26,7 +26,7 @@ from .mdp import (
     available_keys,
     layered_kbest,
 )
-from .symbols import Symbolizer, symbolize
+from .symbols import Symbolizer, _sq_dists, symbolize
 
 MIN_PAIRS = 8          # hard floor per action
 RIDGE_LAMBDA = 1e-6    # disentangled tokens span < 6*dim dims, so always regularize
@@ -110,7 +110,7 @@ def token_mse(pred: np.ndarray, truth: np.ndarray) -> float:
 def _min_center_gaps(symbolizer: Symbolizer) -> list[float]:
     gaps = []
     for centers in symbolizer.centers:
-        pair = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        pair = _sq_dists(centers, centers)
         np.fill_diagonal(pair, np.inf)
         gaps.append(float(np.sqrt(pair.min())))
     return gaps

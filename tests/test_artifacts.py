@@ -21,7 +21,8 @@ from benchplan.artifacts import (
 )
 from benchplan.evaluate import run_experiment
 from benchplan.fitting import FitConfig, fit_pipeline
-from benchplan.taskgen import generate_dataset
+from benchplan.taskgen import generate_dataset, make_unseen_object_split, make_unseen_task_split
+from benchplan.workbench import N_TYPES
 
 
 def datasets_equal(a, b):
@@ -38,11 +39,13 @@ class TestDatasetFile:
         assert datasets_equal(load_dataset(path), ds)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
-        ds = generate_dataset(4, (15, 2, 4), seed=13)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_dataset(a, ds)
-        save_dataset(b, load_dataset(a))
-        assert a.read_bytes() == b.read_bytes()
+        for ds in (generate_dataset(4, (15, 2, 4), seed=13),
+                   make_unseen_object_split(generate_dataset(3, (15, 2, 4), seed=13), {N_TYPES}),
+                   make_unseen_task_split(2, (15, 2, 4), seed=13)):
+            save_dataset(a, ds)
+            save_dataset(b, load_dataset(a))
+            assert a.read_bytes() == b.read_bytes(), ds.variant
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingArtifact):

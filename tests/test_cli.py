@@ -229,10 +229,18 @@ class TestPipeline:
         ("arts/fit.txt", lambda text: re.sub(r"\nc [^,\n]+,", "\nc nan,", text, count=1), True),
         ("data.txt", onto("init", "dyer"), True),
         ("data.txt", onto("goal", "obstacles"), True),
+        # a dataset header that disagrees with its tasks, or tasks that disagree
+        ("data.txt", lambda text: text.replace(" level=3 ", " level=4 ", 1), True),
+        ("data.txt", lambda text: text.replace(" test=25 ", " test=24 ", 1), True),
+        ("data.txt", lambda text: text + text.splitlines(True)[-1], True),
+        ("data.txt", lambda text: text.replace("split=test", "split=tset", 1), True),
+        ("data.txt", lambda text: text.splitlines(True)[0], True),
     ], ids=["fit-cut-to-3-lines", "dataset-cut-by-50-lines", "maps-bad-float",
             "dataset-empty-field", "unachievable-min-sep-in-fit-header",
             "negative-sigma-in-fit-header", "nan-sigma-in-fit-header",
-            "inf-sigma-in-fit-header", "nan-center", "init-on-dyer", "goal-on-obstacle"])
+            "inf-sigma-in-fit-header", "nan-center", "init-on-dyer", "goal-on-obstacle",
+            "header-level", "header-split-count", "duplicated-task", "unknown-split",
+            "no-task"])
     def test_malformed_artifact_is_one_line_artifact_error(self, fitted_dir, capsys,
                                                            name, edit, reseal):
         if reseal:

@@ -210,9 +210,10 @@ def _recording_search(monkeypatch):
     search_graph, search = mdp._search_graph, mdp.layered_kbest
 
     def recording_graph(model, *args):
-        codes, dist, steps_from = record["graph"] = search_graph(model, *args)
+        node_of, dist, steps_from = record["graph"] = search_graph(model, *args)
+        codes = np.flatnonzero(node_of < len(dist))  # the nodes' codes, in node order
         record["states"] = [_state(code, model.cardinalities) for code in codes]
-        return codes, dist, steps_from
+        return node_of, dist, steps_from
 
     def recording(search, state_of):
         def run(init, start_entry, expand, *args):

@@ -207,6 +207,12 @@ class TestUnseenTaskSplit:
         with pytest.raises(ValueError):
             make_unseen_task_split(3, (10, 2, 4), seed=0)
 
+    # a dataset with no task has no level
+    @pytest.mark.parametrize("make", [generate_dataset, make_unseen_task_split])
+    def test_no_task_is_an_error(self, make):
+        with pytest.raises(ValueError, match="^counts must be nonnegative and sum to > 0$"):
+            make(1, (0, 0, 0), seed=0)
+
     def test_determinism(self):
         a = make_unseen_task_split(2, (20, 2, 6), seed=4)
         b = make_unseen_task_split(2, (20, 2, 6), seed=4)
