@@ -1,8 +1,10 @@
 """Task and dataset generation for the workbench.
 
 Tasks are sampled per difficulty level with rejection, and every task carries
-a ground-truth plan found by breadth-first search over the discrete state
-space, so gt plans are provably shortest. Generation is reproducible: task i
+a ground-truth plan found by breadth-first search. The search runs over the
+bench's cells and whether a dye is still due, with the turns and the dye read
+off in closed form; its plans are provably shortest and equal those of a search
+over every (cell, rotation, color) state. Generation is reproducible: task i
 of a dataset draws from its own RNG stream derived from (seed, i), which also
 makes generation embarrassingly parallel.
 """
@@ -18,18 +20,13 @@ from .workbench import (
     N_COLORS,
     N_SIZES,
     N_TYPES,
-    POS_X,
     ROTATIONS,
-    SIZE,
     X_CELLS,
     Y_CELLS,
     EnvConfig,
     ObjectState,
     apply_action,  # noqa: F401  unused; perfbench's trace points patch this name
     cells_connected,
-    goal_codes,
-    next_codes,
-    state_code,
 )
 
 SPLITS = ("train", "val", "test")
@@ -49,6 +46,12 @@ TEST_FAMILIES = (
 _STREAM_TASK = 11
 _STREAM_RETYPE = 13
 _STREAM_UNSEEN = 17
+
+# the oracle searches the moves and the dye; of its fewest turns, a half turn is
+# two rotate_left, as rotate_left comes before rotate_right in ACTIONS
+_DYE = ACTIONS.index("change_color")
+_SEARCHED = tuple(a for a, action in enumerate(ACTIONS) if not action.startswith("rotate_"))
+_TURNS = {0: (), 90: ("rotate_right",), 180: ("rotate_left",) * 2, 270: ("rotate_left",)}
 
 
 class Unreachable(Exception):
@@ -95,27 +98,39 @@ def oracle_shortest_plan(env: EnvConfig, init: ObjectState,
     """Shortest action sequence from init to a state matching goal on the
     concepts `goal_concepts(env.level)` names, the rule the judge applies.
 
-    BFS over `workbench.state_code`s with the fixed ACTIONS ordering as
-    tie-break, so the returned plan is the lexicographically smallest among
-    all shortest ones. Raises Unreachable when no legal path exists.
+    BFS over the nodes cell * 2 + still to dye, through the moves and the dye in
+    ACTIONS order; whether to dye and, at level 4, the fewest turns are read off
+    in closed form. Turns are legal everywhere and change nothing else, and
+    ACTIONS puts moves before turns and turns before the dye, so placing the
+    turns right before the dye, or last, gives the plan a BFS over every (cell,
+    rotation, color) state returns: the lexicographically smallest shortest
+    one. Raises Unreachable when no legal path exists.
     """
-    goals = goal_codes(goal, env.level)
-    start = state_code(*init.values()[POS_X:SIZE])
-    if start in goals:
-        return ()
-    parents: dict[int, tuple[int, str] | None] = {start: None}
-    queue = [start]
-    for code in queue:  # first in, first out: the loop reads what it appends
-        for action, nxt in zip(ACTIONS, next_codes(code, env)):
-            if nxt < 0 or nxt in parents:
+    if init.color != goal.color != env.dyer_color:  # no dye gives the goal's color
+        raise Unreachable(f"goal {goal} unreachable from {init}")
+    to_dye = int(init.color != goal.color)
+    turns = _TURNS[(goal.rotation - init.rotation) % 360] if env.level == 4 else ()
+    start = (init.pos_x * Y_CELLS + init.pos_y) * 2 + to_dye
+    target = (goal.pos_x * Y_CELLS + goal.pos_y) * 2
+    if start == target:
+        return turns
+    parents, queue = {start: None}, [start]
+    for node in queue:  # first in, first out: the loop reads what it appends
+        cell, dye_left = divmod(node, 2)
+        for a in _SEARCHED:
+            dest = env.moves[cell * len(ACTIONS) + a]
+            nxt = dest * 2 + (0 if a == _DYE else dye_left)
+            if dest < 0 or nxt in parents:
                 continue
-            parents[nxt] = (code, action)
-            if nxt in goals:
+            parents[nxt] = (node, a)
+            if nxt == target:
                 plan = []
                 while parents[nxt] is not None:
-                    nxt, action = parents[nxt]
-                    plan.append(action)
-                return tuple(reversed(plan))
+                    nxt, a = parents[nxt]
+                    plan.append(ACTIONS[a])
+                plan.reverse()
+                at = plan.index("change_color") if to_dye else len(plan)
+                return (*plan[:at], *turns, *plan[at:])
             queue.append(nxt)
     raise Unreachable(f"goal {goal} unreachable from {init}")
 

@@ -209,15 +209,8 @@ def state_code(x: int, y: int, rotation: int, color: int) -> int:
     return (x * Y_CELLS + y) * _CELL_CODES + rotation * N_COLORS + color
 
 
-def next_codes(code: int, env: EnvConfig) -> list[int]:
-    """The state code after each of ACTIONS; the move table's code (< 0) if illegal."""
-    cell, rest = divmod(code, _CELL_CODES)
-    return [dest if dest < 0 else dest * _CELL_CODES + after for dest, after in zip(
-        env.moves[cell * _N_ACTIONS:(cell + 1) * _N_ACTIONS], _RESTS[env.dyer_color or 0][rest])]
-
-
 def next_code(code: int, a: int, env: EnvConfig) -> int:
-    """`next_codes(code, env)[a]`, read from the same tables for one action."""
+    """The state code after ACTIONS[a]; the move table's code (< 0) if illegal."""
     cell, rest = divmod(code, _CELL_CODES)
     dest = env.moves[cell * _N_ACTIONS + a]
     return dest if dest < 0 else dest * _CELL_CODES + _RESTS[env.dyer_color or 0][rest][a]
@@ -285,15 +278,6 @@ def goal_reached(final: ObjectState, goal: ObjectState, level: int) -> bool:
     """Success rule: final matches goal on every concept the level's goal fixes."""
     fixed = itemgetter(*goal_concepts(level))
     return fixed(final.values()) == fixed(goal.values())
-
-
-def goal_codes(goal: ObjectState, level: int) -> frozenset[int]:
-    """The state codes of every state that matches goal on goal_concepts(level)."""
-    fixed, values = goal_concepts(level), goal.values()
-    return frozenset(state_code(*c) for c in product(*(
-        (values[k],) if k in fixed else range(n)
-        for k, n in ((POS_X, X_CELLS), (POS_Y, Y_CELLS),
-                     (ROTATION, len(ROTATIONS)), (COLOR, N_COLORS)))))
 
 
 def adjudicate(task: "Task", actions: Sequence[str]) -> SuccessReport:

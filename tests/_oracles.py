@@ -21,7 +21,9 @@ The adjudication oracle is `workbench.adjudicate` frozen before it walked
 state codes, stepping ObjectStates with the frozen `oracle_apply_action`; the
 symbolize oracle is its `assign` per concept, frozen before one broadcast over
 a padded center table; the code oracle is `mdp._codes` frozen before it
-summed strides.
+summed strides. `oracle_next_codes` and `oracle_goal_codes` are the
+successor and goal codes the BFS oracle searched, frozen when it came to search
+cells and a still-to-dye flag, with the dye and the turns read off in closed form.
 """
 
 from collections import deque
@@ -51,12 +53,18 @@ from benchplan.symbols import (
 )
 from benchplan.token_maps import _min_center_gaps, _snap_trusted, transition
 from benchplan.workbench import (
+    _CELL_CODES,
+    _N_ACTIONS,
+    _RESTS,
     ACTIONS,
+    COLOR,
     CONCEPTS,
     MAX_LEN_BY_LEVEL,
     N_COLORS,
     POS_X,
     POS_Y,
+    ROTATION,
+    ROTATIONS,
     SIZE,
     X_CELLS,
     Y_CELLS,
@@ -66,7 +74,6 @@ from benchplan.workbench import (
     ObjectState,
     OutOfBounds,
     SuccessReport,
-    goal_codes,
     goal_concepts,
     state_code,
 )
@@ -683,6 +690,24 @@ def oracle_unbounded_plan(model, init, goal, masks, top_k=5, l_max=16):
         for score, seq, _ in found), warnings=warnings)
 
 
+def oracle_next_codes(code, env):
+    """`workbench.next_codes`, frozen: the state code after each of ACTIONS;
+    the move table's code (< 0) if illegal."""
+    cell, rest = divmod(code, _CELL_CODES)
+    return [dest if dest < 0 else dest * _CELL_CODES + after for dest, after in zip(
+        env.moves[cell * _N_ACTIONS:(cell + 1) * _N_ACTIONS], _RESTS[env.dyer_color or 0][rest])]
+
+
+def oracle_goal_codes(goal, level):
+    """`workbench.goal_codes`, frozen: the state codes of every state that
+    matches goal on goal_concepts(level)."""
+    fixed, values = goal_concepts(level), goal.values()
+    return frozenset(state_code(*c) for c in product(*(
+        (values[k],) if k in fixed else range(n)
+        for k, n in ((POS_X, X_CELLS), (POS_Y, Y_CELLS),
+                     (ROTATION, len(ROTATIONS)), (COLOR, N_COLORS)))))
+
+
 def oracle_adjudicate(task, actions):
     """`workbench.adjudicate` as it was: an ObjectState per step, the failure
     reason from the error class, and the goal test on the goal's state codes."""
@@ -693,7 +718,7 @@ def oracle_adjudicate(task, actions):
         except ActionError as err:
             reason = "collision" if isinstance(err, Collision) else "illegal_action"
             return SuccessReport(False, reason, current)
-    if state_code(*current.values()[POS_X:SIZE]) in goal_codes(task.goal, task.env.level):
+    if state_code(*current.values()[POS_X:SIZE]) in oracle_goal_codes(task.goal, task.env.level):
         return SuccessReport(True, "none", current)
     return SuccessReport(False, "wrong_final_state", current)
 

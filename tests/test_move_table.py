@@ -1,6 +1,8 @@
-"""One compiled move table per bench: `apply_action`, `adjudicate` and the BFS
-oracle read it and agree with the per-action rules, the ObjectState loop and
-the ObjectState BFS they replaced.
+"""One compiled move table per bench: `apply_action` and `adjudicate` read it
+through `next_code`, and the BFS oracle reads its moves and dye over cells and a
+still-to-dye flag. They agree with the per-action rules, the ObjectState loop
+and the ObjectState BFS they replaced, and `next_code` with the all-actions
+`next_codes` the oracle searched before.
 Each bench copies its tables from one grid table, and they equal those of the
 builder that tested every cell and action in turn."""
 
@@ -28,15 +30,16 @@ from benchplan.workbench import (
     apply_action,
     cells_connected,
     next_code,
-    next_codes,
 )
 
 from _oracles import (
+    _MOVE_DELTAS,
     oracle_adjudicate,
     oracle_apply_action,
     oracle_bench_tables,
     oracle_bfs,
     oracle_cells_connected,
+    oracle_next_codes,
 )
 
 CELLS = list(itertools.product(range(X_CELLS), range(Y_CELLS)))
@@ -63,23 +66,47 @@ def outcome(apply, state, action, env):
         return type(err), str(err)
 
 
+def frozen_reads(env, x, y, action):
+    """What `oracle_apply_action` reads of the bench for an action from cell
+    (x, y): a move's destination is free (None off the grid), a turn reads
+    nothing, and a dye reads the dyer, the cell's adjacency to it and its color."""
+    if action in _MOVE_DELTAS:
+        nx, ny = x + _MOVE_DELTAS[action][0], y + _MOVE_DELTAS[action][1]
+        return env.free[nx][ny] if 0 <= nx < X_CELLS and 0 <= ny < Y_CELLS else None
+    if action == "change_color":
+        return env.dyer, env.near_dyer[x][y], env.dyer_color
+    return None
+
+
 @pytest.mark.parametrize("level", (1, 2, 3, 4))
 def test_apply_action_equals_frozen_rules(level):
-    # level 1 has one bench, so it is checked once; the others on 500 benches each
+    # one table per bench, of every state and action: one bench at level 1, 500
+    # at the others. The frozen rules give the same outcomes on benches that
+    # agree on what the rules read, so the frozen table is put together from
+    # per-cell blocks that such benches share
     rng = np.random.default_rng([23, level])
-    outcomes = set()
+    blocks = {}
     for _ in range(1 if level == 1 else 500):
         env = random_bench(level, rng)
         type_id, size = int(rng.integers(12)), int(rng.integers(N_SIZES))
-        states = [ObjectState(type_id, x, y, rotation, color, size) for (x, y), rotation, color
-                  in itertools.product(CELLS, ROTATIONS, range(N_COLORS))]
+        cells = [[ObjectState(type_id, x, y, rotation, color, size)
+                  for rotation, color in itertools.product(ROTATIONS, range(N_COLORS))]
+                 for x, y in CELLS]
+        new = [outcome(apply_action, state, action, env)
+               for action in ACTIONS for states in cells for state in states]
+        frozen = []
         for action in ACTIONS:
-            new = [outcome(apply_action, state, action, env) for state in states]
-            assert new == [outcome(oracle_apply_action, state, action, env) for state in states], \
-                (env, action)
-            outcomes.update(o[0] if isinstance(o, tuple) else ObjectState for o in new)
-    assert outcome(apply_action, states[0], "jump", env) == \
-        outcome(oracle_apply_action, states[0], "jump", env)
+            for (x, y), states in zip(CELLS, cells):
+                key = (type_id, size, x, y, action, frozen_reads(env, x, y, action))
+                if key not in blocks:
+                    blocks[key] = [outcome(oracle_apply_action, state, action, env)
+                                   for state in states]
+                frozen += blocks[key]
+        assert new == frozen, env
+    assert outcome(apply_action, cells[0][0], "jump", env) == \
+        outcome(oracle_apply_action, cells[0][0], "jump", env)
+    outcomes = {o[0] if isinstance(o, tuple) else ObjectState
+                for block in blocks.values() for o in block}
     assert outcomes == {ObjectState, OutOfBounds, DyerUnavailable} | \
         ({Collision} if level > 1 else set())
 
@@ -105,7 +132,8 @@ def random_case(level, rng):
 def test_oracle_equals_frozen_bfs(level):
     rng = np.random.default_rng([29, level])
     seen = dict.fromkeys(("init blocked", "goal blocked", "turned", "retyped", "resized",
-                          "init == goal", "unreachable", "planned"), 0)
+                          "init == goal", "unreachable", "planned", "dyes", "half turn",
+                          "dye impossible", "init blocked next to the dyer"), 0)
     for _ in range(2000):
         env, init, goal = random_case(level, rng)
         expected = oracle_bfs(env, init, goal)
@@ -122,8 +150,17 @@ def test_oracle_equals_frozen_bfs(level):
         seen["init == goal"] += goal == init
         seen["unreachable"] += expected is None
         seen["planned"] += bool(expected)
+        seen["dyes"] += "change_color" in (expected or ())
+        seen["half turn"] += (expected or ()).count("rotate_left") == 2
+        seen["dye impossible"] += init.color != goal.color != env.dyer_color
+        seen["init blocked next to the dyer"] += \
+            not env.free[init.pos_x][init.pos_y] and env.near_dyer[init.pos_x][init.pos_y]
     if level == 1:  # no obstacle, no dyer: nothing is blocked
         del seen["init blocked"], seen["goal blocked"]
+    if level < 3:  # no dyer
+        del seen["dyes"], seen["init blocked next to the dyer"]
+    if level < 4:  # the goal leaves rotation free
+        del seen["half turn"]
     assert all(seen.values()), seen
 
 
@@ -247,4 +284,4 @@ def test_next_code_is_one_entry_of_next_codes(level):
         env = random_bench(level, rng)
         for code in range(X_CELLS * Y_CELLS * len(ROTATIONS) * N_COLORS):
             assert [next_code(code, a, env) for a in range(len(ACTIONS))] == \
-                next_codes(code, env), (env, code)
+                oracle_next_codes(code, env), (env, code)

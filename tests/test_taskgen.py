@@ -69,6 +69,16 @@ class TestOracle:
         with pytest.raises(Unreachable):
             oracle_shortest_plan(env, init, goal)
 
+    def test_half_turn_goes_right_before_the_dye(self):
+        # init sits on the obstacle next to the dyer; the plan of the BFS over
+        # every (cell, rotation, color) state
+        env = EnvConfig(level=4, obstacles=((0, 2),), dyer=(1, 2), dyer_color=3)
+        init = ObjectState(0, 0, 2, 0, 1, 0)
+        goal = ObjectState(0, 2, 4, 180, 3, 0)
+        assert oracle_shortest_plan(env, init, goal) == (
+            "move_front", "move_right", "rotate_left", "rotate_left", "change_color",
+            "move_front", "move_right")
+
     def test_shortest_against_exhaustive_enumeration(self):
         # oracle plans with gt length <= 4: no shorter sequence may reach the goal
         checked = 0
@@ -250,3 +260,20 @@ def test_benchmark_dataset_bytes_are_pinned(tmp_path):
     save_dataset(str(tmp_path / "data.txt"), generate_dataset(4, (800, 100, 100), 11))
     digest = hashlib.sha256((tmp_path / "data.txt").read_bytes()).hexdigest()
     assert digest == PINNED_BENCHMARK_DATASET
+
+
+# sha256 of the save_dataset bytes of the desk datasets at levels 1-3 (level 4 is
+# the benchmark's, above), seed 11, 800/100/100 tasks, as generated before the BFS
+# oracle searched cells and a still-to-dye flag in place of every state code
+PINNED_DESK_DATASETS = {
+    1: "6d529331cb3fde84982b3213c12b2cdc97f02f83e0f670bfc5ff3ed616b46b72",
+    2: "6914a6736434253960eaf8ea979e83ce56754e9796116ba91a31c9c97cb69e54",
+    3: "840fb459b4c7c7fa9d395146aeac9fc20257d2ec079f8c4db77729be7ebbe453",
+}
+
+
+@pytest.mark.parametrize("level", sorted(PINNED_DESK_DATASETS))
+def test_desk_dataset_bytes_are_pinned(tmp_path, level):
+    save_dataset(str(tmp_path / "data.txt"), generate_dataset(level, (800, 100, 100), 11))
+    digest = hashlib.sha256((tmp_path / "data.txt").read_bytes()).hexdigest()
+    assert digest == PINNED_DESK_DATASETS[level]
