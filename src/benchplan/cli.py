@@ -101,7 +101,7 @@ def cmd_fit(args) -> int:
     except (InsufficientPoints, InsufficientPairs) as err:  # too little training data
         print(f"error: {args.data}: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except InvalidGtPlan as err:  # the dataset's content, so an artifact error
+    except (InvalidGtPlan, UnknownValue) as err:  # the dataset's content: an artifact error
         raise artifacts.SchemaMismatch(f"{args.data}: {err}") from err
     out = _artifact_dir(args)
     artifacts.save_fitted(out, fitted)

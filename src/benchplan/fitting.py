@@ -1,4 +1,8 @@
-"""End-to-end fitting: dataset -> codebook -> symbolizer -> MDP counts -> affine maps."""
+"""End-to-end fitting: dataset -> codebook -> symbolizer -> MDP counts -> affine maps.
+
+Each training gt plan is replayed once; all else reads whole-split arrays: the
+states' concept values, one token stack from one gather, and a key id per row.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concepts import (DEFAULT_DIM, DEFAULT_MIN_SEP, ConceptCodebook, build_codebook,
-                       encode_states, extend_codebook)
+from .concepts import (DEFAULT_DIM, DEFAULT_MIN_SEP, ConceptCodebook, UnknownValue,
+                       build_codebook, extend_codebook)
 from .concepts import encode  # noqa: F401  unused; perfbench's trace points patch this name
 from .mdp import DEFAULT_THRESH, TransitionModel, action_key, fit_transitions
 from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, _sq_dists,
@@ -15,7 +19,7 @@ from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, _sq_dist
 from .symbols import symbolize  # noqa: F401  unused; perfbench's trace points patch this name
 from .taskgen import Dataset, Task
 from .token_maps import MIN_PAIRS, ActionTransitionMaps, fit_affine
-from .workbench import TYPE, SimulationError, simulate
+from .workbench import TYPE, ObjectState, SimulationError, simulate
 
 _STREAM_FIT_ENCODE = 23
 
@@ -70,13 +74,6 @@ class Fitted:
         return self.codebook.seed
 
 
-def encode_trajectory(task: Task, codebook: ConceptCodebook, sigma: float,
-                      rng: np.random.Generator | None) -> tuple[list, np.ndarray]:
-    """States along the gt plan and their (T, 6, dim) token observations."""
-    states = simulate(task.init, task.gt_actions, task.env)
-    return states, encode_states(states, codebook, sigma, rng)
-
-
 def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
     """Fit all stages on the dataset's training split."""
     codebook = build_codebook(dim=config.dim, seed=dataset.codebook_seed,
@@ -84,35 +81,35 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
     train = [(i, task) for i, task in enumerate(dataset.tasks) if task.split == "train"]
     if not train:
         raise InsufficientPoints("dataset has no training tasks")
-    # every training state's tokens in one (n, 6, dim) stack, task after task,
-    # and the key of the action taken from each state (None from a path's last)
-    tokens = np.empty((sum(len(task.gt_actions) + 1 for _, task in train),
-                       len(codebook.cardinalities), config.dim))
-    states, keys = [], []
-    for i, task in train:
-        rng = (np.random.default_rng([config.seed, _STREAM_FIT_ENCODE, i])
-               if config.noise_sigma > 0 else None)  # noiseless: nothing reads it
+    # every training state's concept values, task after task, and the id of the
+    # key taken from each state, ids in first-seen order (-1 from a path's last)
+    values, key_ids, key_index, cards = [], [], {}, codebook.cardinalities
+    for _, task in train:
         try:
-            path, path_tokens = encode_trajectory(task, codebook, config.noise_sigma, rng)
+            path = simulate(task.init, task.gt_actions, task.env)
         except SimulationError as err:
             raise InvalidGtPlan(f"task {task.task_id}: gt plan does not replay: {err}") from err
-        tokens[len(states):len(states) + len(path)] = path_tokens
-        states.extend(path)
-        keys.extend([*(action_key(a, task.env.dyer_color) for a in task.gt_actions), None])
+        if task.init.type_id >= cards[TYPE]:  # ObjectState bounds every other value
+            raise UnknownValue(f"task {task.task_id}: type value {task.init.type_id} "
+                               f"outside codebook (cardinality {cards[TYPE]})")
+        values += map(ObjectState.values, path)
+        key_ids += [*(key_index.setdefault(action_key(a, task.env.dyer_color), len(key_index))
+                      for a in task.gt_actions), -1]
+    values, key_ids, key_names = np.array(values), np.array(key_ids), tuple(key_index)
+    table, starts = codebook.stacked
+    tokens = table[values + starts[:-1]]  # (n, 6, dim)
+    if config.noise_sigma > 0:  # each task's noise from its own stream; none at 0
+        paths = np.split(tokens, np.flatnonzero(key_ids[:-1] < 0) + 1)  # views of tokens
+        for (i, _), rows in zip(train, paths, strict=True):
+            rng = np.random.default_rng([config.seed, _STREAM_FIT_ENCODE, i])
+            rows += rng.normal(0.0, config.noise_sigma, rows.shape)
 
-    symbolizer, labels = fit_symbolizer(tokens, codebook.cardinalities,
-                                        seed=config.seed, restarts=config.restarts)
-    symbols = labels.tolist()
-    triplets = []
-    pairs: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for t, key in enumerate(keys):
-        if key is not None:
-            triplets.append((symbols[t], key, symbols[t + 1]))
-            pairs.setdefault(key, []).append((tokens[t], tokens[t + 1]))
-
-    model = fit_transitions(triplets, symbolizer.cardinalities, thresh=config.thresh)
-    maps = fit_affine(pairs, dim=config.dim)
-    train_purity = tuple(float(p) for p in purity(labels, states))
+    symbolizer, labels = fit_symbolizer(tokens, cards, seed=config.seed,
+                                        restarts=config.restarts)
+    model = fit_transitions(labels, key_ids, key_names, symbolizer.cardinalities,
+                            thresh=config.thresh)
+    maps = fit_affine(tokens, key_ids, key_names)
+    train_purity = tuple(float(p) for p in purity(labels, values))
     return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,
                   model=model, maps=maps, train_purity=train_purity)
 

@@ -30,7 +30,6 @@ change_color on adjacency using the bench masks.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from operator import and_, itemgetter, mul
@@ -163,8 +162,8 @@ def _row_normalized(counts: np.ndarray) -> np.ndarray:
 
 def count_tables(rows: Iterable[tuple[str, int, int, int, int]],
                  cardinalities: Sequence[int]) -> dict[str, list[np.ndarray]]:
-    """Count tables from (key, k, w, w', n) rows, the one checked way to add a
-    count: k a concept, w and w' its symbols, n >= 1, else ValueError."""
+    """Count tables from (key, k, w, w', n) rows, as a fit file lists them: k a
+    concept, w and w' its symbols, n >= 1, else ValueError."""
     counts: dict[str, list[np.ndarray]] = {}
     for key, k, w, w2, n in rows:
         if not (0 <= k < len(cardinalities) and 0 <= w < cardinalities[k]
@@ -176,16 +175,22 @@ def count_tables(rows: Iterable[tuple[str, int, int, int, int]],
     return counts
 
 
-def fit_transitions(triplets: Iterable[tuple[SymbolState, str, SymbolState]],
+def fit_transitions(symbols: np.ndarray, key_ids: np.ndarray, key_names: Sequence[str],
                     cardinalities: Sequence[int],
                     thresh: float = DEFAULT_THRESH) -> TransitionModel:
-    """Accumulate (symbol state, action key, symbol state) triplets into counts."""
+    """Count (n, n_concepts) symbol rows: row t steps to row t + 1 under
+    `key_names[key_ids[t]]`, and -1 ends a path. A symbol out of range is a ValueError."""
     cards = tuple(int(c) for c in cardinalities)
-    tally = Counter((key, k, w, w2) for before, key, after in triplets
-                    for k, (w, w2) in enumerate(zip(before, after, strict=True)))
-    if not tally:
-        raise ValueError("need at least one triplet")
-    counts = count_tables(((*row, n) for row, n in tally.items()), cards)
+    if not key_names:
+        raise ValueError("need at least one transition")
+    if (bad := np.argwhere((symbols < 0) | (symbols >= cards))).size:
+        raise ValueError(f"concept {bad[0, 1]} symbol {symbols[tuple(bad[0])]} out of range")
+    counts = {}
+    for j, key in enumerate(key_names):
+        t = np.flatnonzero(key_ids == j)
+        pair = symbols[t] * cards + symbols[t + 1]  # w * k_k + w' per concept
+        counts[key] = [np.bincount(pair[:, k], minlength=c * c).reshape(c, c)
+                       for k, c in enumerate(cards)]
     return TransitionModel(cardinalities=cards, thresh=thresh, counts=counts)
 
 

@@ -196,15 +196,14 @@ def symbolize(tokens: np.ndarray, symbolizer: Symbolizer) -> tuple[int, ...]:
     return tuple(dists.argmin(axis=1).tolist())
 
 
-def purity(labels, states: Sequence) -> np.ndarray:
+def purity(labels, values) -> np.ndarray:
     """Majority-vote purity per concept of (n, n_concepts) cluster labels
-    against the n ObjectStates they label."""
-    if not len(states):
+    against the (n, n_concepts) array of ground-truth concept values they label."""
+    if not len(values):
         raise ValueError("need labeled examples")
-    values = np.asarray([s.values() for s in states])
     out = np.empty(values.shape[1])
     for k, (clusters, truth) in enumerate(zip(np.asarray(labels).T, values.T)):
         correct = sum(int(np.bincount(truth[clusters == c]).max())
                       for c in np.unique(clusters))
-        out[k] = correct / len(states)
+        out[k] = correct / len(values)
     return out

@@ -55,27 +55,26 @@ class ActionTransitionMaps:
                            tuple(sorted(self.matrices, key=_key_rank)))
 
 
-def fit_affine(pairs_by_action: dict[str, Sequence[tuple[np.ndarray, np.ndarray]]],
-               dim: int) -> ActionTransitionMaps:
-    """Closed-form normal-equations fit of one affine map per action key."""
-    # rare contexts (a seldom-seen dyer color at small data sizes) get no map;
-    # the transition counts keep them
-    keys = [k for k, pairs in pairs_by_action.items() if len(pairs) >= MIN_PAIRS]
-    if not keys:
-        raise InsufficientPairs(f"no action has the {MIN_PAIRS} pairs a token map needs")
-    width = 6 * dim
+def fit_affine(tokens: np.ndarray, key_ids: np.ndarray,
+               key_names: Sequence[str]) -> ActionTransitionMaps:
+    """Closed-form normal-equations fit of one affine map per action key on (n, 6, dim)
+    tokens: row t maps to row t + 1 under `key_names[key_ids[t]]`; -1 ends a path."""
+    flat = tokens.reshape(len(tokens), -1)  # (n, 6*dim)
     matrices, offsets, mses = {}, {}, {}
-    for key in keys:
-        pairs = pairs_by_action[key]
-        x = np.stack([before.ravel() for before, _ in pairs])
-        y = np.stack([after.ravel() for _, after in pairs])
+    for j, key in enumerate(key_names):  # one key's (x, y) copies at a time
+        t = np.flatnonzero(key_ids == j)
+        if len(t) < MIN_PAIRS:  # a rare context (a seldom-seen dyer color) gets no map;
+            continue            # the transition counts keep it
+        x, y = flat[t], flat[t + 1]
         xa = np.hstack([x, np.ones((len(x), 1))])
-        gram = xa.T @ xa + RIDGE_LAMBDA * np.eye(width + 1)
+        gram = xa.T @ xa + RIDGE_LAMBDA * np.eye(xa.shape[1])
         w = np.linalg.solve(gram, xa.T @ y)  # (width+1, width)
         matrices[key] = w[:-1].T.copy()
         offsets[key] = w[-1].copy()
         mses[key] = float(((xa @ w - y) ** 2).mean())
-    return ActionTransitionMaps(dim=dim, matrices=matrices, offsets=offsets,
+    if not matrices:
+        raise InsufficientPairs(f"no action has the {MIN_PAIRS} pairs a token map needs")
+    return ActionTransitionMaps(dim=tokens.shape[-1], matrices=matrices, offsets=offsets,
                                 residual_mse=mses)
 
 

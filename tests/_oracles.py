@@ -24,9 +24,14 @@ a padded center table; the code oracle is `mdp._codes` frozen before it
 summed strides. `oracle_next_codes` and `oracle_goal_codes` are the
 successor and goal codes the BFS oracle searched, frozen when it came to search
 cells and a still-to-dye flag, with the dye and the turns read off in closed form.
+`encode_trajectory`, `oracle_fit_transitions` and `oracle_fit_affine` are the
+fit's per-task encoding, its Counter over (symbol state, key, symbol state)
+triplets and its stacking of each key's (before, after) pair list, frozen when
+the fit came to read one whole-split stack with a key id per row; `fit_layout`
+puts triplets or pairs into that layout.
 """
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import fields, replace
 from itertools import product
 from operator import attrgetter
@@ -35,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from benchplan import mdp
-from benchplan.concepts import UnknownValue
+from benchplan.concepts import UnknownValue, encode_states
 from benchplan.mdp import (
     NoPlanFound,
     Plan,
@@ -51,7 +56,15 @@ from benchplan.symbols import (
     KMeansResult,
     symbolize,
 )
-from benchplan.token_maps import _min_center_gaps, _snap_trusted, transition
+from benchplan.token_maps import (
+    MIN_PAIRS,
+    RIDGE_LAMBDA,
+    ActionTransitionMaps,
+    InsufficientPairs,
+    _min_center_gaps,
+    _snap_trusted,
+    transition,
+)
 from benchplan.workbench import (
     _CELL_CODES,
     _N_ACTIONS,
@@ -75,6 +88,7 @@ from benchplan.workbench import (
     OutOfBounds,
     SuccessReport,
     goal_concepts,
+    simulate,
     state_code,
 )
 
@@ -733,3 +747,55 @@ def oracle_symbolize(tokens, symbolizer):
 def oracle_codes(symbols, cards):
     """`mdp._codes` as it was: the product's codes by ravel_multi_index."""
     return np.ravel_multi_index(np.ix_(*symbols), cards, order="F").ravel(order="F")
+
+
+def encode_trajectory(task, codebook, sigma, rng):
+    """States along the gt plan and their (T, 6, dim) token observations: the
+    per-task encoding `fitting.fit_pipeline` made before it fit the split as arrays."""
+    states = simulate(task.init, task.gt_actions, task.env)
+    return states, encode_states(states, codebook, sigma, rng)
+
+
+def oracle_fit_transitions(triplets, cardinalities, thresh=mdp.DEFAULT_THRESH):
+    """`mdp.fit_transitions` as it was: a Counter over (key, concept, w, w')
+    of (symbol state, key, symbol state) triplets, added by `count_tables`."""
+    cards = tuple(int(c) for c in cardinalities)
+    tally = Counter((key, k, w, w2) for before, key, after in triplets
+                    for k, (w, w2) in enumerate(zip(before, after, strict=True)))
+    if not tally:
+        raise ValueError("need at least one triplet")
+    counts = mdp.count_tables(((*row, n) for row, n in tally.items()), cards)
+    return mdp.TransitionModel(cardinalities=cards, thresh=thresh, counts=counts)
+
+
+def oracle_fit_affine(pairs_by_action, dim):
+    """`token_maps.fit_affine` as it was: each key's list of (before, after)
+    token pairs stacked, then the same normal equations."""
+    keys = [k for k, pairs in pairs_by_action.items() if len(pairs) >= MIN_PAIRS]
+    if not keys:
+        raise InsufficientPairs(f"no action has the {MIN_PAIRS} pairs a token map needs")
+    width = 6 * dim
+    matrices, offsets, mses = {}, {}, {}
+    for key in keys:
+        pairs = pairs_by_action[key]
+        x = np.stack([before.ravel() for before, _ in pairs])
+        y = np.stack([after.ravel() for _, after in pairs])
+        xa = np.hstack([x, np.ones((len(x), 1))])
+        gram = xa.T @ xa + RIDGE_LAMBDA * np.eye(width + 1)
+        w = np.linalg.solve(gram, xa.T @ y)  # (width+1, width)
+        matrices[key] = w[:-1].T.copy()
+        offsets[key] = w[-1].copy()
+        mses[key] = float(((xa @ w - y) ** 2).mean())
+    return ActionTransitionMaps(dim=dim, matrices=matrices, offsets=offsets,
+                                residual_mse=mses)
+
+
+def fit_layout(steps):
+    """The (stack, key ids, key names) layout that `mdp.fit_transitions` and
+    `token_maps.fit_affine` read, of (before, key, after) steps, each step a
+    two-row path; key names in first-seen order."""
+    names, stack, key_ids = {}, [], []
+    for before, key, after in steps:
+        stack += [before, after]
+        key_ids += [names.setdefault(key, len(names)), -1]
+    return np.array(stack), np.array(key_ids, dtype=np.intp), tuple(names)

@@ -2,7 +2,8 @@ import hypothesis
 import numpy as np
 import pytest
 
-from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, encode_trajectory, fit_pipeline
+from _oracles import encode_trajectory
+from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, fit_pipeline
 from benchplan.taskgen import generate_dataset
 
 hypothesis.settings.register_profile("suite", max_examples=50, deadline=None)

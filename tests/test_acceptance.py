@@ -219,7 +219,8 @@ def test_criterion_07_symbol_purity():
             tokens.append(encode(state, cb, sigma, rng) if sigma
                           else encode(state, cb))
         symbolizer, _ = fit_symbolizer(tokens, cb.cardinalities, seed=0)
-        scores = purity([symbolize(t, symbolizer) for t in tokens], states)
+        scores = purity([symbolize(t, symbolizer) for t in tokens],
+                        np.array([s.values() for s in states]))
         assert scores.min() >= floor, f"sigma={sigma}: {scores}"
         if sigma == 0.0:
             assert np.array_equal(scores, np.ones(6))

@@ -303,3 +303,25 @@ def test_benchmark_fit_bytes_are_pinned(tmp_path, sigma):
     save_fitted(tmp_path, fitted)
     digest = hashlib.sha256((tmp_path / FIT_FILE).read_bytes()).hexdigest()
     assert digest == PINNED_BENCHMARK_FITS[sigma]
+
+
+# sha256 of fit.txt for the desk datasets at levels 1-3 (level 4 is the
+# benchmark's, above), seed 11, 800/100/100 tasks, as written before the fit
+# read the training split as one token stack with a key id per row
+PINNED_DESK_FITS = {
+    (1, 0.0): "ec4161001436c5f6e952216b232753f88ac8cc4ca4a760d5f698e1cfae57313f",
+    (1, 0.2): "c492f5422bcb90afb78b08646bae5d371999e41872cb8d4d872c077d0cec7027",
+    (2, 0.0): "11ad8a8bc540bfe767a5061633b89f090ef393b01731abfcb8d10dda1a37abc0",
+    (2, 0.2): "f8425fc6cb14d43d1188f08b9f60086708bb4104fcb99327a2206b09afd9b620",
+    (3, 0.0): "90b181d9b889ef0ab7da5f99cd0732e063dede08ec7294cf793642717dc6819d",
+    (3, 0.2): "5a245c4d06741896971101f61df77334293a1396f91db696614e019e3897bab8",
+}
+
+
+@pytest.mark.parametrize("level, sigma", sorted(PINNED_DESK_FITS))
+def test_desk_fit_bytes_are_pinned(tmp_path, level, sigma):
+    fitted = fit_pipeline(generate_dataset(level, (800, 100, 100), 11),
+                          FitConfig(noise_sigma=sigma))
+    save_fitted(tmp_path, fitted)
+    digest = hashlib.sha256((tmp_path / FIT_FILE).read_bytes()).hexdigest()
+    assert digest == PINNED_DESK_FITS[level, sigma]

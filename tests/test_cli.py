@@ -2,13 +2,15 @@
 
 import os
 import re
+from dataclasses import replace
 
 import pytest
 
 from _sealing import edit_sealed
 from benchplan import cli
-from benchplan.artifacts import load_dataset, save_fitted
+from benchplan.artifacts import load_dataset, save_dataset, save_fitted
 from benchplan.cli import main
+from benchplan.taskgen import generate_dataset
 
 
 @pytest.fixture()
@@ -328,6 +330,17 @@ def test_plan_level3_goal_fixes_no_rotation(tmp_path, level3_run, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "task adhoc (level 3, gt length 1)"
     assert out[1].startswith("  1. move_front  [score ")
+
+
+def test_training_type_past_the_codebook_is_one_line_artifact_error(workdir, capsys):
+    # a sealed dataset whose first training task holds type 9 of a codebook's 8
+    dataset = generate_dataset(2, (40, 5, 5), seed=11)
+    task = dataset.tasks[0]
+    retyped = replace(task, init=replace(task.init, type_id=9))
+    save_dataset("data.txt", replace(dataset, tasks=[retyped, *dataset.tasks[1:]]))
+    assert run(*FIT) == 2
+    assert capsys.readouterr().err == ("error: data.txt: task L2-00000: type value 9 "
+                                       "outside codebook (cardinality 8)\n")
 
 
 class TestThinFit:

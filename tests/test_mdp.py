@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    encode_trajectory,
+    fit_layout,
+    oracle_fit_transitions,
     oracle_map_successor,
     oracle_masks,
     oracle_occurrences,
@@ -15,7 +18,7 @@ from _oracles import (
     oracle_step,
 )
 from benchplan.concepts import encode
-from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, encode_trajectory, fit_pipeline
+from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, fit_pipeline
 from benchplan.mdp import (
     DeadDistribution,
     NoPlanFound,
@@ -44,7 +47,7 @@ def toy_model(thresh=0.1):
         ((1, 1), "move_left", (0, 1)),
         ((2, 0), "move_left", (1, 0)),
     ]
-    return fit_transitions(triplets, thresh=thresh, cardinalities=(3, 2))
+    return fit_transitions(*fit_layout(triplets), thresh=thresh, cardinalities=(3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +69,20 @@ class TestFitTransitions:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit_transitions([], cardinalities=(3, 2))
+            fit_transitions(*fit_layout([]), cardinalities=(3, 2))
+
+    @pytest.mark.parametrize("bad", [(3, 0), (-1, 0), (0, 2)])
+    def test_symbol_out_of_range_rejected(self, bad):
+        # as a fit file's count rows are checked by count_tables
+        with pytest.raises(ValueError, match="out of range"):
+            fit_transitions(*fit_layout([((0, 0), "move_right", bad)]), cardinalities=(3, 2))
 
     @pytest.mark.parametrize("run", ["level1_run", "level3_run", "level4_run"])
     def test_derived_tables_equal_frozen_accumulation(self, request, run):
         dataset, fitted = request.getfixturevalue(run)
         model = fitted.model
         triplets = _training_triplets(dataset, fitted)
-        refit = fit_transitions(triplets, thresh=model.thresh,
-                                cardinalities=model.cardinalities)
+        refit = oracle_fit_transitions(triplets, model.cardinalities, thresh=model.thresh)
         assert refit.action_keys == model.action_keys
         for key in model.action_keys:
             for a, b in zip(refit.counts[key], model.counts[key]):

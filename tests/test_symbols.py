@@ -3,10 +3,10 @@ import pickle
 import numpy as np
 import pytest
 
-from _oracles import oracle_symbolize
+from _oracles import encode_trajectory, oracle_fit_transitions, oracle_symbolize
 from benchplan.concepts import build_codebook, encode, extend_codebook
-from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, encode_trajectory, fit_pipeline
-from benchplan.mdp import action_key, fit_transitions
+from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, fit_pipeline
+from benchplan.mdp import action_key
 from benchplan.symbols import (
     InsufficientPoints,
     Symbolizer,
@@ -228,7 +228,7 @@ class TestBatchedSymbols:
                 triplets += [(symbols[t], action_key(a, task.env.dyer_color), symbols[t + 1])
                              for t, a in enumerate(task.gt_actions)]
         assert_batch_equals_symbolize(np.concatenate(paths), sym)
-        refit = fit_transitions(triplets, sym.cardinalities, thresh=fitted.model.thresh)
+        refit = oracle_fit_transitions(triplets, sym.cardinalities, thresh=fitted.model.thresh)
         assert refit.action_keys == fitted.model.action_keys
         for key in refit.action_keys:
             for a, b in zip(refit.counts[key], fitted.model.counts[key]):
@@ -318,18 +318,22 @@ def _labels(symbolizer, tokens):
     return [symbolize(t, symbolizer) for t in tokens]
 
 
+def _values(states):
+    return np.array([s.values() for s in states])
+
+
 class TestPurity:
     def test_noiseless_is_one(self):
         cb = build_codebook(seed=18)
         states, tokens = token_sample(cb, 1200, sigma=0.0, seed=19)
         sym, _ = fit_symbolizer(tokens, cb.cardinalities, seed=0)
-        assert np.array_equal(purity(_labels(sym, tokens), states), np.ones(6))
+        assert np.array_equal(purity(_labels(sym, tokens), _values(states)), np.ones(6))
 
     def test_noisy_still_above_99(self):
         cb = build_codebook(seed=18, min_sep=1.0)
         states, tokens = token_sample(cb, 3000, sigma=0.1, seed=20)
         sym, _ = fit_symbolizer(tokens, cb.cardinalities, seed=0)
-        assert purity(_labels(sym, tokens), states).min() >= 0.99
+        assert purity(_labels(sym, tokens), _values(states)).min() >= 0.99
 
     def test_untrained_random_centers_score_near_chance(self):
         # noise-dominated tokens (sigma >> separation) carry no label signal,
@@ -341,7 +345,7 @@ class TestPurity:
             centers=tuple(rng.normal(size=(c, cb.dim))
                           for c in DEFAULT_CARDINALITIES),
             inertia=(0.0,) * 6, iterations=(0,) * 6)
-        scores = purity(_labels(random_sym, tokens), states)
+        scores = purity(_labels(random_sym, tokens), _values(states))
         for k, card in enumerate(DEFAULT_CARDINALITIES):
             # majority-vote purity hovers at 1/k with a small upward bias
             assert abs(scores[k] - 1.0 / card) <= 0.06

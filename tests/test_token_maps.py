@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from benchplan.concepts import build_codebook, encode
-from benchplan.fitting import encode_trajectory
+from _oracles import encode_trajectory, fit_layout
 from benchplan.mdp import SymbolMasks, action_key
 from benchplan.symbols import assign, symbolize
 from benchplan.token_maps import (
@@ -38,6 +38,12 @@ def movement_pairs(cb, action, n, rng, sigma=0.0):
     return pairs
 
 
+def fit_pairs(pairs_by_key):
+    """`fit_affine` of each key's (before, after) token pairs."""
+    return fit_affine(*fit_layout((before, key, after) for key, pairs in pairs_by_key.items()
+                                  for before, after in pairs))
+
+
 class TestFitAffine:
     def test_recovers_known_affine_map(self):
         rng = np.random.default_rng(0)
@@ -49,7 +55,7 @@ class TestFitAffine:
             x = rng.normal(size=(6, dim))
             y = (truth_a @ x.ravel() + truth_b).reshape(6, dim)
             pairs.append((x, y))
-        maps = fit_affine({"move_front": pairs}, dim=dim)
+        maps = fit_pairs({"move_front": pairs})
         assert maps.residual_mse["move_front"] <= 1e-6
         x = rng.normal(size=(6, dim))
         expected = (truth_a @ x.ravel() + truth_b).reshape(6, dim)
@@ -58,8 +64,7 @@ class TestFitAffine:
     def test_move_right_lands_on_next_centroid(self):
         cb = build_codebook(seed=1)
         rng = np.random.default_rng(2)
-        maps = fit_affine(
-            {"move_right": movement_pairs(cb, "move_right", 150, rng)}, dim=cb.dim)
+        maps = fit_pairs({"move_right": movement_pairs(cb, "move_right", 150, rng)})
         state = ObjectState(0, 0, 2, 0, 3, 1)
         out = transition(encode(state, cb), "move_right", maps)
         assert assign(out[POSX], cb.centroids[POSX]) == 1
@@ -76,7 +81,7 @@ class TestFitAffine:
             after = ObjectState(state.type_id, state.pos_x, state.pos_y,
                                 (state.rotation + 90) % 360, state.color, state.size)
             pairs.append((encode(state, cb), encode(after, cb)))
-        maps = fit_affine({"rotate_right": pairs}, dim=cb.dim)
+        maps = fit_pairs({"rotate_right": pairs})
         held_out = np.random.default_rng(5)
         for _ in range(50):
             state = ObjectState(int(held_out.integers(8)), int(held_out.integers(3)),
@@ -93,15 +98,13 @@ class TestFitAffine:
         cb = build_codebook(seed=1)
         rng = np.random.default_rng(6)
         with pytest.raises(InsufficientPairs):
-            fit_affine({"move_left": movement_pairs(cb, "move_left", 7, rng)},
-                       dim=cb.dim)
+            fit_pairs({"move_left": movement_pairs(cb, "move_left", 7, rng)})
 
     def test_thin_key_dropped_beside_supported_key(self):
         cb = build_codebook(seed=1)
         rng = np.random.default_rng(6)
-        maps = fit_affine({"move_left": movement_pairs(cb, "move_left", 7, rng),
-                           "move_right": movement_pairs(cb, "move_right", 8, rng)},
-                          dim=cb.dim)
+        maps = fit_pairs({"move_left": movement_pairs(cb, "move_left", 7, rng),
+                          "move_right": movement_pairs(cb, "move_right", 8, rng)})
         assert maps.action_keys == ("move_right",)
 
 
@@ -114,15 +117,14 @@ class TestTransitionRollout:
                               int(rng.integers(6)), int(rng.integers(4)))
                   for _ in range(100)]
         pairs = [(encode(s, cb), encode(s, cb)) for s in states]
-        maps = fit_affine({"rotate_left": pairs}, dim=cb.dim)
+        maps = fit_pairs({"rotate_left": pairs})
         x = encode(states[0], cb)
         assert token_mse(transition(x, "rotate_left", maps), x) <= 1e-6
 
     def test_unknown_action(self):
         cb = build_codebook(seed=7)
         rng = np.random.default_rng(9)
-        maps = fit_affine({"move_right": movement_pairs(cb, "move_right", 50, rng)},
-                          dim=cb.dim)
+        maps = fit_pairs({"move_right": movement_pairs(cb, "move_right", 50, rng)})
         with pytest.raises(UnknownAction):
             transition(encode(ObjectState(0, 0, 0, 0, 0, 0), cb), "move_left", maps)
         with pytest.raises(UnknownAction, match="step 1"):
@@ -223,7 +225,7 @@ class TestLeastSquaresOptimality:
         cb = build_codebook(seed=10)
         rng = np.random.default_rng(11)
         pairs = movement_pairs(cb, "move_front", 200, rng, sigma=0.05)
-        maps = fit_affine({"move_front": pairs}, dim=cb.dim)
+        maps = fit_pairs({"move_front": pairs})
         x = np.stack([p[0].ravel() for p in pairs])
         y = np.stack([p[1].ravel() for p in pairs])
         hand_b = (y - x).mean(axis=0)

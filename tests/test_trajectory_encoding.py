@@ -1,13 +1,14 @@
-"""The fit encodes each trajectory by one gather and one noise draw
-(`encode_states`); its tokens must be, bit for bit, those of one `encode` per
-state from the same stream, and `encode` is that rule's one-state case."""
+"""`encode_states` encodes a trajectory by one gather and one noise draw; its
+tokens must be, bit for bit, those of one `encode` per state from the same
+stream, and `encode` is that rule's one-state case. The fit's whole-split
+tokens equal these per-trajectory tokens end to end (`test_fit_arrays.py`)."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _oracles import oracle_encode
+from _oracles import encode_trajectory, oracle_encode
 from benchplan.concepts import (
     UnknownValue,
     build_codebook,
@@ -15,7 +16,6 @@ from benchplan.concepts import (
     encode_states,
     extend_codebook,
 )
-from benchplan.fitting import encode_trajectory
 from benchplan.workbench import ObjectState
 
 
