@@ -9,6 +9,7 @@ with the old and new digests and how many tasks changed.
 """
 
 import hashlib
+from functools import cache
 
 import numpy as np
 import pytest
@@ -19,9 +20,15 @@ from benchplan.mdp import InvalidInit, NoPlanFound
 from benchplan.taskgen import generate_dataset
 
 
-def result_digest(level, counts, sigma, planner):
+@cache
+def _fit(level, counts, sigma):
+    """The seed-11 dataset and its fit, shared by the symbolic and token pins."""
     dataset = generate_dataset(level, counts, 11)
-    fitted = fit_pipeline(dataset, FitConfig(noise_sigma=sigma))
+    return dataset, fit_pipeline(dataset, FitConfig(noise_sigma=sigma))
+
+
+def result_digest(level, counts, sigma, planner):
+    dataset, fitted = _fit(level, counts, sigma)
     tasks = dataset.subset("test")
     codebook = codebook_for_tasks(fitted, tasks)
     lines = []
@@ -57,7 +64,26 @@ def test_symbolic_results_are_pinned(level, sigma):
     assert digest == PINNED_SYMBOLIC[level, sigma]
 
 
-# token-space planner, on splits small enough to run in seconds
+# token-space planner, desk scale; its σ=0 runs share the symbolic pins' fits
+PINNED_TOKEN_DESK = {
+    (1, 0.0): "f03833e56784c58f9e4485fcc271cbb9fb0cef30114ae3cf0b0f31f370ed6189",
+    (1, 0.2): "ab655fd1bdabd015ec44baee427937ae0aa04eb9b5aa4c2829e78b25a5eecbea",
+    (2, 0.0): "537a90edfab6c48677ca0ff028dcc2f073e8098c0c61a244e65f1fe313b1e12f",
+    (2, 0.2): "4230fd796a1607d6595edac30d4b661fa8bdec6e67b332881764796e4f6fc409",
+    (3, 0.0): "0f955a632ff9ec3e23b4f995a607e8922451d4abcdcce5b1bc2dd384fb268908",
+    (3, 0.2): "edba9db853653988f98208c16ecf08654640134ccdc2350b558679addc8be70b",
+    (4, 0.0): "db9194b8ac303ca250f3809f2332a45752060b397c3bceab7b13a5eb65c82fd9",
+    (4, 0.2): "44e9a4c597b72bd4d87a4dfb66db4b2587b8cd1a9aed4510dbfc7d9f0fff3892",
+}
+
+
+@pytest.mark.parametrize("level, sigma", sorted(PINNED_TOKEN_DESK))
+def test_token_results_are_pinned_at_desk_scale(level, sigma):
+    digest = result_digest(level, (800, 100, 100), sigma, "token")
+    assert digest == PINNED_TOKEN_DESK[level, sigma]
+
+
+# token-space planner, on small splits
 PINNED_TOKEN = {
     (1, 0.0): "1dee73bc683bc3664f9b13f86172c869b28d98b6955ed9e8bdd4f7b1f2a8b55e",
     (2, 0.2): "4438f35fb42349805039b9cb629e02522b26dc3010d23cb25965a8d64a602337",
