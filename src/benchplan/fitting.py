@@ -18,7 +18,7 @@ from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, _sq_dist
                       fit_symbolizer, purity)
 from .symbols import symbolize  # noqa: F401  unused; perfbench's trace points patch this name
 from .taskgen import Dataset, Task
-from .token_maps import MIN_PAIRS, ActionTransitionMaps, fit_affine
+from .token_maps import MIN_PAIRS, ActionTransitionMaps, InsufficientPairs, fit_affine
 from .workbench import TYPE, ObjectState, SimulationError, simulate
 
 _STREAM_FIT_ENCODE = 23
@@ -95,6 +95,8 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
         values += map(ObjectState.values, path)
         key_ids += [*(key_index.setdefault(action_key(a, task.env.dyer_color), len(key_index))
                       for a in task.gt_actions), -1]
+    if not key_index:  # no (before, after) pair to count or map
+        raise InsufficientPairs("no training task's gt plan takes an action")
     values, key_ids, key_names = np.array(values), np.array(key_ids), tuple(key_index)
     table, starts = codebook.stacked
     tokens = table[values + starts[:-1]]  # (n, 6, dim)

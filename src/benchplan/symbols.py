@@ -189,11 +189,15 @@ def fit_symbolizer(tokens: Sequence[np.ndarray], cardinalities: Sequence[int],
     return symbolizer, np.stack([f.labels for f in fits], axis=1)
 
 
+def center_sq_dists(tokens: np.ndarray, symbolizer: Symbolizer) -> np.ndarray:
+    """(..., n_concepts, max k) squared distances of (..., n_concepts, dim) token
+    sets to the padded center table; each row sums over dim as in `assign`."""
+    return ((symbolizer.center_table - tokens[..., None, :]) ** 2).sum(axis=-1)
+
+
 def symbolize(tokens: np.ndarray, symbolizer: Symbolizer) -> tuple[int, ...]:
-    """`assign` per concept, in one broadcast over the padded center table; each
-    row sums over dim as in `assign`, so every distance, tie and symbol is the same."""
-    dists = ((symbolizer.center_table - tokens[:, None, :]) ** 2).sum(axis=2)
-    return tuple(dists.argmin(axis=1).tolist())
+    """`assign` per concept: the argmin of `center_sq_dists`, with `assign`'s ties."""
+    return tuple(center_sq_dists(tokens, symbolizer).argmin(axis=1).tolist())
 
 
 def purity(labels, values) -> np.ndarray:

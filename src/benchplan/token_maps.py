@@ -5,9 +5,10 @@ affine map acting on the concatenated (6*dim) token vector, fit by
 ridge-regularized least squares on observed (before, after) token pairs.
 Also hosts the token-space planner used as the no-symbols ablation: it runs
 the shared k-best search (`mdp.layered_kbest`) with an expand step that
-applies the maps directly, snapping to symbols only for visited-set keys,
-position-validity checks and the goal test — it has no action-legality
-model, which is exactly what the ablation is meant to expose.
+applies the maps directly and snaps and trust-checks their outputs from one
+distance table, symbols serving only as visited-set keys, position-validity
+checks and the goal test — it has no action-legality model, which is exactly
+what the ablation is meant to expose.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .mdp import (
     available_keys,
     layered_kbest,
 )
-from .symbols import Symbolizer, _sq_dists, symbolize
+from .symbols import Symbolizer, _sq_dists, center_sq_dists, symbolize
 
 MIN_PAIRS = 8          # hard floor per action
 RIDGE_LAMBDA = 1e-6    # disentangled tokens span < 6*dim dims, so always regularize
@@ -115,15 +116,6 @@ def _min_center_gaps(symbolizer: Symbolizer) -> list[float]:
     return gaps
 
 
-def _snap_trusted(tokens: np.ndarray, snapped: tuple[int, ...],
-                  symbolizer: Symbolizer, gaps: list[float]) -> bool:
-    """Off-manifold outputs (map extrapolation) land far from every center."""
-    for k, centers in enumerate(symbolizer.centers):
-        if np.linalg.norm(tokens[k] - centers[snapped[k]]) > SNAP_MARGIN * gaps[k]:
-            return False
-    return True
-
-
 def plan_tokenspace(maps: ActionTransitionMaps, init_tokens: np.ndarray,
                     goal_tokens: np.ndarray, symbolizer: Symbolizer,
                     masks: SymbolMasks, top_k: int = 5,
@@ -145,21 +137,21 @@ def plan_tokenspace(maps: ActionTransitionMaps, init_tokens: np.ndarray,
         return PlanResult(plans=(Plan((), score(init_tokens)),))
 
     keys = available_keys(maps, masks)  # in map order, so ranks order as keys do
-    gaps = _min_center_gaps(symbolizer)
+    radius = SNAP_MARGIN * np.array(_min_center_gaps(symbolizer))
 
     def expand(sym_state, entries):
-        for _, seq, tokens in entries:
-            for rank, key in enumerate(keys):
-                nxt = transition(tokens, key, maps)
-                nxt_sym = symbolize(nxt, symbolizer)
-                if not _snap_trusted(nxt, nxt_sym, symbolizer, gaps):
-                    continue
-                if not masks.position_valid(nxt_sym):
-                    continue
-                yield nxt_sym, [(score(nxt), seq + (rank,), nxt)]
+        for _, seq, tokens in entries:  # the K successors' snaps from one distance table
+            succs = np.stack([transition(tokens, key, maps) for key in keys])
+            dists = center_sq_dists(succs, symbolizer)  # (K, n_concepts, max k)
+            # map extrapolations land far from every center: trust none beyond radius
+            trusted = (np.sqrt(dists.min(axis=2)) <= radius).all(axis=1)
+            for rank, nxt_sym in zip(trusted.nonzero()[0].tolist(),
+                                     map(tuple, dists[trusted].argmin(axis=2).tolist())):
+                if masks.position_valid(nxt_sym):
+                    yield nxt_sym, [(score(succs[rank]), seq + (rank,), succs[rank])]
 
     found = layered_kbest(init_sym, (score(init_tokens), (), init_tokens), expand,
-                          is_goal, top_k, l_max)
+                          is_goal, top_k, l_max) if keys else []
     if not found:
         raise NoPlanFound(f"no plan within {l_max} steps")
     return PlanResult(plans=tuple(

@@ -20,10 +20,12 @@ frozen before a trajectory was encoded by one gather and one noise draw.
 The adjudication oracle is `workbench.adjudicate` frozen before it walked
 state codes, stepping ObjectStates with the frozen `oracle_apply_action`; the
 symbolize oracle is its `assign` per concept, frozen before one broadcast over
-a padded center table; the code oracle is `mdp._codes` frozen before it
-summed strides. `oracle_next_codes` and `oracle_goal_codes` are the
-successor and goal codes the BFS oracle searched, frozen when it came to search
-cells and a still-to-dye flag, with the dye and the turns read off in closed form.
+a padded center table; the snap-trust oracle is the token planner's per-concept
+`np.linalg.norm` check, frozen before it read trust off the distance table it
+snaps by; the code oracle is `mdp._codes` frozen before it summed strides.
+`oracle_next_codes` and `oracle_goal_codes` are the successor and goal codes
+the BFS oracle searched, frozen when it came to search cells and a
+still-to-dye flag, with the dye and the turns read off in closed form.
 `encode_trajectory`, `oracle_fit_transitions` and `oracle_fit_affine` are the
 fit's per-task encoding, its Counter over (symbol state, key, symbol state)
 triplets and its stacking of each key's (before, after) pair list, frozen when
@@ -59,10 +61,10 @@ from benchplan.symbols import (
 from benchplan.token_maps import (
     MIN_PAIRS,
     RIDGE_LAMBDA,
+    SNAP_MARGIN,
     ActionTransitionMaps,
     InsufficientPairs,
     _min_center_gaps,
-    _snap_trusted,
     transition,
 )
 from benchplan.workbench import (
@@ -560,6 +562,15 @@ def _oracle_tokenspace_keys(maps, masks):
     return keys
 
 
+def oracle_snap_trusted(tokens, snapped, symbolizer, gaps):
+    """`token_maps._snap_trusted` as it was: each concept's token within
+    SNAP_MARGIN of its gap from its snapped center, by `np.linalg.norm`."""
+    for k, centers in enumerate(symbolizer.centers):
+        if np.linalg.norm(tokens[k] - centers[snapped[k]]) > SNAP_MARGIN * gaps[k]:
+            return False
+    return True
+
+
 def oracle_plan_tokenspace(maps, init_tokens, goal_tokens, symbolizer, masks,
                            top_k=5, l_max=16):
     """`token_maps.plan_tokenspace` as it was: its own layered loop in token space."""
@@ -591,7 +602,7 @@ def oracle_plan_tokenspace(maps, init_tokens, goal_tokens, symbolizer, masks,
                 for key in keys:
                     nxt = transition(tokens, key, maps)
                     nxt_sym = symbolize(nxt, symbolizer)
-                    if not _snap_trusted(nxt, nxt_sym, symbolizer, gaps):
+                    if not oracle_snap_trusted(nxt, nxt_sym, symbolizer, gaps):
                         continue
                     if not masks.position_valid(nxt_sym):
                         continue

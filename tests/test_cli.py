@@ -213,6 +213,16 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_fit_without_any_training_action_is_one_line_error(self, workdir, capsys):
+        # every training task already at its goal: no transition to count or map
+        dataset = generate_dataset(1, (20, 2, 2), seed=3)
+        save_dataset("empty.txt", replace(dataset, tasks=[
+            replace(t, goal=t.init, gt_actions=()) if t.split == "train" else t
+            for t in dataset.tasks]))
+        assert run(*FIT, "--data", "empty.txt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: empty.txt: ") and err.count("\n") == 1, err
+
     # a cut stops at the seal; the other edits are re-sealed to reach the parser
     @pytest.mark.parametrize("name, edit, reseal", [
         ("arts/fit.txt", lambda text: "".join(text.splitlines(True)[:3]), False),

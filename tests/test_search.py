@@ -26,8 +26,9 @@ from benchplan.symbols import symbolize
 from benchplan.token_maps import plan_tokenspace
 from benchplan.workbench import COLOR, DEFAULT_CARDINALITIES, N_COLORS, EnvConfig
 
-# Token-space searches take ~40 ms each on level 3 and ~200 ms on level 4, so
-# only the first few test tasks of those runs go to the token-space planner.
+# A token-space search takes ~5 ms on level 3 and ~25 ms on level 4, and the
+# frozen token search ~9 ms and ~50 ms (means over each run's 50 test tasks, on
+# a 2-core machine), so only the first few test tasks of those runs go to both.
 TOKEN_TASK_CAP = {"level1_run": None, "level3_run": 16, "level4_run": 3}
 
 

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+from benchplan import token_maps
 from benchplan.concepts import build_codebook, encode
-from _oracles import encode_trajectory, fit_layout
-from benchplan.mdp import SymbolMasks, action_key
-from benchplan.symbols import assign, symbolize
+from _oracles import encode_trajectory, fit_layout, oracle_snap_trusted, oracle_symbolize
+from benchplan.fitting import codebook_for_tasks
+from benchplan.mdp import NoPlanFound, SymbolMasks, action_key
+from benchplan.symbols import Symbolizer, assign, symbolize
 from benchplan.token_maps import (
+    SNAP_MARGIN,
+    ActionTransitionMaps,
     InsufficientPairs,
     UnknownAction,
+    _min_center_gaps,
     fit_affine,
     plan_tokenspace,
     rollout,
@@ -267,3 +272,91 @@ class TestPlanTokenspace:
         assert token.asacc_top1 <= symbolic.asacc_top1
         assert token.asacc_top1 >= 90.0
         assert symbolic.asacc_top1 >= 90.0
+
+    @pytest.mark.parametrize("sigma", (0.0, 0.2))
+    @pytest.mark.parametrize("run, cap", [("level3_run", None), ("level4_run", 6)])
+    def test_trust_equals_frozen_rule_on_every_successor(self, run, cap, sigma, request,
+                                                         monkeypatch):
+        # the successors the search position-checks are, in the order computed,
+        # exactly those the frozen per-concept norm rule trusts; the rule costs
+        # ~30 us a successor, and level 4's 50 searches compute ~160k, so only
+        # its first `cap` tasks (~7k-31k successors) are searched
+        dataset, fitted = request.getfixturevalue(run)
+        symbolizer = fitted.symbolizer
+        gaps = _min_center_gaps(symbolizer)
+        computed, checked = [], []
+        real_transition, real_valid = token_maps.transition, SymbolMasks.position_valid
+
+        def recording_transition(*args):
+            computed.append(real_transition(*args))
+            return computed[-1]
+
+        def recording_valid(masks, state):
+            checked.append(state)
+            return real_valid(masks, state)
+
+        monkeypatch.setattr(token_maps, "transition", recording_transition)
+        monkeypatch.setattr(SymbolMasks, "position_valid", recording_valid)
+        tasks = dataset.subset("test")
+        codebook = codebook_for_tasks(fitted, tasks)
+        n_trusted = n_computed = 0
+        for i, task in enumerate(tasks[:cap]):
+            rng = np.random.default_rng([11, i])
+            init, goal = (encode(s, codebook, sigma, rng) for s in (task.init, task.goal))
+            masks = SymbolMasks.build(task.env, fitted.value_maps.symbol_to_value)
+            try:
+                plan_tokenspace(fitted.maps, init, goal, symbolizer, masks,
+                                top_k=5, l_max=task.env.max_len)
+            except NoPlanFound:
+                pass
+            snapped = [oracle_symbolize(t, symbolizer) for t in computed]
+            trusted = [sym for t, sym in zip(computed, snapped)
+                       if oracle_snap_trusted(t, sym, symbolizer, gaps)]
+            assert checked == trusted, task.task_id
+            n_trusted, n_computed = n_trusted + len(trusted), n_computed + len(computed)
+            computed.clear()
+            checked.clear()
+        assert 0 < n_trusted < n_computed  # both decisions are exercised
+
+    @pytest.mark.parametrize("offset, trusted", [
+        (SNAP_MARGIN, True),  # on the margin: trusted, as `> margin` was the frozen test
+        (np.nextafter(SNAP_MARGIN, 0.0), True),
+        (np.nextafter(SNAP_MARGIN, 1.0), False),
+    ])
+    def test_trust_margin_edges(self, offset, trusted):
+        # two centers a unit apart per concept (gap 1, radius SNAP_MARGIN); the one
+        # key moves pos_x onto its second center, `offset` off it across the axis
+        symbolizer = Symbolizer(centers=(np.array([[0.0, 0.0], [1.0, 0.0]]),) * 6,
+                                inertia=(0.0,) * 6, iterations=(1,) * 6)
+        goal = np.zeros((6, 2))
+        goal[POSX] = (1.0, 0.0)
+        shift = np.zeros((6, 2))
+        shift[POSX] = (1.0, offset)
+        maps = ActionTransitionMaps(dim=2, matrices={"move_right": np.eye(12)},
+                                    offsets={"move_right": shift.ravel()},
+                                    residual_mse={"move_right": 0.0})
+        masks = SymbolMasks(valid=((True,) * 2,) * 2, adjacent=((False,) * 2,) * 2,
+                            dyer_color=None, goal_concepts=(POSX, POSY))
+        # `shift` is the key's successor of the all-zero init
+        assert oracle_snap_trusted(shift, (0, 1, 0, 0, 0, 0), symbolizer,
+                                   _min_center_gaps(symbolizer)) is trusted
+        if trusted:
+            result = plan_tokenspace(maps, np.zeros((6, 2)), goal, symbolizer, masks, l_max=1)
+            assert result.best.actions == ("move_right",)
+        else:
+            with pytest.raises(NoPlanFound):
+                plan_tokenspace(maps, np.zeros((6, 2)), goal, symbolizer, masks, l_max=1)
+
+    def test_no_available_key_finds_no_plan(self, level3_run):
+        # a map set of dye keys only, on a bench without a dyer, has no step to take
+        _, fitted = level3_run
+        dye = [k for k in fitted.maps.action_keys if k.startswith("change_color")]
+        maps = ActionTransitionMaps(
+            dim=fitted.maps.dim, matrices={k: fitted.maps.matrices[k] for k in dye},
+            offsets={k: fitted.maps.offsets[k] for k in dye},
+            residual_mse={k: fitted.maps.residual_mse[k] for k in dye})
+        init = encode(ObjectState(0, 1, 1, 0, 2, 0), fitted.codebook)
+        goal = encode(ObjectState(0, 2, 1, 0, 2, 0), fitted.codebook)
+        masks = SymbolMasks.build(EnvConfig(level=1), fitted.value_maps.symbol_to_value)
+        with pytest.raises(NoPlanFound):
+            plan_tokenspace(maps, init, goal, fitted.symbolizer, masks)
