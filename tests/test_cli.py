@@ -1,5 +1,6 @@
 """End-to-end CLI exercises in a temp directory; exit codes per the contract."""
 
+import argparse
 import os
 import re
 from dataclasses import replace
@@ -376,6 +377,34 @@ class TestThinFit:
         assert "change_color@4" in out.splitlines()[1]
         assert out.endswith(
             "token rollout: step 2: no fitted map for 'change_color@4'\n")
+
+
+# every subcommand's option strings with their defaults, BENCHPLAN_ARTIFACTS unset
+PARSER_PIN = {
+    "gen": {"--level": None, "--train": 800, "--val": 100, "--test": 100, "--seed": 0,
+            "--codebook-seed": None, "--variant": "standard", "--unseen-types": 4,
+            "--out": None},
+    "fit": {"--data": None, "--artifacts": None, "--dim": 8, "--min-sep": 1.0,
+            "--sigma": 0.1, "--thresh": 0.01, "--seed": 0, "--restarts": 10},
+    "plan": {"--artifacts": None, "--data": None, "--task-id": None, "--level": 1,
+             "--init": None, "--goal": None, "--obstacles": None, "--dyer": None,
+             "--dyer-color": None, "--sigma": 0.0, "--topk": 5, "--l-max": None,
+             "--seed": 0},
+    "eval": {"--data": None, "--artifacts": None, "--out": "reports", "--split": "test",
+             "--sigma": None, "--topk": 5, "--l-max": None, "--seed": 0,
+             "--jobs": os.cpu_count() or 1, "--baseline-chance": False,
+             "--compare": False, "--min-top1": None},
+    "report": {"--artifacts": None, "--out": "reports", "--samples": 200, "--seed": 0},
+}
+
+
+def test_parser_declares_pinned_options_and_defaults(monkeypatch):
+    monkeypatch.delenv("BENCHPLAN_ARTIFACTS", raising=False)
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {name: {opt: action.default for action in p._actions
+                   for opt in action.option_strings if action.dest != "help"}
+            for name, p in sub.choices.items()} == PARSER_PIN
 
 
 class TestTopLevelUsage:
