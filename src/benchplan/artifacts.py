@@ -8,8 +8,9 @@ only what cannot be derived: the loader rebuilds the codebook from its seed,
 the cardinalities from the `c` rows, and the whole transition model from the
 `n` rows, which all pass the one count check (`mdp.count_tables`); its floats
 must be finite, its noise sigma nonnegative. A dataset has at least one task,
-unique task ids, and known splits, and its header gives its tasks' one level
-and split sizes. Every file ends in a seal, one `sha256=<hex>` line over all
+unique task ids, and known splits, its header gives its tasks' one level
+and split sizes, and each gt plan reaches its goal within the level's
+`max_len` steps. Every file ends in a seal, one `sha256=<hex>` line over all
 bytes above it; a cut at any point, a flipped byte or an edited header breaks it.
 A wrong magic line, a broken seal or malformed content raises SchemaMismatch
 naming the file. Floats are written with repr(), so round-trips are exact and
@@ -29,7 +30,7 @@ from .fitting import FitConfig, Fitted
 from .mdp import TransitionModel, count_tables
 from .symbols import Symbolizer
 from .taskgen import SPLITS, Dataset, Task
-from .workbench import ACTIONS, EnvConfig, ObjectState, is_valid_state
+from .workbench import ACTIONS, EnvConfig, ObjectState, adjudicate, is_valid_state
 from .token_maps import ActionTransitionMaps
 
 DATASET_MAGIC = "#workbench-dataset v2"
@@ -194,8 +195,12 @@ def _parse_dataset(header, records) -> Dataset:
         actions = () if kv["gt_actions"] == "-" else tuple(kv["gt_actions"].split(","))
         _expect(set(actions) <= set(ACTIONS),
                 f"task {task_id}: unknown action in gt_actions={kv['gt_actions']}")
-        tasks[task_id] = Task(env=env, init=init, goal=goal, gt_actions=actions,
-                              task_id=task_id, split=split)
+        task = tasks[task_id] = Task(env=env, init=init, goal=goal, gt_actions=actions,
+                                     task_id=task_id, split=split)
+        _expect(len(actions) <= env.max_len,
+                f"task {task_id}: gt plan longer than {env.max_len} steps")
+        reason = adjudicate(task, actions).failure_reason  # the judge's own rule
+        _expect(reason == "none", f"task {task_id}: gt plan does not reach its goal ({reason})")
     _expect(bool(tasks), "the dataset has no task")
     dataset = Dataset(tasks=list(tasks.values()), seed=int(header["seed"]),
                       codebook_seed=int(header["codebook_seed"]),

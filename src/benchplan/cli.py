@@ -19,7 +19,7 @@ import numpy as np
 from . import artifacts
 from .concepts import SeparationUnachievable, UnknownValue
 from .evaluate import interpretability_report, plan_task, run_experiment
-from .fitting import FitConfig, InvalidGtPlan, codebook_for_tasks, fit_pipeline, unmapped_note
+from .fitting import FitConfig, codebook_for_tasks, fit_pipeline, unmapped_note
 from .mdp import InvalidInit, NoPlanFound
 from .symbols import InsufficientPoints
 from .taskgen import (
@@ -42,31 +42,29 @@ EXIT_USAGE = 1
 EXIT_ARTIFACTS = 2
 EXIT_THRESHOLD = 3
 
-# option -> (rule, test), checked right after parsing unless the option is
-# not given (None)
-_BOUNDS = {
-    **{name: ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
-       for name in ("sigma", "min_sep")},
-    **{name: (">= 0", lambda v: v >= 0)
-       for name in ("train", "val", "test", "seed", "codebook_seed")},
-    **{name: (">= 1", lambda v: v >= 1)
-       for name in ("topk", "jobs", "l_max", "restarts", "unseen_types", "samples")},
-    "dim": (">= 2", lambda v: v >= 2),
-    "thresh": ("in (0, 1)", lambda v: 0 < v < 1),
-    "min_top1": ("in [0, 100]", lambda v: 0 <= v <= 100),
-}
+
+def _bounded(kind, rule: str, ok):
+    """An argparse `type`: `kind` of the text, refused with `must be <rule>`
+    unless `ok` holds. It carries `kind`'s name, which argparse prints for text
+    `kind` cannot read ("invalid int value: 'abc'")."""
+    def convert(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    convert.__name__ = kind.__name__
+    return convert
+
+
+_AT_LEAST_0 = _bounded(int, ">= 0", lambda v: v >= 0)
+_AT_LEAST_1 = _bounded(int, ">= 1", lambda v: v >= 1)
+_FINITE_AT_LEAST_0 = _bounded(float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to usage lines and exit code 2
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _artifact_dir(args) -> str:
-    if args.artifacts:
-        return args.artifacts
-    return os.environ.get(ENV_ARTIFACT_DIR, "artifacts")
 
 
 def cmd_gen(args) -> int:
@@ -101,11 +99,10 @@ def cmd_fit(args) -> int:
     except (InsufficientPoints, InsufficientPairs) as err:  # too little training data
         print(f"error: {args.data}: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidGtPlan, UnknownValue) as err:  # the dataset's content: an artifact error
+    except UnknownValue as err:  # the dataset's content: an artifact error
         raise artifacts.SchemaMismatch(f"{args.data}: {err}") from err
-    out = _artifact_dir(args)
-    artifacts.save_fitted(out, fitted)
-    print(f"fit {len(dataset.subset('train'))} training tasks -> {out}")
+    artifacts.save_fitted(args.artifacts, fitted)
+    print(f"fit {len(dataset.subset('train'))} training tasks -> {args.artifacts}")
     for name, p in zip(CONCEPTS, fitted.train_purity):
         print(f"  purity[{name}] = {p:.4f}")
     print(f"  transition keys: {', '.join(fitted.model.action_keys)}")
@@ -127,7 +124,7 @@ def _adhoc_task(args):
 
 
 def cmd_plan(args) -> int:
-    fitted = artifacts.load_fitted(_artifact_dir(args))
+    fitted = artifacts.load_fitted(args.artifacts)
     if args.task_id:
         dataset = artifacts.load_dataset(args.data)
         artifacts.check_compatible(dataset, fitted)
@@ -141,7 +138,10 @@ def cmd_plan(args) -> int:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_USAGE
     # a dataset task may carry held-out object types, which eval encodes the same way
-    codebook = codebook_for_tasks(fitted, [task]) if args.task_id else fitted.codebook
+    try:
+        codebook = codebook_for_tasks(fitted, [task]) if args.task_id else fitted.codebook
+    except SeparationUnachievable as err:  # more held-out types than the fit can place
+        raise artifacts.SchemaMismatch(f"{args.data}: {err}") from err
     try:
         result, init_tokens, goal_tokens = plan_task(
             task, fitted, codebook, planner="symbolic", noise_sigma=args.sigma,
@@ -174,23 +174,24 @@ def cmd_eval(args) -> int:
     if not dataset.subset(args.split):
         print(f"error: {args.data} has no {args.split} tasks", file=sys.stderr)
         return EXIT_USAGE
-    fitted = artifacts.load_fitted(_artifact_dir(args))
+    fitted = artifacts.load_fitted(args.artifacts)
     artifacts.check_compatible(dataset, fitted)
     sigma = fitted.config.noise_sigma if args.sigma is None else args.sigma
     config_fields = dict(data=os.path.basename(args.data), sigma=sigma,
                          top_k=args.topk, l_max=args.l_max if args.l_max else "env",
                          seed=args.seed)
     planners = ["symbolic"]
-    if args.baseline_chance or args.compare:
-        planners.append("chance")
     if args.compare:
-        planners.append("token")
+        planners += ["chance", "token"]
     os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before any planning
     reports = {}
     for planner in planners:
-        report = run_experiment(dataset, fitted, planner=planner, split=args.split,
-                                noise_sigma=sigma, top_k=args.topk,
-                                l_max=args.l_max, seed=args.seed, jobs=args.jobs)
+        try:
+            report = run_experiment(dataset, fitted, planner=planner, split=args.split,
+                                    noise_sigma=sigma, top_k=args.topk,
+                                    l_max=args.l_max, seed=args.seed, jobs=args.jobs)
+        except SeparationUnachievable as err:  # from codebook_for_tasks, as in cmd_plan
+            raise artifacts.SchemaMismatch(f"{args.data}: {err}") from err
         reports[planner] = report
         artifacts.save_report(args.out, report, config_fields)
         ase_txt = f"{report.ase:.4f}" if report.ase is not None else "absent"
@@ -205,7 +206,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    fitted = artifacts.load_fitted(_artifact_dir(args))
+    fitted = artifacts.load_fitted(args.artifacts)
     rep = interpretability_report(fitted.maps, fitted.codebook,
                                   samples=args.samples, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -223,33 +224,43 @@ def cmd_report(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="benchplan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # options that several subcommands share, each declared once
+    artifacts_opt = argparse.ArgumentParser(add_help=False)
+    artifacts_opt.add_argument("--artifacts",
+                               default=os.environ.get(ENV_ARTIFACT_DIR, "artifacts"))
+    seed_opt = argparse.ArgumentParser(add_help=False)
+    seed_opt.add_argument("--seed", type=_AT_LEAST_0, default=0)
+    search_opts = argparse.ArgumentParser(add_help=False)
+    search_opts.add_argument("--topk", type=_AT_LEAST_1, default=5)
+    search_opts.add_argument("--l-max", type=_AT_LEAST_1, default=None)
 
-    p = sub.add_parser("gen", help="generate a task dataset")
+    p = sub.add_parser("gen", parents=[seed_opt], help="generate a task dataset")
     p.add_argument("--level", type=int, choices=(1, 2, 3, 4), required=True)
-    p.add_argument("--train", type=int, default=800)
-    p.add_argument("--val", type=int, default=100)
-    p.add_argument("--test", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--codebook-seed", type=int, default=None)
+    p.add_argument("--train", type=_AT_LEAST_0, default=800)
+    p.add_argument("--val", type=_AT_LEAST_0, default=100)
+    p.add_argument("--test", type=_AT_LEAST_0, default=100)
+    p.add_argument("--codebook-seed", type=_AT_LEAST_0, default=None)
     p.add_argument("--variant", choices=("standard", "unseen_object", "unseen_task"),
                    default="standard")
-    p.add_argument("--unseen-types", type=int, default=4)
+    p.add_argument("--unseen-types", type=_AT_LEAST_1, default=4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("fit", help="fit symbolizer, transition model, and maps")
+    p = sub.add_parser("fit", parents=[artifacts_opt],
+                       help="fit symbolizer, transition model, and maps")
     p.add_argument("--data", required=True)
-    p.add_argument("--artifacts", default=None)
-    p.add_argument("--dim", type=int, default=FitConfig.dim)
-    p.add_argument("--min-sep", type=float, default=FitConfig.min_sep)
-    p.add_argument("--sigma", type=float, default=FitConfig.noise_sigma)
-    p.add_argument("--thresh", type=float, default=FitConfig.thresh)
-    p.add_argument("--seed", type=int, default=FitConfig.seed)
-    p.add_argument("--restarts", type=int, default=FitConfig.restarts)
+    p.add_argument("--dim", type=_bounded(int, ">= 2", lambda v: v >= 2),
+                   default=FitConfig.dim)
+    p.add_argument("--min-sep", type=_FINITE_AT_LEAST_0, default=FitConfig.min_sep)
+    p.add_argument("--sigma", type=_FINITE_AT_LEAST_0, default=FitConfig.noise_sigma)
+    p.add_argument("--thresh", type=_bounded(float, "in (0, 1)", lambda v: 0 < v < 1),
+                   default=FitConfig.thresh)
+    p.add_argument("--seed", type=_AT_LEAST_0, default=FitConfig.seed)
+    p.add_argument("--restarts", type=_AT_LEAST_1, default=FitConfig.restarts)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("plan", help="plan one task and print the top-k sequences")
-    p.add_argument("--artifacts", default=None)
+    p = sub.add_parser("plan", parents=[artifacts_opt, seed_opt, search_opts],
+                       help="plan one task and print the top-k sequences")
     p.add_argument("--data", default=None)
     p.add_argument("--task-id", default=None)
     p.add_argument("--level", type=int, choices=(1, 2, 3, 4), default=1)
@@ -258,35 +269,27 @@ def build_parser() -> _Parser:
     p.add_argument("--obstacles", default=None, help="x,y;x,y")
     p.add_argument("--dyer", default=None, help="x,y")
     p.add_argument("--dyer-color", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--topk", type=int, default=5)
-    p.add_argument("--l-max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sigma", type=_FINITE_AT_LEAST_0, default=0.0)
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("eval", help="evaluate the planner on a dataset split")
+    p = sub.add_parser("eval", parents=[artifacts_opt, seed_opt, search_opts],
+                       help="evaluate the planner on a dataset split")
     p.add_argument("--data", required=True)
-    p.add_argument("--artifacts", default=None)
     p.add_argument("--out", default="reports")
     p.add_argument("--split", choices=SPLITS, default="test")
-    p.add_argument("--sigma", type=float, default=None,
+    p.add_argument("--sigma", type=_FINITE_AT_LEAST_0, default=None,
                    help="eval-time token noise (default: the fit's sigma)")
-    p.add_argument("--topk", type=int, default=5)
-    p.add_argument("--l-max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--baseline-chance", action="store_true")
+    p.add_argument("--jobs", type=_AT_LEAST_1, default=os.cpu_count() or 1)
     p.add_argument("--compare", action="store_true",
                    help="also run the chance baseline and the token-space planner")
-    p.add_argument("--min-top1", type=float, default=None,
-                   help="exit 3 when symbolic top-1 ASAcc falls below this")
+    p.add_argument("--min-top1", type=_bounded(float, "in [0, 100]", lambda v: 0 <= v <= 100),
+                   default=None, help="exit 3 when symbolic top-1 ASAcc falls below this")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", help="emit interpretability tables from fitted maps")
-    p.add_argument("--artifacts", default=None)
+    p = sub.add_parser("report", parents=[artifacts_opt, seed_opt],
+                       help="emit interpretability tables from fitted maps")
     p.add_argument("--out", default="reports")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_AT_LEAST_1, default=200)
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -299,11 +302,6 @@ def main(argv=None) -> int:
             parser.error("plan needs either --task-id with --data, or --init and --goal")
         if args.command == "plan" and args.task_id and not args.data:
             parser.error("--task-id needs --data")
-        for name, (bound, ok) in _BOUNDS.items():
-            value = getattr(args, name, None)
-            if value is not None and not ok(value):
-                parser.error(f"argument --{name.replace('_', '-')}: "
-                             f"must be {bound}, got {value}")
         if args.command == "gen" and args.train + args.val + args.test == 0:
             parser.error("--train, --val and --test sum to 0")
         if args.command == "gen" and args.variant == "unseen_task" and args.level > 2:

@@ -235,15 +235,6 @@ class SymbolMasks:
 # ---------------------------------------------------------------------------
 # distribution propagation
 
-def point_mass(state: SymbolState, cardinalities: Sequence[int]) -> list[np.ndarray]:
-    dist = []
-    for k, c in enumerate(cardinalities):
-        v = np.zeros(c)
-        v[state[k]] = 1.0
-        dist.append(v)
-    return dist
-
-
 def marginal_masks(env: EnvConfig,
                    symbol_to_value: Sequence[Sequence[int]]) -> list[np.ndarray]:
     """Each concept's marginal validity on a bench, the masks `propagate` takes:

@@ -30,7 +30,8 @@ still-to-dye flag, with the dye and the turns read off in closed form.
 fit's per-task encoding, its Counter over (symbol state, key, symbol state)
 triplets and its stacking of each key's (before, after) pair list, frozen when
 the fit came to read one whole-split stack with a key id per row; `fit_layout`
-puts triplets or pairs into that layout.
+puts triplets or pairs into that layout. `point_mass` is the one-hot
+distribution over a symbol state that `propagate`'s tests start from.
 """
 
 from collections import Counter, deque
@@ -810,3 +811,12 @@ def fit_layout(steps):
         stack += [before, after]
         key_ids += [names.setdefault(key, len(names)), -1]
     return np.array(stack), np.array(key_ids, dtype=np.intp), tuple(names)
+
+
+def point_mass(state: mdp.SymbolState, cardinalities: Sequence[int]) -> list[np.ndarray]:
+    dist = []
+    for k, c in enumerate(cardinalities):
+        v = np.zeros(c)
+        v[state[k]] = 1.0
+        dist.append(v)
+    return dist

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import oracle_sequence
+from _oracles import oracle_sequence, point_mass
 from benchplan.artifacts import save_dataset, save_fitted, save_report
 from benchplan.concepts import build_codebook, encode
 from benchplan.evaluate import interpretability_report, run_experiment
@@ -21,7 +21,6 @@ from benchplan.mdp import (
     action_legal,
     available_keys,
     marginal_masks,
-    point_mass,
     propagate,
 )
 from benchplan.symbols import fit_symbolizer, purity, symbolize

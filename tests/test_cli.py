@@ -191,6 +191,7 @@ class TestPipeline:
         EVAL + ("--sigma", "inf"),
         FIT + ("--min-sep", "inf"),
         EVAL + ("--sigma", "nan"),
+        EVAL + ("--baseline-chance",),
     ], ids=["rotation", "level3-no-dyer", "init-on-obstacle", "short-state",
             "unknown-type", "one-int-obstacle", "one-int-dyer", "plan-negative-sigma",
             "fit-negative-sigma", "eval-negative-sigma", "plan-topk-0", "eval-topk-0",
@@ -203,7 +204,7 @@ class TestPipeline:
             "fit-too-few-pairs", "eval-empty-split", "report-samples-0",
             "report-negative-samples", "eval-min-top1-nan", "eval-min-top1-150",
             "plan-inf-sigma", "fit-inf-sigma", "eval-inf-sigma", "fit-inf-min-sep",
-            "eval-nan-sigma"])
+            "eval-nan-sigma", "eval-baseline-chance"])
     def test_plan_bad_adhoc_input_is_one_line_usage_error(self, fitted_dir, capsys,
                                                           argv):
         for name, options in THIN.items():
@@ -354,6 +355,53 @@ def test_training_type_past_the_codebook_is_one_line_artifact_error(workdir, cap
                                        "outside codebook (cardinality 8)\n")
 
 
+@pytest.mark.parametrize("value, message", [
+    (0, "must be >= 1, got 0"),
+    ("abc", "invalid int value: 'abc'"),
+])
+def test_option_error_names_the_bound_or_the_type(workdir, capsys, value, message):
+    assert run(*PLAN, "--topk", value) == 1
+    assert capsys.readouterr().err == f"error: argument --topk: {message}\n"
+
+
+# test task L2-00062's gt plan loses its last step (it still replays) or takes
+# four extra back-and-forth pairs; L2-00063's walks off the grid first
+@pytest.mark.parametrize("edits, message", [
+    ({"L2-00062": lambda gt: gt[:-1], "L2-00063": lambda gt: ("move_left",) * 3 + gt},
+     "task L2-00062: gt plan does not reach its goal"),
+    ({"L2-00062": lambda gt: gt + ("move_left", "move_right") * 4},
+     "task L2-00062: gt plan longer than 9 steps"),
+], ids=["misses-goal", "too-long"])
+def test_gt_plan_off_its_goal_is_one_line_artifact_error(workdir, capsys, edits, message):
+    dataset = generate_dataset(2, (60, 2, 6), seed=4)
+    save_dataset("data.txt", dataset)
+    assert run("fit", "--data", "data.txt", "--artifacts", "arts", "--sigma", 0) == 0
+    save_dataset("data.txt", replace(dataset, tasks=[
+        replace(t, gt_actions=edits[t.task_id](t.gt_actions)) if t.task_id in edits else t
+        for t in dataset.tasks]))
+    capsys.readouterr()
+    assert run(*EVAL) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data.txt: ") and err.count("\n") == 1, err
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--data", "uo.txt", "--artifacts", "uo", "--jobs", 1),
+    ("plan", "--data", "uo.txt", "--artifacts", "uo", "--task-id", "L1-00062"),
+], ids=["eval", "plan"])
+def test_held_out_types_past_the_fit_are_one_line_artifact_error(workdir, capsys, argv):
+    # 60 held-out types: more type centroids than a dim-2 fit can place
+    assert run("gen", "--level", 1, "--train", 60, "--val", 2, "--test", 4, "--seed", 1,
+               "--variant", "unseen_object", "--unseen-types", 60, "--out", "uo.txt") == 0
+    assert run("fit", "--data", "uo.txt", "--artifacts", "uo", "--dim", 2,
+               "--sigma", 0) == 0
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: uo.txt: ") and err.count("\n") == 1, err
+
+
 class TestThinFit:
     """A level-3 fit on 40 training tasks, too few for most change_color maps."""
 
@@ -384,17 +432,16 @@ PARSER_PIN = {
     "gen": {"--level": None, "--train": 800, "--val": 100, "--test": 100, "--seed": 0,
             "--codebook-seed": None, "--variant": "standard", "--unseen-types": 4,
             "--out": None},
-    "fit": {"--data": None, "--artifacts": None, "--dim": 8, "--min-sep": 1.0,
+    "fit": {"--data": None, "--artifacts": "artifacts", "--dim": 8, "--min-sep": 1.0,
             "--sigma": 0.1, "--thresh": 0.01, "--seed": 0, "--restarts": 10},
-    "plan": {"--artifacts": None, "--data": None, "--task-id": None, "--level": 1,
+    "plan": {"--artifacts": "artifacts", "--data": None, "--task-id": None, "--level": 1,
              "--init": None, "--goal": None, "--obstacles": None, "--dyer": None,
              "--dyer-color": None, "--sigma": 0.0, "--topk": 5, "--l-max": None,
              "--seed": 0},
-    "eval": {"--data": None, "--artifacts": None, "--out": "reports", "--split": "test",
+    "eval": {"--data": None, "--artifacts": "artifacts", "--out": "reports", "--split": "test",
              "--sigma": None, "--topk": 5, "--l-max": None, "--seed": 0,
-             "--jobs": os.cpu_count() or 1, "--baseline-chance": False,
-             "--compare": False, "--min-top1": None},
-    "report": {"--artifacts": None, "--out": "reports", "--samples": 200, "--seed": 0},
+             "--jobs": os.cpu_count() or 1, "--compare": False, "--min-top1": None},
+    "report": {"--artifacts": "artifacts", "--out": "reports", "--samples": 200, "--seed": 0},
 }
 
 

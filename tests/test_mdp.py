@@ -16,6 +16,7 @@ from _oracles import (
     oracle_paths,
     oracle_sequence,
     oracle_step,
+    point_mass,
 )
 from benchplan.concepts import encode
 from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, fit_pipeline
@@ -29,7 +30,6 @@ from benchplan.mdp import (
     fit_transitions,
     marginal_masks,
     plan,
-    point_mass,
     propagate,
 )
 from benchplan.symbols import symbolize
