@@ -112,8 +112,9 @@ def _read(path: str, magic: str, parse):
     try:
         header, *lines = body.decode("utf-8").splitlines()
         return parse(_parse_kv(header[len(magic):].split()), _records(lines))
-    except (ValueError, KeyError, IndexError) as err:
-        raise SchemaMismatch(f"{path}: {type(err).__name__}: {err}") from err
+    except (ValueError, KeyError, IndexError) as err:  # a ValueError names the fault itself
+        kind = "" if isinstance(err, ValueError) else f"{type(err).__name__}: "
+        raise SchemaMismatch(f"{path}: {kind}{err}") from err
 
 
 def _write(path: str, text: str):

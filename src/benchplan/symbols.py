@@ -3,8 +3,9 @@
 Each concept gets its own k-means fit with k equal to that concept's known
 value-space size; a token's symbol is the index of its nearest center. The
 fit is deterministic under a seed (k-means++ init, fixed restarts, centers
-canonicalized to lexicographic order). Points are held as (dim, n) columns;
-exact near-tie picks and numpy's row-sum order keep every label and bit.
+canonicalized to lexicographic order; restarts that draw one center set and
+meet no tie share one Lloyd run). Points are held as (dim, n) columns; exact
+near-tie picks and numpy's row-sum order keep every label and bit.
 """
 
 from __future__ import annotations
@@ -96,10 +97,10 @@ def _kmeanspp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 
 def _nearest(cols: np.ndarray, sq_norms: np.ndarray,
-             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """`_sq_dists(cols.T, centers).argmin(axis=1)` by one matmul of |p|^2 - 2 p.c
-    + |c|^2, each point's exact cost, and the points a second center came within
-    rounding error of (coincident centers, ties), which the exact form picks."""
+    + |c|^2, each point's exact cost, the points a second center came within
+    rounding error of, which the exact form picks, and whether one is a tie."""
     k, c2 = len(centers), (centers ** 2).sum(axis=1)
     expanded = (-2.0 * centers) @ cols  # (k, n)
     expanded += sq_norms
@@ -109,26 +110,30 @@ def _nearest(cols: np.ndarray, sq_norms: np.ndarray,
     labels = np.einsum("kn,k->n", (expanded == best).view(np.uint8),
                        np.arange(k, dtype=np.min_scalar_type(k))).astype(np.intp)
     close = expanded <= best + _SLACK * len(cols) * (sq_norms + c2.max())
-    near = np.empty(0, dtype=np.intp)
+    near, tied = np.empty(0, dtype=np.intp), False
     if np.count_nonzero(close) > len(best):  # a second center within the error
         near = np.flatnonzero(close.sum(axis=0) > 1)
-        labels[near] = _sq_dists(cols[:, near].T, centers).argmin(axis=1)
+        exact = _sq_dists(cols[:, near].T, centers)
+        labels[near] = exact.argmin(axis=1)
+        tied = np.count_nonzero(exact == exact.min(axis=1)[:, None]) > len(near)
     diff = centers.T.take(labels, axis=1)
     diff -= cols  # (c - p)^2 has the bits of (p - c)^2
-    return labels, _sq_norms(diff), near
+    return labels, _sq_norms(diff), near, tied
 
 
 def _lloyd(cols: np.ndarray, centers: np.ndarray) -> tuple[
-        np.ndarray, float, int, list[float], np.ndarray, np.ndarray]:
+        np.ndarray, float, int, list[float], np.ndarray, np.ndarray, bool]:
     """Lloyd steps on (dim, n) points: the final centers, inertia, step count and
-    inertia history, with `_nearest`'s labels and near points at those centers."""
+    inertia history, with `_nearest`'s labels and near points at those centers,
+    and whether any step met an exact tie."""
     k = len(centers)
     sq_norms = _sq_norms(cols.copy())
     history: list[float] = []
-    iterations = 0
+    iterations, tied = 0, False
     for it in range(KMEANS_MAX_ITER):
         iterations = it + 1
-        labels, point_costs, near = _nearest(cols, sq_norms, centers)
+        labels, point_costs, near, tie = _nearest(cols, sq_norms, centers)
+        tied |= tie
         history.append(float(point_costs.sum()))
         # cluster sums in point order, as numpy's mean adds rows (one column: pairwise)
         counts = np.bincount(labels, minlength=k)
@@ -142,13 +147,16 @@ def _lloyd(cols: np.ndarray, centers: np.ndarray) -> tuple[
         if shift < KMEANS_TOL:
             break
     if not unmoved:  # the last step moved the centers: assign once more
-        labels, point_costs, near = _nearest(cols, sq_norms, centers)
-    return centers, float(point_costs.sum()), iterations, history, labels, near
+        labels, point_costs, near, tie = _nearest(cols, sq_norms, centers)
+        tied |= tie
+    return centers, float(point_costs.sum()), iterations, history, labels, near, tied
 
 
 def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
                seed: int | Sequence[int], restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
-    """k-means++ plus Lloyd; best of `restarts` runs by inertia."""
+    """k-means++ plus Lloyd; best of `restarts` runs by inertia, the first of equals.
+    Lloyd from a permuted init is the permuted run, bit for bit, unless a point
+    meets a tie: a restart that draws an earlier tie-free run's centers is skipped."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or not np.isfinite(pts).all():
         raise ValueError("points must be a 2-D array of finite values")
@@ -158,9 +166,14 @@ def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
         raise InsufficientPoints(f"{len(pts)} points for k={k}")
     cols = np.ascontiguousarray(pts.T)  # (dim, n): each step works on whole rows
     seed_key = [seed] if isinstance(seed, int) else list(seed)
-    runs = (_lloyd(cols, _kmeanspp_init(cols, k, np.random.default_rng([*seed_key, r])))
-            for r in range(restarts))
-    centers, inertia, iterations, history, labels, near = min(runs, key=lambda run: run[1])
+    runs, tie_free = [], set()  # the canonical inits, as bytes, of runs without a tie
+    for r in range(restarts):
+        init = _kmeanspp_init(cols, k, np.random.default_rng([*seed_key, r]))
+        if (key := init[np.lexsort(init.T[::-1])].tobytes()) not in tie_free:
+            runs.append(_lloyd(cols, init))
+            if not runs[-1][6]:
+                tie_free.add(key)
+    centers, inertia, iterations, history, labels, near, _ = min(runs, key=lambda run: run[1])
     order = np.lexsort(centers.T[::-1])  # canonical: sort rows lexicographically
     labels = order.argsort()[labels]
     # a tie between distinct centers goes to the lowest canonical index, as in `assign`

@@ -239,7 +239,7 @@ class TestFittedArtifacts:
         assert n > 0
         edit_sealed(tmp_path / FIT_FILE, lambda text: text.replace(
             f"\nn move_front 1 0 0 {n}\n", "\n" + row.format(n=n) + "\n", 1))
-        with pytest.raises(SchemaMismatch, match=f"{FIT_FILE}: ValueError: count row"):
+        with pytest.raises(SchemaMismatch, match=f"{FIT_FILE}: count row"):
             load_fitted(tmp_path)
 
     def test_check_compatible(self, level3_run):

@@ -1,7 +1,8 @@
 """k-means holds a concept's points as (dim, n) columns, assigns them by one
-matmul per Lloyd step, sums clusters by `bincount`, and skips the last
-assignment when no center moved; its results must stay those of the broadcast
-form frozen in `_oracles`, bit for bit."""
+matmul per Lloyd step, sums clusters by `bincount`, skips the last assignment
+when no center moved, and runs Lloyd once for restarts that draw one center
+set without meeting a tie; its results must stay those of the broadcast form
+frozen in `_oracles`, bit for bit."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from _oracles import _sq_dists, oracle_fit_kmeans, oracle_lloyd
 from benchplan import symbols
 from benchplan.concepts import build_codebook
-from benchplan.symbols import _kmeanspp_init, _lloyd, _nearest, _sq_norms, fit_kmeans
+from benchplan.symbols import (
+    DEFAULT_RESTARTS, _kmeanspp_init, _lloyd, _nearest, _sq_norms, fit_kmeans,
+)
 
 KINDS = ("normal", "k=1", "k=n", "codebook", "few distinct", "far offset")
 
@@ -49,7 +52,7 @@ def assert_same(result, oracle):
 
 
 def assert_same_lloyd(points, init):
-    centers, inertia, iterations, history, labels, _ = _lloyd(columns(points), init.copy())
+    centers, inertia, iterations, history, labels, *_ = _lloyd(columns(points), init.copy())
     frozen = oracle_lloyd(points, init.copy())
     assert centers.tobytes() == frozen[0].tobytes()
     assert (inertia, iterations, history) == frozen[1:]
@@ -79,6 +82,51 @@ def test_fit_kmeans_equals_frozen_oracle_at_scale(level4_run, training_tokens, s
     for k, card in enumerate(level4_run[1].codebook.cardinalities):
         assert_same(fit_kmeans(stack[:, k, :], card, seed=[0, k], restarts=2),
                     oracle_fit_kmeans(stack[:, k, :], card, seed=[0, k], restarts=2))
+
+
+def test_fit_kmeans_equals_frozen_oracle_at_default_restarts():
+    rng = np.random.default_rng(2026)
+    for case in range(120):
+        points, k = _case(rng, KINDS[case % len(KINDS)])
+        assert_same(fit_kmeans(points, k, seed=[case, 3]),
+                    oracle_fit_kmeans(points, k, seed=[case, 3]))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_fit_kmeans_equals_frozen_oracle_at_scale_and_default_restarts(
+        level4_run, training_tokens, sigma):
+    stack = training_tokens(level4_run, sigma)
+    for k, card in enumerate(level4_run[1].codebook.cardinalities):
+        assert_same(fit_kmeans(stack[:, k, :], card, seed=[0, k]),
+                    oracle_fit_kmeans(stack[:, k, :], card, seed=[0, k]))
+
+
+@pytest.mark.parametrize("sigma, runs", [(0.0, 1), (0.2, DEFAULT_RESTARTS)])
+def test_restarts_that_draw_one_center_set_share_one_lloyd_run(
+        monkeypatch, level4_run, training_tokens, sigma, runs):
+    """Noiseless tokens: every k-means++ init picks each distinct value once, so
+    a concept's restarts make one Lloyd run. Noisy ones pick distinct points."""
+    calls = []
+    monkeypatch.setattr(symbols, "_lloyd", lambda *args: calls.append(1) or _lloyd(*args))
+    stack = training_tokens(level4_run, sigma)
+    for k, card in enumerate(level4_run[1].codebook.cardinalities):
+        calls.clear()
+        fit_kmeans(stack[:, k, :], card, seed=[0, k])
+        assert len(calls) == runs, k
+
+
+def test_a_run_that_meets_a_tie_is_not_shared():
+    """Restart 0 draws the centers (0, 0), (2, 0) and restart 1 the same two in
+    the other order. The point (1, 0) lies midway: at the tie it joins center 0,
+    the three points at (0, 0) in restart 0 and the two at (2, 0) in restart 1,
+    which ends with the lower inertia. Restart 1 must run."""
+    points = np.array([[0.0, 0.0]] * 3 + [[2.0, 0.0]] * 2 + [[1.0, 0.0]])
+    inits = [_kmeanspp_init(columns(points), 2, np.random.default_rng([21, r])) for r in (0, 1)]
+    assert inits[0].tolist() == inits[1][::-1].tolist() == [[0.0, 0.0], [2.0, 0.0]]
+    assert _nearest(columns(points), _sq_norms(columns(points)), inits[0])[3]
+    result = fit_kmeans(points, 2, seed=21, restarts=2)
+    assert_same(result, oracle_fit_kmeans(points, 2, seed=21, restarts=2))
+    assert result.inertia == 2 / 3
 
 
 def test_sq_norms_add_rows_as_numpy_sums_each_row():
@@ -131,12 +179,12 @@ def test_nearest_keeps_the_exact_labels_and_costs_at_ties():
         centers[3] = centers[1]  # an exact tie: the lower index wins
         centers[4] = np.nextafter(centers[0], np.inf)  # within rounding of center 0
         d2 = _sq_dists(points, centers)
-        labels, costs, near = _nearest(columns(points), _sq_norms(columns(points)), centers)
+        labels, costs, near, tied = _nearest(columns(points), _sq_norms(columns(points)), centers)
         assert labels.tolist() == d2.argmin(axis=1).tolist()
         assert costs.tobytes() == d2.min(axis=1).tobytes()
         # every point at a tie is among those the exact form picked again
         assert set(np.flatnonzero((d2 == d2.min(axis=1)[:, None]).sum(axis=1) > 1)) <= set(near)
-        assert len(near)
+        assert len(near) and tied
 
 
 def test_lloyd_reuses_the_last_assignment_when_no_center_moved(monkeypatch):
