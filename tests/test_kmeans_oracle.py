@@ -63,8 +63,9 @@ def test_fit_kmeans_equals_frozen_oracle():
     rng = np.random.default_rng(2024)
     for case in range(240):
         points, k = _case(rng, KINDS[case % len(KINDS)])
-        assert_same(fit_kmeans(points, k, seed=[case, 1], restarts=2),
-                    oracle_fit_kmeans(points, k, seed=[case, 1], restarts=2))
+        for restarts in (2, DEFAULT_RESTARTS):
+            assert_same(fit_kmeans(points, k, seed=[case, 1], restarts=restarts),
+                        oracle_fit_kmeans(points, k, seed=[case, 1], restarts=restarts))
 
 
 def test_fit_kmeans_equals_frozen_oracle_at_high_dims():
@@ -80,25 +81,9 @@ def test_fit_kmeans_equals_frozen_oracle_at_high_dims():
 def test_fit_kmeans_equals_frozen_oracle_at_scale(level4_run, training_tokens, sigma):
     stack = training_tokens(level4_run, sigma)
     for k, card in enumerate(level4_run[1].codebook.cardinalities):
-        assert_same(fit_kmeans(stack[:, k, :], card, seed=[0, k], restarts=2),
-                    oracle_fit_kmeans(stack[:, k, :], card, seed=[0, k], restarts=2))
-
-
-def test_fit_kmeans_equals_frozen_oracle_at_default_restarts():
-    rng = np.random.default_rng(2026)
-    for case in range(120):
-        points, k = _case(rng, KINDS[case % len(KINDS)])
-        assert_same(fit_kmeans(points, k, seed=[case, 3]),
-                    oracle_fit_kmeans(points, k, seed=[case, 3]))
-
-
-@pytest.mark.parametrize("sigma", [0.0, 0.2])
-def test_fit_kmeans_equals_frozen_oracle_at_scale_and_default_restarts(
-        level4_run, training_tokens, sigma):
-    stack = training_tokens(level4_run, sigma)
-    for k, card in enumerate(level4_run[1].codebook.cardinalities):
-        assert_same(fit_kmeans(stack[:, k, :], card, seed=[0, k]),
-                    oracle_fit_kmeans(stack[:, k, :], card, seed=[0, k]))
+        for restarts in (2, DEFAULT_RESTARTS):
+            assert_same(fit_kmeans(stack[:, k, :], card, seed=[0, k], restarts=restarts),
+                        oracle_fit_kmeans(stack[:, k, :], card, seed=[0, k], restarts=restarts))
 
 
 @pytest.mark.parametrize("sigma, runs", [(0.0, 1), (0.2, DEFAULT_RESTARTS)])
