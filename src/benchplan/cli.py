@@ -21,7 +21,7 @@ from .concepts import SeparationUnachievable, UnknownValue
 from .evaluate import interpretability_report, plan_task, run_experiment
 from .fitting import FitConfig, codebook_for_tasks, fit_pipeline, unmapped_note
 from .mdp import InvalidInit, NoPlanFound
-from .symbols import InsufficientPoints
+from .symbols import InsufficientPoints, UnmeasurablePoints
 from .taskgen import (
     N_TYPES,
     SPLITS,
@@ -98,6 +98,9 @@ def cmd_fit(args) -> int:
         return EXIT_USAGE
     except (InsufficientPoints, InsufficientPairs) as err:  # too little training data
         print(f"error: {args.data}: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except UnmeasurablePoints as err:  # token distances overflow a float
+        print(f"error: argument --sigma: {args.sigma:g} is too large: {err}", file=sys.stderr)
         return EXIT_USAGE
     except UnknownValue as err:  # the dataset's content: an artifact error
         raise artifacts.SchemaMismatch(f"{args.data}: {err}") from err

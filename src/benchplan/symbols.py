@@ -5,7 +5,9 @@ value-space size; a token's symbol is the index of its nearest center. The
 fit is deterministic under a seed (k-means++ init, fixed restarts, centers
 canonicalized to lexicographic order; restarts that draw one center set and
 meet no tie share one Lloyd run). Points are held as (dim, n) columns; exact
-near-tie picks and numpy's row-sum order keep every label and bit.
+near-tie picks and numpy's row-sum order keep every label and bit. A Lloyd
+step sums again only the clusters whose members changed, and point costs are
+computed only where a result reads them: the winning run replays for its history.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ _SLACK = 40 * np.finfo(float).eps
 
 class InsufficientPoints(Exception):
     """Fewer points than requested clusters."""
+
+
+class UnmeasurablePoints(ValueError):
+    """Points, or squared distances between them, that are not finite floats."""
 
 
 @dataclass(frozen=True)
@@ -80,27 +86,36 @@ def _sq_norms(diff: np.ndarray) -> np.ndarray:
     return diff[0]
 
 
+def _weighted_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """`rng.choice(len(weights), p=weights / total)` by numpy's own steps, or a uniform
+    pick if every weight is 0; a total that is not finite is refused."""
+    total = weights.sum()
+    if not np.isfinite(total):
+        raise UnmeasurablePoints(f"squared distances between points sum to {total}")
+    if total > 0:
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(rng.integers(len(weights)))  # all 0: fewer distinct points than k
+
+
 def _kmeanspp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     dim, n = cols.shape
     centers = np.empty((k, dim))
     centers[0] = cols[:, int(rng.integers(n))]
-    d2 = _sq_norms(cols - centers[0][:, None])
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:  # fewer distinct points than k; fall back to uniform picks
-            idx = int(rng.integers(n))
-        centers[j] = cols[:, idx]
-        d2 = np.minimum(d2, _sq_norms(cols - centers[j][:, None]))
+    d2 = np.full(n, np.inf)
+    with np.errstate(over="ignore"):  # the pick refuses a sum that overflowed
+        for j in range(1, k):
+            d2 = np.minimum(d2, _sq_norms(cols - centers[j - 1][:, None]))
+            centers[j] = cols[:, _weighted_pick(d2, rng)]
     return centers
 
 
 def _nearest(cols: np.ndarray, sq_norms: np.ndarray,
-             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """`_sq_dists(cols.T, centers).argmin(axis=1)` by one matmul of |p|^2 - 2 p.c
-    + |c|^2, each point's exact cost, the points a second center came within
-    rounding error of, which the exact form picks, and whether one is a tie."""
+    + |c|^2, the points a second center came within rounding error of, which the
+    exact form picks, and whether one is a tie."""
     k, c2 = len(centers), (centers ** 2).sum(axis=1)
     expanded = (-2.0 * centers) @ cols  # (k, n)
     expanded += sq_norms
@@ -116,64 +131,87 @@ def _nearest(cols: np.ndarray, sq_norms: np.ndarray,
         exact = _sq_dists(cols[:, near].T, centers)
         labels[near] = exact.argmin(axis=1)
         tied = np.count_nonzero(exact == exact.min(axis=1)[:, None]) > len(near)
-    diff = centers.T.take(labels, axis=1)
-    diff -= cols  # (c - p)^2 has the bits of (p - c)^2
-    return labels, _sq_norms(diff), near, tied
+    return labels, near, tied
 
 
-def _lloyd(cols: np.ndarray, centers: np.ndarray) -> tuple[
-        np.ndarray, float, int, list[float], np.ndarray, np.ndarray, bool]:
-    """Lloyd steps on (dim, n) points: the final centers, inertia, step count and
-    inertia history, with `_nearest`'s labels and near points at those centers,
-    and whether any step met an exact tie."""
+def _point_costs(cols: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each point's exact squared distance to its center: (c - p)^2 has the bits of (p - c)^2."""
+    return _sq_norms(centers.T.take(labels, axis=1) - cols)
+
+
+def _cluster_sums(cols: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(dim, k) cluster sums, in point order as numpy's mean adds rows (one column: pairwise)."""
+    if len(cols) > 1:
+        return np.stack([np.bincount(labels, weights=col, minlength=k) for col in cols])
+    return np.array([[cols[0][labels == j].sum() for j in range(k)]])
+
+
+def _lloyd(cols: np.ndarray, centers: np.ndarray, history: list[float] | None = None
+           ) -> tuple[np.ndarray, float, int, np.ndarray, np.ndarray, bool]:
+    """Lloyd steps on (dim, n) points: the final centers, inertia and step count,
+    with `_nearest`'s labels and near points at those centers, and whether any
+    step met an exact tie. Each step's inertia goes to `history` if one is given;
+    else point costs are computed only for a reseed and the final inertia."""
     k = len(centers)
     sq_norms = _sq_norms(cols.copy())
-    history: list[float] = []
-    iterations, tied = 0, False
+    tied, summed = False, None  # the labels `sums` were added at, if they give `centers`
     for it in range(KMEANS_MAX_ITER):
-        iterations = it + 1
-        labels, point_costs, near, tie = _nearest(cols, sq_norms, centers)
+        labels, near, tie = _nearest(cols, sq_norms, centers)
         tied |= tie
-        history.append(float(point_costs.sum()))
-        # cluster sums in point order, as numpy's mean adds rows (one column: pairwise)
-        counts = np.bincount(labels, minlength=k)
-        sums = (np.stack([np.bincount(labels, weights=col, minlength=k) for col in cols])
-                if len(cols) > 1 else [[cols[0][labels == j].sum() for j in range(k)]])
+        if history is not None:
+            history.append(float(_point_costs(cols, centers, labels).sum()))
+        if summed is None:
+            sums = _cluster_sums(cols, labels, k)
+        elif not (moved := labels != summed).any():  # the same sums: the same centers
+            unmoved = True
+            break
+        else:  # only a cluster that gained or lost a point has a new sum
+            redo = np.bincount(np.concatenate([summed[moved], labels[moved]]), minlength=k) > 0
+            members = np.flatnonzero(redo[labels])
+            sums[:, redo] = _cluster_sums(cols.take(members, axis=1), labels[members], k)[:, redo]
+        counts, summed = np.bincount(labels, minlength=k), labels
         new_centers = (sums / np.maximum(counts, 1)).T
-        # re-seed an empty cluster from the farthest point
-        new_centers[counts == 0] = cols[:, int(point_costs.argmax())]
+        if not counts.all():  # re-seed an empty cluster from the farthest point
+            new_centers[counts == 0] = cols[:, int(_point_costs(cols, centers, labels).argmax())]
+            summed = None
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
         centers, unmoved = new_centers, new_centers.tobytes() == centers.tobytes()  # bitwise
         if shift < KMEANS_TOL:
             break
     if not unmoved:  # the last step moved the centers: assign once more
-        labels, point_costs, near, tie = _nearest(cols, sq_norms, centers)
+        labels, near, tie = _nearest(cols, sq_norms, centers)
         tied |= tie
-    return centers, float(point_costs.sum()), iterations, history, labels, near, tied
+    return centers, float(_point_costs(cols, centers, labels).sum()), it + 1, labels, near, tied
 
 
 def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
                seed: int | Sequence[int], restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
     """k-means++ plus Lloyd; best of `restarts` runs by inertia, the first of equals.
     Lloyd from a permuted init is the permuted run, bit for bit, unless a point
-    meets a tie: a restart that draws an earlier tie-free run's centers is skipped."""
+    meets a tie: a restart that draws an earlier tie-free run's centers is skipped.
+    Lloyd is deterministic: the winner runs again from its init to record its history."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or not np.isfinite(pts).all():
-        raise ValueError("points must be a 2-D array of finite values")
+    if pts.ndim != 2:
+        raise ValueError("points must be a 2-D array")
+    if not np.isfinite(pts).all():
+        raise UnmeasurablePoints("some points are not finite")
     if k < 1 or restarts < 1:
         raise ValueError(f"k and restarts must be >= 1, got {k} and {restarts}")
     if len(pts) < k:
         raise InsufficientPoints(f"{len(pts)} points for k={k}")
     cols = np.ascontiguousarray(pts.T)  # (dim, n): each step works on whole rows
     seed_key = [seed] if isinstance(seed, int) else list(seed)
-    runs, tie_free = [], set()  # the canonical inits, as bytes, of runs without a tie
+    runs, tie_free = [], set()  # (inertia, init) per run; tie-free runs' canonical inits
     for r in range(restarts):
         init = _kmeanspp_init(cols, k, np.random.default_rng([*seed_key, r]))
         if (key := init[np.lexsort(init.T[::-1])].tobytes()) not in tie_free:
-            runs.append(_lloyd(cols, init))
-            if not runs[-1][6]:
+            _, inertia, _, _, _, tied = _lloyd(cols, init)
+            runs.append((inertia, init))
+            if not tied:
                 tie_free.add(key)
-    centers, inertia, iterations, history, labels, near, _ = min(runs, key=lambda run: run[1])
+    history: list[float] = []
+    _, init = min(runs, key=lambda run: run[0])  # the winner's
+    centers, inertia, iterations, labels, near, _ = _lloyd(cols, init, history)
     order = np.lexsort(centers.T[::-1])  # canonical: sort rows lexicographically
     labels = order.argsort()[labels]
     # a tie between distinct centers goes to the lowest canonical index, as in `assign`

@@ -3,6 +3,7 @@
 import argparse
 import os
 import re
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -224,6 +225,21 @@ class TestPipeline:
         assert run(*FIT, "--data", "empty.txt") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: empty.txt: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("sigma", ["1e160", "1e308"])
+    def test_fit_refuses_a_sigma_whose_token_distances_overflow(self, workdir, capsys, sigma):
+        # squared token distances overflow a float from ~3e152 (at 1e308 the
+        # tokens themselves do), so k-means could not draw its centers
+        assert run("gen", "--level", 1, "--train", 40, "--val", 2, "--test", 4,
+                   "--seed", 1, "--out", "data.txt") == 0
+        assert run("fit", "--data", "data.txt", "--artifacts", "a", "--sigma", "1e150") == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning before the error line
+            assert run("fit", "--data", "data.txt", "--artifacts", "a", "--sigma", sigma) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument --sigma: {float(sigma):g} is too large: ") \
+            and err.count("\n") == 1, err
 
     # a cut stops at the seal; the other edits are re-sealed to reach the parser
     @pytest.mark.parametrize("name, edit, reseal", [
