@@ -5,9 +5,9 @@ loader reads the body through one grammar (`_records`): a line of key=value
 fields opens a record, and the rows under it start with a tag: `c` (symbolizer
 centers), `n` (transition counts), `A`/`b` (affine maps). The fit file writes
 only what cannot be derived: the loader rebuilds the codebook from its seed,
-the cardinalities from the `c` rows, and the whole transition model from the
-`n` rows, which all pass the one count check (`mdp.count_tables`); its floats
-must be finite, its noise sigma nonnegative. A dataset has at least one task,
+whose cardinalities size each concept's `c` rows, and the whole transition model
+from the `n` rows, which all pass the one count check (`mdp.count_tables`); its
+floats must be finite, its noise sigma nonnegative. A dataset has at least one task,
 unique task ids, and known splits, its header gives its tasks' one level
 and split sizes, and each gt plan reaches its goal within the level's
 `max_len` steps. Every file ends in a seal, one `sha256=<hex>` line over all
@@ -259,21 +259,21 @@ def _parse_fit(header, records) -> Fitted:
                        restarts=int(header["restarts"]))
     codebook = build_codebook(dim=config.dim, seed=int(header["codebook_seed"]),
                               min_sep=config.min_sep)
+    cards = codebook.cardinalities
     (meta, _), *rest = records
-    purity = tuple(float(p) for p in meta["purity"].split(","))
-    concepts, ((_, count_rows), *map_records) = rest[:len(purity)], rest[len(purity):]
+    concepts, ((_, count_rows), *map_records) = rest[:len(cards)], rest[len(cards):]
     symbolizer = Symbolizer(
-        centers=tuple(_vectors(rows, ["c"] * len(rows), config.dim,
-                               f"concept {kv['concept']}") for kv, rows in concepts),
+        centers=tuple(_vectors(rows, ["c"] * card, config.dim, f"concept {k}")
+                      for k, ((_, rows), card) in enumerate(zip(concepts, cards))),
         inertia=tuple(float(kv["inertia"]) for kv, _ in concepts),
         iterations=tuple(int(kv["iterations"]) for kv, _ in concepts))
+    purity = tuple(float(p) for p in meta["purity"].split(","))
+    _expect(len(purity) == len(cards), f"purity needs {len(cards)} values, got {len(purity)}")
 
     _expect(all(row[0] == "n" for row in count_rows), "a non-'n' row among the counts")
     counts = count_tables(((key, int(k), int(w), int(w2), int(n))
-                           for _, key, k, w, w2, n in count_rows),
-                          symbolizer.cardinalities)
-    model = TransitionModel(cardinalities=symbolizer.cardinalities,
-                            thresh=config.thresh, counts=counts)
+                           for _, key, k, w, w2, n in count_rows), cards)
+    model = TransitionModel(cardinalities=cards, thresh=config.thresh, counts=counts)
 
     size = 6 * config.dim
     matrices, offsets, mses = {}, {}, {}

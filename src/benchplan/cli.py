@@ -99,9 +99,6 @@ def cmd_fit(args) -> int:
     except (InsufficientPoints, InsufficientPairs) as err:  # too little training data
         print(f"error: {args.data}: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except UnmeasurablePoints as err:  # token distances overflow a float
-        print(f"error: argument --sigma: {args.sigma:g} is too large: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except UnknownValue as err:  # the dataset's content: an artifact error
         raise artifacts.SchemaMismatch(f"{args.data}: {err}") from err
     artifacts.save_fitted(args.artifacts, fitted)
@@ -179,8 +176,8 @@ def cmd_eval(args) -> int:
         return EXIT_USAGE
     fitted = artifacts.load_fitted(args.artifacts)
     artifacts.check_compatible(dataset, fitted)
-    sigma = fitted.config.noise_sigma if args.sigma is None else args.sigma
-    config_fields = dict(data=os.path.basename(args.data), sigma=sigma,
+    args.sigma = fitted.config.noise_sigma if args.sigma is None else args.sigma
+    config_fields = dict(data=os.path.basename(args.data), sigma=args.sigma,
                          top_k=args.topk, l_max=args.l_max if args.l_max else "env",
                          seed=args.seed)
     planners = ["symbolic"]
@@ -191,7 +188,7 @@ def cmd_eval(args) -> int:
     for planner in planners:
         try:
             report = run_experiment(dataset, fitted, planner=planner, split=args.split,
-                                    noise_sigma=sigma, top_k=args.topk,
+                                    noise_sigma=args.sigma, top_k=args.topk,
                                     l_max=args.l_max, seed=args.seed, jobs=args.jobs)
         except SeparationUnachievable as err:  # from codebook_for_tasks, as in cmd_plan
             raise artifacts.SchemaMismatch(f"{args.data}: {err}") from err
@@ -316,6 +313,9 @@ def main(argv=None) -> int:
     except (artifacts.MissingArtifact, artifacts.SchemaMismatch, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ARTIFACTS
+    except UnmeasurablePoints as err:  # fit, plan, eval: token distances overflow a float
+        print(f"error: argument --sigma: {args.sigma:g} is too large: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ from .concepts import (DEFAULT_DIM, DEFAULT_MIN_SEP, ConceptCodebook, UnknownVal
                        build_codebook, extend_codebook)
 from .concepts import encode  # noqa: F401  unused; perfbench's trace points patch this name
 from .mdp import DEFAULT_THRESH, TransitionModel, action_key, fit_transitions
-from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, _sq_dists,
-                      fit_symbolizer, purity)
+from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, UnmeasurablePoints,
+                      _sq_dists, fit_symbolizer, purity)
 from .symbols import symbolize  # noqa: F401  unused; perfbench's trace points patch this name
 from .taskgen import Dataset, Task
 from .token_maps import MIN_PAIRS, ActionTransitionMaps, InsufficientPairs, fit_affine
@@ -48,8 +48,11 @@ class ValueMaps:
 
 def value_symbol_maps(codebook: ConceptCodebook, symbolizer: Symbolizer) -> ValueMaps:
     """Ground each cluster by nearest codebook centroid, and vice versa."""
-    dists = [_sq_dists(centroids, centers)  # (values, symbols)
-             for centroids, centers in zip(codebook.centroids, symbolizer.centers)]
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        dists = [_sq_dists(centroids, centers)  # (values, symbols)
+                 for centroids, centers in zip(codebook.centroids, symbolizer.centers)]
+    if not all(np.isfinite(d).all() for d in dists):
+        raise UnmeasurablePoints("squared distances from values to centers are not finite")
     return ValueMaps(value_to_symbol=tuple(tuple(d.argmin(axis=1).tolist()) for d in dists),
                      symbol_to_value=tuple(tuple(d.argmin(axis=0).tolist()) for d in dists))
 

@@ -6,8 +6,7 @@ fit is deterministic under a seed (k-means++ init, fixed restarts, centers
 canonicalized to lexicographic order; restarts that draw one center set and
 meet no tie share one Lloyd run). Points are held as (dim, n) columns; exact
 near-tie picks and numpy's row-sum order keep every label and bit. A Lloyd
-step sums again only the clusters whose members changed, and point costs are
-computed only where a result reads them: the winning run replays for its history.
+step sums again only the clusters whose members changed.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class KMeansResult:
     centers: np.ndarray  # (k, dim), lexicographically sorted
     inertia: float
     iterations: int
-    inertia_history: tuple[float, ...]  # inertia at each assignment step
     labels: np.ndarray  # (n,) each point's nearest center, an index into centers
 
 
@@ -146,20 +144,17 @@ def _cluster_sums(cols: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return np.array([[cols[0][labels == j].sum() for j in range(k)]])
 
 
-def _lloyd(cols: np.ndarray, centers: np.ndarray, history: list[float] | None = None
+def _lloyd(cols: np.ndarray, centers: np.ndarray
            ) -> tuple[np.ndarray, float, int, np.ndarray, np.ndarray, bool]:
     """Lloyd steps on (dim, n) points: the final centers, inertia and step count,
     with `_nearest`'s labels and near points at those centers, and whether any
-    step met an exact tie. Each step's inertia goes to `history` if one is given;
-    else point costs are computed only for a reseed and the final inertia."""
+    step met an exact tie."""
     k = len(centers)
     sq_norms = _sq_norms(cols.copy())
     tied, summed = False, None  # the labels `sums` were added at, if they give `centers`
     for it in range(KMEANS_MAX_ITER):
         labels, near, tie = _nearest(cols, sq_norms, centers)
         tied |= tie
-        if history is not None:
-            history.append(float(_point_costs(cols, centers, labels).sum()))
         if summed is None:
             sums = _cluster_sums(cols, labels, k)
         elif not (moved := labels != summed).any():  # the same sums: the same centers
@@ -188,8 +183,7 @@ def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
                seed: int | Sequence[int], restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
     """k-means++ plus Lloyd; best of `restarts` runs by inertia, the first of equals.
     Lloyd from a permuted init is the permuted run, bit for bit, unless a point
-    meets a tie: a restart that draws an earlier tie-free run's centers is skipped.
-    Lloyd is deterministic: the winner runs again from its init to record its history."""
+    meets a tie: a restart that draws an earlier tie-free run's centers is skipped."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
@@ -201,23 +195,21 @@ def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
         raise InsufficientPoints(f"{len(pts)} points for k={k}")
     cols = np.ascontiguousarray(pts.T)  # (dim, n): each step works on whole rows
     seed_key = [seed] if isinstance(seed, int) else list(seed)
-    runs, tie_free = [], set()  # (inertia, init) per run; tie-free runs' canonical inits
+    best, tie_free = None, set()  # the first run of least inertia; tie-free runs' inits
     for r in range(restarts):
         init = _kmeanspp_init(cols, k, np.random.default_rng([*seed_key, r]))
         if (key := init[np.lexsort(init.T[::-1])].tobytes()) not in tie_free:
-            _, inertia, _, _, _, tied = _lloyd(cols, init)
-            runs.append((inertia, init))
-            if not tied:
+            run = _lloyd(cols, init)  # centers, inertia, iterations, labels, near, tied
+            if best is None or run[1] < best[1]:
+                best = run
+            if not run[-1]:
                 tie_free.add(key)
-    history: list[float] = []
-    _, init = min(runs, key=lambda run: run[0])  # the winner's
-    centers, inertia, iterations, labels, near, _ = _lloyd(cols, init, history)
+    centers, inertia, iterations, labels, near, _ = best
     order = np.lexsort(centers.T[::-1])  # canonical: sort rows lexicographically
     labels = order.argsort()[labels]
     # a tie between distinct centers goes to the lowest canonical index, as in `assign`
     labels[near] = _sq_dists(cols[:, near].T, centers[order]).argmin(axis=1)
-    return KMeansResult(centers=centers[order], inertia=inertia, iterations=iterations,
-                        inertia_history=tuple(history), labels=labels)
+    return KMeansResult(centers[order], inertia, iterations, labels)
 
 
 def assign(token: np.ndarray, centers: np.ndarray) -> int:
@@ -248,7 +240,11 @@ def center_sq_dists(tokens: np.ndarray, symbolizer: Symbolizer) -> np.ndarray:
 
 def symbolize(tokens: np.ndarray, symbolizer: Symbolizer) -> tuple[int, ...]:
     """`assign` per concept: the argmin of `center_sq_dists`, with `assign`'s ties."""
-    return tuple(center_sq_dists(tokens, symbolizer).argmin(axis=1).tolist())
+    with np.errstate(over="ignore"):  # an inf or nan distance has no argmin to trust
+        dists = center_sq_dists(tokens, symbolizer)
+    if not np.isfinite(dists).all():
+        raise UnmeasurablePoints("squared distances from tokens to centers are not finite")
+    return tuple(dists.argmin(axis=1).tolist())
 
 
 def purity(labels, values) -> np.ndarray:

@@ -311,10 +311,9 @@ def oracle_fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
         result = oracle_lloyd(pts, init)
         if best is None or result[1] < best[1]:
             best = result
-    centers, inertia, iterations, history = best
+    centers, inertia, iterations, _ = best
     order = np.lexsort(centers.T[::-1])  # canonical: sort rows lexicographically
-    return KMeansResult(centers=centers[order], inertia=inertia,
-                        iterations=iterations, inertia_history=tuple(history),
+    return KMeansResult(centers=centers[order], inertia=inertia, iterations=iterations,
                         labels=_sq_dists(pts, centers[order]).argmin(axis=1))
 
 

@@ -1,7 +1,9 @@
 """Edit a sealed artifact file and seal it again, so that the edit reaches the
-parser instead of stopping at the seal check."""
+parser instead of stopping at the seal check; and edits of fit.txt text that
+drop a center or a concept."""
 
 import hashlib
+import re
 
 
 def edit_sealed(path, edit):
@@ -14,3 +16,27 @@ def edit_sealed(path, edit):
     assert edited != body, "the edit changed nothing"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(edited + f"sha256={hashlib.sha256(edited.encode()).hexdigest()}\n")
+
+
+def _record_at(lines, k):
+    return next(i for i, line in enumerate(lines) if line.startswith(f"concept={k} "))
+
+
+def drop_center(k, j):
+    """An edit of fit.txt text: concept k loses its center j, and the count rows
+    that name that symbol."""
+    def edit(text):
+        lines = text.splitlines(True)
+        del lines[_record_at(lines, k) + 1 + j]
+        return "".join(line for line in lines
+                       if not re.match(rf"n \S+ {k} ({j} \d+|\d+ {j}) ", line))
+    return edit
+
+
+def drop_last_concept(text):
+    """An edit of fit.txt text: the last concept, 5, loses its record, its
+    centers, its purity value and its count rows."""
+    lines = text.splitlines(True)
+    del lines[_record_at(lines, 5):lines.index("model=counts\n")]
+    lines[1] = lines[1].rsplit(",", 1)[0] + "\n"  # purity=...
+    return "".join(line for line in lines if not re.match(r"n \S+ 5 ", line))

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from _sealing import edit_sealed
+from _sealing import drop_center, drop_last_concept, edit_sealed
 from benchplan.artifacts import (
     FIT_FILE,
     MissingArtifact,
@@ -225,6 +225,21 @@ class TestFittedArtifacts:
         with pytest.raises(SchemaMismatch, match=FIT_FILE) as err:
             load_fitted(tmp_path)
         assert "sha256" not in str(err.value)
+
+    @pytest.mark.parametrize("edit, message", [
+        (drop_center(1, 2), "concept 1 needs 3 rows of 8 values"),
+        (drop_center(0, 0), "concept 0 needs 8 rows of 8 values"),
+        (drop_last_concept, "concept 5 needs 4 rows of 8 values"),
+        (lambda text: re.sub(r"^(purity=.*),[^,\n]*$", r"\1", text, count=1, flags=re.M),
+         "purity needs 6 values, got 5"),
+    ], ids=["missing-center", "missing-first-center", "missing-concept", "short-purity"])
+    def test_concepts_follow_the_codebook(self, tmp_path, level1_run, edit, message):
+        # each concept has a record and as many centers as the codebook has values
+        _, fitted = level1_run
+        save_fitted(tmp_path, fitted)
+        edit_sealed(tmp_path / FIT_FILE, edit)
+        with pytest.raises(SchemaMismatch, match=f"{FIT_FILE}: {message}$"):
+            load_fitted(tmp_path)
 
     # one count row of move_front on pos_x (3 symbols): source symbol -1, a
     # source symbol equal to the cardinality, concept 6, and a count of 0

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from _sealing import edit_sealed
+from _sealing import drop_center, drop_last_concept, edit_sealed
 from benchplan import cli
 from benchplan.artifacts import load_dataset, save_dataset, save_fitted
 from benchplan.cli import main
@@ -241,6 +241,30 @@ class TestPipeline:
         assert err.startswith(f"error: argument --sigma: {float(sigma):g} is too large: ") \
             and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("argv", [PLAN, EVAL, EVAL[:-1] + (2,)],
+                             ids=["plan", "eval", "eval-jobs-2"])
+    def test_plan_and_eval_refuse_a_sigma_whose_token_distances_overflow(
+            self, fitted_dir, capsys, argv):
+        # at 1e160 every token would snap to symbol 0, the argmin of a row of inf
+        assert run(*argv, "--sigma", "1e150") == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning before the error line
+            assert run(*argv, "--sigma", "1e160") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --sigma: 1e+160 is too large: ") \
+            and err.count("\n") == 1, err
+
+    def test_eval_refuses_a_fit_sigma_whose_token_distances_overflow(self, fitted_dir, capsys):
+        # eval's --sigma defaults to the fit's
+        edit_sealed("arts/fit.txt", lambda text: text.replace(" noise_sigma=0.0 ",
+                                                              " noise_sigma=1e160 ", 1))
+        capsys.readouterr()
+        assert run(*EVAL) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --sigma: 1e+160 is too large: ") \
+            and err.count("\n") == 1, err
+
     # a cut stops at the seal; the other edits are re-sealed to reach the parser
     @pytest.mark.parametrize("name, edit, reseal", [
         ("arts/fit.txt", lambda text: "".join(text.splitlines(True)[:3]), False),
@@ -257,6 +281,11 @@ class TestPipeline:
         ("arts/fit.txt", lambda text: text.replace(" noise_sigma=0.0 ", " noise_sigma=inf ", 1),
          True),
         ("arts/fit.txt", lambda text: re.sub(r"\nc [^,\n]+,", "\nc nan,", text, count=1), True),
+        # a concept short of the codebook's centers, or a fit short of a concept
+        ("arts/fit.txt", drop_center(1, 2), True),
+        ("arts/fit.txt", drop_last_concept, True),
+        # squared distances from the codebook's values to a center overflow a float
+        ("arts/fit.txt", lambda text: re.sub(r"\nc [^,\n]+,", "\nc 1e200,", text, count=1), True),
         ("data.txt", onto("init", "dyer"), True),
         ("data.txt", onto("goal", "obstacles"), True),
         # a dataset header that disagrees with its tasks, or tasks that disagree
@@ -268,7 +297,8 @@ class TestPipeline:
     ], ids=["fit-cut-to-3-lines", "dataset-cut-by-50-lines", "maps-bad-float",
             "dataset-empty-field", "unachievable-min-sep-in-fit-header",
             "negative-sigma-in-fit-header", "nan-sigma-in-fit-header",
-            "inf-sigma-in-fit-header", "nan-center", "init-on-dyer", "goal-on-obstacle",
+            "inf-sigma-in-fit-header", "nan-center", "missing-center", "missing-concept",
+            "far-center", "init-on-dyer", "goal-on-obstacle",
             "header-level", "header-split-count", "duplicated-task", "unknown-split",
             "no-task"])
     def test_malformed_artifact_is_one_line_artifact_error(self, fitted_dir, capsys,

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from _oracles import encode_trajectory, oracle_fit_transitions, oracle_symbolize
+from benchplan import symbols
 from benchplan.concepts import build_codebook, encode, extend_codebook
 from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, fit_pipeline
 from benchplan.mdp import action_key
 from benchplan.symbols import (
     InsufficientPoints,
     Symbolizer,
+    UnmeasurablePoints,
+    _kmeanspp_init,
+    _lloyd,
     _nearest,
     _sq_norms,
     assign,
@@ -70,12 +74,20 @@ class TestFitKMeans:
         assert np.array_equal(a.centers, b.centers)
         assert a.inertia == b.inertia
 
-    def test_inertia_never_increases_during_lloyd(self):
+    def test_inertia_never_increases_during_lloyd(self, monkeypatch):
+        # Lloyd capped at t = 1, 2, ... steps, until it stops before its cap
         rng = np.random.default_rng(6)
-        points = rng.normal(size=(300, 3))
-        result = fit_kmeans(points, k=4, seed=1, restarts=3)
-        hist = result.inertia_history
-        assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
+        cols = np.ascontiguousarray(rng.normal(size=(300, 3)).T)
+        init = _kmeanspp_init(cols, 4, np.random.default_rng(1))
+        inertias = []
+        for t in range(1, symbols.KMEANS_MAX_ITER + 1):
+            monkeypatch.setattr(symbols, "KMEANS_MAX_ITER", t)
+            _, inertia, iterations, *_ = _lloyd(cols, init.copy())
+            inertias.append(inertia)
+            if iterations < t:
+                break
+        assert len(inertias) > 3
+        assert all(b <= a + 1e-12 for a, b in zip(inertias, inertias[1:]))
 
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPoints):
@@ -286,13 +298,15 @@ class TestSymbolizeOracle:
         assert ties > 500
 
     def test_non_finite_tokens(self, level1_run):
-        # a padding row copies its concept's last center, so no token, not even
-        # an infinite or nan one, lands on an index past a concept's centers
+        # an infinite or nan token, or one whose squared distances overflow, has
+        # no nearest center: each of its distances is inf or nan, and their
+        # argmin, symbol 0, would be no answer
         sym = level1_run[1].symbolizer
-        for bad in (np.inf, -np.inf, np.nan):
+        for bad in (np.inf, -np.inf, np.nan, 1e160):
             tokens = np.zeros((6, sym.centers[0].shape[1]))
             tokens[:, 1] = bad
-            assert symbolize(tokens, sym) == oracle_symbolize(tokens, sym)
+            with pytest.raises(UnmeasurablePoints, match="not finite"):
+                symbolize(tokens, sym)
 
     def test_extended_unseen_type_codebook(self, level1_run):
         _, fitted = level1_run
