@@ -6,8 +6,9 @@ fields opens a record, and the rows under it start with a tag: `c` (symbolizer
 centers), `n` (transition counts), `A`/`b` (affine maps). The fit file writes
 only what cannot be derived: the loader rebuilds the codebook from its seed,
 whose cardinalities size each concept's `c` rows, and the whole transition model
-from the `n` rows, which all pass the one count check (`mdp.count_tables`); its
-floats must be finite, its noise sigma nonnegative. A dataset has at least one task,
+from the `n` rows, which all pass the one count check (`mdp.count_tables`); each
+record must sit where its key says, its floats be finite, its noise sigma
+nonnegative. A dataset has at least one task,
 unique task ids, and known splits, its header gives its tasks' one level
 and split sizes, and each gt plan reaches its goal within the level's
 `max_len` steps. Every file ends in a seal, one `sha256=<hex>` line over all
@@ -261,15 +262,18 @@ def _parse_fit(header, records) -> Fitted:
                               min_sep=config.min_sep)
     cards = codebook.cardinalities
     (meta, _), *rest = records
-    concepts, ((_, count_rows), *map_records) = rest[:len(cards)], rest[len(cards):]
+    concepts, ((counts_kv, count_rows), *map_records) = rest[:len(cards)], rest[len(cards):]
     symbolizer = Symbolizer(
         centers=tuple(_vectors(rows, ["c"] * card, config.dim, f"concept {k}")
                       for k, ((_, rows), card) in enumerate(zip(concepts, cards))),
         inertia=tuple(float(kv["inertia"]) for kv, _ in concepts),
         iterations=tuple(int(kv["iterations"]) for kv, _ in concepts))
+    for k, (kv, _) in enumerate(concepts):  # records of equal size could trade places
+        _expect(kv.get("concept") == str(k), f"the record of concept {k} reads {_kv_line(**kv)}")
     purity = tuple(float(p) for p in meta["purity"].split(","))
     _expect(len(purity) == len(cards), f"purity needs {len(cards)} values, got {len(purity)}")
 
+    _expect(counts_kv == {"model": "counts"}, f"the counts record reads {_kv_line(**counts_kv)}")
     _expect(all(row[0] == "n" for row in count_rows), "a non-'n' row among the counts")
     counts = count_tables(((key, int(k), int(w), int(w2), int(n))
                            for _, key, k, w, w2, n in count_rows), cards)
@@ -278,6 +282,7 @@ def _parse_fit(header, records) -> Fitted:
     size = 6 * config.dim
     matrices, offsets, mses = {}, {}, {}
     for kv, rows in map_records:
+        _expect("action" in kv, f"a map record reads {_kv_line(**kv)}")
         key = kv["action"]
         values = _vectors(rows, ["A"] * size + ["b"], size, f"action {key}")
         matrices[key], offsets[key] = values[:-1], values[-1]

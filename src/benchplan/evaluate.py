@@ -11,11 +11,10 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .concepts import ConceptCodebook, encode
+from .concepts import ConceptCodebook, encode, encode_states
 from .fitting import Fitted, codebook_for_tasks
 from .mdp import (InvalidInit, NoPlanFound, PlanResult, SymbolMasks, _key_rank,
                   base_action, plan)
@@ -46,41 +45,45 @@ class TaskRecord:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One planner's records over one split; every metric is derived from them."""
+
     level: int
     planner: str
     split: str
-    n_tasks: int
-    asacc_top1: float  # percent
-    asacc_top5: float  # percent
-    ase: float | None  # absent when there are no top-1 successes
-    fsd_mean: float
     records: tuple[TaskRecord, ...]
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.records)
+
+    @property
+    def asacc_top1(self) -> float:
+        """Percent of tasks whose first attempt succeeds."""
+        return 100.0 * sum(1 for r in self.records if r.top1_success) / self.n_tasks
+
+    @property
+    def asacc_top5(self) -> float:
+        """Percent of tasks with a successful attempt; no attempt is a failure."""
+        return 100.0 * sum(1 for r in self.records if any(r.attempt_success)) / self.n_tasks
+
+    @property
+    def ase(self) -> float | None:
+        """Mean gt_len/top1_len over top-1 successes (zero-length: 1.0), or None."""
+        total, successes = 0.0, 0  # in record order: sum() compensates from Python 3.12
+        for r in self.records:
+            if r.top1_success:
+                successes += 1
+                total += 1.0 if r.top1_len == 0 else r.gt_len / r.top1_len
+        return total / successes if successes else None
+
+    @property
+    def fsd_mean(self) -> float:
+        return float(np.mean([r.fsd for r in self.records]))
 
 
 def fsd(final: ObjectState, goal: ObjectState) -> float:
     """Euclidean distance between positions, in grid-cell units."""
     return math.hypot(final.pos_x - goal.pos_x, final.pos_y - goal.pos_y)
-
-
-def ase(records: Iterable[tuple[int, int, bool]]) -> float | None:
-    """Mean gt_len/pred_len over successes; zero-length successes count 1.0."""
-    total, successes = 0.0, 0
-    for gt_len, pred_len, success in records:
-        if not success:
-            continue
-        successes += 1
-        total += 1.0 if pred_len == 0 else gt_len / pred_len
-    return total / successes if successes else None
-
-
-def asacc(attempt_sets: Sequence[Sequence[bool]]) -> tuple[float, float]:
-    """(top-1, top-5) success percentages; an empty attempt set counts as failure."""
-    if not attempt_sets:
-        raise ValueError("need at least one task")
-    top1 = sum(1 for a in attempt_sets if a and a[0])
-    any_ = sum(1 for a in attempt_sets if any(a))
-    n = len(attempt_sets)
-    return 100.0 * top1 / n, 100.0 * any_ / n
 
 
 def chance_baseline(task: Task, rng: np.random.Generator,
@@ -97,16 +100,15 @@ def chance_baseline(task: Task, rng: np.random.Generator,
 def plan_task(task: Task, fitted: Fitted, codebook: ConceptCodebook, *,
               planner: str, noise_sigma: float, top_k: int, l_max: int | None,
               rng: np.random.Generator) -> tuple[PlanResult, np.ndarray, np.ndarray]:
-    """Encode init then goal, and plan between them on the task's bench with
-    the symbolic or the token planner; the plans and the two token sets.
-    Raises NoPlanFound or InvalidInit when there is no plan."""
+    """Encode init then goal in one call, and plan between them on the task's
+    bench with the symbolic or the token planner; the plans and the two token
+    sets. Raises NoPlanFound or InvalidInit when there is no plan."""
     budget = l_max if l_max is not None else task.env.max_len
-    init_tokens = encode(task.init, codebook, noise_sigma, rng)
-    goal_tokens = encode(task.goal, codebook, noise_sigma, rng)
+    init_tokens, goal_tokens = tokens = encode_states([task.init, task.goal], codebook,
+                                                      noise_sigma, rng)
     masks = SymbolMasks.build(task.env, fitted.value_maps.symbol_to_value)
     if planner == "symbolic":
-        result = plan(fitted.model, symbolize(init_tokens, fitted.symbolizer),
-                      symbolize(goal_tokens, fitted.symbolizer), masks,
+        result = plan(fitted.model, *symbolize(tokens, fitted.symbolizer), masks,
                       top_k=top_k, l_max=budget)
     elif planner == "token":
         result = plan_tokenspace(fitted.maps, init_tokens, goal_tokens,
@@ -132,15 +134,11 @@ def evaluate_task(task: Task, fitted: Fitted, codebook: ConceptCodebook, *,
             attempts = []
 
     reports = [adjudicate(task, actions) for actions in attempts]
-    if reports:
-        final = reports[0].final_state
-        top1_len = len(attempts[0])
-    else:
-        final = task.init
-        top1_len = None
+    final = reports[0].final_state if reports else task.init
     return TaskRecord(task_id=task.task_id, gt_len=len(task.gt_actions),
                       attempt_success=tuple(r.success for r in reports),
-                      top1_len=top1_len, fsd=fsd(final, task.goal))
+                      top1_len=len(attempts[0]) if attempts else None,
+                      fsd=fsd(final, task.goal))
 
 
 _shared: tuple = ()  # run_experiment's arguments in a pool worker, set by its initializer
@@ -165,7 +163,7 @@ def run_experiment(dataset: Dataset, fitted: Fitted, *, planner: str = "symbolic
                    split: str = "test", noise_sigma: float | None = None,
                    top_k: int = 5, l_max: int | None = None, seed: int = 0,
                    jobs: int = 1) -> EvalReport:
-    """Plan and adjudicate every task in the split; aggregate the metrics."""
+    """Plan and adjudicate every task in the split, in split order."""
     if planner not in PLANNERS:
         raise ValueError(f"planner must be one of {PLANNERS}")
     tasks = dataset.subset(split)
@@ -179,14 +177,7 @@ def run_experiment(dataset: Dataset, fitted: Fitted, *, planner: str = "symbolic
             records = list(pool.map(_eval_one, enumerate(tasks), chunksize=8))
     else:
         records = [_eval_one(item, shared) for item in enumerate(tasks)]
-
-    top1, top5 = asacc([r.attempt_success for r in records])
-    efficiency = ase((r.gt_len, r.top1_len if r.top1_len is not None else 0,
-                      r.top1_success) for r in records)
     return EvalReport(level=dataset.level, planner=planner, split=split,
-                      n_tasks=len(records), asacc_top1=top1, asacc_top5=top5,
-                      ase=efficiency,
-                      fsd_mean=float(np.mean([r.fsd for r in records])),
                       records=tuple(records))
 
 

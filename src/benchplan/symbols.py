@@ -238,13 +238,15 @@ def center_sq_dists(tokens: np.ndarray, symbolizer: Symbolizer) -> np.ndarray:
     return ((symbolizer.center_table - tokens[..., None, :]) ** 2).sum(axis=-1)
 
 
-def symbolize(tokens: np.ndarray, symbolizer: Symbolizer) -> tuple[int, ...]:
-    """`assign` per concept: the argmin of `center_sq_dists`, with `assign`'s ties."""
+def symbolize(tokens: np.ndarray, symbolizer: Symbolizer) -> tuple:
+    """`assign` per concept: the argmin of `center_sq_dists`, with `assign`'s ties.
+    A (6, dim) token set gives one tuple of symbols, an (n, 6, dim) stack one per set."""
     with np.errstate(over="ignore"):  # an inf or nan distance has no argmin to trust
         dists = center_sq_dists(tokens, symbolizer)
     if not np.isfinite(dists).all():
         raise UnmeasurablePoints("squared distances from tokens to centers are not finite")
-    return tuple(dists.argmin(axis=1).tolist())
+    symbols = dists.argmin(axis=-1).tolist()
+    return tuple(symbols) if dists.ndim == 2 else tuple(map(tuple, symbols))
 
 
 def purity(labels, values) -> np.ndarray:

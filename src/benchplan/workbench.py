@@ -191,15 +191,16 @@ class EnvConfig:
 class SuccessReport:
     """Outcome of executing a candidate action sequence on a task."""
 
-    success: bool
     failure_reason: str  # one of FAILURE_REASONS
     final_state: ObjectState
 
     def __post_init__(self):
         if self.failure_reason not in FAILURE_REASONS:
             raise ValueError(f"unknown failure reason {self.failure_reason!r}")
-        if self.success != (self.failure_reason == "none"):
-            raise ValueError("success must hold exactly when failure_reason is 'none'")
+
+    @property
+    def success(self) -> bool:
+        return self.failure_reason == "none"
 
 
 def state_code(x: int, y: int, rotation: int, color: int) -> int:
@@ -299,4 +300,4 @@ def adjudicate(task: "Task", actions: Sequence[str]) -> SuccessReport:
     final = _state_at(code, task.init)
     if reason == "none" and not goal_reached(final, task.goal, env.level):
         reason = "wrong_final_state"
-    return SuccessReport(reason == "none", reason, final)
+    return SuccessReport(reason, final)

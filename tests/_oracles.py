@@ -742,10 +742,10 @@ def oracle_adjudicate(task, actions):
             current = oracle_apply_action(current, action, task.env)
         except ActionError as err:
             reason = "collision" if isinstance(err, Collision) else "illegal_action"
-            return SuccessReport(False, reason, current)
+            return SuccessReport(reason, current)
     if state_code(*current.values()[POS_X:SIZE]) in oracle_goal_codes(task.goal, task.env.level):
-        return SuccessReport(True, "none", current)
-    return SuccessReport(False, "wrong_final_state", current)
+        return SuccessReport("none", current)
+    return SuccessReport("wrong_final_state", current)
 
 
 def oracle_symbolize(tokens, symbolizer):

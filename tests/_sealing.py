@@ -1,6 +1,6 @@
 """Edit a sealed artifact file and seal it again, so that the edit reaches the
 parser instead of stopping at the seal check; and edits of fit.txt text that
-drop a center or a concept."""
+drop a center or a concept, or swap two concepts' records."""
 
 import hashlib
 import re
@@ -40,3 +40,16 @@ def drop_last_concept(text):
     del lines[_record_at(lines, 5):lines.index("model=counts\n")]
     lines[1] = lines[1].rsplit(",", 1)[0] + "\n"  # purity=...
     return "".join(line for line in lines if not re.match(r"n \S+ 5 ", line))
+
+
+def swap_concepts(a, b):
+    """An edit of fit.txt text: concepts a < b trade their whole records, each
+    record line with its `c` rows, so that every record keeps its own key."""
+    def edit(text):
+        lines = text.splitlines(True)
+        ends = [*(_record_at(lines, k) for k in range(6)), lines.index("model=counts\n")]
+        first, second = lines[ends[a]:ends[a + 1]], lines[ends[b]:ends[b + 1]]
+        lines[ends[b]:ends[b + 1]] = first  # the later slice first: a's indices hold
+        lines[ends[a]:ends[a + 1]] = second
+        return "".join(lines)
+    return edit

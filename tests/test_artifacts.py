@@ -232,9 +232,18 @@ class TestFittedArtifacts:
         (drop_last_concept, "concept 5 needs 4 rows of 8 values"),
         (lambda text: re.sub(r"^(purity=.*),[^,\n]*$", r"\1", text, count=1, flags=re.M),
          "purity needs 6 values, got 5"),
-    ], ids=["missing-center", "missing-first-center", "missing-concept", "short-purity"])
+        # records in the wrong place (test_cli swaps two concepts' records): the
+        # first map record ahead of the counts, a concept record after the maps
+        (lambda text: re.sub(r"(model=counts\n(?:n .*\n)*)(action=.*\n(?:[Ab] .*\n)*)",
+                             r"\2\1", text, count=1),
+         r"the counts record reads action=move_\w+ mse=\S+"),
+        (lambda text: text + re.search(r"^concept=5 .*\n(?:c .*\n)*", text, re.M)[0],
+         r"a map record reads concept=5 inertia=\S+ iterations=1"),
+    ], ids=["missing-center", "missing-first-center", "missing-concept", "short-purity",
+            "map-before-counts", "concept-after-maps"])
     def test_concepts_follow_the_codebook(self, tmp_path, level1_run, edit, message):
-        # each concept has a record and as many centers as the codebook has values
+        # each concept has a record, in its place, and as many centers as the
+        # codebook has values
         _, fitted = level1_run
         save_fitted(tmp_path, fitted)
         edit_sealed(tmp_path / FIT_FILE, edit)

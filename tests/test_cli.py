@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from _sealing import drop_center, drop_last_concept, edit_sealed
+from _sealing import drop_center, drop_last_concept, edit_sealed, swap_concepts
 from benchplan import cli
 from benchplan.artifacts import load_dataset, save_dataset, save_fitted
 from benchplan.cli import main
@@ -263,6 +263,20 @@ class TestPipeline:
         assert run(*EVAL) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: argument --sigma: 1e+160 is too large: ") \
+            and err.count("\n") == 1, err
+
+    def test_eval_refuses_a_fit_whose_concept_records_trade_places(self, workdir, capsys):
+        # rotation (concept 3) and size (5) have 4 centers each, and a level-2 goal
+        # fixes neither: read by position, a fit with their records swapped would
+        # still evaluate at top-1 100%
+        assert run("gen", "--level", 2, "--train", 200, "--val", 5, "--test", 20,
+                   "--seed", 3, "--out", "data.txt") == 0
+        assert run("fit", "--data", "data.txt", "--artifacts", "arts", "--sigma", 0) == 0
+        edit_sealed("arts/fit.txt", swap_concepts(3, 5))
+        capsys.readouterr()
+        assert run(*EVAL) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: arts/fit.txt: the record of concept 3 reads concept=5 ") \
             and err.count("\n") == 1, err
 
     # a cut stops at the seal; the other edits are re-sealed to reach the parser

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from benchplan import evaluate
 from benchplan.evaluate import (
-    asacc,
-    ase,
+    EvalReport,
+    TaskRecord,
     chance_baseline,
     evaluate_task,
     fsd,
@@ -24,21 +24,35 @@ states = st.builds(
     x=st.integers(0, 2), y=st.integers(0, 4))
 
 
+def report(*records):
+    """An EvalReport over TaskRecords given as (gt_len, top1_len, attempt flags)."""
+    return EvalReport(level=1, planner="symbolic", split="test", records=tuple(
+        TaskRecord(task_id=f"T{i}", gt_len=gt_len, attempt_success=tuple(flags),
+                   top1_len=top1_len, fsd=0.0)
+        for i, (gt_len, top1_len, flags) in enumerate(records)))
+
+
+def attempts(*attempt_sets):
+    """An EvalReport over one TaskRecord per attempt set (no attempt: no length)."""
+    return report(*((1, 1 if flags else None, flags) for flags in attempt_sets))
+
+
 class TestASE:
     def test_single_success(self):
-        assert ase([(4, 5, True)]) == pytest.approx(0.8)
+        assert report((4, 5, [True])).ase == pytest.approx(0.8)
 
     def test_all_optimal(self):
-        assert ase([(3, 3, True), (5, 5, True)]) == 1.0
+        assert report((3, 3, [True]), (5, 5, [True])).ase == 1.0
 
     def test_no_successes_absent(self):
-        assert ase([(3, 4, False)]) is None
+        assert report((3, 4, [False])).ase is None
 
     def test_failures_ignored(self):
-        assert ase([(4, 5, True), (1, 9, False)]) == pytest.approx(0.8)
+        # only the first attempt counts: a later success is still a top-1 failure
+        assert report((4, 5, [True]), (1, 9, [False, True])).ase == pytest.approx(0.8)
 
     def test_zero_length_convention(self):
-        assert ase([(0, 0, True)]) == 1.0
+        assert report((0, 0, [True])).ase == 1.0
 
 
 class TestFSD:
@@ -64,19 +78,23 @@ class TestFSD:
 
 class TestASAcc:
     def test_all_first_succeed(self):
-        assert asacc([[True], [True, False]]) == (100.0, 100.0)
+        r = attempts([True], [True, False])
+        assert (r.asacc_top1, r.asacc_top5) == (100.0, 100.0)
 
     def test_third_attempt_only(self):
-        sets = [[False, False, True, False, False]] * 4
-        assert asacc(sets) == (0.0, 100.0)
+        r = attempts(*[[False, False, True, False, False]] * 4)
+        assert (r.asacc_top1, r.asacc_top5) == (0.0, 100.0)
 
     def test_none_succeed(self):
-        assert asacc([[False], []]) == (0.0, 0.0)
+        # an empty attempt set (no plan) counts as a failure
+        r = attempts([False], [])
+        assert (r.asacc_top1, r.asacc_top5) == (0.0, 0.0)
+        assert r.n_tasks == 2
 
     def test_monotone_in_attempts(self):
         base = [[False, True], [False, False]]
         extended = [flags + [True] for flags in base]
-        assert asacc(extended)[1] >= asacc(base)[1]
+        assert attempts(*extended).asacc_top5 >= attempts(*base).asacc_top5
 
 
 class TestChance:

@@ -33,16 +33,18 @@ def fitted(tmp_path_factory):
 
 
 def mutate(lines, draw):
-    """One drawn edit of a copy of `lines`: drop, duplicate or swap a line, cut
-    a vector short, or change one number. The line is drawn by its kind first
-    (the header, a record, or rows of one tag), so that the few record lines
-    are edited as often as the many map rows."""
+    """One drawn edit of a copy of `lines`: drop, duplicate or swap a line, swap
+    the whole record that holds the line (its key=value line and its rows) with
+    another, cut a vector short, or change one number. The line is drawn by its
+    kind first (the header, a record, or rows of one tag), so that the few
+    record lines are edited as often as the many map rows."""
     kinds = {}
     for i, line in enumerate(lines):
         kinds.setdefault(re.match(r"[^ =]*", line)[0], []).append(i)
     at = draw(st.sampled_from(draw(st.sampled_from(sorted(kinds.values())))))
     lines = list(lines)
-    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "cut", "number"]))
+    starts = [i for i, line in enumerate(lines) if i and "=" in line.split(" ", 1)[0]]
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "record", "cut", "number"]))
     if kind == "drop" and len(lines) > 1:
         del lines[at]
     elif kind == "duplicate":
@@ -50,6 +52,13 @@ def mutate(lines, draw):
     elif kind == "swap":
         other = draw(st.integers(0, len(lines) - 1))
         lines[at], lines[other] = lines[other], lines[at]
+    elif kind == "record" and starts and starts[0] <= at:  # the record holding `at`
+        ends = dict(zip(starts, starts[1:] + [len(lines)]))
+        this = max(i for i in starts if i <= at)
+        a, b = sorted((this, draw(st.sampled_from(starts))))
+        if a < b:
+            lines = (lines[:a] + lines[b:ends[b]] + lines[ends[a]:b] + lines[a:ends[a]]
+                     + lines[ends[b]:])
     elif kind == "cut" and "," in lines[at]:
         values = lines[at].rstrip("\n").split(",")
         lines[at] = ",".join(values[:draw(st.integers(1, len(values) - 1))]) + "\n"

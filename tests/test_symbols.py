@@ -281,6 +281,15 @@ class TestSymbolizeOracle:
         clean = [symbolize(encode(s, fitted.codebook), fitted.symbolizer) for s in states]
         assert (symbols != clean) == (sigma > 0)
 
+    @pytest.mark.parametrize("sigma", (0.0, 0.4))
+    def test_a_stack_gives_each_token_set_its_symbols(self, level4_run, sigma):
+        # eval symbolizes a task's (2, 6, dim) init and goal tokens in one call
+        _, fitted = level4_run
+        tokens = np.asarray(token_sample(fitted.codebook, 200, sigma, seed=46)[1])
+        for stack in (tokens, tokens[:2], tokens[:1]):
+            assert symbolize(stack, fitted.symbolizer) == \
+                tuple(symbolize(t, fitted.symbolizer) for t in stack)
+
     def test_exact_ties(self):
         # integer centers and half-integer tokens: every distance is exact, and
         # many tokens sit as near to two centers, a padded last center among them
