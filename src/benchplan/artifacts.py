@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from operator import itemgetter
 
 import numpy as np
 
@@ -67,8 +68,8 @@ def _parse_kv(words: list[str]) -> dict[str, str]:
     return out
 
 
-def _vec(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def _vec(values: np.ndarray) -> str:
+    return ",".join(map(repr, values.tolist()))
 
 
 def _expect(ok: bool, what: str):
@@ -129,6 +130,9 @@ def _write(path: str, text: str):
 # dataset, and the state and cell parsers it shares with the CLI
 
 _STATE_KEYS = ("type", "x", "y", "rot", "color", "size")
+# a task record's init and goal values, in ObjectState's field order, and the action names
+_INIT, _GOAL = (itemgetter(*(f"{p}.{key}" for key in _STATE_KEYS)) for p in ("init", "goal"))
+_ACTION_SET = frozenset(ACTIONS)
 
 
 def parse_state(values: list[str]) -> ObjectState:
@@ -156,9 +160,9 @@ def _cells(cells) -> str:
     return ";".join(f"{x},{y}" for x, y in cells) if cells else "-"
 
 
-def _state_fields(prefix: str, s: ObjectState) -> dict:
-    values = (s.type_id, s.pos_x, s.pos_y, s.rotation, s.color, s.size)
-    return {f"{prefix}.{key}": v for key, v in zip(_STATE_KEYS, values)}
+def _state(prefix: str, s: ObjectState) -> str:
+    return (f"{prefix}.type={s.type_id} {prefix}.x={s.pos_x} {prefix}.y={s.pos_y} "
+            f"{prefix}.rot={s.rotation} {prefix}.color={s.color} {prefix}.size={s.size}")
 
 
 def save_dataset(path: str, dataset: Dataset):
@@ -166,15 +170,13 @@ def save_dataset(path: str, dataset: Dataset):
         level=dataset.level, seed=dataset.seed, codebook_seed=dataset.codebook_seed,
         **dict(zip(SPLITS, dataset.split_sizes)), variant=dataset.variant)]
     for task in dataset.tasks:
-        fields = {"task_id": task.task_id, "split": task.split,
-                  "level": task.env.level,
-                  "obstacles": _cells(task.env.obstacles),
-                  "dyer": _cells([task.env.dyer]) if task.env.dyer else "-",
-                  "dyer_color": task.env.dyer_color if task.env.dyer_color is not None else "-"}
-        fields.update(_state_fields("init", task.init))
-        fields.update(_state_fields("goal", task.goal))
-        fields["gt_actions"] = ",".join(task.gt_actions) if task.gt_actions else "-"
-        lines.append(_kv_line(**fields))
+        env = task.env
+        lines.append(f"task_id={task.task_id} split={task.split} level={env.level} "
+                     f"obstacles={_cells(env.obstacles)} "
+                     f"dyer={_cells([env.dyer]) if env.dyer else '-'} "
+                     f"dyer_color={'-' if env.dyer_color is None else env.dyer_color} "
+                     f"{_state('init', task.init)} {_state('goal', task.goal)} "
+                     f"gt_actions={','.join(task.gt_actions) or '-'}")
     _write(path, _seal("\n".join(lines) + "\n"))
 
 
@@ -183,26 +185,25 @@ def _parse_dataset(header, records) -> Dataset:
     for kv, rows in records:
         _expect(not rows, "a task record has no rows")
         task_id, split = kv["task_id"], kv["split"]
-        _expect(task_id not in tasks, f"task {task_id}: task_id appears twice")
-        _expect(split in SPLITS, f"task {task_id}: split={split} is not {'/'.join(SPLITS)}")
-        env = EnvConfig(level=int(kv["level"]),
-                        obstacles=parse_cells(kv["obstacles"]),
-                        dyer=None if kv["dyer"] == "-" else parse_cell(kv["dyer"]),
-                        dyer_color=None if kv["dyer_color"] == "-" else int(kv["dyer_color"]))
-        _expect(env.level == level, f"task {task_id}: level={env.level}, header level={level}")
-        init, goal = (parse_state([kv[f"{prefix}.{key}"] for key in _STATE_KEYS])
-                      for prefix in ("init", "goal"))
-        _expect(is_valid_state(init, env) and is_valid_state(goal, env),
-                f"task {task_id}: init or goal on an obstacle or the dyer")
-        actions = () if kv["gt_actions"] == "-" else tuple(kv["gt_actions"].split(","))
-        _expect(set(actions) <= set(ACTIONS),
-                f"task {task_id}: unknown action in gt_actions={kv['gt_actions']}")
-        task = tasks[task_id] = Task(env=env, init=init, goal=goal, gt_actions=actions,
-                                     task_id=task_id, split=split)
-        _expect(len(actions) <= env.max_len,
-                f"task {task_id}: gt plan longer than {env.max_len} steps")
-        reason = adjudicate(task, actions).failure_reason  # the judge's own rule
-        _expect(reason == "none", f"task {task_id}: gt plan does not reach its goal ({reason})")
+        try:  # every refusal of a task names it, the bench's and the states' too
+            _expect(task_id not in tasks, "task_id appears twice")
+            _expect(split in SPLITS, f"split={split} is not {'/'.join(SPLITS)}")
+            env = EnvConfig(int(kv["level"]), parse_cells(kv["obstacles"]),
+                            None if kv["dyer"] == "-" else parse_cell(kv["dyer"]),
+                            None if kv["dyer_color"] == "-" else int(kv["dyer_color"]))
+            _expect(env.level == level, f"level={env.level}, header level={level}")
+            init, goal = ObjectState(*map(int, _INIT(kv))), ObjectState(*map(int, _GOAL(kv)))
+            _expect(is_valid_state(init, env) and is_valid_state(goal, env),
+                    "init or goal on an obstacle or the dyer")
+            actions = () if kv["gt_actions"] == "-" else tuple(kv["gt_actions"].split(","))
+            _expect(_ACTION_SET.issuperset(actions),
+                    f"unknown action in gt_actions={kv['gt_actions']}")
+            _expect(len(actions) <= env.max_len, f"gt plan longer than {env.max_len} steps")
+            task = tasks[task_id] = Task(env, init, goal, actions, task_id, split)
+            reason = adjudicate(task, actions).failure_reason  # the judge's own rule
+            _expect(reason == "none", f"gt plan does not reach its goal ({reason})")
+        except ValueError as err:
+            raise ValueError(f"task {task_id}: {err}") from err
     _expect(bool(tasks), "the dataset has no task")
     dataset = Dataset(tasks=list(tasks.values()), seed=int(header["seed"]),
                       codebook_seed=int(header["codebook_seed"]),
@@ -234,8 +235,9 @@ def save_fitted(directory: str, fitted: Fitted):
     lines.append(_kv_line(model="counts"))
     for key in fitted.model.action_keys:
         for k, mat in enumerate(fitted.model.counts[key]):
-            for (w, w2) in zip(*np.nonzero(mat)):
-                lines.append(f"n {key} {k} {w} {w2} {mat[w, w2]}")
+            w, w2 = np.nonzero(mat)
+            lines.extend(f"n {key} {k} {a} {b} {n}"
+                         for a, b, n in zip(w.tolist(), w2.tolist(), mat[w, w2].tolist()))
     for key in maps.action_keys:
         lines.append(_kv_line(action=key, mse=maps.residual_mse[key]))
         lines.extend(f"A {_vec(row)}" for row in maps.matrices[key])

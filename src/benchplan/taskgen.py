@@ -12,11 +12,13 @@ makes generation embarrassingly parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain, compress
 
 import numpy as np
 
 from .workbench import (
     ACTIONS,
+    CELLS,
     N_COLORS,
     N_SIZES,
     N_TYPES,
@@ -49,7 +51,7 @@ _STREAM_UNSEEN = 17
 
 # the oracle searches the moves and the dye; of its fewest turns, a half turn is
 # two rotate_left, as rotate_left comes before rotate_right in ACTIONS
-_DYE = ACTIONS.index("change_color")
+_N_ACTIONS, _DYE = len(ACTIONS), ACTIONS.index("change_color")
 _SEARCHED = tuple(a for a, action in enumerate(ACTIONS) if not action.startswith("rotate_"))
 _TURNS = {0: (), 90: ("rotate_right",), 180: ("rotate_left",) * 2, 270: ("rotate_left",)}
 
@@ -114,11 +116,11 @@ def oracle_shortest_plan(env: EnvConfig, init: ObjectState,
     target = (goal.pos_x * Y_CELLS + goal.pos_y) * 2
     if start == target:
         return turns
-    parents, queue = {start: None}, [start]
+    moves, parents, queue = env.moves, {start: None}, [start]
     for node in queue:  # first in, first out: the loop reads what it appends
         cell, dye_left = divmod(node, 2)
         for a in _SEARCHED:
-            dest = env.moves[cell * len(ACTIONS) + a]
+            dest = moves[cell * _N_ACTIONS + a]
             nxt = dest * 2 + (0 if a == _DYE else dye_left)
             if dest < 0 or nxt in parents:
                 continue
@@ -141,18 +143,17 @@ def _sample_env(level: int, rng: np.random.Generator) -> EnvConfig | None:
         return EnvConfig(level=1)
     n_obstacles = int(rng.integers(1, 4))
     picks = rng.choice(X_CELLS * Y_CELLS, size=n_obstacles + (level >= 3), replace=False)
-    chosen = [divmod(int(i), Y_CELLS) for i in picks]  # the (x, y) of cell i in x-major order
-    obstacles = tuple(chosen[:n_obstacles])
-    dyer = chosen[n_obstacles] if level >= 3 else None
-    if not cells_connected(set(chosen)):
+    chosen = [CELLS[i] for i in picks.tolist()]
+    if not cells_connected(chosen):
         return None
-    dyer_color = int(rng.integers(N_COLORS)) if level >= 3 else None
-    return EnvConfig(level=level, obstacles=obstacles, dyer=dyer, dyer_color=dyer_color)
+    if level == 2:
+        return EnvConfig(level, chosen)
+    return EnvConfig(level, chosen[:-1], chosen[-1], int(rng.integers(N_COLORS)))  # dyer last
 
 
 def _sample_states(level: int, env: EnvConfig,
                    rng: np.random.Generator) -> tuple[ObjectState, ObjectState]:
-    free = [(x, y) for x in range(X_CELLS) for y in range(Y_CELLS) if env.free[x][y]]
+    free = list(compress(CELLS, chain.from_iterable(env.free)))
     init_pos = free[int(rng.integers(len(free)))]
     goal_pos = free[int(rng.integers(len(free)))]
     type_id = int(rng.integers(N_TYPES))
@@ -162,8 +163,8 @@ def _sample_states(level: int, env: EnvConfig,
     if level >= 3 and rng.random() < 0.5:
         # force a color change: goal color is the dyer's, init differs
         goal_color = env.dyer_color
-        others = [c for c in range(N_COLORS) if c != goal_color]
-        init_color = others[int(rng.integers(len(others)))]
+        init_color = int(rng.integers(N_COLORS - 1))  # the index among the other colors
+        init_color += init_color >= goal_color
     else:
         init_color = int(rng.integers(N_COLORS))
         goal_color = init_color
@@ -201,8 +202,8 @@ def _dataset(level: int, counts: tuple[int, int, int], seed: int, variant: str, 
     if min(counts) < 0 or sum(counts) == 0:
         raise ValueError("counts must be nonnegative and sum to > 0")
     splits = [split for split, n in zip(SPLITS, counts) for _ in range(n)]
-    tasks = [replace(draw(i, split), task_id=f"L{level}-{i:05d}", split=split)
-             for i, split in enumerate(splits)]
+    tasks = [Task(t.env, t.init, t.goal, t.gt_actions, f"L{level}-{i:05d}", split)
+             for i, split in enumerate(splits) for t in [draw(i, split)]]
     return Dataset(tasks=tasks, seed=seed, codebook_seed=seed, variant=variant)
 
 

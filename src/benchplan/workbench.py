@@ -9,9 +9,9 @@ pure functions, so states and configs are freely shareable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import product
 from operator import itemgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # only for the adjudicate() type hint
     from .taskgen import Task
@@ -26,6 +26,7 @@ N_TYPES = 8  # default object-type library; unseen-object splits extend past thi
 CONCEPTS = ("type", "pos_x", "pos_y", "rotation", "color", "size")
 TYPE, POS_X, POS_Y, ROTATION, COLOR, SIZE = range(len(CONCEPTS))  # concept indices
 DEFAULT_CARDINALITIES = (N_TYPES, X_CELLS, Y_CELLS, len(ROTATIONS), N_COLORS, N_SIZES)
+CELLS = tuple(product(range(X_CELLS), range(Y_CELLS)))  # CELLS[x * Y_CELLS + y] == (x, y)
 
 ACTIONS = (
     "move_front",
@@ -52,7 +53,7 @@ _OFF_GRID, _COLLISION, _NO_DYER = -1, -2, -3  # move-table codes of an illegal a
 # the move table of a bench with no obstacle and no dyer, and per cell the entries moving into it
 _GRID_MOVES = tuple(_OFF_GRID if not (0 <= x + dx < X_CELLS and 0 <= y + dy < Y_CELLS)
                     else _NO_DYER if action == "change_color" else (x + dx) * Y_CELLS + y + dy
-                    for x, y in product(range(X_CELLS), range(Y_CELLS))
+                    for x, y in CELLS
                     for action in ACTIONS for dx, dy in [_MOVE_DELTAS.get(action, (0, 0))])
 _MOVES_INTO = tuple(tuple(i for i, dest in enumerate(_GRID_MOVES)
                           if dest == cell and ACTIONS[i % _N_ACTIONS] in _MOVE_DELTAS)
@@ -61,8 +62,20 @@ _MOVES_INTO = tuple(tuple(i for i, dest in enumerate(_GRID_MOVES)
 _RESTS = tuple(tuple(tuple(
     rest - rest % N_COLORS + c if a == _CHANGE_COLOR else (rest + turn) % _CELL_CODES
     for a, turn in enumerate(_TURNS)) for rest in range(_CELL_CODES)) for c in range(N_COLORS))
-_COLS = tuple(range(x * Y_CELLS, (x + 1) * Y_CELLS) for x in range(X_CELLS))  # cells by column
 _FIRST_ROW = sum(1 << x * Y_CELLS for x in range(X_CELLS))  # cells with y == 0, as a mask
+
+
+def _dyer_bench(dyer: tuple[int, int] | None) -> tuple:
+    """The near_dyer and moves tables of a bench with its dyer on cell `dyer`,
+    or none, and no cell blocked: dyeing works one move from the dyer."""
+    moves = list(_GRID_MOVES)
+    for i in _MOVES_INTO[dyer[0] * Y_CELLS + dyer[1]] if dyer else ():  # moves into the dyer
+        moves[i - i % _N_ACTIONS + _CHANGE_COLOR] = i // _N_ACTIONS  # dye where they start
+    near = [dest >= 0 for dest in moves[_CHANGE_COLOR::_N_ACTIONS]]  # by cell
+    return tuple(tuple(near[x * Y_CELLS:(x + 1) * Y_CELLS]) for x in range(X_CELLS)), tuple(moves)
+
+
+_DYER_BENCHES = {dyer: _dyer_bench(dyer) for dyer in (*CELLS, None)}
 
 MAX_LEN_BY_LEVEL = {1: 6, 2: 9, 3: 15, 4: 16}
 
@@ -167,16 +180,15 @@ class EnvConfig:
                 raise ValueError("a dyer needs a color in 0..5")
         elif self.dyer_color is not None:
             raise ValueError("dyer_color given without a dyer")
-        dyer = () if self.dyer is None else (self.dyer[0] * Y_CELLS + self.dyer[1],)
-        blocked = {x * Y_CELLS + y for x, y in cells}.union(dyer)
-        near = {i // _N_ACTIONS for d in dyer for i in _MOVES_INTO[d]}  # one move from the dyer
-        moves = list(_GRID_MOVES)  # moves into blocked cells collide; dyeing works by the dyer
-        for i in chain.from_iterable(_MOVES_INTO[cell] for cell in blocked):
-            moves[i] = _COLLISION
-        for cell in near:
-            moves[cell * _N_ACTIONS + _CHANGE_COLOR] = cell
-        object.__setattr__(self, "free", tuple(tuple(c not in blocked for c in x) for x in _COLS))
-        object.__setattr__(self, "near_dyer", tuple(tuple(c in near for c in x) for x in _COLS))
+        # the dyer cell's tables; then each blocked cell is not free, and moves into it collide
+        near_dyer, moves = _DYER_BENCHES[self.dyer]
+        free, moves = [(True,) * Y_CELLS] * X_CELLS, list(moves)
+        for x, y in (*cells, self.dyer) if self.dyer else cells:
+            free[x] = (*free[x][:y], False, *free[x][y + 1:])
+            for i in _MOVES_INTO[x * Y_CELLS + y]:
+                moves[i] = _COLLISION
+        object.__setattr__(self, "free", tuple(free))
+        object.__setattr__(self, "near_dyer", near_dyer)
         object.__setattr__(self, "moves", tuple(moves))
 
     def __reduce__(self):  # pickle and copy the init fields; the tables are rebuilt
@@ -240,8 +252,8 @@ def _state_at(code: int, like: ObjectState) -> ObjectState:
                        rest % N_COLORS, like.size)
 
 
-def cells_connected(blocked: set[tuple[int, int]]) -> bool:
-    """True iff the cells outside `blocked` are one region: a flood fill of cell bit masks."""
+def cells_connected(blocked: Iterable[tuple[int, int]]) -> bool:
+    """True iff the cells outside `blocked`, any iterable of cells, are one region."""
     free = (1 << X_CELLS * Y_CELLS) - 1 & ~sum(1 << x * Y_CELLS + y for x, y in set(blocked))
     region, grown = 0, free & -free  # the lowest free cell
     while grown != region:

@@ -32,6 +32,9 @@ triplets and its stacking of each key's (before, after) pair list, frozen when
 the fit came to read one whole-split stack with a key id per row; `fit_layout`
 puts triplets or pairs into that layout. `point_mass` is the one-hot
 distribution over a symbol state that `propagate`'s tests start from.
+`oracle_dataset_text` and `oracle_vec` are the dataset writer and the fit
+file's vector writer, frozen before they formatted each task line with one
+f-string and each vector from `.tolist()`: every value through `_fmt`.
 """
 
 from collections import Counter, deque
@@ -819,3 +822,47 @@ def point_mass(state: mdp.SymbolState, cardinalities: Sequence[int]) -> list[np.
         v[state[k]] = 1.0
         dist.append(v)
     return dist
+
+
+def _oracle_fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _oracle_kv_line(**fields) -> str:
+    return " ".join(f"{k}={_oracle_fmt(v)}" for k, v in fields.items())
+
+
+def oracle_vec(values) -> str:
+    """`artifacts._vec`, frozen: each value through float() and repr()."""
+    return ",".join(repr(float(v)) for v in values)
+
+
+def _oracle_cells(cells) -> str:
+    return ";".join(f"{x},{y}" for x, y in cells) if cells else "-"
+
+
+def _oracle_state_fields(prefix, s):
+    values = (s.type_id, s.pos_x, s.pos_y, s.rotation, s.color, s.size)
+    keys = ("type", "x", "y", "rot", "color", "size")
+    return {f"{prefix}.{key}": v for key, v in zip(keys, values)}
+
+
+def oracle_dataset_text(dataset) -> str:
+    """`artifacts.save_dataset`, frozen: the text above the seal, each task
+    line a dict of fields written by `_oracle_kv_line`."""
+    lines = ["#workbench-dataset v2 " + _oracle_kv_line(
+        level=dataset.level, seed=dataset.seed, codebook_seed=dataset.codebook_seed,
+        **dict(zip(("train", "val", "test"), dataset.split_sizes)), variant=dataset.variant)]
+    for task in dataset.tasks:
+        fields = {"task_id": task.task_id, "split": task.split,
+                  "level": task.env.level,
+                  "obstacles": _oracle_cells(task.env.obstacles),
+                  "dyer": _oracle_cells([task.env.dyer]) if task.env.dyer else "-",
+                  "dyer_color": task.env.dyer_color if task.env.dyer_color is not None else "-"}
+        fields.update(_oracle_state_fields("init", task.init))
+        fields.update(_oracle_state_fields("goal", task.goal))
+        fields["gt_actions"] = ",".join(task.gt_actions) if task.gt_actions else "-"
+        lines.append(_oracle_kv_line(**fields))
+    return "\n".join(lines) + "\n"

@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from _oracles import oracle_dataset_text, oracle_vec
 from _sealing import drop_center, drop_last_concept, edit_sealed
 from benchplan.artifacts import (
     FIT_FILE,
     MissingArtifact,
     SchemaMismatch,
+    _vec,
     check_compatible,
     load_dataset,
     load_fitted,
@@ -21,8 +23,15 @@ from benchplan.artifacts import (
 )
 from benchplan.evaluate import run_experiment
 from benchplan.fitting import FitConfig, fit_pipeline
-from benchplan.taskgen import generate_dataset, make_unseen_object_split, make_unseen_task_split
-from benchplan.workbench import N_TYPES
+from benchplan.taskgen import (
+    Dataset,
+    Task,
+    generate_dataset,
+    make_unseen_object_split,
+    make_unseen_task_split,
+    oracle_shortest_plan,
+)
+from benchplan.workbench import N_TYPES, EnvConfig, ObjectState
 
 
 def datasets_equal(a, b):
@@ -47,6 +56,27 @@ class TestDatasetFile:
             save_dataset(b, load_dataset(a))
             assert a.read_bytes() == b.read_bytes(), ds.variant
 
+    def test_writer_equals_frozen_writer(self, tmp_path):
+        # what the byte pins never reach: level 1 (no obstacle, no dyer), a
+        # dyer at (0, 0) of color 0, an empty gt plan, and held-out types >= 8
+        corner = EnvConfig(3, ((1, 1), (2, 4)), (0, 0), 0)
+        init = ObjectState(2, 0, 1, 90, 3, 1)
+        goal = ObjectState(2, 1, 0, 90, 0, 1)
+        by_hand = Dataset(tasks=[
+            Task(corner, init, init, (), "L3-00000", "train"),
+            Task(corner, init, goal, oracle_shortest_plan(corner, init, goal), "L3-00001", "test"),
+        ], seed=0, codebook_seed=7)
+        unseen = make_unseen_object_split(generate_dataset(4, (6, 1, 6), seed=13),
+                                          {N_TYPES, N_TYPES + 3, 40})
+        path = tmp_path / "d.txt"
+        for ds, shows in ((generate_dataset(1, (6, 1, 2), seed=13), "obstacles=- dyer=- "),
+                          (by_hand, "dyer=0,0 dyer_color=0 "), (by_hand, "gt_actions=-\n"),
+                          (unseen, "init.type=40 ")):
+            save_dataset(path, ds)
+            text = path.read_text()
+            assert text[:text.rindex("sha256=")] == oracle_dataset_text(ds), ds.variant
+            assert shows in text
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingArtifact):
             load_dataset(tmp_path / "absent.txt")
@@ -64,17 +94,29 @@ class TestDatasetFile:
         assert body.startswith(b"#workbench-dataset v2 ") and body.endswith(b"\n")
         assert seal == hashlib.sha256(body).hexdigest().encode() + b"\n"
 
-    @pytest.mark.parametrize("field, value", [
-        ("init.x", ""), ("init.x", "9"), ("goal.rot", "45"), ("obstacles", "1"),
-        ("gt_actions", "jump"),
-    ], ids=["empty", "off-grid", "bad-rotation", "one-int-cell", "unknown-action"])
-    def test_malformed_task_is_schema_mismatch(self, tmp_path, field, value):
+    @pytest.mark.parametrize("level, field, value, error", [
+        (2, "init.x", "", "invalid literal for int"),
+        (2, "init.x", "9", r"position \(9,\d\) off the grid"),
+        (2, "goal.rot", "45", "rotation 45 not a multiple of 90"),
+        (2, "obstacles", "1", "a cell needs 2 comma-separated ints"),
+        (2, "gt_actions", "jump", "unknown action in gt_actions=jump"),
+        (2, "dyer", "1,1", "level 2 admits no dyer"),
+        (4, "dyer", "-", "level 4 requires a dyer"),
+        (4, "dyer", "3,0", r"dyer \(3, 0\) off the grid"),
+        (4, "dyer_color", "-", "a dyer needs a color in 0..5"),
+        (4, "dyer_color", "6", "a dyer needs a color in 0..5"),
+    ], ids=["empty", "off-grid", "bad-rotation", "one-int-cell", "unknown-action",
+            "dyer-at-level-2", "no-dyer", "dyer-off-grid", "no-dyer-color", "dyer-color-6"])
+    def test_malformed_task_is_schema_mismatch(self, tmp_path, level, field, value, error):
+        # the refusal is one line that names the file and the task
         path = tmp_path / "d.txt"
-        save_dataset(path, generate_dataset(2, (4, 1, 1), seed=13))
-        edit_sealed(path, lambda text: re.sub(rf"{re.escape(field)}=\S*",
+        save_dataset(path, generate_dataset(level, (4, 1, 1), seed=13))
+        edit_sealed(path, lambda text: re.sub(rf"\b{re.escape(field)}=\S*",
                                               f"{field}={value}", text, count=1))
-        with pytest.raises(SchemaMismatch, match="d.txt"):
+        with pytest.raises(SchemaMismatch, match=rf"d\.txt: task L{level}-00000: {error}") \
+                as caught:
             load_dataset(path)
+        assert "\n" not in str(caught.value)
 
     def test_unsealed_edit_is_schema_mismatch(self, tmp_path):
         # a valid value that the parser would accept; only the seal rejects it
@@ -97,6 +139,14 @@ class TestDatasetFile:
             path.write_text("".join(lines[:n]))
             with pytest.raises(SchemaMismatch, match="d.txt"):
                 load_dataset(path)
+
+
+def test_vec_equals_frozen_writer():
+    # signed zeros, the least subnormal, extremes, and whole numbers as floats
+    rows = ([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308],
+            [1.0, -3.0, 2.0 ** 53, 1e16, 123456789.0, 0.1, 1 / 3, 2.5e-8])
+    for row in rows:
+        assert _vec(np.array(row)) == oracle_vec(row) == oracle_vec(np.array(row))
 
 
 class TestFittedArtifacts:

@@ -3,8 +3,9 @@ through `next_code`, and the BFS oracle reads its moves and dye over cells and a
 still-to-dye flag. They agree with the per-action rules, the ObjectState loop
 and the ObjectState BFS they replaced, and `next_code` with the all-actions
 `next_codes` the oracle searched before.
-Each bench copies its tables from one grid table, and they equal those of the
-builder that tested every cell and action in turn."""
+Each bench copies its tables from the one bench of its dyer cell and marks its
+blocked cells, and they equal those of the builder that tested every cell and
+action in turn."""
 
 import itertools
 
@@ -207,6 +208,18 @@ def test_cells_connected_equals_frozen_check():
     assert not cells_connected({(1, y) for y in range(Y_CELLS)})
 
 
+def test_cells_connected_takes_cells_in_any_iterable():
+    # lists and iterators that repeat a cell, as well as sets
+    rng = np.random.default_rng(47)
+    repeats = 0
+    for _ in range(500):
+        blocked = [CELLS[i] for i in rng.integers(len(CELLS), size=int(rng.integers(1, 16)))]
+        repeats += len(set(blocked)) < len(blocked)
+        expected = oracle_cells_connected(set(blocked))
+        assert cells_connected(blocked) == cells_connected(iter(blocked)) == expected, blocked
+    assert repeats
+
+
 def sampler_layouts():
     """Every layout the bench sampler can draw, and the obstacle-free ones it
     cannot: levels 2-4 with 0-3 obstacles, at levels 3 and 4 with the dyer on
@@ -241,6 +254,24 @@ def test_bench_tables_equal_frozen_builder():
     assert len(layouts) == 1 + 576 + 2 * 7050  # 576 obstacle sets, 7050 with a dyer
     for layout in layouts:
         assert built(*layout) == frozen(*layout), layout
+
+
+def test_bench_tables_with_many_obstacles_equal_frozen_builder():
+    # the loader and `plan --obstacles` take any count: 500 layouts of 4-14
+    # obstacles, in drawn order, at level 2 or with a dyer at levels 3 and 4,
+    # which one time in ten sits on an obstacle
+    rng = np.random.default_rng(43)
+    counts, refused = set(), 0
+    for _ in range(500):
+        picks = [CELLS[i] for i in rng.permutation(len(CELLS))]
+        n, level = int(rng.integers(4, 15)), int(rng.integers(2, 5))
+        dyer = None if level == 2 else picks[0] if rng.random() < 0.1 else picks[n]
+        layout = (level, tuple(picks[:n]), dyer,
+                  None if dyer is None else int(rng.integers(N_COLORS)))
+        assert built(*layout) == frozen(*layout), layout
+        counts.add((n, dyer is None))
+        refused += dyer in picks[:n]
+    assert counts == set(itertools.product(range(4, 15), (False, True))) and refused
 
 
 INVALID_LAYOUTS = (
