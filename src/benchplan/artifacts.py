@@ -182,10 +182,10 @@ def save_dataset(path: str, dataset: Dataset):
 
 def _parse_dataset(header, records) -> Dataset:
     level, tasks = int(header["level"]), {}
-    for kv, rows in records:
-        _expect(not rows, "a task record has no rows")
-        task_id, split = kv["task_id"], kv["split"]
+    for position, (kv, rows) in enumerate(records, 1):
         try:  # every refusal of a task names it, the bench's and the states' too
+            task_id, split = kv["task_id"], kv["split"]
+            _expect(not rows, "a task record has no rows")
             _expect(task_id not in tasks, "task_id appears twice")
             _expect(split in SPLITS, f"split={split} is not {'/'.join(SPLITS)}")
             env = EnvConfig(int(kv["level"]), parse_cells(kv["obstacles"]),
@@ -202,8 +202,9 @@ def _parse_dataset(header, records) -> Dataset:
             task = tasks[task_id] = Task(env, init, goal, actions, task_id, split)
             reason = adjudicate(task, actions).failure_reason  # the judge's own rule
             _expect(reason == "none", f"gt plan does not reach its goal ({reason})")
-        except ValueError as err:
-            raise ValueError(f"task {task_id}: {err}") from err
+        except (KeyError, ValueError) as err:  # a KeyError names a missing field
+            what = f"missing field {err.args[0]}" if isinstance(err, KeyError) else err
+            raise ValueError(f"task {kv.get('task_id', f'record {position}')}: {what}") from err
     _expect(bool(tasks), "the dataset has no task")
     dataset = Dataset(tasks=list(tasks.values()), seed=int(header["seed"]),
                       codebook_seed=int(header["codebook_seed"]),
@@ -226,7 +227,7 @@ def save_fitted(directory: str, fitted: Fitted):
     c, sym, maps = fitted.config, fitted.symbolizer, fitted.maps
     lines = [FIT_MAGIC + " " + _kv_line(
         dim=c.dim, min_sep=c.min_sep, noise_sigma=c.noise_sigma, thresh=c.thresh,
-        fit_seed=c.seed, restarts=c.restarts, codebook_seed=fitted.codebook_seed),
+        fit_seed=c.seed, restarts=c.restarts, codebook_seed=fitted.codebook.seed),
         _kv_line(purity=",".join(repr(p) for p in fitted.train_purity))]
     for k, centers in enumerate(sym.centers):
         lines.append(_kv_line(concept=k, inertia=sym.inertia[k],
@@ -305,10 +306,10 @@ def load_fitted(directory: str) -> Fitted:
 
 def check_compatible(dataset: Dataset, fitted: Fitted):
     """Dataset and fit artifacts must stem from the same codebook."""
-    if dataset.codebook_seed != fitted.codebook_seed:
+    if dataset.codebook_seed != fitted.codebook.seed:
         raise SchemaMismatch(
             f"dataset codebook seed {dataset.codebook_seed} != "
-            f"artifact codebook seed {fitted.codebook_seed}")
+            f"artifact codebook seed {fitted.codebook.seed}")
 
 
 # ---------------------------------------------------------------------------

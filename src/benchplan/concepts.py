@@ -49,8 +49,9 @@ class ConceptCodebook:
         return tuple(len(c) for c in self.centroids)
 
     @cached_property
-    def stacked(self) -> tuple[np.ndarray, tuple[int, ...]]:  # the tables as one; their starts
-        return np.concatenate(self.centroids), (0, *np.cumsum(self.cardinalities).tolist())
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # tables as one; starts; sizes
+        cards = np.array(self.cardinalities)
+        return np.concatenate(self.centroids), np.cumsum(cards) - cards, cards
 
 
 def _draw_separated(rng: np.random.Generator, count: int, dim: int, min_sep: float,
@@ -100,29 +101,26 @@ def extend_codebook(codebook: ConceptCodebook, new_values: int) -> ConceptCodebo
                            min_sep=codebook.min_sep, centroids=tuple(tables))
 
 
-def encode_states(states: list[ObjectState], codebook: ConceptCodebook,
-                  noise_sigma: float = 0.0,
+def encode_values(values, codebook: ConceptCodebook, noise_sigma: float = 0.0,
                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Tokens of states, (len(states), 6, dim): mu[k][value_k] plus iid N(0, noise_sigma^2)
-    noise, drawn at once in C order, so rng is read as by one draw per state in turn."""
+    """Tokens of concept-value rows, as `ObjectState.values()` gives them, (n, 6, dim):
+    mu[k][value_k] by one gather, plus iid N(0, noise_sigma^2) noise drawn at once in
+    C order, so rng is read as by one draw per row in turn."""
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
-    (table, starts), rows = codebook.stacked, []
-    for state in states:
-        for k, v in enumerate(state.values()):
-            if not 0 <= v < starts[k + 1] - starts[k]:
-                raise UnknownValue(f"{CONCEPTS[k]} value {v} outside codebook "
-                                   f"(cardinality {starts[k + 1] - starts[k]})")
-            rows.append(starts[k] + v)
-    tokens = table.take(rows, axis=0).reshape(len(states), len(CONCEPTS), codebook.dim)
-    if noise_sigma > 0:
-        if rng is None:
-            raise ValueError("noisy encoding needs a caller-provided rng")
-        tokens = tokens + rng.normal(0.0, noise_sigma, tokens.shape)
-    return tokens
+    if noise_sigma > 0 and rng is None:
+        raise ValueError("noisy encoding needs a caller-provided rng")
+    table, starts, cards = codebook.stacked
+    array = np.asarray(values).reshape(-1, len(CONCEPTS))  # no rows: floats; past int64: objects
+    if (quotients := array // cards).any():  # 0 exactly where 0 <= value < cardinality
+        n, k = divmod(int(np.flatnonzero(quotients)[0]), len(CONCEPTS))  # row-major order
+        raise UnknownValue(f"{CONCEPTS[k]} value {values[n][k]} outside codebook "
+                           f"(cardinality {cards[k]})")
+    tokens = table.take((array + starts).astype(np.intp, copy=False), axis=0)
+    return tokens + rng.normal(0.0, noise_sigma, tokens.shape) if noise_sigma > 0 else tokens
 
 
 def encode(state: ObjectState, codebook: ConceptCodebook, noise_sigma: float = 0.0,
            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Tokens for one state, shape (6, dim): `encode_states` of [state]."""
-    return encode_states([state], codebook, noise_sigma, rng)[0]
+    """Tokens for one state, shape (6, dim): `encode_values` of its one row."""
+    return encode_values([state.values()], codebook, noise_sigma, rng)[0]

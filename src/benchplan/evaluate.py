@@ -14,7 +14,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .concepts import ConceptCodebook, encode, encode_states
+from .concepts import ConceptCodebook, encode, encode_values
 from .fitting import Fitted, codebook_for_tasks
 from .mdp import (InvalidInit, NoPlanFound, PlanResult, SymbolMasks, _key_rank,
                   base_action, plan)
@@ -104,8 +104,8 @@ def plan_task(task: Task, fitted: Fitted, codebook: ConceptCodebook, *,
     bench with the symbolic or the token planner; the plans and the two token
     sets. Raises NoPlanFound or InvalidInit when there is no plan."""
     budget = l_max if l_max is not None else task.env.max_len
-    init_tokens, goal_tokens = tokens = encode_states([task.init, task.goal], codebook,
-                                                      noise_sigma, rng)
+    init_tokens, goal_tokens = tokens = encode_values([task.init.values(), task.goal.values()],
+                                                      codebook, noise_sigma, rng)
     masks = SymbolMasks.build(task.env, fitted.value_maps.symbol_to_value)
     if planner == "symbolic":
         result = plan(fitted.model, *symbolize(tokens, fitted.symbolizer), masks,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .concepts import (DEFAULT_DIM, DEFAULT_MIN_SEP, ConceptCodebook, UnknownValue,
-                       build_codebook, extend_codebook)
+                       build_codebook, encode_values, extend_codebook)
 from .concepts import encode  # noqa: F401  unused; perfbench's trace points patch this name
 from .mdp import DEFAULT_THRESH, TransitionModel, action_key, fit_transitions
 from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, UnmeasurablePoints,
@@ -72,10 +72,6 @@ class Fitted:
     def __post_init__(self):
         self.value_maps = value_symbol_maps(self.codebook, self.symbolizer)
 
-    @property
-    def codebook_seed(self) -> int:
-        return self.codebook.seed
-
 
 def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
     """Fit all stages on the dataset's training split."""
@@ -101,8 +97,7 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
     if not key_index:  # no (before, after) pair to count or map
         raise InsufficientPairs("no training task's gt plan takes an action")
     values, key_ids, key_names = np.array(values), np.array(key_ids), tuple(key_index)
-    table, starts = codebook.stacked
-    tokens = table[values + starts[:-1]]  # (n, 6, dim)
+    tokens = encode_values(values, codebook)  # (n, 6, dim)
     if config.noise_sigma > 0:  # each task's noise from its own stream; none at 0
         paths = np.split(tokens, np.flatnonzero(key_ids[:-1] < 0) + 1)  # views of tokens
         for (i, _), rows in zip(train, paths, strict=True):

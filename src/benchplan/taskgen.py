@@ -19,9 +19,11 @@ import numpy as np
 from .workbench import (
     ACTIONS,
     CELLS,
+    COLOR,
     N_COLORS,
     N_SIZES,
     N_TYPES,
+    ROTATION,
     ROTATIONS,
     X_CELLS,
     Y_CELLS,
@@ -29,6 +31,7 @@ from .workbench import (
     ObjectState,
     apply_action,  # noqa: F401  unused; perfbench's trace points patch this name
     cells_connected,
+    goal_concepts,
 )
 
 SPLITS = ("train", "val", "test")
@@ -101,17 +104,19 @@ def oracle_shortest_plan(env: EnvConfig, init: ObjectState,
     concepts `goal_concepts(env.level)` names, the rule the judge applies.
 
     BFS over the nodes cell * 2 + still to dye, through the moves and the dye in
-    ACTIONS order; whether to dye and, at level 4, the fewest turns are read off
-    in closed form. Turns are legal everywhere and change nothing else, and
-    ACTIONS puts moves before turns and turns before the dye, so placing the
-    turns right before the dye, or last, gives the plan a BFS over every (cell,
-    rotation, color) state returns: the lexicographically smallest shortest
-    one. Raises Unreachable when no legal path exists.
+    ACTIONS order; whether to dye and the fewest turns, where the goal fixes
+    color and rotation, are read off in closed form. Turns are legal everywhere
+    and change nothing else, and ACTIONS puts moves before turns and turns
+    before the dye, so placing the turns right before the dye, or last, gives
+    the plan a BFS over every (cell, rotation, color) state returns: the
+    lexicographically smallest shortest one. Raises Unreachable when no legal
+    path exists.
     """
-    if init.color != goal.color != env.dyer_color:  # no dye gives the goal's color
+    fixed = goal_concepts(env.level)
+    to_dye = int(COLOR in fixed and init.color != goal.color)
+    if to_dye and goal.color != env.dyer_color:  # no dye gives the goal's color
         raise Unreachable(f"goal {goal} unreachable from {init}")
-    to_dye = int(init.color != goal.color)
-    turns = _TURNS[(goal.rotation - init.rotation) % 360] if env.level == 4 else ()
+    turns = _TURNS[(goal.rotation - init.rotation) % 360] if ROTATION in fixed else ()
     start = (init.pos_x * Y_CELLS + init.pos_y) * 2 + to_dye
     target = (goal.pos_x * Y_CELLS + goal.pos_y) * 2
     if start == target:

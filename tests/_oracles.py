@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from benchplan import mdp
-from benchplan.concepts import UnknownValue, encode_states
+from benchplan.concepts import UnknownValue, encode_values
 from benchplan.mdp import (
     NoPlanFound,
     Plan,
@@ -767,7 +767,7 @@ def encode_trajectory(task, codebook, sigma, rng):
     """States along the gt plan and their (T, 6, dim) token observations: the
     per-task encoding `fitting.fit_pipeline` made before it fit the split as arrays."""
     states = simulate(task.init, task.gt_actions, task.env)
-    return states, encode_states(states, codebook, sigma, rng)
+    return states, encode_values([s.values() for s in states], codebook, sigma, rng)
 
 
 def oracle_fit_transitions(triplets, cardinalities, thresh=mdp.DEFAULT_THRESH):

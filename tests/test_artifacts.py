@@ -105,16 +105,22 @@ class TestDatasetFile:
         (4, "dyer", "3,0", r"dyer \(3, 0\) off the grid"),
         (4, "dyer_color", "-", "a dyer needs a color in 0..5"),
         (4, "dyer_color", "6", "a dyer needs a color in 0..5"),
+        (3, "split", None, "missing field split"),
+        (3, "goal.x", None, "missing field goal.x"),
+        (3, "task_id", None, "missing field task_id"),
     ], ids=["empty", "off-grid", "bad-rotation", "one-int-cell", "unknown-action",
-            "dyer-at-level-2", "no-dyer", "dyer-off-grid", "no-dyer-color", "dyer-color-6"])
+            "dyer-at-level-2", "no-dyer", "dyer-off-grid", "no-dyer-color", "dyer-color-6",
+            "no-split", "no-goal-x", "no-task-id"])
     def test_malformed_task_is_schema_mismatch(self, tmp_path, level, field, value, error):
-        # the refusal is one line that names the file and the task
+        # the refusal is one line that names the file and the task; a value of
+        # None renames the field away, and a task with no id is named by its place
         path = tmp_path / "d.txt"
         save_dataset(path, generate_dataset(level, (4, 1, 1), seed=13))
-        edit_sealed(path, lambda text: re.sub(rf"\b{re.escape(field)}=\S*",
-                                              f"{field}={value}", text, count=1))
-        with pytest.raises(SchemaMismatch, match=rf"d\.txt: task L{level}-00000: {error}") \
-                as caught:
+        edit = ((rf"\b{re.escape(field)}=", f"{field}_=") if value is None
+                else (rf"\b{re.escape(field)}=\S*", f"{field}={value}"))
+        edit_sealed(path, lambda text: re.sub(*edit, text, count=1))
+        task = "record 1" if field == "task_id" else f"L{level}-00000"
+        with pytest.raises(SchemaMismatch, match=rf"d\.txt: task {task}: {error}") as caught:
             load_dataset(path)
         assert "\n" not in str(caught.value)
 
@@ -156,7 +162,7 @@ class TestFittedArtifacts:
         assert os.listdir(tmp_path) == [FIT_FILE]
         loaded = load_fitted(tmp_path)
         assert loaded.config == fitted.config
-        assert loaded.codebook_seed == fitted.codebook_seed
+        assert loaded.codebook.seed == fitted.codebook.seed
         assert loaded.train_purity == fitted.train_purity
         for a, b in zip(loaded.symbolizer.centers, fitted.symbolizer.centers):
             assert np.array_equal(a, b)

@@ -1,9 +1,8 @@
 """A dataset file edited a line at a time and sealed again reaches the parser:
-`load_dataset` must return a Dataset or refuse the file in one line, and `eval`
-on it must run or exit 2 or 3, never with a traceback."""
+`load_dataset` must return a Dataset or refuse the file in one line that names
+no bare KeyError, and `eval`, `fit` and `plan --task-id` on it must keep the
+command line's exit contract (`_cli.run_cli`), never ending in a traceback."""
 
-import contextlib
-import io
 import re
 import shutil
 
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _cli import run_cli
 from _sealing import edit_sealed
 from benchplan import cli
 from benchplan.artifacts import SchemaMismatch, load_dataset
@@ -86,6 +86,7 @@ def test_an_edited_dataset_loads_or_is_refused_in_one_line(sealed, level, data):
         assert isinstance(load_dataset(path), Dataset)
     except SchemaMismatch as err:
         assert str(err).startswith(f"{path}: ") and "\n" not in str(err), err
+        assert "KeyError" not in str(err), err
 
 
 @settings(max_examples=12, derandomize=True, database=None, deadline=None)
@@ -95,11 +96,25 @@ def test_eval_of_an_edited_dataset_runs_or_exits_2_or_3(sealed, level, data):
     original, fit, lines = datasets[level]
     path = root / "edited.txt"
     write_mutated(path, original, lines, data)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["eval", "--data", str(path), "--artifacts", fit,
-                         "--out", str(root / "reports"), "--jobs", "1"])
-    assert code in (0, 2, 3), err.getvalue()
-    if code == 2:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
-            err.getvalue()
+    code, err = run_cli(["eval", "--data", path, "--artifacts", fit,
+                         "--out", root / "reports", "--jobs", "1"])
+    assert code in (0, 2, 3) and "KeyError" not in err, err
+
+
+@settings(max_examples=16, derandomize=True, database=None, deadline=None)
+@given(level=st.sampled_from([2, 4]), command=st.sampled_from(["fit", "plan"]),
+       data=st.data())
+def test_fit_and_plan_of_an_edited_dataset_keep_the_exit_contract(sealed, level, command,
+                                                                    data):
+    root, datasets = sealed
+    original, fit, lines = datasets[level]
+    path = root / "edited.txt"
+    write_mutated(path, original, lines, data)
+    if command == "fit":  # into a directory of its own, so that `fit` stays as made
+        argv = ["fit", "--data", path, "--artifacts", root / "refit", "--sigma", "0"]
+    else:  # an id of the file as it was, so that some are gone
+        task_ids = re.findall(r"\btask_id=(\S+)", "".join(lines))
+        argv = ["plan", "--data", path, "--artifacts", fit,
+                "--task-id", data.draw(st.sampled_from(task_ids))]
+    code, err = run_cli(argv)
+    assert "KeyError" not in err, err

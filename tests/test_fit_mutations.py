@@ -1,15 +1,14 @@
 """A fit file edited a line at a time and sealed again reaches the parser and
-the planner: `eval` must refuse it or run on it, and never end in a traceback.
-Exits 1 and 2 print exactly one `error:` line."""
+the planner: `eval` must refuse it or run on it, keeping the command line's
+exit contract (`_cli.run_cli`)."""
 
-import contextlib
-import io
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _cli import run_cli
 from benchplan import cli
 from benchplan.artifacts import FIT_FILE, _seal
 
@@ -75,11 +74,5 @@ def test_an_edited_fit_is_refused_or_evaluated(fitted, data):
     for _ in range(data.draw(st.integers(1, 3))):
         lines = mutate(lines, data.draw)
         (root / FIT_FILE).write_text(_seal("".join(lines)))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(["eval", "--data", dataset, "--artifacts", str(root),
-                             "--out", str(root / "reports"), "--jobs", "1"])
-        assert code in (0, 1, 2, 3), err.getvalue()
-        if code in (1, 2):
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
-                err.getvalue()
+        run_cli(["eval", "--data", dataset, "--artifacts", root,
+                 "--out", root / "reports", "--jobs", "1"])

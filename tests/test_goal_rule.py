@@ -13,11 +13,14 @@ import benchplan
 from benchplan.concepts import encode
 from benchplan.mdp import NoPlanFound, SymbolMasks, plan
 from benchplan.symbols import symbolize
+from benchplan import taskgen
 from benchplan.taskgen import oracle_shortest_plan
 from benchplan.token_maps import plan_tokenspace, rollout
 from benchplan.workbench import (
     N_COLORS,
     N_SIZES,
+    POS_X,
+    POS_Y,
     ROTATION,
     ROTATIONS,
     X_CELLS,
@@ -79,6 +82,14 @@ def test_oracle_ignores_rotation_below_level_4():
     assert oracle_shortest_plan(EnvConfig(level=3, **BENCH), INIT, TURNED_GOAL) == \
         ("move_front",)
     assert oracle_shortest_plan(EnvConfig(level=4, **BENCH), INIT, TURNED_GOAL) == \
+        ("move_front", "rotate_right")
+
+
+def test_oracle_reads_the_goal_rule(monkeypatch):
+    # a rule whose level-3 goal fixes rotation, and no longer color, must reach the oracle
+    monkeypatch.setattr(taskgen, "goal_concepts", lambda level: (POS_X, POS_Y, ROTATION))
+    recolored = replace(TURNED_GOAL, color=4)  # no dyer of color 4 on the bench
+    assert oracle_shortest_plan(EnvConfig(level=3, **BENCH), INIT, recolored) == \
         ("move_front", "rotate_right")
 
 
