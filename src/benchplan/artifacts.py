@@ -7,15 +7,15 @@ centers), `n` (transition counts), `A`/`b` (affine maps). The fit file writes
 only what cannot be derived: the loader rebuilds the codebook from its seed,
 whose cardinalities size each concept's `c` rows, and the whole transition model
 from the `n` rows, which all pass the one count check (`mdp.count_tables`); each
-record must sit where its key says, its floats be finite, its noise sigma
-nonnegative. A dataset has at least one task,
-unique task ids, and known splits, its header gives its tasks' one level
-and split sizes, and each gt plan reaches its goal within the level's
-`max_len` steps. Every file ends in a seal, one `sha256=<hex>` line over all
-bytes above it; a cut at any point, a flipped byte or an edited header breaks it.
-A wrong magic line, a broken seal or malformed content raises SchemaMismatch
-naming the file. Floats are written with repr(), so round-trips are exact and
-reruns with equal seeds write byte-identical files.
+record must sit where its key says, its floats be finite, its noise sigma and
+seeds nonnegative. A dataset has at least one task, unique task ids and known
+splits, its header gives its tasks' one level and split sizes, and each gt plan
+reaches its goal within the level's `max_len` steps. Every file ends in a seal,
+one `sha256=<hex>` line over all bytes above it, which a cut, a flipped byte or
+an edit breaks. Each kind of value has one reader (fields `_parse_kv`, floats
+`_vectors`, states `parse_state`, action keys `mdp._key_rank`), so a broken seal
+or malformed content raises SchemaMismatch naming the file and what it read.
+Floats are written with repr(): round-trips are exact, reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -51,19 +51,30 @@ class SchemaMismatch(Exception):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
 def _kv_line(**fields) -> str:
     return " ".join(f"{k}={_fmt(v)}" for k, v in fields.items())
 
 
-def _parse_kv(words: list[str]) -> dict[str, str]:
-    out = {}
+class _Fields(dict):
+    """A line's key=value fields; reading a missing one is a ValueError naming it."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing field {key}")
+
+    def seed(self, name: str) -> int:  # numpy's seed sequences take ints >= 0 only
+        _expect(int(self[name]) >= 0, f"{name} is negative: {self[name]}")
+        return int(self[name])
+
+
+def _parse_kv(words: list[str]) -> _Fields:
+    out = _Fields()
     for word in words:
-        key, _, value = word.partition("=")
+        key, eq, value = word.partition("=")
+        if not (key and eq):
+            raise ValueError(f"{word!r} is not key=value, in the line that starts {words[0]}")
         out[key] = value
     return out
 
@@ -77,7 +88,7 @@ def _expect(ok: bool, what: str):
         raise ValueError(what)
 
 
-def _records(lines: list[str]) -> list[tuple[dict[str, str], list[list[str]]]]:
+def _records(lines: list[str]) -> list[tuple[_Fields, list[list[str]]]]:
     """A body as (key=value record, the tagged rows under it); blank lines skip."""
     records = []
     for line in lines:
@@ -99,8 +110,7 @@ def _seal(text: str) -> str:
 
 def _read(path: str, magic: str, parse):
     """`parse(header, records)` of one sealed file; a wrong magic line, a broken
-    seal, or any ValueError, KeyError or IndexError while parsing, raises
-    SchemaMismatch."""
+    seal, or a ValueError while parsing, raises SchemaMismatch."""
     if not os.path.exists(path):
         raise MissingArtifact(path)
     with open(path, "rb") as fh:
@@ -114,9 +124,8 @@ def _read(path: str, magic: str, parse):
     try:
         header, *lines = body.decode("utf-8").splitlines()
         return parse(_parse_kv(header[len(magic):].split()), _records(lines))
-    except (ValueError, KeyError, IndexError) as err:  # a ValueError names the fault itself
-        kind = "" if isinstance(err, ValueError) else f"{type(err).__name__}: "
-        raise SchemaMismatch(f"{path}: {kind}{err}") from err
+    except ValueError as err:
+        raise SchemaMismatch(f"{path}: {err}") from err
 
 
 def _write(path: str, text: str):
@@ -138,8 +147,7 @@ _ACTION_SET = frozenset(ACTIONS)
 def parse_state(values: list[str]) -> ObjectState:
     """A state from exactly six ints: type, x, y, rot, color, size."""
     if len(values) != len(_STATE_KEYS):
-        raise ValueError("a state needs 6 comma-separated ints: "
-                         "type,x,y,rot,color,size")
+        raise ValueError("a state needs 6 comma-separated ints: type,x,y,rot,color,size")
     return ObjectState(*map(int, values))
 
 
@@ -192,7 +200,7 @@ def _parse_dataset(header, records) -> Dataset:
                             None if kv["dyer"] == "-" else parse_cell(kv["dyer"]),
                             None if kv["dyer_color"] == "-" else int(kv["dyer_color"]))
             _expect(env.level == level, f"level={env.level}, header level={level}")
-            init, goal = ObjectState(*map(int, _INIT(kv))), ObjectState(*map(int, _GOAL(kv)))
+            init, goal = parse_state(_INIT(kv)), parse_state(_GOAL(kv))
             _expect(is_valid_state(init, env) and is_valid_state(goal, env),
                     "init or goal on an obstacle or the dyer")
             actions = () if kv["gt_actions"] == "-" else tuple(kv["gt_actions"].split(","))
@@ -202,13 +210,11 @@ def _parse_dataset(header, records) -> Dataset:
             task = tasks[task_id] = Task(env, init, goal, actions, task_id, split)
             reason = adjudicate(task, actions).failure_reason  # the judge's own rule
             _expect(reason == "none", f"gt plan does not reach its goal ({reason})")
-        except (KeyError, ValueError) as err:  # a KeyError names a missing field
-            what = f"missing field {err.args[0]}" if isinstance(err, KeyError) else err
-            raise ValueError(f"task {kv.get('task_id', f'record {position}')}: {what}") from err
+        except ValueError as err:
+            raise ValueError(f"task {kv.get('task_id', f'record {position}')}: {err}") from err
     _expect(bool(tasks), "the dataset has no task")
-    dataset = Dataset(tasks=list(tasks.values()), seed=int(header["seed"]),
-                      codebook_seed=int(header["codebook_seed"]),
-                      variant=header.get("variant", "standard"))
+    dataset = Dataset(tasks=list(tasks.values()), seed=header.seed("seed"),
+                      codebook_seed=header.seed("codebook_seed"), variant=header["variant"])
     for split, n in zip(SPLITS, dataset.split_sizes):
         _expect(int(header[split]) == n,
                 f"header has {split}={header[split]} but there are {n} {split} tasks")
@@ -247,11 +253,13 @@ def save_fitted(directory: str, fitted: Fitted):
 
 
 def _vectors(rows, tags: list[str], width: int, what: str) -> np.ndarray:
-    """The vector each of `rows` ends with; the rows carry exactly `tags`, and
-    every vector has `width` values."""
-    values = np.array([list(map(float, row[-1].split(","))) for row in rows])
-    _expect([row[0] for row in rows] == tags and values.shape == (len(tags), width),
-            f"{what} needs {len(tags)} rows of {width} values")
+    """The finite vector each of `rows` ends with; the rows carry exactly `tags`,
+    and every vector has `width` values."""
+    _expect([row[0] for row in rows] == tags, f"{what} needs {len(tags)} rows of {width} values")
+    values = [row[-1].split(",") for row in rows]
+    short = next((len(row) for row in values if len(row) != width), 0)  # split gives >= 1
+    _expect(not short, f"{what} needs {width} values, got {short}")
+    values = np.array([list(map(float, row)) for row in values])
     _expect(np.isfinite(values).all(), f"{what} has a value that is not finite")
     return values
 
@@ -259,12 +267,13 @@ def _vectors(rows, tags: list[str], width: int, what: str) -> np.ndarray:
 def _parse_fit(header, records) -> Fitted:
     config = FitConfig(dim=int(header["dim"]), min_sep=float(header["min_sep"]),
                        noise_sigma=float(header["noise_sigma"]),
-                       thresh=float(header["thresh"]), seed=int(header["fit_seed"]),
+                       thresh=float(header["thresh"]), seed=header.seed("fit_seed"),
                        restarts=int(header["restarts"]))
-    codebook = build_codebook(dim=config.dim, seed=int(header["codebook_seed"]),
+    codebook = build_codebook(dim=config.dim, seed=header.seed("codebook_seed"),
                               min_sep=config.min_sep)
     cards = codebook.cardinalities
-    (meta, _), *rest = records
+    _expect(len(records) > len(cards) + 1, f"{len(records)} records, short of the counts record")
+    purity_row, rest = [("purity", records[0][0]["purity"])], records[1:]  # its field first
     concepts, ((counts_kv, count_rows), *map_records) = rest[:len(cards)], rest[len(cards):]
     symbolizer = Symbolizer(
         centers=tuple(_vectors(rows, ["c"] * card, config.dim, f"concept {k}")
@@ -273,11 +282,11 @@ def _parse_fit(header, records) -> Fitted:
         iterations=tuple(int(kv["iterations"]) for kv, _ in concepts))
     for k, (kv, _) in enumerate(concepts):  # records of equal size could trade places
         _expect(kv.get("concept") == str(k), f"the record of concept {k} reads {_kv_line(**kv)}")
-    purity = tuple(float(p) for p in meta["purity"].split(","))
-    _expect(len(purity) == len(cards), f"purity needs {len(cards)} values, got {len(purity)}")
+    (purity,) = _vectors(purity_row, ["purity"], len(cards), "purity").tolist()
 
     _expect(counts_kv == {"model": "counts"}, f"the counts record reads {_kv_line(**counts_kv)}")
-    _expect(all(row[0] == "n" for row in count_rows), "a non-'n' row among the counts")
+    bad = next((row for row in count_rows if len(row) != 6 or row[0] != "n"), ())
+    _expect(not bad, f"count row {' '.join(bad)} is not n <key> <concept> <from> <to> <count>")
     counts = count_tables(((key, int(k), int(w), int(w2), int(n))
                            for _, key, k, w, w2, n in count_rows), cards)
     model = TransitionModel(cardinalities=cards, thresh=config.thresh, counts=counts)
@@ -290,13 +299,13 @@ def _parse_fit(header, records) -> Fitted:
         values = _vectors(rows, ["A"] * size + ["b"], size, f"action {key}")
         matrices[key], offsets[key] = values[:-1], values[-1]
         mses[key] = float(kv["mse"])
-    _expect(np.isfinite([config.noise_sigma, *purity, *symbolizer.inertia, *mses.values()]).all(),
-            "noise_sigma, purity, inertia or mse is not finite")
+    _expect(np.isfinite([config.noise_sigma, *symbolizer.inertia, *mses.values()]).all(),
+            "noise_sigma, inertia or mse is not finite")
     _expect(config.noise_sigma >= 0, f"noise_sigma is negative: {config.noise_sigma}")
     maps = ActionTransitionMaps(dim=config.dim, matrices=matrices, offsets=offsets,
                                 residual_mse=mses)
     return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,
-                  model=model, maps=maps, train_purity=purity)
+                  model=model, maps=maps, train_purity=tuple(purity))
 
 
 def load_fitted(directory: str) -> Fitted:

@@ -138,10 +138,7 @@ def cmd_plan(args) -> int:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_USAGE
     # a dataset task may carry held-out object types, which eval encodes the same way
-    try:
-        codebook = codebook_for_tasks(fitted, [task]) if args.task_id else fitted.codebook
-    except SeparationUnachievable as err:  # more held-out types than the fit can place
-        raise artifacts.SchemaMismatch(f"{args.data}: {err}") from err
+    codebook = codebook_for_tasks(fitted, [task]) if args.task_id else fitted.codebook
     try:
         result, init_tokens, goal_tokens = plan_task(
             task, fitted, codebook, planner="symbolic", noise_sigma=args.sigma,
@@ -186,12 +183,9 @@ def cmd_eval(args) -> int:
     os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before any planning
     reports = {}
     for planner in planners:
-        try:
-            report = run_experiment(dataset, fitted, planner=planner, split=args.split,
-                                    noise_sigma=args.sigma, top_k=args.topk,
-                                    l_max=args.l_max, seed=args.seed, jobs=args.jobs)
-        except SeparationUnachievable as err:  # from codebook_for_tasks, as in cmd_plan
-            raise artifacts.SchemaMismatch(f"{args.data}: {err}") from err
+        report = run_experiment(dataset, fitted, planner=planner, split=args.split,
+                                noise_sigma=args.sigma, top_k=args.topk,
+                                l_max=args.l_max, seed=args.seed, jobs=args.jobs)
         reports[planner] = report
         artifacts.save_report(args.out, report, config_fields)
         ase_txt = f"{report.ase:.4f}" if report.ase is not None else "absent"
@@ -312,6 +306,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (artifacts.MissingArtifact, artifacts.SchemaMismatch, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_ARTIFACTS
+    except SeparationUnachievable as err:  # plan, eval: more held-out types than the fit can place
+        print(f"error: {args.data}: {err}", file=sys.stderr)
         return EXIT_ARTIFACTS
     except UnmeasurablePoints as err:  # fit, plan, eval: token distances overflow a float
         print(f"error: argument --sigma: {args.sigma:g} is too large: {err}", file=sys.stderr)

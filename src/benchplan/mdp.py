@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .workbench import ACTIONS, POS_X, POS_Y, SIZE, TYPE, EnvConfig, goal_concepts
+from .workbench import ACTIONS, N_COLORS, POS_X, POS_Y, SIZE, TYPE, EnvConfig, goal_concepts
 
 DEFAULT_THRESH = 0.01
 
@@ -68,7 +68,12 @@ def base_action(key: str) -> str:
     return key.split("@", 1)[0]
 
 
+_KEYS = frozenset(action_key(a, color) for a in ACTIONS for color in (None, *range(N_COLORS)))
+
+
 def _key_rank(key: str) -> tuple[int, int]:
+    if key not in _KEYS:  # the one key check; keys sort by action, then dyer color
+        raise ValueError(f"{key!r} is not an action key, as `action_key` gives them")
     base, _, ctx = key.partition("@")
     return (ACTIONS.index(base), int(ctx) if ctx else -1)
 
@@ -103,8 +108,7 @@ class TransitionModel:
         if not 0 < self.thresh < 1:
             raise ValueError("thresh must lie in (0, 1)")
         self.action_keys = tuple(sorted(self.counts, key=_key_rank))
-        self.base_actions = tuple(sorted({base_action(k) for k in self.action_keys},
-                                         key=ACTIONS.index))
+        self.base_actions = tuple(dict.fromkeys(map(base_action, self.action_keys)))
         base_of = [self.base_actions.index(base_action(k)) for k in self.action_keys]
         self.occurrences = [np.zeros((c, len(self.base_actions)), dtype=np.int64)
                             for c in self.cardinalities]

@@ -1,9 +1,18 @@
 """Edit a sealed artifact file and seal it again, so that the edit reaches the
-parser instead of stopping at the seal check; and edits of fit.txt text that
-drop a center or a concept, or swap two concepts' records."""
+parser instead of stopping at the seal check; edits of fit.txt text that drop
+a center or a concept, or swap two concepts' records; and drawn edits of the
+key=value fields and action keys of either file's lines."""
 
 import hashlib
 import re
+
+from hypothesis import strategies as st
+
+FIELD_EDITS = ("rename", "drop-field", "stray-word", "bad-key")
+# an action key in a count row, a map record or a gt plan, and keys that
+# `action_key` never gives
+ACTION_KEY = re.compile(r"\b(?:move|rotate|change)_[a-z]+(?:@\d)?\b")
+BAD_KEYS = st.sampled_from(["move_jump", "move_front@3", "change_color@9"])
 
 
 def edit_sealed(path, edit):
@@ -53,3 +62,29 @@ def swap_concepts(a, b):
         lines[ends[a]:ends[a + 1]] = second
         return "".join(lines)
     return edit
+
+
+def edit_field(line, kind, draw):
+    """One drawn edit `kind` (of FIELD_EDITS) of a line: rename the key of a
+    key=value word (`seed=` to `seed_=`), drop such a word, add a stray word, or
+    replace an action key with a key `action_key` never gives. A line with
+    nothing to edit comes back as it is."""
+    if kind == "bad-key":
+        keys = list(ACTION_KEY.finditer(line))
+        if not keys:
+            return line
+        m = draw(st.sampled_from(keys))
+        return line[:m.start()] + draw(BAD_KEYS) + line[m.end():]
+    words = line.rstrip("\n").split(" ")
+    if kind == "stray-word":
+        words.insert(draw(st.integers(0, len(words))), "stray")
+        return " ".join(words) + "\n"
+    fields = [i for i, word in enumerate(words) if "=" in word]
+    if not fields:
+        return line
+    i = draw(st.sampled_from(fields))
+    if kind == "rename":
+        words[i] = words[i].replace("=", "_=", 1)
+    else:
+        del words[i]
+    return " ".join(words) + "\n"

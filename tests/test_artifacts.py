@@ -1,10 +1,12 @@
 import hashlib
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
 
+from _cli import run_cli
 from _oracles import oracle_dataset_text, oracle_vec
 from _sealing import drop_center, drop_last_concept, edit_sealed
 from benchplan.artifacts import (
@@ -405,3 +407,69 @@ def test_desk_fit_bytes_are_pinned(tmp_path, level, sigma):
     save_fitted(tmp_path, fitted)
     digest = hashlib.sha256((tmp_path / FIT_FILE).read_bytes()).hexdigest()
     assert digest == PINNED_DESK_FITS[level, sigma]
+
+
+@pytest.fixture(scope="module")
+def sealed_files(tmp_path_factory):
+    """A level-3 dataset of 44 tasks (dataset seed 1, codebook seed 1) written by
+    `gen`, and its noiseless fit (fit seed 0) written by `fit`."""
+    root = tmp_path_factory.mktemp("refusals")
+    data, fit = root / "d.txt", root / "fit"
+    assert run_cli(["gen", "--level", 3, "--train", 40, "--val", 1, "--test", 3, "--seed", 1,
+                    "--out", data])[0] == 0
+    assert run_cli(["fit", "--data", data, "--artifacts", fit, "--sigma", 0])[0] == 0
+    return data, fit
+
+
+def _sub(pattern, new):
+    return lambda text: re.sub(pattern, new, text, count=1, flags=re.M)
+
+
+# each edit of a dataset, read by `fit`, or of a fit, read by `eval`, and the
+# refusal that names the field, key or record it read
+@pytest.mark.parametrize("file, edit, message", [
+    ("data", _sub(" seed=1 ", " "), "missing field seed"),
+    ("data", _sub(" level=3 ", " "), "missing field level"),
+    ("data", _sub(" test=3 ", " "), "missing field test"),
+    ("data", _sub(" variant=standard", ""), "missing field variant"),
+    ("data", _sub(" split=", " stray split="),
+     "'stray' is not key=value, in the line that starts task_id=L3-00000"),
+    ("data", _sub(" seed=1 ", " seed=-1 "), "seed is negative: -1"),
+    ("data", _sub(" codebook_seed=1 ", " codebook_seed=-1 "), "codebook_seed is negative: -1"),
+    ("fit", _sub(" dim=8 ", " "), "missing field dim"),
+    ("fit", _sub(" codebook_seed=1$", ""), "missing field codebook_seed"),
+    ("fit", _sub(" fit_seed=0 ", " fit_seed=-1 "), "fit_seed is negative: -1"),
+    ("fit", _sub(" codebook_seed=1$", " codebook_seed=-1"), "codebook_seed is negative: -1"),
+    ("fit", _sub(r"^purity=.*\n", ""), "missing field purity"),
+    ("fit", _sub(r" inertia=\S+", ""), "missing field inertia"),
+    ("fit", _sub(r" mse=\S+", ""), "missing field mse"),
+    ("fit", _sub(r"^(c .*),[^,\n]*$", r"\1"), "concept 0 needs 8 values, got 7"),
+    ("fit", _sub(r"^(A .*),[^,\n]*$", r"\1"), "action move_front needs 48 values, got 47"),
+    ("fit", _sub(r"^(n move_front 0 0 0) \d+$", r"\1"),
+     "count row n move_front 0 0 0 is not n <key> <concept> <from> <to> <count>"),
+    ("fit", lambda text: text.splitlines(True)[0], "0 records, short of the counts record"),
+    ("fit", lambda text: text[:text.index("model=counts")], "7 records, short of the counts record"),
+    ("fit", _sub("^n move_front ", "n move_jump "),
+     "'move_jump' is not an action key, as `action_key` gives them"),
+    ("fit", _sub("^n move_front ", "n change_color@x "),
+     "'change_color@x' is not an action key, as `action_key` gives them"),
+    ("fit", _sub("^action=move_front ", "action=move_front@3 "),
+     "'move_front@3' is not an action key, as `action_key` gives them"),
+], ids=["header-no-seed", "header-no-level", "header-no-test", "header-no-variant",
+        "task-stray-word", "negative-seed", "negative-codebook-seed", "fit-no-dim",
+        "fit-no-codebook-seed", "fit-negative-fit-seed", "fit-negative-codebook-seed",
+        "no-purity", "concept-no-inertia", "map-no-mse", "short-c-row", "short-A-row",
+        "count-row-of-5", "no-records", "no-counts-record", "count-key-move_jump",
+        "count-key-change_color@x", "map-key-move_front@3"])
+def test_refusal_names_what_it_read(sealed_files, tmp_path, file, edit, message):
+    data, fit = sealed_files
+    if file == "data":
+        path = tmp_path / "d.txt"
+        shutil.copyfile(data, path)
+        argv = ["fit", "--data", path, "--artifacts", tmp_path / "fit", "--sigma", 0]
+    else:
+        shutil.copytree(fit, tmp_path / "fit")
+        path = tmp_path / "fit" / FIT_FILE
+        argv = ["eval", "--data", data, "--artifacts", path.parent, "--out", tmp_path, "--jobs", 1]
+    edit_sealed(path, edit)
+    assert run_cli(argv) == (2, f"error: {path}: {message}\n")

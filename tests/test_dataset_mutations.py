@@ -1,7 +1,8 @@
 """A dataset file edited a line at a time and sealed again reaches the parser:
-`load_dataset` must return a Dataset or refuse the file in one line that names
-no bare KeyError, and `eval`, `fit` and `plan --task-id` on it must keep the
-command line's exit contract (`_cli.run_cli`), never ending in a traceback."""
+`load_dataset` must return a Dataset or refuse the file in one line of our
+own wording (`_cli.assert_own_message`), and `eval`, `fit` and `plan
+--task-id` on it must keep the command line's exit contract (`_cli.run_cli`),
+never ending in a traceback."""
 
 import re
 import shutil
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _cli import run_cli
-from _sealing import edit_sealed
+from _cli import assert_own_message, run_cli
+from _sealing import FIELD_EDITS, edit_field, edit_sealed
 from benchplan import cli
 from benchplan.artifacts import SchemaMismatch, load_dataset
 from benchplan.taskgen import Dataset
@@ -43,10 +44,11 @@ def sealed(tmp_path_factory):
 
 def mutate(lines, draw):
     """One drawn edit of a copy of `lines`: drop, duplicate or swap a task line,
-    change one int of any line, or cut a line's field short."""
+    change one int of any line, cut a line's field short, or edit a field or a
+    gt plan's action of any line (`_sealing.edit_field`)."""
     lines = list(lines)
     at = draw(st.integers(1, len(lines) - 1))  # a task line
-    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "int", "cut"]))
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "int", "cut", *FIELD_EDITS]))
     if kind == "drop":
         del lines[at]
     elif kind == "duplicate":
@@ -58,6 +60,9 @@ def mutate(lines, draw):
         at = draw(st.integers(0, len(lines) - 1))  # the header too
         m = draw(st.sampled_from(list(INT.finditer(lines[at]))))
         lines[at] = lines[at][:m.start()] + draw(INTS) + lines[at][m.end():]
+    elif kind in FIELD_EDITS:
+        at = draw(st.integers(0, len(lines) - 1))  # the header too
+        lines[at] = edit_field(lines[at], kind, draw)
     else:
         words = lines[at].split(" ")
         i = draw(st.integers(0, len(words) - 1))
@@ -86,7 +91,7 @@ def test_an_edited_dataset_loads_or_is_refused_in_one_line(sealed, level, data):
         assert isinstance(load_dataset(path), Dataset)
     except SchemaMismatch as err:
         assert str(err).startswith(f"{path}: ") and "\n" not in str(err), err
-        assert "KeyError" not in str(err), err
+        assert_own_message(str(err))
 
 
 @settings(max_examples=12, derandomize=True, database=None, deadline=None)
@@ -98,7 +103,7 @@ def test_eval_of_an_edited_dataset_runs_or_exits_2_or_3(sealed, level, data):
     write_mutated(path, original, lines, data)
     code, err = run_cli(["eval", "--data", path, "--artifacts", fit,
                          "--out", root / "reports", "--jobs", "1"])
-    assert code in (0, 2, 3) and "KeyError" not in err, err
+    assert code in (0, 2, 3), err
 
 
 @settings(max_examples=16, derandomize=True, database=None, deadline=None)
@@ -116,5 +121,4 @@ def test_fit_and_plan_of_an_edited_dataset_keep_the_exit_contract(sealed, level,
         task_ids = re.findall(r"\btask_id=(\S+)", "".join(lines))
         argv = ["plan", "--data", path, "--artifacts", fit,
                 "--task-id", data.draw(st.sampled_from(task_ids))]
-    code, err = run_cli(argv)
-    assert "KeyError" not in err, err
+    run_cli(argv)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _cli import run_cli
+from _sealing import FIELD_EDITS, edit_field
 from benchplan import cli
 from benchplan.artifacts import FIT_FILE, _seal
 
@@ -34,16 +35,18 @@ def fitted(tmp_path_factory):
 def mutate(lines, draw):
     """One drawn edit of a copy of `lines`: drop, duplicate or swap a line, swap
     the whole record that holds the line (its key=value line and its rows) with
-    another, cut a vector short, or change one number. The line is drawn by its
-    kind first (the header, a record, or rows of one tag), so that the few
-    record lines are edited as often as the many map rows."""
+    another, cut a vector short, change one number, or edit a field or an action
+    key (`_sealing.edit_field`). The line is drawn by its kind first (the
+    header, a record, or rows of one tag), so that the few record lines are
+    edited as often as the many map rows."""
     kinds = {}
     for i, line in enumerate(lines):
         kinds.setdefault(re.match(r"[^ =]*", line)[0], []).append(i)
     at = draw(st.sampled_from(draw(st.sampled_from(sorted(kinds.values())))))
     lines = list(lines)
     starts = [i for i, line in enumerate(lines) if i and "=" in line.split(" ", 1)[0]]
-    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "record", "cut", "number"]))
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "record", "cut", "number",
+                                 *FIELD_EDITS]))
     if kind == "drop" and len(lines) > 1:
         del lines[at]
     elif kind == "duplicate":
@@ -64,6 +67,8 @@ def mutate(lines, draw):
     elif kind == "number" and (numbers := list(NUMBER.finditer(lines[at]))):
         m = draw(st.sampled_from(numbers))
         lines[at] = lines[at][:m.start()] + draw(VALUES) + lines[at][m.end():]
+    elif kind in FIELD_EDITS:
+        lines[at] = edit_field(lines[at], kind, draw)
     return lines
 
 
