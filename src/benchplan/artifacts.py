@@ -83,9 +83,9 @@ def _vec(values: np.ndarray) -> str:
     return ",".join(map(repr, values.tolist()))
 
 
-def _expect(ok: bool, what: str):
-    if not ok:
-        raise ValueError(what)
+def _expect(ok: bool, what: str, *args):
+    if not ok:  # `what` is formatted with `args` only when it is raised
+        raise ValueError(what.format(*args) if args else what)
 
 
 def _records(lines: list[str]) -> list[tuple[_Fields, list[list[str]]]]:
@@ -98,7 +98,7 @@ def _records(lines: list[str]) -> list[tuple[_Fields, list[list[str]]]]:
         if "=" in words[0]:
             records.append((_parse_kv(words), []))
         else:
-            _expect(bool(records), f"row {words[0]!r} before any record")
+            _expect(bool(records), "row {!r} before any record", words[0])
             records[-1][1].append(words)
     return records
 
@@ -141,7 +141,7 @@ def _write(path: str, text: str):
 _STATE_KEYS = ("type", "x", "y", "rot", "color", "size")
 # a task record's init and goal values, in ObjectState's field order, and the action names
 _INIT, _GOAL = (itemgetter(*(f"{p}.{key}" for key in _STATE_KEYS)) for p in ("init", "goal"))
-_ACTION_SET = frozenset(ACTIONS)
+_ACTION_SET, _SPLIT_NAMES = frozenset(ACTIONS), "/".join(SPLITS)
 
 
 def parse_state(values: list[str]) -> ObjectState:
@@ -195,21 +195,21 @@ def _parse_dataset(header, records) -> Dataset:
             task_id, split = kv["task_id"], kv["split"]
             _expect(not rows, "a task record has no rows")
             _expect(task_id not in tasks, "task_id appears twice")
-            _expect(split in SPLITS, f"split={split} is not {'/'.join(SPLITS)}")
+            _expect(split in SPLITS, "split={} is not {}", split, _SPLIT_NAMES)
             env = EnvConfig(int(kv["level"]), parse_cells(kv["obstacles"]),
                             None if kv["dyer"] == "-" else parse_cell(kv["dyer"]),
                             None if kv["dyer_color"] == "-" else int(kv["dyer_color"]))
-            _expect(env.level == level, f"level={env.level}, header level={level}")
+            _expect(env.level == level, "level={}, header level={}", env.level, level)
             init, goal = parse_state(_INIT(kv)), parse_state(_GOAL(kv))
             _expect(is_valid_state(init, env) and is_valid_state(goal, env),
                     "init or goal on an obstacle or the dyer")
             actions = () if kv["gt_actions"] == "-" else tuple(kv["gt_actions"].split(","))
-            _expect(_ACTION_SET.issuperset(actions),
-                    f"unknown action in gt_actions={kv['gt_actions']}")
-            _expect(len(actions) <= env.max_len, f"gt plan longer than {env.max_len} steps")
+            _expect(_ACTION_SET.issuperset(actions), "unknown action in gt_actions={}",
+                    kv["gt_actions"])
+            _expect(len(actions) <= env.max_len, "gt plan longer than {} steps", env.max_len)
             task = tasks[task_id] = Task(env, init, goal, actions, task_id, split)
             reason = adjudicate(task, actions).failure_reason  # the judge's own rule
-            _expect(reason == "none", f"gt plan does not reach its goal ({reason})")
+            _expect(reason == "none", "gt plan does not reach its goal ({})", reason)
         except ValueError as err:
             raise ValueError(f"task {kv.get('task_id', f'record {position}')}: {err}") from err
     _expect(bool(tasks), "the dataset has no task")
@@ -253,9 +253,12 @@ def save_fitted(directory: str, fitted: Fitted):
 
 
 def _vectors(rows, tags: list[str], width: int, what: str) -> np.ndarray:
-    """The finite vector each of `rows` ends with; the rows carry exactly `tags`,
-    and every vector has `width` values."""
+    """The finite vector of each of `rows`, each one `<tag> <vector>`; the rows
+    carry exactly `tags`, and every vector has `width` values."""
     _expect([row[0] for row in rows] == tags, f"{what} needs {len(tags)} rows of {width} values")
+    if bad := next((row for row in rows if len(row) != 2), None):
+        raise ValueError(f"{what} has a row of {len(bad)} words that starts "
+                         f"{' '.join(bad[:2])}, not {bad[0]} <values>")
     values = [row[-1].split(",") for row in rows]
     short = next((len(row) for row in values if len(row) != width), 0)  # split gives >= 1
     _expect(not short, f"{what} needs {width} values, got {short}")

@@ -156,13 +156,19 @@ def cmd_plan(args) -> int:
         print(f"  {i}. {seq}  [score {p.score:.6f}]")
     for warning in result.warnings:
         print(f"  warning: {warning}")
+    actions = result.best.actions
     try:
-        trace = rollout(init_tokens, result.best.actions, fitted.maps)
+        with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows is named below
+            mses = [token_mse(t, goal_tokens) for t in rollout(init_tokens, actions, fitted.maps)]
     except UnknownAction as err:  # fit gave the key too few pairs for a map
         print(f"token rollout: {err}")
     else:
-        print(f"token rollout: final mse to goal tokens "
-              f"{token_mse(trace[-1], goal_tokens):.6f}")
+        step = next((i for i, mse in enumerate(mses[1:]) if not math.isfinite(mse)), None)
+        if step is None:
+            print(f"token rollout: final mse to goal tokens {mses[-1]:.6f}")
+        else:
+            print(f"token rollout: step {step}: the map of {actions[step]!r} gives tokens "
+                  "whose mse to goal tokens is not finite")
     return EXIT_OK
 
 
@@ -201,8 +207,12 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     fitted = artifacts.load_fitted(args.artifacts)
-    rep = interpretability_report(fitted.maps, fitted.codebook,
-                                  samples=args.samples, seed=args.seed)
+    try:
+        rep = interpretability_report(fitted.maps, fitted.codebook,
+                                      samples=args.samples, seed=args.seed)
+    except UnmeasurablePoints as err:  # a map that overflows: the fit's content
+        path = os.path.join(args.artifacts, artifacts.FIT_FILE)
+        raise artifacts.SchemaMismatch(f"{path}: {err}") from err
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "displacement.tsv"), "w") as fh:
         fh.write(rep.to_text())

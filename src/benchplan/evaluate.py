@@ -18,7 +18,7 @@ from .concepts import ConceptCodebook, encode, encode_values
 from .fitting import Fitted, codebook_for_tasks
 from .mdp import (InvalidInit, NoPlanFound, PlanResult, SymbolMasks, _key_rank,
                   base_action, plan)
-from .symbols import assign, symbolize
+from .symbols import UnmeasurablePoints, assign, symbolize
 from .taskgen import Dataset, Task
 from .token_maps import plan_tokenspace, transition
 from .workbench import (ACTIONS, CONCEPTS, POS_X, POS_Y, ROTATIONS, EnvConfig, ObjectState,
@@ -246,8 +246,13 @@ def interpretability_report(maps, codebook: ConceptCodebook, *,
             for _ in range(max(1, samples // len(keys))):
                 state = sample_state(action, dyer_color)
                 before = encode(state, codebook)
-                after = transition(before, key, maps)
-                displacement[:, j] += np.linalg.norm(after - before, axis=1)
+                with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                    after = transition(before, key, maps)
+                    moved = np.linalg.norm(after - before, axis=1)
+                if not np.isfinite(moved).all():
+                    raise UnmeasurablePoints(f"the map of {key!r} moves tokens by distances "
+                                             "that are not finite")
+                displacement[:, j] += moved
                 ax, ay = (assign(after[k], codebook.centroids[k]) for k in (POS_X, POS_Y))
                 deltas.append((ax - state.pos_x, ay - state.pos_y))
         displacement[:, j] /= len(deltas)

@@ -65,8 +65,19 @@ class Symbolizer:
         return {name: value for name, value in self.__dict__.items() if name != "center_table"}
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+def center_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(..., k) squared distances of (..., dim) points to (..., k, dim) centers,
+    broadcast over leading axes; the one measure of points against centers."""
+    return ((centers - points[..., None, :]) ** 2).sum(axis=-1)
+
+
+def finite_sq_dists(points: np.ndarray, centers: np.ndarray, what: str) -> np.ndarray:
+    """`center_sq_dists` of observed points, refused unless every one is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan has no argmin to trust
+        dists = center_sq_dists(points, centers)
+    if not np.isfinite(dists).all():
+        raise UnmeasurablePoints(f"squared distances from {what} to centers are not finite")
+    return dists
 
 
 def _sq_norms(diff: np.ndarray) -> np.ndarray:
@@ -111,7 +122,7 @@ def _kmeanspp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 def _nearest(cols: np.ndarray, sq_norms: np.ndarray,
              centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """`_sq_dists(cols.T, centers).argmin(axis=1)` by one matmul of |p|^2 - 2 p.c
+    """`center_sq_dists(cols.T, centers).argmin(axis=1)` by one matmul of |p|^2 - 2 p.c
     + |c|^2, the points a second center came within rounding error of, which the
     exact form picks, and whether one is a tie."""
     k, c2 = len(centers), (centers ** 2).sum(axis=1)
@@ -126,7 +137,7 @@ def _nearest(cols: np.ndarray, sq_norms: np.ndarray,
     near, tied = np.empty(0, dtype=np.intp), False
     if np.count_nonzero(close) > len(best):  # a second center within the error
         near = np.flatnonzero(close.sum(axis=0) > 1)
-        exact = _sq_dists(cols[:, near].T, centers)
+        exact = center_sq_dists(cols[:, near].T, centers)
         labels[near] = exact.argmin(axis=1)
         tied = np.count_nonzero(exact == exact.min(axis=1)[:, None]) > len(near)
     return labels, near, tied
@@ -208,13 +219,13 @@ def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
     order = np.lexsort(centers.T[::-1])  # canonical: sort rows lexicographically
     labels = order.argsort()[labels]
     # a tie between distinct centers goes to the lowest canonical index, as in `assign`
-    labels[near] = _sq_dists(cols[:, near].T, centers[order]).argmin(axis=1)
+    labels[near] = center_sq_dists(cols[:, near].T, centers[order]).argmin(axis=1)
     return KMeansResult(centers[order], inertia, iterations, labels)
 
 
 def assign(token: np.ndarray, centers: np.ndarray) -> int:
     """Index of the Euclidean-nearest center; ties -> lowest index."""
-    return int(((centers - token) ** 2).sum(axis=1).argmin())
+    return int(center_sq_dists(token, centers).argmin())
 
 
 def fit_symbolizer(tokens: Sequence[np.ndarray], cardinalities: Sequence[int],
@@ -232,19 +243,10 @@ def fit_symbolizer(tokens: Sequence[np.ndarray], cardinalities: Sequence[int],
     return symbolizer, np.stack([f.labels for f in fits], axis=1)
 
 
-def center_sq_dists(tokens: np.ndarray, symbolizer: Symbolizer) -> np.ndarray:
-    """(..., n_concepts, max k) squared distances of (..., n_concepts, dim) token
-    sets to the padded center table; each row sums over dim as in `assign`."""
-    return ((symbolizer.center_table - tokens[..., None, :]) ** 2).sum(axis=-1)
-
-
 def symbolize(tokens: np.ndarray, symbolizer: Symbolizer) -> tuple:
     """`assign` per concept: the argmin of `center_sq_dists`, with `assign`'s ties.
     A (6, dim) token set gives one tuple of symbols, an (n, 6, dim) stack one per set."""
-    with np.errstate(over="ignore"):  # an inf or nan distance has no argmin to trust
-        dists = center_sq_dists(tokens, symbolizer)
-    if not np.isfinite(dists).all():
-        raise UnmeasurablePoints("squared distances from tokens to centers are not finite")
+    dists = finite_sq_dists(tokens, symbolizer.center_table, "tokens")
     symbols = dists.argmin(axis=-1).tolist()
     return tuple(symbols) if dists.ndim == 2 else tuple(map(tuple, symbols))
 

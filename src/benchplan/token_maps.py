@@ -28,7 +28,7 @@ from .mdp import (
     available_keys,
     layered_kbest,
 )
-from .symbols import Symbolizer, _sq_dists, center_sq_dists, symbolize
+from .symbols import Symbolizer, center_sq_dists, symbolize
 
 MIN_PAIRS = 8          # hard floor per action
 RIDGE_LAMBDA = 1e-6    # disentangled tokens span < 6*dim dims, so always regularize
@@ -111,7 +111,7 @@ def token_mse(pred: np.ndarray, truth: np.ndarray) -> float:
 def _min_center_gaps(symbolizer: Symbolizer) -> list[float]:
     gaps = []
     for centers in symbolizer.centers:
-        pair = _sq_dists(centers, centers)
+        pair = center_sq_dists(centers, centers)
         np.fill_diagonal(pair, np.inf)
         gaps.append(float(np.sqrt(pair.min())))
     return gaps
@@ -144,7 +144,7 @@ def plan_tokenspace(maps: ActionTransitionMaps, init_tokens: np.ndarray,
     def expand(sym_state, entries):
         for _, seq, tokens in entries:  # the K successors' snaps from one distance table
             succs = np.stack([transition(tokens, key, maps) for key in keys])
-            dists = center_sq_dists(succs, symbolizer)  # (K, n_concepts, max k)
+            dists = center_sq_dists(succs, symbolizer.center_table)  # (K, n_concepts, max k)
             # map extrapolations land far from every center: trust none beyond radius
             trusted = (np.sqrt(dists.min(axis=2)) <= radius).all(axis=1)
             for rank, nxt_sym in zip(trusted.nonzero()[0].tolist(),
@@ -152,8 +152,9 @@ def plan_tokenspace(maps: ActionTransitionMaps, init_tokens: np.ndarray,
                 if masks.position_valid(nxt_sym):
                     yield nxt_sym, [(score(succs[rank]), seq + (rank,), succs[rank])]
 
-    found = layered_kbest(init_sym, (score(init_tokens), (), init_tokens), expand,
-                          is_goal, top_k, l_max) if keys else []
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan prediction is untrusted
+        found = layered_kbest(init_sym, (score(init_tokens), (), init_tokens), expand,
+                              is_goal, top_k, l_max) if keys else []
     if not found:
         raise NoPlanFound(f"no plan within {l_max} steps")
     return PlanResult(plans=tuple(

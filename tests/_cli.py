@@ -8,10 +8,11 @@ import io
 from benchplan import cli
 
 # texts that Python or numpy word, never a refusal of ours: a traceback, a bare
-# KeyError or IndexError, a failed tuple unpacking, numpy's ragged-array error
-# and `tuple.index`'s miss
+# KeyError or IndexError, a failed tuple unpacking, numpy's ragged-array error,
+# `tuple.index`'s miss and numpy's floating-point warnings ("RuntimeWarning:
+# overflow encountered in square")
 PYTHON_TEXTS = ("Traceback", "KeyError", "IndexError", "values to unpack", "inhomogeneous",
-                "not in tuple")
+                "not in tuple", "RuntimeWarning", "encountered in")
 
 
 def assert_own_message(text: str, context=None):

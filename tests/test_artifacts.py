@@ -445,6 +445,8 @@ def _sub(pattern, new):
     ("fit", _sub(r" mse=\S+", ""), "missing field mse"),
     ("fit", _sub(r"^(c .*),[^,\n]*$", r"\1"), "concept 0 needs 8 values, got 7"),
     ("fit", _sub(r"^(A .*),[^,\n]*$", r"\1"), "action move_front needs 48 values, got 47"),
+    ("fit", _sub("^c ", "c stray "),
+     "concept 0 has a row of 3 words that starts c stray, not c <values>"),
     ("fit", _sub(r"^(n move_front 0 0 0) \d+$", r"\1"),
      "count row n move_front 0 0 0 is not n <key> <concept> <from> <to> <count>"),
     ("fit", lambda text: text.splitlines(True)[0], "0 records, short of the counts record"),
@@ -459,8 +461,8 @@ def _sub(pattern, new):
         "task-stray-word", "negative-seed", "negative-codebook-seed", "fit-no-dim",
         "fit-no-codebook-seed", "fit-negative-fit-seed", "fit-negative-codebook-seed",
         "no-purity", "concept-no-inertia", "map-no-mse", "short-c-row", "short-A-row",
-        "count-row-of-5", "no-records", "no-counts-record", "count-key-move_jump",
-        "count-key-change_color@x", "map-key-move_front@3"])
+        "c-row-stray-word", "count-row-of-5", "no-records", "no-counts-record",
+        "count-key-move_jump", "count-key-change_color@x", "map-key-move_front@3"])
 def test_refusal_names_what_it_read(sealed_files, tmp_path, file, edit, message):
     data, fit = sealed_files
     if file == "data":

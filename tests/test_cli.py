@@ -10,7 +10,7 @@ import pytest
 
 from _sealing import drop_center, drop_last_concept, edit_sealed, swap_concepts
 from benchplan import cli
-from benchplan.artifacts import load_dataset, save_dataset, save_fitted
+from benchplan.artifacts import FIT_FILE, load_dataset, save_dataset, save_fitted
 from benchplan.cli import main
 from benchplan.taskgen import generate_dataset
 
@@ -485,6 +485,43 @@ class TestThinFit:
         assert "change_color@4" in out.splitlines()[1]
         assert out.endswith(
             "token rollout: step 2: no fitted map for 'change_color@4'\n")
+
+
+class TestOverflowingMap:
+    """A noiseless level-3 fit whose first `A` row, of move_front's map, reads
+    1e200 in every place, sealed again: the map's predictions overflow."""
+
+    @pytest.fixture(scope="class")
+    def fit_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("overflow")
+        assert run("gen", "--level", 3, "--train", 120, "--val", 4, "--test", 6, "--seed", 2,
+                   "--out", root / "data.txt") == 0
+        assert run("fit", "--data", root / "data.txt", "--artifacts", root, "--sigma", 0) == 0
+        edit_sealed(root / FIT_FILE, lambda text: re.sub(
+            r"^A .*$", "A " + ",".join(["1e200"] * 48), text, count=1, flags=re.M))
+        return root
+
+    def test_eval_compare_leaves_the_map_untrusted(self, fit_dir, capsys):
+        assert run("eval", "--data", fit_dir / "data.txt", "--artifacts", fit_dir,
+                   "--out", fit_dir / "rep", "--compare", "--jobs", 1) == 0
+        assert capsys.readouterr() == (
+            "symbolic  top1  83.33%  top5  83.33%  ase 1.0000  fsd 0.2357\n"
+            "chance    top1   0.00%  top5   0.00%  ase absent  fsd 1.6651\n"
+            "token     top1  33.33%  top5  33.33%  ase 1.0000  fsd 1.0107\n", "")
+
+    def test_plan_rollout_names_the_step_that_overflows(self, fit_dir, capsys):
+        assert run("plan", "--artifacts", fit_dir, "--level", 3, "--init", "0,0,0,0,2,1",
+                   "--goal", "0,2,3,0,2,1", "--dyer", "1,1", "--dyer-color", 2) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1].startswith("  1. move_front ") and not err
+        assert out.endswith("token rollout: step 0: the map of 'move_front' gives tokens "
+                            "whose mse to goal tokens is not finite\n")
+
+    def test_report_refuses_the_map(self, fit_dir, capsys):
+        assert run("report", "--artifacts", fit_dir, "--out", fit_dir / "rep") == 2
+        assert capsys.readouterr() == ("", f"error: {fit_dir / FIT_FILE}: the map of "
+                                       "'move_front' moves tokens by distances that are "
+                                       "not finite\n")
 
 
 # every subcommand's option strings with their defaults, BENCHPLAN_ARTIFACTS unset

@@ -1,6 +1,7 @@
-"""A fit file edited a line at a time and sealed again reaches the parser and
-the planner: `eval` must refuse it or run on it, keeping the command line's
-exit contract (`_cli.run_cli`)."""
+"""A fit file edited a line at a time and sealed again reaches the parser, the
+planners, the token rollout and the report: `eval --compare`, `plan` and
+`report` must refuse it or run on it, keeping the command line's exit contract
+(`_cli.run_cli`)."""
 
 import re
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from _cli import run_cli
 from _sealing import FIELD_EDITS, edit_field
 from benchplan import cli
-from benchplan.artifacts import FIT_FILE, _seal
+from benchplan.artifacts import FIT_FILE, _seal, load_dataset
 
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?|nan|inf")
 # replacement numbers: small ints (counts, symbols, concepts, seeds), a sign,
@@ -21,15 +22,20 @@ VALUES = st.sampled_from(["0", "2", "7", "-1", "1e-300", "1e200", "-1e200", "nan
 
 @pytest.fixture(scope="module")
 def fitted(tmp_path_factory):
-    """A level-1 dataset of 24 tasks, its fit file's lines, and a directory to
-    write edited fits to."""
+    """A level-1 dataset of 24 tasks, its fit file's lines, a directory to write
+    edited fits to, and the commands that read an edited fit: `eval --compare`,
+    `plan` of the first test task and `report`."""
     root = tmp_path_factory.mktemp("mutations")
     data = str(root / "data.txt")
     assert cli.main(["gen", "--level", "1", "--train", "20", "--val", "1", "--test", "3",
                      "--seed", "1", "--out", data]) == 0
     assert cli.main(["fit", "--data", data, "--artifacts", str(root), "--sigma", "0"]) == 0
     text = (root / FIT_FILE).read_text()
-    return data, root, text[:text.rindex("sha256=")].splitlines(True)
+    task_id = load_dataset(data).subset("test")[0].task_id
+    commands = (["eval", "--data", data, "--compare", "--out", root / "reports", "--jobs", 1],
+                ["plan", "--data", data, "--task-id", task_id],
+                ["report", "--samples", 4, "--out", root / "reports"])
+    return root, text[:text.rindex("sha256=")].splitlines(True), commands
 
 
 def mutate(lines, draw):
@@ -75,9 +81,9 @@ def mutate(lines, draw):
 @settings(max_examples=250, derandomize=True, database=None)
 @given(data=st.data())
 def test_an_edited_fit_is_refused_or_evaluated(fitted, data):
-    dataset, root, lines = fitted
+    root, lines, commands = fitted
+    command = data.draw(st.sampled_from(commands))
     for _ in range(data.draw(st.integers(1, 3))):
         lines = mutate(lines, data.draw)
         (root / FIT_FILE).write_text(_seal("".join(lines)))
-        run_cli(["eval", "--data", dataset, "--artifacts", root,
-                 "--out", root / "reports", "--jobs", "1"])
+        run_cli([*command, "--artifacts", root])

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+from _cli import assert_own_message
 from benchplan.workbench import ACTIONS, CONCEPTS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -18,6 +19,7 @@ def test_run_all_levels_small():
          "--train", "40", "--val", "2", "--test", "6", "--jobs", "1"],
         capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
+    assert_own_message(done.stderr)  # pytest's warnings filter does not reach a subprocess
     out = done.stdout
     for level in (1, 2, 3, 4):
         assert f"level {level} (gen+fit" in out
