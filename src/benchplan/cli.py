@@ -33,7 +33,7 @@ from .taskgen import (
     oracle_shortest_plan,
 )
 from .token_maps import InsufficientPairs, UnknownAction, rollout, token_mse
-from .workbench import CONCEPTS, EnvConfig
+from .workbench import CONCEPTS, MAX_TYPES, EnvConfig
 
 ENV_ARTIFACT_DIR = "BENCHPLAN_ARTIFACTS"
 
@@ -246,7 +246,8 @@ def build_parser() -> _Parser:
     p.add_argument("--codebook-seed", type=_AT_LEAST_0, default=None)
     p.add_argument("--variant", choices=("standard", "unseen_object", "unseen_task"),
                    default="standard")
-    p.add_argument("--unseen-types", type=_AT_LEAST_1, default=4)
+    p.add_argument("--unseen-types", default=4, type=_bounded(
+        int, f"in 1..{MAX_TYPES - N_TYPES}", lambda v: 1 <= v <= MAX_TYPES - N_TYPES))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

@@ -91,11 +91,12 @@ class TransitionModel:
     cardinalities: tuple[int, ...]
     thresh: float
     counts: dict[str, list[np.ndarray]]  # key -> per concept (k_k, k_k) ints
-    # derived from the counts: the observed keys and atomic actions in action
-    # order, occurrences per concept (k_k, n_base_actions), the probabilities,
-    # and per key, concept and symbol the legality indicator (a bool array),
+    # derived from the counts: the observed keys and atomic actions in action order, each
+    # concept's stride in a state code, occurrences per concept (k_k, n_base_actions), the
+    # probabilities, and per key, concept and symbol the legality indicator (a bool array),
     # the MAP successor (-1 for an unseen row) and its probability
     action_keys: tuple[str, ...] = field(init=False)
+    strides: tuple[int, ...] = field(init=False)
     base_actions: tuple[str, ...] = field(init=False)
     occurrences: list[np.ndarray] = field(init=False, repr=False)
     trans_p: dict[str, list[np.ndarray]] = field(init=False, repr=False)
@@ -109,6 +110,7 @@ class TransitionModel:
             raise ValueError("thresh must lie in (0, 1)")
         self.action_keys = tuple(sorted(self.counts, key=_key_rank))
         self.base_actions = tuple(dict.fromkeys(map(base_action, self.action_keys)))
+        self.strides = tuple(np.cumprod([1, *self.cardinalities[:-1]]).tolist())
         base_of = [self.base_actions.index(base_action(k)) for k in self.action_keys]
         self.occurrences = [np.zeros((c, len(self.base_actions)), dtype=np.int64)
                             for c in self.cardinalities]
@@ -126,36 +128,39 @@ class TransitionModel:
             self.succ_p[key] = [p[np.arange(len(p)), b].tolist()
                                 for p, b in zip(mats, best)]
 
-    def __getstate__(self):  # the step tables and closures are rebuilt per process
+    def __getstate__(self):  # the step tables and key sets are rebuilt per process
         return {name: value for name, value in self.__dict__.items()
-                if name not in ("steps", "closures")}
+                if name not in ("steps", "key_sets")}
 
     @cached_property
-    def closures(self) -> dict[tuple[tuple[str, ...], int, int], list[int]]:
-        """(keys, k, w) -> concept k's symbols reachable from w under the keys' MAP successors,
-        sorted. A bench's keys depend only on its dyer color: at most 7 key sets."""
+    def key_sets(self) -> dict[tuple[str, ...], tuple[np.ndarray, dict]]:
+        """keys -> their rows' offsets in flat `steps`, and closures (k, w) -> concept k's symbols
+        their MAP successors reach from w, sorted and as codes. At most 7: one per dyer color."""
         return {}
 
     @cached_property
     def steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per key (row) and symbol-state code `ravel_multi_index(state,
-        cardinalities, order="F")`: `succ`, the MAP successor's code, -1 where
-        the key is illegal (one `action_legal` read per key) or a row unseen;
-        `prob`, the step probability, multiplied in concept order from 1.0.
-        `cell[code]` is sx * cardinalities[POS_Y] + sy. Built on first use."""
+        """Per key (row) and symbol-state code `sum(state * strides)`: `succ`,
+        the MAP successor's code, -1 where the key is illegal (one
+        `action_legal` read per key) or a row unseen; `prob`, the step
+        probability, multiplied in concept order from 1.0; `gate`, the index of
+        the step's bench flag (`SymbolMasks.flags`), -1 where succ is -1."""
         cards = self.cardinalities
         grid = np.ix_(*map(range, reversed(cards)))[::-1]  # concept 0 on the last axis
         succ = np.empty((len(self.action_keys), math.prod(cards)), dtype=np.int32)
-        prob = np.empty(succ.shape)
+        prob, gate = np.empty(succ.shape), np.empty(succ.shape, dtype=np.int16)
+        n_cells, cell = cards[POS_X] * cards[POS_Y], grid[POS_X] * cards[POS_Y] + grid[POS_Y]
         for i, key in enumerate(self.action_keys):
             nxt = [np.array(row)[w] for row, w in zip(self.succ[key], grid)]
             ok = action_legal(self, grid, key) & reduce(and_, [w >= 0 for w in nxt])
-            code = sum(w * stride for w, stride in zip(nxt, np.cumprod([1, *cards[:-1]])))
+            code = sum(w * stride for w, stride in zip(nxt, self.strides))
             succ[i] = np.where(ok, code, -1).ravel()
             p = [np.array(row)[w] for row, w in zip(self.succ_p[key], grid)]
             prob[i] = reduce(mul, p, 1.0).ravel()
-        cell = np.broadcast_to(grid[POS_X] * cards[POS_Y] + grid[POS_Y], cards[::-1])
-        return succ, prob, cell.ravel().astype(np.int16)
+            to = nxt[POS_X] * cards[POS_Y] + nxt[POS_Y]  # a cell that must be free
+            near = cell if base_action(key) == "change_color" else n_cells  # the dyer's, or none
+            gate[i] = np.where(ok, n_cells * near + to, -1).ravel()
+        return succ, prob, gate
 
 
 def _row_normalized(counts: np.ndarray) -> np.ndarray:
@@ -207,9 +212,9 @@ class SymbolMasks:
 
     `valid[sx][sy]` holds when the cell that position symbols (sx, sy) stand
     for under the fit's value maps is free, `adjacent[sx][sy]` when it is next
-    to the dyer, so the planner reads both on symbol states however the cluster
-    labels came out. `goal_concepts` are those the bench level's goal fixes;
-    both planners test them.
+    to the dyer; the planner reads both as `flags`, on symbol states however
+    the cluster labels came out. `goal_concepts` are those the bench level's
+    goal fixes; both planners test them.
     """
 
     valid: tuple[tuple[bool, ...], ...]
@@ -225,6 +230,13 @@ class SymbolMasks:
         return cls(valid=tuple(tuple(env.free[x][y] for y in ys) for x in xs),
                    adjacent=tuple(tuple(env.near_dyer[x][y] for y in ys) for x in xs),
                    dyer_color=env.dyer_color, goal_concepts=goal_concepts(env.level))
+
+    @cached_property
+    def flags(self) -> np.ndarray:
+        """What the gates of `TransitionModel.steps` index, over the n cells c = sx * len(valid[0])
+        + sy: at n * a + c, adjacent at a and valid at c; at n * n + c, valid at c; False last."""
+        valid = np.ravel(self.valid)
+        return np.concatenate([np.outer(self.adjacent, valid).ravel(), valid, [False]])
 
     def position_valid(self, state: SymbolState) -> bool:
         return self.valid[state[POS_X]][state[POS_Y]]
@@ -351,39 +363,41 @@ def _search_graph(model: TransitionModel, masks: SymbolMasks, init: SymbolState,
     """The graph one `plan` call searches, with exact goal distances.
 
     Its nodes are the codes, ascending, of the product of each concept's
-    `closures` from init's symbol: every state the search can reach. A node's
-    steps are the model's `steps` where the successor cell is free and, for
-    change_color, the node's cell is next to the dyer; a dense code -> node
-    table maps them to nodes, and every code outside the graph, -1 among them,
-    to the "no step" node n. A backward BFS from the goal nodes gives each node
-    its distance, l_max + 1 when above l_max. Returns that table, the distances
-    and `steps_from(i)`: node i's (successor node, step probability, rank,
-    successor distance) steps in rank order, but none onto a successor l_max or
-    more steps from the goal, which no plan within l_max takes.
+    closure from init's symbol: every state the search can reach. Its steps
+    are the model's `steps` whose gates the bench's `flags` pass; a dense
+    code -> node table maps them to nodes, and every other code, -1 among
+    them, to the "no step" node n. A backward BFS from the goal nodes gives
+    each node its distance, l_max + 1 when above l_max. Returns that table,
+    the distances and `steps_from(i)`: node i's (successor node, step
+    probability, rank, successor distance) steps in rank order, but none onto
+    a successor l_max or more steps from the goal: no plan within l_max does.
     """
+    succ_table, prob_table, gate_table = model.steps
+    if keys not in model.key_sets:  # each key's row, as an offset in the flattened tables
+        rows = np.array([*map(model.action_keys.index, keys)], dtype=np.intp)[:, None]
+        model.key_sets[keys] = rows * succ_table.shape[1], {}
+    rows, reach = model.key_sets[keys]
     closures = []
     for k, w in enumerate(init):
-        if (keys, k, w) not in model.closures:
-            reached, rows = [w], [model.succ[key][k] for key in keys]
+        if (k, w) not in reach:
+            reached, succ = [w], [model.succ[key][k] for key in keys]
             for v in reached:  # grows while it is read
-                reached.extend({row[v] for row in rows}.difference(reached, (-1,)))
-            model.closures[keys, k, w] = sorted(reached)
-        closures.append(model.closures[keys, k, w])
-    at = _codes(closures, model.cardinalities)
-    succ_table, prob_table, cell = model.steps
-    rows = [model.action_keys.index(key) for key in keys]
-    succ = succ_table.take(at, axis=1)[rows]  # (key, node)
-    ok = (succ >= 0) & np.ravel(masks.valid)[cell[succ]]
-    recolors = [base_action(key) == "change_color" for key in keys]
-    ok[recolors] &= np.ravel(masks.adjacent)[cell[at]]  # environment knowledge, not counts
+                reached.extend({row[v] for row in succ}.difference(reached, (-1,)))
+            reach[k, w] = sorted(reached), np.sort(reached) * model.strides[k]
+        closures.append(reach[k, w])
+    at = reduce(np.add.outer, [codes for _, codes in reversed(closures)]).ravel()
+    flat = rows + at  # (key, node) -> its entry in the step tables
     n = len(at)
     node = np.full(succ_table.shape[1] + 1, n, dtype=np.intp)
     node[at] = np.arange(n)
-    heads = node[np.where(ok, succ, -1)]
+    heads = node[np.where(masks.flags[gate_table.take(flat)], succ_table.take(flat), -1)]
     preds = (np.argsort(heads, axis=None, kind="stable") % n).tolist()  # grouped by head
     ends = [0, *np.bincount(heads.ravel(), minlength=n + 1).cumsum().tolist()]
-    queue = node[_codes([[w for w in syms if k not in masks.goal_concepts or w == goal[k]]
-                         for k, syms in enumerate(closures)], model.cardinalities)].tolist()
+    queue, stride = [0], n
+    for k, (syms, _) in reversed(list(enumerate(closures))):  # the goal nodes, ascending
+        stride //= len(syms)
+        queue = [i + j * stride for i in queue for j, w in enumerate(syms)
+                 if k not in masks.goal_concepts or w == goal[k]]
     dist = [l_max + 1] * (n + 1)
     for i in queue:
         dist[i] = 0
@@ -394,7 +408,7 @@ def _search_graph(model: TransitionModel, masks: SymbolMasks, init: SymbolState,
             if dist[j] > l_max:
                 dist[j] = dist[i] + 1
                 queue.append(j)
-    heads_of, probs_of = heads.T.tolist(), prob_table.take(at, axis=1)[rows].T.tolist()
+    heads_of, probs_of = heads.T.tolist(), prob_table.take(flat).T.tolist()
 
     @cache
     def steps_from(i):
@@ -402,15 +416,6 @@ def _search_graph(model: TransitionModel, masks: SymbolMasks, init: SymbolState,
                 if dist[h] < l_max]
 
     return node, dist[:n], steps_from
-
-
-def _codes(symbols: Sequence[Sequence[int]], cards: Sequence[int]) -> np.ndarray:
-    """The codes of the product of per-concept sorted symbol lists, ascending ints."""
-    codes, stride = np.zeros(1, dtype=np.intp), math.prod(cards)
-    for syms, card in zip(symbols[::-1], cards[::-1]):
-        stride //= card
-        codes = (codes[:, None] + np.asarray(syms, dtype=np.intp) * stride).ravel()
-    return codes
 
 
 def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
@@ -445,7 +450,7 @@ def plan(model: TransitionModel, init: SymbolState, goal: SymbolState,
                      for c in (TYPE, SIZE) if init[c] != goal[c])
     keys = available_keys(model, masks)  # in model order, so ranks order as keys do
     node_of, dist, steps_from = _search_graph(model, masks, init, goal, keys, l_max)
-    start = int(node_of[np.ravel_multi_index(init, model.cardinalities, order="F")])
+    start = int(node_of[sum(map(mul, init, model.strides))])
     if dist[start] == 0:  # init matches the goal
         return PlanResult(plans=(Plan((), 1.0),), warnings=warnings)
 

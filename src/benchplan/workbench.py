@@ -22,6 +22,7 @@ ROTATIONS = (0, 90, 180, 270)
 N_COLORS = 6
 N_SIZES = 4
 N_TYPES = 8  # default object-type library; unseen-object splits extend past this
+MAX_TYPES = 1024  # type ids run below this: the eval codebook draws every id up to the largest
 
 CONCEPTS = ("type", "pos_x", "pos_y", "rotation", "color", "size")
 TYPE, POS_X, POS_Y, ROTATION, COLOR, SIZE = range(len(CONCEPTS))  # concept indices
@@ -127,8 +128,8 @@ class ObjectState:
             raise ValueError(f"color {self.color} out of range")
         if not 0 <= self.size < N_SIZES:
             raise ValueError(f"size {self.size} out of range")
-        if self.type_id < 0:
-            raise ValueError("type_id must be nonnegative")
+        if not 0 <= self.type_id < MAX_TYPES:
+            raise ValueError(f"type_id {self.type_id} out of range 0..{MAX_TYPES - 1}")
 
     def values(self) -> tuple[int, int, int, int, int, int]:
         """Concept values in CONCEPTS order, rotation as an index 0..3."""

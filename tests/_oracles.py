@@ -23,6 +23,9 @@ symbolize oracle is its `assign` per concept, frozen before one broadcast over
 a padded center table; the snap-trust oracle is the token planner's per-concept
 `np.linalg.norm` check, frozen before it read trust off the distance table it
 snaps by; the code oracle is `mdp._codes` frozen before it summed strides.
+`oracle_search_graph` is `mdp._search_graph`, frozen before each closure
+kept its codes and each step of the model's tables its gate into the bench's
+flags; it reads its codes off the code oracle.
 `oracle_next_codes` and `oracle_goal_codes` are the successor and goal codes
 the BFS oracle searched, frozen when it came to search cells and a
 still-to-dye flag, with the dye and the turns read off in closed form.
@@ -761,6 +764,54 @@ def oracle_symbolize(tokens, symbolizer):
 def oracle_codes(symbols, cards):
     """`mdp._codes` as it was: the product's codes by ravel_multi_index."""
     return np.ravel_multi_index(np.ix_(*symbols), cards, order="F").ravel(order="F")
+
+
+def oracle_search_graph(model, masks, init, goal, keys, l_max):
+    """`mdp._search_graph` as it was before the step tables held a gate per
+    step: the bench masks raveled and read through a code -> cell table per
+    call. Each closure is walked afresh, where the frozen code cached it on
+    the model; the model's `succ` and `prob` tables are its own."""
+    cards = model.cardinalities
+    closures = []
+    for k, w in enumerate(init):
+        reached, rows = [w], [model.succ[key][k] for key in keys]
+        for v in reached:  # grows while it is read
+            reached.extend({row[v] for row in rows}.difference(reached, (-1,)))
+        closures.append(sorted(reached))
+    at = oracle_codes(closures, cards)
+    succ_table, prob_table = model.steps[:2]
+    grid = np.ix_(*map(range, reversed(cards)))[::-1]
+    cell = np.broadcast_to(grid[POS_X] * cards[POS_Y] + grid[POS_Y], cards[::-1]).ravel()
+    rows = [model.action_keys.index(key) for key in keys]
+    succ = succ_table.take(at, axis=1)[rows]  # (key, node)
+    ok = (succ >= 0) & np.ravel(masks.valid)[cell[succ]]
+    recolors = [base_action(key) == "change_color" for key in keys]
+    ok[recolors] &= np.ravel(masks.adjacent)[cell[at]]
+    n = len(at)
+    node = np.full(succ_table.shape[1] + 1, n, dtype=np.intp)
+    node[at] = np.arange(n)
+    heads = node[np.where(ok, succ, -1)]
+    preds = (np.argsort(heads, axis=None, kind="stable") % n).tolist()
+    ends = [0, *np.bincount(heads.ravel(), minlength=n + 1).cumsum().tolist()]
+    queue = node[oracle_codes([[w for w in syms if k not in masks.goal_concepts or w == goal[k]]
+                               for k, syms in enumerate(closures)], cards)].tolist()
+    dist = [l_max + 1] * (n + 1)
+    for i in queue:
+        dist[i] = 0
+    for i in queue:  # grows while it is read
+        if dist[i] >= l_max:
+            break
+        for j in preds[ends[i]:ends[i + 1]]:
+            if dist[j] > l_max:
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    heads_of, probs_of = heads.T.tolist(), prob_table.take(at, axis=1)[rows].T.tolist()
+
+    def steps_from(i):
+        return [(h, p, rank, dist[h]) for rank, (h, p) in enumerate(zip(heads_of[i], probs_of[i]))
+                if dist[h] < l_max]
+
+    return node, dist[:n], steps_from
 
 
 def encode_trajectory(task, codebook, sigma, rng):

@@ -3,6 +3,7 @@
 import argparse
 import os
 import re
+import time
 import warnings
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from benchplan import cli
 from benchplan.artifacts import FIT_FILE, load_dataset, save_dataset, save_fitted
 from benchplan.cli import main
 from benchplan.taskgen import generate_dataset
+from benchplan.workbench import MAX_TYPES, N_TYPES
 
 
 @pytest.fixture()
@@ -413,6 +415,33 @@ def test_training_type_past_the_codebook_is_one_line_artifact_error(workdir, cap
     assert run(*FIT) == 2
     assert capsys.readouterr().err == ("error: data.txt: task L2-00000: type value 9 "
                                        "outside codebook (cardinality 8)\n")
+
+
+def test_type_past_the_type_cap_is_one_line_artifact_error(workdir, capsys):
+    # a test task of type 100000: eval would draw a codebook centroid for each
+    # type up to it, for hours; the loader refuses the task instead
+    dataset = generate_dataset(2, (60, 2, 6), seed=4)
+    save_dataset("data.txt", dataset)
+    assert run("fit", "--data", "data.txt", "--artifacts", "arts", "--sigma", 0) == 0
+    edit_sealed("data.txt", lambda text: re.sub(
+        r"^(task_id=L2-00065 .*)init\.type=\d+(.*)goal\.type=\d+",
+        r"\1init.type=100000\2goal.type=100000", text, flags=re.M))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(*EVAL) == 2
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == ("error: data.txt: task L2-00065: "
+                                       "type_id 100000 out of range 0..1023\n")
+
+
+@pytest.mark.parametrize("count, code", [(MAX_TYPES - N_TYPES, 0), (MAX_TYPES - N_TYPES + 1, 1)])
+def test_unseen_types_run_up_to_the_type_cap(workdir, capsys, count, code):
+    assert run(*GEN, "--variant", "unseen_object", "--unseen-types", count) == code
+    if code:
+        assert capsys.readouterr().err == ("error: argument --unseen-types: must be in "
+                                           f"1..{MAX_TYPES - N_TYPES}, got {count}\n")
+    else:
+        assert max(t.init.type_id for t in load_dataset("g.txt").tasks) < MAX_TYPES
 
 
 @pytest.mark.parametrize("value, message", [

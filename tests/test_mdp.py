@@ -109,6 +109,11 @@ class TestFitTransitions:
                         for c in cards]
                   for key in ("move_left", "move_right", "rotate_right", "change_color@1")}
         _assert_step_tables_equal_scalar_rules(TransitionModel(cards, 0.3, counts))
+        # dense counts: every key is legal in most states, and change_color's
+        # MAP successor mostly moves the object, so its gates join two cells
+        dense = {key: [rng.integers(1, 4, size=(c, c)) * (rng.random((c, 1)) < 0.9)
+                       for c in cards] for key in counts}
+        _assert_step_tables_equal_scalar_rules(TransitionModel(cards, 0.05, dense))
 
     def test_level1_position_transitions_deterministic(self, level1_run):
         dataset, fitted = level1_run
@@ -140,23 +145,36 @@ IDENTITY = tuple(tuple(range(c)) for c in DEFAULT_CARDINALITIES)
 
 
 def _assert_step_tables_equal_scalar_rules(model):
-    """`model.steps` against the scalar legality and the frozen MAP successor,
-    for every (code, key), bit for bit."""
-    succ, prob, cell = model.steps
+    """`model.steps` against the scalar legality, the frozen MAP successor and
+    the scalar mask rule, for every (code, key), bit for bit: under benches of
+    random masks, a step's gate reads a flag that holds exactly when the
+    successor's cell is valid and, for change_color, the node's is adjacent."""
+    succ, prob, gate = model.steps
+    assert succ.dtype == np.int32 and gate.dtype == np.int16
+    rng = np.random.default_rng(3)
+    shape = model.cardinalities[POS_X], model.cardinalities[POS_Y]
+    benches = [SymbolMasks(valid=tuple(map(tuple, rng.random(shape) < 0.7)),
+                           adjacent=tuple(map(tuple, rng.random(shape) < 0.5)),
+                           dyer_color=None, goal_concepts=()) for _ in range(2)]
+    assert not any(masks.flags[-1] for masks in benches)  # the gate of no step
     n_steps = 0
     for code, state in enumerate(product(*map(range, reversed(model.cardinalities)))):
         state = state[::-1]  # concept 0 varies fastest
         assert code == np.ravel_multi_index(state, model.cardinalities, order="F")
-        assert cell[code] == state[POS_X] * model.cardinalities[POS_Y] + state[POS_Y]
         for i, key in enumerate(model.action_keys):
             step = oracle_map_successor(model, state, key)
             if not action_legal(model, state, key) or step is None:
-                assert succ[i, code] == -1
+                assert succ[i, code] == -1 and gate[i, code] == -1
                 continue
             n_steps += 1
             assert succ[i, code] == np.ravel_multi_index(step[0], model.cardinalities,
                                                          order="F")
             assert prob[i, code] == step[1]  # bit for bit
+            recolor = key.startswith("change_color")
+            for masks in benches:
+                assert masks.flags[gate[i, code]] == (
+                    masks.position_valid(step[0])
+                    and (not recolor or masks.adjacent[state[POS_X]][state[POS_Y]]))
     assert 0 < n_steps < succ.size
     assert "steps" not in vars(pickle.loads(pickle.dumps(model)))  # per process
 

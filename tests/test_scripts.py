@@ -1,11 +1,14 @@
-"""Smoke test of the reproduction script at a tiny scale."""
+"""Smoke tests of the reproduction and trajectory scripts at a tiny scale."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 
 from _cli import assert_own_message
 from benchplan.workbench import ACTIONS, CONCEPTS
+from perfbench import protocol
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,3 +35,30 @@ def test_run_all_levels_small():
     for line in block:
         action, arrow, concept = line.split()
         assert action in ACTIONS and arrow == "->" and concept in CONCEPTS, line
+
+
+def test_bench_trajectory_small(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "bench_trajectory", os.path.join(ROOT, "scripts", "bench_trajectory.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "bench.json"
+    assert script.main(["--out", str(out), "--seconds", "0"],
+                       seeds=(11, 12), counts=(60, 2, 6)) == 0
+    record = json.loads(out.read_text())
+    assert record["schema"] == 1
+    assert {"git_sha", "dirty", "code_sha256", "nproc", "numpy"} <= record["env"].keys()
+    assert record["settings"] == {"seconds": 0, "seed": 11, "counts": [60, 2, 6]}
+    assert record["workloads"].keys() == {"symbolic-l4", "noisy-pool-l4"}
+    for runs in record["workloads"].values():
+        for run, names in (("end_to_end", protocol.END_TO_END),
+                           ("per_layer", protocol.PER_LAYER)):
+            assert runs[run]["metrics"].keys() == names.keys()
+            assert runs[run]["attempted"] == 6 and runs[run]["problems"] == []
+    cells = record["quality"]["cells"]
+    assert [(c["level"], c["sigma"]) for c in cells] == [
+        (level, sigma) for level in (1, 2, 3, 4) for sigma in (0.0, 0.2)]
+    for cell in cells:
+        top1 = cell["asacc_top1"]
+        assert len(top1["values"]) == 2 and min(top1["values"]) == top1["range"][0]
+        assert top1["range"][0] <= top1["mean"] <= top1["range"][1] <= 100

@@ -1,6 +1,7 @@
 """The shared layered k-best search and the bounded symbolic planner, checked
 against the frozen planners."""
 
+import math
 import pickle
 from collections import deque
 
@@ -15,6 +16,7 @@ from _oracles import (
     oracle_compiled_steps,
     oracle_plan,
     oracle_plan_tokenspace,
+    oracle_search_graph,
     oracle_unbounded_plan,
 )
 from benchplan.concepts import encode
@@ -132,33 +134,47 @@ def test_closures_are_cached_per_key_set_and_not_pickled(level4_run, request):
                 plan(fresh, init, goal, masks, top_k=5, l_max=gt_len + 2)
             except NoPlanFound:
                 pass
-    assert len({keys for keys, _, _ in fresh.closures}) <= N_COLORS + 1
-    for (keys, k, w), reached in fresh.closures.items():  # a walk of the MAP successors
-        seen, frontier = {w}, [w]
-        while frontier:
-            nxt = {fresh.succ[key][k][v] for v in frontier for key in keys} - seen - {-1}
-            seen |= nxt
-            frontier = list(nxt)
-        assert reached == sorted(seen), (keys, k, w)
+    assert 0 < len(fresh.key_sets) <= N_COLORS + 1
+    for keys, (rows, closures) in fresh.key_sets.items():
+        # each key's row, as an offset in the flattened step tables
+        assert rows.tolist() == [[fresh.action_keys.index(key) * fresh.steps[0].shape[1]]
+                                 for key in keys]
+        for (k, w), (reached, codes) in closures.items():  # a walk of the MAP successors
+            seen, frontier = {w}, [w]
+            while frontier:
+                nxt = {fresh.succ[key][k][v] for v in frontier for key in keys} - seen - {-1}
+                seen |= nxt
+                frontier = list(nxt)
+            assert reached == sorted(seen), (keys, k, w)
+            stride = math.prod(fresh.cardinalities[:k])  # codes are ravel_multi_index's, order F
+            assert codes.dtype.kind == "i" and codes.tolist() == [v * stride for v in reached]
     twin = pickle.loads(pickle.dumps(fresh))
-    assert fresh.closures and "steps" in vars(fresh)
-    assert "closures" not in vars(twin) and "steps" not in vars(twin)  # per process
+    assert "steps" in vars(fresh)
+    assert "key_sets" not in vars(twin) and "steps" not in vars(twin)  # per process
 
 
 def test_codes_equal_frozen_ravel():
+    # random count tables give closures of every size on every concept; the
+    # graph's nodes are the codes of their product, ascending
     rng = np.random.default_rng(47)
     cards = DEFAULT_CARDINALITIES
-    for _ in range(300):
-        symbols = [sorted(rng.choice(c, size=int(rng.integers(1, c + 1)), replace=False)
-                          .tolist()) for c in cards]
-        codes = mdp._codes(symbols, cards)
-        assert codes.tolist() == oracle_codes(symbols, cards).tolist(), symbols
-        assert codes.dtype.kind == "i"
-    # no symbol on one concept: no codes, as ints, so indexing with them works
-    symbols[COLOR] = []
-    codes = mdp._codes(symbols, cards)
-    assert codes.dtype.kind == "i" and codes.size == 0
-    assert oracle_codes(symbols, cards).size == 0
+    counts = {key: [rng.integers(0, 3, size=(c, c)) * (rng.random((c, 1)) < 0.6)
+                    for c in cards]
+              for key in ("move_left", "move_front", "rotate_right", "change_color@1")}
+    model = TransitionModel(cards, 0.05, counts)
+    masks = SymbolMasks.build(EnvConfig(level=3, dyer=(1, 1), dyer_color=1),
+                              tuple(tuple(range(c)) for c in cards))
+    keys = available_keys(model, masks)
+    sizes = set()
+    for _ in range(100):
+        init = tuple(int(rng.integers(c)) for c in cards)
+        node_of, dist, _ = mdp._search_graph(model, masks, init, init, keys, 4)
+        closures = [model.key_sets[keys][1][k, w][0] for k, w in enumerate(init)]
+        codes = np.flatnonzero(node_of < len(dist))
+        assert codes.tolist() == oracle_codes(closures, cards).tolist(), closures
+        assert node_of[codes].tolist() == list(range(len(dist)))
+        sizes.update(map(len, closures))
+    assert {1, 2, 3} <= sizes
 
 
 def test_goal_symbol_outside_its_closure(level1_run):
@@ -176,6 +192,26 @@ def test_goal_symbol_outside_its_closure(level1_run):
     for planner in (oracle_unbounded_plan, plan):
         with pytest.raises(NoPlanFound):
             planner(fitted.model, init, goal, masks, l_max=6)
+
+
+@pytest.mark.parametrize("model_keys", [("change_color@1",), ()])
+def test_bench_without_usable_keys(model_keys):
+    # a model that only dyes color 1, on a bench whose dyer dyes 2, and a model
+    # with no key at all: the bench gets no key, so init is the whole graph
+    cards = DEFAULT_CARDINALITIES
+    model = TransitionModel(cards, 0.05, {key: [np.eye(c, dtype=np.int64) for c in cards]
+                                          for key in model_keys})
+    masks = SymbolMasks.build(EnvConfig(level=3, dyer=(1, 1), dyer_color=2),
+                              tuple(tuple(range(c)) for c in cards))
+    assert available_keys(model, masks) == ()
+    cell = next((sx, sy) for sx, row in enumerate(masks.valid)
+                for sy, free in enumerate(row) if free)
+    init = (0, *cell, 0, 0, 0)
+    goal = (*init[:COLOR], 2, *init[COLOR + 1:])
+    for planner in (oracle_unbounded_plan, plan):
+        with pytest.raises(NoPlanFound):
+            planner(model, init, goal, masks, l_max=4)
+        assert planner(model, init, init, masks, l_max=4).plans == (mdp.Plan((), 1.0),)
 
 
 def _budget_cases(run, sigma, request):
@@ -197,6 +233,25 @@ def test_bounded_plan_matches_unbounded_search(run, sigma, request):
                                      masks, top_k=top_k, l_max=l_max)
                 outcomes.add("no plan" if result is None else len(result.plans))
     assert {"no plan", 1, 3, 5, 8} <= outcomes
+
+
+@pytest.mark.parametrize("sigma", (0.0, 0.2))
+@pytest.mark.parametrize("run", ["level3_run", "level4_run"])
+def test_search_graph_equals_frozen_graph(run, sigma, request):
+    # the node table, the distances and every node's steps, at two budgets
+    nodes = 0
+    for model, init, goal, masks, gt_len in _symbolic_cases(run, sigma, request):
+        keys = available_keys(model, masks)
+        for l_max in (gt_len, gt_len + 3):
+            node_of, dist, steps_from = mdp._search_graph(model, masks, init, goal, keys, l_max)
+            want_node_of, want_dist, want_steps_from = oracle_search_graph(
+                model, masks, init, goal, keys, l_max)
+            assert node_of.dtype == want_node_of.dtype
+            assert np.array_equal(node_of, want_node_of) and dist == want_dist
+            for i in range(len(dist)):
+                assert steps_from(i) == want_steps_from(i), (init, i)
+            nodes += len(dist)
+    assert nodes > 1000
 
 
 def _state(code, cardinalities):

@@ -11,6 +11,7 @@ from benchplan.workbench import (
     Collision,
     DyerUnavailable,
     EnvConfig,
+    MAX_TYPES,
     ObjectState,
     OutOfBounds,
     SimulationError,
@@ -122,6 +123,12 @@ class TestValidity:
     def test_off_grid_rejected_by_constructor(self):
         with pytest.raises(ValueError):
             ObjectState(0, 3, 0, 0, 0, 0)
+
+    def test_type_ids_run_below_the_type_cap(self):
+        assert ObjectState(MAX_TYPES - 1, 0, 0, 0, 0, 0).type_id == MAX_TYPES - 1
+        for type_id in (-1, MAX_TYPES, 100000):
+            with pytest.raises(ValueError, match=f"^type_id {type_id} out of range 0..1023$"):
+                ObjectState(type_id, 0, 0, 0, 0, 0)
 
     @given(s=states, rot=st.sampled_from((0, 90, 180, 270)), color=st.integers(0, 5))
     def test_invariant_under_rotation_and_color(self, s, rot, color):
