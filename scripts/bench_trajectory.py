@@ -12,9 +12,10 @@ Writes to --out a JSON object with
   (`protocol.trace`), each run for --seconds on the workload seed SEEDS[0],
   with the run's attempted and failed task counts and its failed checks;
 - `quality`: the symbolic planner's ASAcc top-1/top-5 and ASE at levels
-  1-4 and sigma 0 and 0.2 (fit and eval at the same sigma, top_k 5, the
-  level's length cap), on each of SEEDS, with their mean and range per
-  level and sigma.
+  1-4 and sigma 0, 0.2, 0.4 and 0.5 (fit and eval at the same sigma, top_k 5,
+  the level's length cap), on each of SEEDS, with their mean and range per
+  level and sigma. Below 0.4 every cell has read 100/100/1.0; the noisier
+  rows show the spread.
 
 Every dataset has perfbench's task counts. All timing is perfbench's: times
 are in its reference seconds.
@@ -43,7 +44,7 @@ from perfbench import protocol  # noqa: E402
 SCHEMA = 1
 WORKLOADS = ("symbolic-l4", "noisy-pool-l4")  # the workloads of BENCHMARK.json
 LEVELS = (1, 2, 3, 4)
-SIGMAS = (0.0, 0.2)
+SIGMAS = (0.0, 0.2, 0.4, 0.5)
 QUALITY = ("asacc_top1", "asacc_top5", "ase")
 SEEDS = (11, 12, 13)  # the quality seeds; the first is the workload seed
 CODE = ("src", "perfbench")  # what a run measures

@@ -56,18 +56,22 @@ class ConceptCodebook:
 
 def _draw_separated(rng: np.random.Generator, count: int, dim: int, min_sep: float,
                     existing: np.ndarray | None = None) -> np.ndarray:
-    rows = [] if existing is None else [np.asarray(r) for r in existing]
-    start = len(rows)
-    for _ in range(count):
+    """`count` standard normal rows after `existing`'s, each redrawn until it lies min_sep
+    or more from every earlier row, by one batched product that rounds as `np.linalg.norm`."""
+    start = 0 if existing is None else len(existing)
+    rows = np.empty((start + count, dim))
+    if start:
+        rows[:start] = existing
+    for n in range(start, start + count):
         for _ in range(1000):  # rejection draws per centroid before giving up
             cand = rng.standard_normal(dim)
-            if all(np.linalg.norm(cand - r) >= min_sep for r in rows):
-                rows.append(cand)
+            diffs = cand - rows[:n]
+            if (np.sqrt(diffs[:, None] @ diffs[..., None]) >= min_sep).all():
+                rows[n] = cand
                 break
         else:
-            raise SeparationUnachievable(
-                f"could not place centroid {len(rows)} at min_sep={min_sep}")
-    return np.array(rows[start:])
+            raise SeparationUnachievable(f"could not place centroid {n} at min_sep={min_sep}")
+    return rows[start:]
 
 
 def build_codebook(dim: int = DEFAULT_DIM, seed: int = 0,

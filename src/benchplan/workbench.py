@@ -84,28 +84,12 @@ FAILURE_REASONS = ("none", "illegal_action", "collision", "wrong_final_state")
 
 
 class ActionError(Exception):
-    """An action cannot be applied in the current state."""
-
-
-class OutOfBounds(ActionError):
-    """A move would leave the 3x5 grid."""
-
-
-class Collision(ActionError):
-    """A move's destination cell is occupied by an obstacle or the dyer."""
-
-
-class DyerUnavailable(ActionError):
-    """change_color without a dyer, or the object is not adjacent to it."""
+    """An action cannot be applied in the current state: a move off the grid
+    or into a blocked cell, or a dye with no dyer one move away."""
 
 
 class SimulationError(Exception):
-    """First illegal action in a sequence, annotated with its step index."""
-
-    def __init__(self, step: int, cause: ActionError):
-        super().__init__(f"illegal action at step {step}: {cause}")
-        self.step = step
-        self.cause = cause
+    """The first illegal action in a sequence; the message names its step."""
 
 
 @dataclass(frozen=True)
@@ -236,13 +220,13 @@ def apply_action(state: ObjectState, action: str, env: EnvConfig) -> ObjectState
         raise ValueError(f"unknown action {action!r}")
     code = next_code(state_code(*state.values()[POS_X:SIZE]), _ACTION_INDEX[action], env)
     if code == _OFF_GRID:
-        raise OutOfBounds(f"{action} from {state.pos} exits the grid")
+        raise ActionError(f"{action} from {state.pos} exits the grid")
     if code == _COLLISION:
         dx, dy = _MOVE_DELTAS[action]
-        raise Collision(f"{action} from {state.pos} hits {(state.pos_x + dx, state.pos_y + dy)}")
+        raise ActionError(f"{action} from {state.pos} hits {(state.pos_x + dx, state.pos_y + dy)}")
     if code == _NO_DYER:
-        raise DyerUnavailable("no dyer on this bench" if env.dyer is None else
-                              f"object at {state.pos} not adjacent to dyer at {env.dyer}")
+        raise ActionError("no dyer on this bench" if env.dyer is None else
+                          f"object at {state.pos} not adjacent to dyer at {env.dyer}")
     return _state_at(code, state)
 
 
@@ -278,7 +262,7 @@ def simulate(init: ObjectState, actions: Sequence[str], env: EnvConfig) -> list[
         try:
             trajectory.append(apply_action(trajectory[-1], action, env))
         except ActionError as err:
-            raise SimulationError(i, err) from err
+            raise SimulationError(f"illegal action at step {i}: {err}") from err
     return trajectory
 
 

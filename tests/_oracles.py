@@ -8,8 +8,10 @@ model derived its occurrence tables from the counts, and the mask oracle is
 the value-space bench mask the symbol masks were once read from. The
 simulator oracles are `apply_action`, the BFS oracle and the bench
 connectivity check frozen before they read a bench's move table and searched
-int state codes. The k-means oracles are the k-means++ init, the Lloyd loop
-and `fit_kmeans` frozen before each Lloyd step assigned points by one matmul;
+int state codes; `apply_action` raises the three `ActionError` subclasses that
+named an illegal action's reason before one class with its message did. The
+k-means oracles are the k-means++ init, the Lloyd loop and `fit_kmeans` frozen
+before each Lloyd step assigned points by one matmul;
 the oracle's labels are each point's broadcast argmin over the sorted centers.
 The unbounded planner is `mdp.plan` frozen before its search was bounded by a
 goal-distance lower bound, with the MAP successor rule it read per state and
@@ -38,6 +40,9 @@ distribution over a symbol state that `propagate`'s tests start from.
 `oracle_dataset_text` and `oracle_vec` are the dataset writer and the fit
 file's vector writer, frozen before they formatted each task line with one
 f-string and each vector from `.tolist()`: every value through `_fmt`.
+`oracle_draw_separated` is `concepts._draw_separated`, frozen before it checked
+a candidate against every earlier row in one expression: one
+`np.linalg.norm` per row.
 """
 
 from collections import Counter, deque
@@ -49,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from benchplan import mdp
-from benchplan.concepts import UnknownValue, encode_values
+from benchplan.concepts import SeparationUnachievable, UnknownValue, encode_values
 from benchplan.mdp import (
     NoPlanFound,
     Plan,
@@ -91,10 +96,7 @@ from benchplan.workbench import (
     X_CELLS,
     Y_CELLS,
     ActionError,
-    Collision,
-    DyerUnavailable,
     ObjectState,
-    OutOfBounds,
     SuccessReport,
     goal_concepts,
     simulate,
@@ -114,8 +116,21 @@ _MOVE_DELTAS = {
 }
 
 
+class OutOfBounds(ActionError):
+    """A move would leave the 3x5 grid."""
+
+
+class Collision(ActionError):
+    """A move's destination cell is occupied by an obstacle or the dyer."""
+
+
+class DyerUnavailable(ActionError):
+    """change_color without a dyer, or the object is not adjacent to it."""
+
+
 def oracle_apply_action(state, action, env):
-    """`workbench.apply_action`, frozen: the rules written out per action."""
+    """`workbench.apply_action`, frozen: the rules written out per action, each
+    illegal action raising the subclass of `ActionError` that names its reason."""
     if action in _MOVE_DELTAS:
         dx, dy = _MOVE_DELTAS[action]
         nx, ny = state.pos_x + dx, state.pos_y + dy
@@ -917,3 +932,21 @@ def oracle_dataset_text(dataset) -> str:
         fields["gt_actions"] = ",".join(task.gt_actions) if task.gt_actions else "-"
         lines.append(_oracle_kv_line(**fields))
     return "\n".join(lines) + "\n"
+
+
+def oracle_draw_separated(rng, count, dim, min_sep, existing=None):
+    """`concepts._draw_separated` as it was: a candidate is kept when
+    `np.linalg.norm` of its difference to each earlier row, one row at a time,
+    is at least min_sep."""
+    rows = [] if existing is None else [np.asarray(r) for r in existing]
+    start = len(rows)
+    for _ in range(count):
+        for _ in range(1000):  # rejection draws per centroid before giving up
+            cand = rng.standard_normal(dim)
+            if all(np.linalg.norm(cand - r) >= min_sep for r in rows):
+                rows.append(cand)
+                break
+        else:
+            raise SeparationUnachievable(
+                f"could not place centroid {len(rows)} at min_sep={min_sep}")
+    return np.array(rows[start:])

@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _metrics import changed_concept_index, disentanglement_score
+from _oracles import oracle_draw_separated
 from benchplan.concepts import (
+    _STREAM_EXTEND,
     SeparationUnachievable,
     UnknownValue,
+    _draw_separated,
     build_codebook,
     encode,
     extend_codebook,
 )
-from benchplan.workbench import CONCEPTS, DEFAULT_CARDINALITIES, ObjectState
+from benchplan.workbench import CONCEPTS, DEFAULT_CARDINALITIES, TYPE, ObjectState
 
 ROT = CONCEPTS.index("rotation")
 COLOR = CONCEPTS.index("color")
@@ -113,6 +116,37 @@ class TestExtendCodebook:
         unseen = encode(ObjectState(10, 1, 1, 90, 3, 2), cb)
         assert not np.array_equal(seen[0], unseen[0])
         assert np.array_equal(seen[1:], unseen[1:])
+
+
+def drawn(draw, seed, *args):
+    """The rows `draw` places from rng `seed`, or its refusal; and the rng's state
+    after, which shows that both drawers took the same draws."""
+    rng = np.random.default_rng(seed)
+    try:
+        rows = draw(rng, *args)
+        outcome = rows.shape, rows.tobytes()
+    except SeparationUnachievable as err:
+        outcome = str(err)
+    return outcome, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("existing", (False, True))
+@pytest.mark.parametrize("seed, dim, min_sep, count", (
+    (0, 8, 1.0, 6), (3, 16, 3.5, 150), (4, 4, 0.0, 20), (5, 2, 0.5, 60),
+    (1, 2, 1.0, 40), (2, 3, 2.0, 30)))  # the last two are refused
+def test_draw_separated_equals_frozen_drawer(seed, dim, min_sep, count, existing):
+    rows = np.random.default_rng([seed, 1]).standard_normal((7, dim)) if existing else None
+    args = (seed, count, dim, min_sep, rows)
+    assert drawn(_draw_separated, *args) == drawn(oracle_draw_separated, *args)
+
+
+def test_extension_equals_frozen_drawer():
+    codebook = build_codebook(8, 0, 1.0)
+    extended = extend_codebook(codebook, 300)
+    known = codebook.centroids[TYPE]
+    rng = np.random.default_rng([0, _STREAM_EXTEND + TYPE, len(known)])
+    frozen = oracle_draw_separated(rng, 300, 8, 1.0, existing=known)
+    assert extended.centroids[TYPE].tobytes() == np.vstack([known, frozen]).tobytes()
 
 
 class TestChangedConceptIndex:

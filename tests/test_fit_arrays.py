@@ -8,9 +8,11 @@ import pytest
 
 from _oracles import encode_trajectory, oracle_fit_affine, oracle_fit_transitions
 from benchplan import fitting
-from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, fit_pipeline
+from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, InvalidGtPlan, fit_pipeline
 from benchplan.mdp import action_key
 from benchplan.symbols import symbolize
+from benchplan.taskgen import Dataset, Task
+from benchplan.workbench import EnvConfig, ObjectState, SimulationError
 
 RUNS = ("level1_run", "level3_run", "level4_run")
 
@@ -99,3 +101,16 @@ def test_only_a_noisy_fit_builds_noise_streams(level1_run, monkeypatch, sigma):
     streams = [s[2] for s in seeds if s[:2] == [0, _STREAM_FIT_ENCODE]]
     train = [i for i, task in enumerate(dataset.tasks) if task.split == "train"]
     assert streams == (train if sigma else [])
+
+
+def test_a_gt_plan_that_does_not_replay_is_refused_by_name():
+    # the second training task's plan runs into the obstacle at its fourth step
+    env, start = EnvConfig(level=2, obstacles=((2, 0),)), ObjectState(0, 0, 0, 0, 0, 0)
+    tasks = [Task(env, start, ObjectState(0, 1, 0, 0, 0, 0), ("move_right",), "L2-00000"),
+             Task(env, start, ObjectState(0, 1, 0, 0, 0, 0),
+                  ("move_front", "move_right", "move_back", "move_right"), "L2-00001")]
+    with pytest.raises(InvalidGtPlan) as err:
+        fit_pipeline(Dataset(tasks, seed=0, codebook_seed=0))
+    assert str(err.value) == ("task L2-00001: gt plan does not replay: illegal action at "
+                              "step 3: move_right from (1, 0) hits (2, 0)")
+    assert isinstance(err.value.__cause__, SimulationError)

@@ -14,27 +14,33 @@ import pytest
 
 from benchplan.taskgen import Task, Unreachable, oracle_shortest_plan
 from benchplan.workbench import (
+    _COLLISION,
+    _NO_DYER,
+    _OFF_GRID,
     ACTIONS,
     FAILURE_REASONS,
     N_COLORS,
     N_SIZES,
+    POS_X,
     ROTATIONS,
+    SIZE,
     X_CELLS,
     Y_CELLS,
     ActionError,
-    Collision,
-    DyerUnavailable,
     EnvConfig,
     ObjectState,
-    OutOfBounds,
     adjudicate,
     apply_action,
     cells_connected,
     next_code,
+    state_code,
 )
 
 from _oracles import (
     _MOVE_DELTAS,
+    Collision,
+    DyerUnavailable,
+    OutOfBounds,
     oracle_adjudicate,
     oracle_apply_action,
     oracle_bench_tables,
@@ -44,6 +50,9 @@ from _oracles import (
 )
 
 CELLS = list(itertools.product(range(X_CELLS), range(Y_CELLS)))
+N_CODES = len(CELLS) * len(ROTATIONS) * N_COLORS
+# the move table's code of each reason the frozen rule raises
+REASON_CODES = {OutOfBounds: _OFF_GRID, Collision: _COLLISION, DyerUnavailable: _NO_DYER}
 
 
 def random_bench(level, rng):
@@ -60,11 +69,22 @@ def random_bench(level, rng):
 
 
 def outcome(apply, state, action, env):
-    """The state an action leads to, or the class and message of its error."""
+    """The state an action leads to, or the base class and message of its error."""
     try:
         return apply(state, action, env)
-    except (ActionError, ValueError) as err:
-        return type(err), str(err)
+    except ActionError as err:
+        return ActionError, str(err)
+    except ValueError as err:
+        return ValueError, str(err)
+
+
+def frozen_code(state, action, env):
+    """The frozen rule as `next_code` gives it: the code of the state an action
+    leads to, or the move table's code of the reason it raises."""
+    try:
+        return state_code(*oracle_apply_action(state, action, env).values()[POS_X:SIZE])
+    except ActionError as err:
+        return REASON_CODES[type(err)]
 
 
 def frozen_reads(env, x, y, action):
@@ -81,35 +101,42 @@ def frozen_reads(env, x, y, action):
 
 @pytest.mark.parametrize("level", (1, 2, 3, 4))
 def test_apply_action_equals_frozen_rules(level):
-    # one table per bench, of every state and action: one bench at level 1, 500
-    # at the others. The frozen rules give the same outcomes on benches that
-    # agree on what the rules read, so the frozen table is put together from
-    # per-cell blocks that such benches share
+    # one table per bench, of every state code and action: one bench at level 1,
+    # 500 at the others. The frozen rule gives the same outcomes on benches that
+    # agree on what it reads, so the frozen table is put together from per-cell
+    # blocks that such benches share. `apply_action` reads the same table; its
+    # states and messages are checked on one bench: the first where a move can
+    # collide, or at level 1 the only one
     rng = np.random.default_rng([23, level])
-    blocks = {}
+    blocks, reasons = {}, {_OFF_GRID, _NO_DYER} | ({_COLLISION} if level > 1 else set())
+    checked = False
     for _ in range(1 if level == 1 else 500):
         env = random_bench(level, rng)
         type_id, size = int(rng.integers(12)), int(rng.integers(N_SIZES))
-        cells = [[ObjectState(type_id, x, y, rotation, color, size)
-                  for rotation, color in itertools.product(ROTATIONS, range(N_COLORS))]
-                 for x, y in CELLS]
-        new = [outcome(apply_action, state, action, env)
-               for action in ACTIONS for states in cells for state in states]
+        new = [next_code(code, a, env) for a in range(len(ACTIONS)) for code in range(N_CODES)]
         frozen = []
         for action in ACTIONS:
-            for (x, y), states in zip(CELLS, cells):
-                key = (type_id, size, x, y, action, frozen_reads(env, x, y, action))
+            for x, y in CELLS:
+                key = (x, y, action, frozen_reads(env, x, y, action))
                 if key not in blocks:
-                    blocks[key] = [outcome(oracle_apply_action, state, action, env)
-                                   for state in states]
+                    blocks[key] = [frozen_code(ObjectState(0, x, y, rotation, color, 0),
+                                               action, env)
+                                   for rotation, color in itertools.product(ROTATIONS,
+                                                                            range(N_COLORS))]
                 frozen += blocks[key]
         assert new == frozen, env
-    assert outcome(apply_action, cells[0][0], "jump", env) == \
-        outcome(oracle_apply_action, cells[0][0], "jump", env)
-    outcomes = {o[0] if isinstance(o, tuple) else ObjectState
-                for block in blocks.values() for o in block}
-    assert outcomes == {ObjectState, OutOfBounds, DyerUnavailable} | \
-        ({Collision} if level > 1 else set())
+        if not checked and (level != 2 or env.obstacles):
+            assert reasons <= set(frozen), env
+            for x, y in CELLS:
+                for rotation, color in itertools.product(ROTATIONS, range(N_COLORS)):
+                    state = ObjectState(type_id, x, y, rotation, color, size)
+                    for action in (*ACTIONS, "jump"):
+                        assert outcome(apply_action, state, action, env) == \
+                            outcome(oracle_apply_action, state, action, env), (env, state)
+            checked = True
+    assert checked
+    codes = {code for block in blocks.values() for code in block}
+    assert {code for code in codes if code < 0} == reasons and max(codes) >= 0
 
 
 def random_case(level, rng):

@@ -57,7 +57,7 @@ def test_bench_trajectory_small(tmp_path):
             assert runs[run]["attempted"] == 6 and runs[run]["problems"] == []
     cells = record["quality"]["cells"]
     assert [(c["level"], c["sigma"]) for c in cells] == [
-        (level, sigma) for level in (1, 2, 3, 4) for sigma in (0.0, 0.2)]
+        (level, sigma) for level in (1, 2, 3, 4) for sigma in (0.0, 0.2, 0.4, 0.5)]
     for cell in cells:
         top1 = cell["asacc_top1"]
         assert len(top1["values"]) == 2 and min(top1["values"]) == top1["range"][0]

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import sys
 
 import hypothesis.strategies as st
@@ -8,12 +9,10 @@ from hypothesis import given
 
 from benchplan.workbench import (
     ACTIONS,
-    Collision,
-    DyerUnavailable,
+    ActionError,
     EnvConfig,
     MAX_TYPES,
     ObjectState,
-    OutOfBounds,
     SimulationError,
     adjudicate,
     apply_action,
@@ -23,6 +22,7 @@ from benchplan.workbench import (
 from benchplan.taskgen import Task
 
 EMPTY = EnvConfig(level=1)
+CELLS = [(x, y) for x in range(3) for y in range(5)]
 
 
 def state(x=0, y=0, rot=0, color=0, type_id=0, size=0):
@@ -40,12 +40,27 @@ states = st.builds(
 )
 
 
+@st.composite
+def runs(draw):
+    """A task on a random bench of levels 1-4, its init on a free cell, and up
+    to 12 actions: 0-4 obstacles from level 2, a dyer of any color from level 3."""
+    level, cells = draw(st.integers(1, 4)), draw(st.permutations(CELLS))
+    n = 0 if level == 1 else draw(st.integers(0, 4))
+    dyer = cells[n] if level > 2 else None
+    env = EnvConfig(level, tuple(cells[:n]), dyer,
+                    None if dyer is None else draw(st.integers(0, 5)))
+    x, y = draw(st.sampled_from(cells[n + (dyer is not None):]))
+    init = state(x, y, draw(st.sampled_from((0, 90, 180, 270))), draw(st.integers(0, 5)))
+    task = Task(env=env, init=init, goal=draw(states), gt_actions=())
+    return task, draw(st.lists(st.sampled_from(ACTIONS), max_size=12))
+
+
 class TestApplyAction:
     def test_move_front_unit_step(self):
         assert apply_action(state(1, 1), "move_front", EMPTY).pos == (1, 2)
 
     def test_move_right_off_grid(self):
-        with pytest.raises(OutOfBounds):
+        with pytest.raises(ActionError, match=r"^move_right from \(2, 0\) exits the grid$"):
             apply_action(state(2, 0), "move_right", EMPTY)
 
     def test_change_color_adjacent_to_dyer(self):
@@ -56,24 +71,25 @@ class TestApplyAction:
 
     def test_change_color_requires_adjacency(self):
         env = EnvConfig(level=3, dyer=(2, 4), dyer_color=1)
-        with pytest.raises(DyerUnavailable):
+        with pytest.raises(ActionError,
+                           match=r"^object at \(0, 0\) not adjacent to dyer at \(2, 4\)$"):
             apply_action(state(0, 0), "change_color", env)
         # diagonal is not adjacent either
-        with pytest.raises(DyerUnavailable):
+        with pytest.raises(ActionError, match=r"^object at \(1, 3\) not adjacent"):
             apply_action(state(1, 3), "change_color", env)
 
     def test_change_color_without_dyer(self):
-        with pytest.raises(DyerUnavailable):
+        with pytest.raises(ActionError, match="^no dyer on this bench$"):
             apply_action(state(0, 0), "change_color", EMPTY)
 
     def test_collision_with_obstacle(self):
         env = EnvConfig(level=2, obstacles=((1, 0),))
-        with pytest.raises(Collision):
+        with pytest.raises(ActionError, match=r"^move_right from \(0, 0\) hits \(1, 0\)$"):
             apply_action(state(0, 0), "move_right", env)
 
     def test_dyer_cell_not_traversable(self):
         env = EnvConfig(level=3, dyer=(1, 0), dyer_color=0)
-        with pytest.raises(Collision):
+        with pytest.raises(ActionError, match=r"^move_right from \(0, 0\) hits \(1, 0\)$"):
             apply_action(state(0, 0), "move_right", env)
 
     def test_rotation_wraps(self):
@@ -84,7 +100,7 @@ class TestApplyAction:
     def test_type_and_size_never_change(self, s, action):
         try:
             out = apply_action(s, action, EMPTY)
-        except OutOfBounds:
+        except ActionError:
             return
         assert out.type_id == s.type_id and out.size == s.size
 
@@ -93,7 +109,7 @@ class TestApplyAction:
         for fwd, back in (("move_left", "move_right"), ("move_front", "move_back")):
             try:
                 there = apply_action(s, fwd, EMPTY)
-            except OutOfBounds:
+            except ActionError:
                 continue
             assert apply_action(there, back, EMPTY) == s
 
@@ -149,8 +165,8 @@ class TestSimulate:
         env = EnvConfig(level=2, obstacles=((2, 0),))
         with pytest.raises(SimulationError) as err:
             simulate(state(0, 0), ["move_right", "move_right"], env)
-        assert err.value.step == 1
-        assert isinstance(err.value.cause, Collision)
+        assert str(err.value) == "illegal action at step 1: move_right from (1, 0) hits (2, 0)"
+        assert isinstance(err.value.__cause__, ActionError)
 
     @given(s=states, actions=st.lists(st.sampled_from(ACTIONS[:6]), max_size=6))
     def test_compositionality(self, s, actions):
@@ -197,6 +213,24 @@ class TestAdjudicate:
         lvl4 = Task(env=env4, init=state(0, 0), goal=goal, gt_actions=())
         assert not adjudicate(lvl4, ["move_right"]).success
         assert adjudicate(lvl4, ["move_right", "rotate_right"]).success
+
+    @given(run=runs())
+    def test_agrees_with_simulate(self, run):
+        # the two stepping paths: a legal sequence ends where the trajectory does;
+        # otherwise adjudicate stops before the step simulate names, and reports a
+        # collision exactly when the message names the cell hit
+        task, actions = run
+        report = adjudicate(task, actions)
+        try:
+            path = simulate(task.init, actions, task.env)
+        except SimulationError as err:
+            step = int(re.match(r"illegal action at step (\d+): ", str(err))[1])
+            assert report.failure_reason == ("collision" if " hits " in str(err)
+                                             else "illegal_action")
+            assert report.final_state == simulate(task.init, actions[:step], task.env)[-1]
+        else:
+            assert report.failure_reason in ("none", "wrong_final_state")
+            assert report.final_state == path[-1]
 
 
 class TestEnvConfig:
