@@ -7,14 +7,16 @@ centers), `n` (transition counts), `A`/`b` (affine maps). The fit file writes
 only what cannot be derived: the loader rebuilds the codebook from its seed,
 whose cardinalities size each concept's `c` rows, and the whole transition model
 from the `n` rows, which all pass the one count check (`mdp.count_tables`); each
-record must sit where its key says, its floats be finite, its noise sigma and
-seeds nonnegative. A dataset has at least one task, unique task ids and known
-splits, its header gives its tasks' one level and split sizes, and each gt plan
-reaches its goal within the level's `max_len` steps. Every file ends in a seal,
-one `sha256=<hex>` line over all bytes above it, which a cut, a flipped byte or
-an edit breaks. Each kind of value has one reader (fields `_parse_kv`, floats
-`_vectors`, states `parse_state`, action keys `mdp._key_rank`), so a broken seal
-or malformed content raises SchemaMismatch naming the file and what it read.
+record must sit where its key says, its floats be finite, its noise sigma
+nonnegative, its seeds in 0..2**32 - 1, its dim at most `fitting.MAX_DIM`, and
+the purity record holds no rows. A dataset has at least one task, unique task
+ids and known splits, its header gives its tasks' one level and split sizes,
+and each gt plan reaches its goal within the level's `max_len` steps. Every
+file ends in a seal, one `sha256=<hex>` line over all bytes above it, which a
+cut, a flipped byte or an edit breaks. Each kind of value has one reader
+(fields `_parse_kv`, floats `_vectors`, states `parse_state`, action keys
+`mdp._key_rank`), so a broken seal or malformed content raises SchemaMismatch
+naming the file and what it read.
 Floats are written with repr(): round-trips are exact, reruns byte-identical.
 """
 
@@ -30,6 +32,7 @@ from .concepts import build_codebook
 from .evaluate import EvalReport
 from .fitting import FitConfig, Fitted
 from .mdp import TransitionModel, count_tables
+from .streams import SEED_BOUND
 from .symbols import Symbolizer
 from .taskgen import SPLITS, Dataset, Task
 from .workbench import ACTIONS, EnvConfig, ObjectState, adjudicate, is_valid_state
@@ -64,8 +67,9 @@ class _Fields(dict):
     def __missing__(self, key):
         raise ValueError(f"missing field {key}")
 
-    def seed(self, name: str) -> int:  # numpy's seed sequences take ints >= 0 only
+    def seed(self, name: str) -> int:  # a stream's key takes a seed in 0..SEED_BOUND - 1
         _expect(int(self[name]) >= 0, f"{name} is negative: {self[name]}")
+        _expect(int(self[name]) < SEED_BOUND, f"{name} is past {SEED_BOUND - 1}: {self[name]}")
         return int(self[name])
 
 
@@ -276,7 +280,10 @@ def _parse_fit(header, records) -> Fitted:
                               min_sep=config.min_sep)
     cards = codebook.cardinalities
     _expect(len(records) > len(cards) + 1, f"{len(records)} records, short of the counts record")
-    purity_row, rest = [("purity", records[0][0]["purity"])], records[1:]  # its field first
+    (purity_kv, stray), rest = records[0], records[1:]
+    purity_row = [("purity", purity_kv["purity"])]  # its field first
+    if stray:
+        raise ValueError(f"row {stray[0][0]!r} under the purity record")
     concepts, ((counts_kv, count_rows), *map_records) = rest[:len(cards)], rest[len(cards):]
     symbolizer = Symbolizer(
         centers=tuple(_vectors(rows, ["c"] * card, config.dim, f"concept {k}")

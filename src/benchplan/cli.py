@@ -16,10 +16,10 @@ import sys
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, streams
 from .concepts import SeparationUnachievable, UnknownValue
 from .evaluate import interpretability_report, plan_task, run_experiment
-from .fitting import FitConfig, codebook_for_tasks, fit_pipeline, unmapped_note
+from .fitting import MAX_DIM, FitConfig, codebook_for_tasks, fit_pipeline, unmapped_note
 from .mdp import InvalidInit, NoPlanFound
 from .symbols import InsufficientPoints, UnmeasurablePoints
 from .taskgen import (
@@ -57,6 +57,7 @@ def _bounded(kind, rule: str, ok):
 
 
 _AT_LEAST_0 = _bounded(int, ">= 0", lambda v: v >= 0)
+_SEED = _bounded(int, f"in 0..{streams.SEED_BOUND - 1}", lambda v: 0 <= v < streams.SEED_BOUND)
 _AT_LEAST_1 = _bounded(int, ">= 1", lambda v: v >= 1)
 _FINITE_AT_LEAST_0 = _bounded(float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 
@@ -142,7 +143,7 @@ def cmd_plan(args) -> int:
     try:
         result, init_tokens, goal_tokens = plan_task(
             task, fitted, codebook, planner="symbolic", noise_sigma=args.sigma,
-            top_k=args.topk, l_max=args.l_max, rng=np.random.default_rng([args.seed, 3]))
+            top_k=args.topk, l_max=args.l_max, rng=streams.rng(args.seed, "plan"))
     except NoPlanFound as err:
         print(f"no plan found: {err}", file=sys.stderr)
         return EXIT_THRESHOLD
@@ -233,7 +234,7 @@ def build_parser() -> _Parser:
     artifacts_opt.add_argument("--artifacts",
                                default=os.environ.get(ENV_ARTIFACT_DIR, "artifacts"))
     seed_opt = argparse.ArgumentParser(add_help=False)
-    seed_opt.add_argument("--seed", type=_AT_LEAST_0, default=0)
+    seed_opt.add_argument("--seed", type=_SEED, default=0)
     search_opts = argparse.ArgumentParser(add_help=False)
     search_opts.add_argument("--topk", type=_AT_LEAST_1, default=5)
     search_opts.add_argument("--l-max", type=_AT_LEAST_1, default=None)
@@ -243,7 +244,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train", type=_AT_LEAST_0, default=800)
     p.add_argument("--val", type=_AT_LEAST_0, default=100)
     p.add_argument("--test", type=_AT_LEAST_0, default=100)
-    p.add_argument("--codebook-seed", type=_AT_LEAST_0, default=None)
+    p.add_argument("--codebook-seed", type=_SEED, default=None)
     p.add_argument("--variant", choices=("standard", "unseen_object", "unseen_task"),
                    default="standard")
     p.add_argument("--unseen-types", default=4, type=_bounded(
@@ -254,13 +255,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", parents=[artifacts_opt],
                        help="fit symbolizer, transition model, and maps")
     p.add_argument("--data", required=True)
-    p.add_argument("--dim", type=_bounded(int, ">= 2", lambda v: v >= 2),
+    p.add_argument("--dim", type=_bounded(int, f"in 2..{MAX_DIM}", lambda v: 2 <= v <= MAX_DIM),
                    default=FitConfig.dim)
     p.add_argument("--min-sep", type=_FINITE_AT_LEAST_0, default=FitConfig.min_sep)
     p.add_argument("--sigma", type=_FINITE_AT_LEAST_0, default=FitConfig.noise_sigma)
     p.add_argument("--thresh", type=_bounded(float, "in (0, 1)", lambda v: 0 < v < 1),
                    default=FitConfig.thresh)
-    p.add_argument("--seed", type=_AT_LEAST_0, default=FitConfig.seed)
+    p.add_argument("--seed", type=_SEED, default=FitConfig.seed)
     p.add_argument("--restarts", type=_AT_LEAST_1, default=FitConfig.restarts)
     p.set_defaults(func=cmd_fit)
 

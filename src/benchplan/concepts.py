@@ -17,14 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import streams
 from .workbench import CONCEPTS, DEFAULT_CARDINALITIES, TYPE, ObjectState
 
 DEFAULT_DIM = 8
 DEFAULT_MIN_SEP = 1.0
-
-# offsets separating the build / extend RNG streams
-_STREAM_BUILD = 0
-_STREAM_EXTEND = 100
 
 
 class UnknownValue(Exception):
@@ -81,7 +78,7 @@ def build_codebook(dim: int = DEFAULT_DIM, seed: int = 0,
         raise ValueError("dim must be >= 2")
     if min_sep < 0:
         raise ValueError("min_sep must be nonnegative")
-    rng = np.random.default_rng([seed, _STREAM_BUILD])
+    rng = streams.rng(seed, "codebook")
     tables = tuple(_draw_separated(rng, card, dim, min_sep)
                    for card in DEFAULT_CARDINALITIES)
     return ConceptCodebook(dim=dim, seed=seed, min_sep=min_sep, centroids=tables)
@@ -95,8 +92,7 @@ def extend_codebook(codebook: ConceptCodebook, new_values: int) -> ConceptCodebo
     if new_values <= 0:
         raise ValueError("new_values must be positive")
     existing = codebook.centroids[TYPE]
-    rng = np.random.default_rng(
-        [codebook.seed, _STREAM_EXTEND + TYPE, len(existing)])
+    rng = streams.rng(codebook.seed, "codebook_extend", len(existing))
     added = _draw_separated(rng, new_values, codebook.dim, codebook.min_sep,
                             existing=existing)
     tables = list(codebook.centroids)

@@ -14,6 +14,7 @@ from itertools import groupby
 
 import numpy as np
 
+from . import streams
 from .concepts import ConceptCodebook, encode, encode_values
 from .fitting import Fitted, codebook_for_tasks
 from .mdp import (InvalidInit, NoPlanFound, PlanResult, SymbolMasks, _key_rank,
@@ -24,8 +25,7 @@ from .token_maps import plan_tokenspace, transition
 from .workbench import (ACTIONS, CONCEPTS, POS_X, POS_Y, ROTATIONS, EnvConfig, ObjectState,
                         adjudicate, next_code, state_code)
 
-_STREAM_EVAL = 31
-_STREAM_CHANCE = 37
+_STREAM_EVAL = streams.STREAMS["eval"].tag  # perfbench builds its eval keys from this name
 
 PLANNERS = ("symbolic", "token", "chance")
 
@@ -152,8 +152,7 @@ def _share(*shared):
 def _eval_one(item: tuple[int, Task], shared: tuple = ()) -> TaskRecord:
     index, task = item
     fitted, codebook, planner, noise_sigma, top_k, l_max, seed = shared or _shared
-    stream = _STREAM_CHANCE if planner == "chance" else _STREAM_EVAL
-    rng = np.random.default_rng([seed, stream, index])
+    rng = streams.rng(seed, "chance" if planner == "chance" else "eval", index)
     return evaluate_task(task, fitted, codebook, planner=planner,
                          noise_sigma=noise_sigma, top_k=top_k, l_max=l_max,
                          rng=rng)
@@ -221,7 +220,7 @@ def interpretability_report(maps, codebook: ConceptCodebook, *,
     its dyer color), keeping the maps inside the regime they were trained on.
     change_color keys are pooled into one column.
     """
-    rng = np.random.default_rng([seed, 41])
+    rng = streams.rng(seed, "report")
     open_bench = EnvConfig(level=1)
 
     def sample_state(action: str, dyer_color: int) -> ObjectState:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import streams
 from .concepts import (DEFAULT_DIM, DEFAULT_MIN_SEP, ConceptCodebook, UnknownValue,
                        build_codebook, encode_values, extend_codebook)
 from .concepts import encode  # noqa: F401  unused; perfbench's trace points patch this name
@@ -21,7 +22,9 @@ from .taskgen import Dataset, Task
 from .token_maps import MIN_PAIRS, ActionTransitionMaps, InsufficientPairs, fit_affine
 from .workbench import TYPE, ObjectState, SimulationError, simulate
 
-_STREAM_FIT_ENCODE = 23
+# each action key's token map is (6 dim)^2 floats, 4.7 MB at 128; a fit file's
+# header is refused past this before its dim sizes anything
+MAX_DIM = 128
 
 
 class InvalidGtPlan(Exception):
@@ -36,6 +39,10 @@ class FitConfig:
     thresh: float = DEFAULT_THRESH
     seed: int = 0
     restarts: int = DEFAULT_RESTARTS
+
+    def __post_init__(self):
+        if self.dim > MAX_DIM:
+            raise ValueError(f"dim={self.dim} is past MAX_DIM={MAX_DIM}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,7 @@ def fit_pipeline(dataset: Dataset, config: FitConfig = FitConfig()) -> Fitted:
     if config.noise_sigma > 0:  # each task's noise from its own stream; none at 0
         paths = np.split(tokens, np.flatnonzero(key_ids[:-1] < 0) + 1)  # views of tokens
         for (i, _), rows in zip(train, paths, strict=True):
-            rng = np.random.default_rng([config.seed, _STREAM_FIT_ENCODE, i])
+            rng = streams.rng(config.seed, "fit_noise", i)
             rows += rng.normal(0.0, config.noise_sigma, rows.shape)
 
     symbolizer, labels = fit_symbolizer(tokens, cards, seed=config.seed,

@@ -2,11 +2,12 @@
 
 Each concept gets its own k-means fit with k equal to that concept's known
 value-space size; a token's symbol is the index of its nearest center. The
-fit is deterministic under a seed (k-means++ init, fixed restarts, centers
-canonicalized to lexicographic order; restarts that draw one center set and
-meet no tie share one Lloyd run). Points are held as (dim, n) columns; exact
-near-tie picks and numpy's row-sum order keep every label and bit. A Lloyd
-step sums again only the clusters whose members changed.
+fit is deterministic under a seed (k-means++ init, fixed restarts, each drawn
+from `streams.rng(seed, "kmeans", concept, restart)`, centers canonicalized to
+lexicographic order; restarts that draw one center set and meet no tie share
+one Lloyd run). Points are held as (dim, n) columns; exact near-tie picks and
+numpy's row-sum order keep every label and bit. A Lloyd step sums again only
+the clusters whose members changed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+
+from . import streams
 
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-9
@@ -190,9 +193,10 @@ def _lloyd(cols: np.ndarray, centers: np.ndarray
     return centers, float(_point_costs(cols, centers, labels).sum()), it + 1, labels, near, tied
 
 
-def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
-               seed: int | Sequence[int], restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
+def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int, seed: int,
+               concept: int = 0, restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
     """k-means++ plus Lloyd; best of `restarts` runs by inertia, the first of equals.
+    Restart r draws its init from the k-means stream's key (seed, concept, r).
     Lloyd from a permuted init is the permuted run, bit for bit, unless a point
     meets a tie: a restart that draws an earlier tie-free run's centers is skipped."""
     pts = np.asarray(points, dtype=float)
@@ -205,10 +209,9 @@ def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
     if len(pts) < k:
         raise InsufficientPoints(f"{len(pts)} points for k={k}")
     cols = np.ascontiguousarray(pts.T)  # (dim, n): each step works on whole rows
-    seed_key = [seed] if isinstance(seed, int) else list(seed)
     best, tie_free = None, set()  # the first run of least inertia; tie-free runs' inits
     for r in range(restarts):
-        init = _kmeanspp_init(cols, k, np.random.default_rng([*seed_key, r]))
+        init = _kmeanspp_init(cols, k, streams.rng(seed, "kmeans", concept, r))
         if (key := init[np.lexsort(init.T[::-1])].tobytes()) not in tie_free:
             run = _lloyd(cols, init)  # centers, inertia, iterations, labels, near, tied
             if best is None or run[1] < best[1]:
@@ -235,7 +238,7 @@ def fit_symbolizer(tokens: Sequence[np.ndarray], cardinalities: Sequence[int],
     if not len(tokens):
         raise InsufficientPoints("no tokens to fit on")
     stack = np.asarray(tokens, dtype=float)  # (n, 6, dim)
-    fits = [fit_kmeans(stack[:, k, :], card, seed=[seed, k], restarts=restarts)
+    fits = [fit_kmeans(stack[:, k, :], card, seed, concept=k, restarts=restarts)
             for k, card in enumerate(cardinalities)]
     symbolizer = Symbolizer(centers=tuple(f.centers for f in fits),
                             inertia=tuple(f.inertia for f in fits),

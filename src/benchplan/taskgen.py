@@ -5,8 +5,8 @@ a ground-truth plan found by breadth-first search. The search runs over the
 bench's cells and whether a dye is still due, with the turns and the dye read
 off in closed form; its plans are provably shortest and equal those of a search
 over every (cell, rotation, color) state. Generation is reproducible: task i
-of a dataset draws from its own RNG stream derived from (seed, i), which also
-makes generation embarrassingly parallel.
+of a dataset draws from its own generator, `streams.rng(seed, "task", i)`, which
+also makes generation embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from itertools import chain, compress
 
 import numpy as np
 
+from . import streams
 from .workbench import (
     ACTIONS,
     CELLS,
@@ -46,11 +47,6 @@ TEST_FAMILIES = (
     frozenset({"move_left", "move_back"}),
     frozenset({"move_right", "move_front"}),
 )
-
-# RNG stream tags, kept distinct so derived streams never collide
-_STREAM_TASK = 11
-_STREAM_RETYPE = 13
-_STREAM_UNSEEN = 17
 
 # the oracle searches the moves and the dye; of its fewest turns, a half turn is
 # two rotate_left, as rotate_left comes before rotate_right in ACTIONS
@@ -197,10 +193,6 @@ def generate_task(level: int, rng: np.random.Generator) -> Task:
     raise GenerationExhausted(f"no valid level-{level} task in {MAX_ATTEMPTS} attempts")
 
 
-def _task_rng(seed: int, stream: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, stream, index])
-
-
 def _dataset(level: int, counts: tuple[int, int, int], seed: int, variant: str, draw) -> Dataset:
     """Task i is `draw(i, split)` with its id and split: counts[0] train tasks,
     then counts[1] val and counts[2] test. A dataset needs a task for a level."""
@@ -215,7 +207,7 @@ def _dataset(level: int, counts: tuple[int, int, int], seed: int, variant: str, 
 def generate_dataset(level: int, counts: tuple[int, int, int], seed: int) -> Dataset:
     """Generate train/val/test tasks; byte-reproducible under a fixed seed."""
     return _dataset(level, counts, seed, "standard",
-                    lambda i, _: generate_task(level, _task_rng(seed, _STREAM_TASK, i)))
+                    lambda i, _: generate_task(level, streams.rng(seed, "task", i)))
 
 
 def make_unseen_object_split(dataset: Dataset, held_out_types: set[int]) -> Dataset:
@@ -234,7 +226,7 @@ def make_unseen_object_split(dataset: Dataset, held_out_types: set[int]) -> Data
     tasks = []
     for i, task in enumerate(dataset.tasks):
         if task.split == "test":
-            rng = _task_rng(dataset.seed, _STREAM_RETYPE, i)
+            rng = streams.rng(dataset.seed, "retype", i)
             t = held[int(rng.integers(len(held)))]
             task = replace(task, init=replace(task.init, type_id=t),
                            goal=replace(task.goal, type_id=t))
@@ -254,7 +246,7 @@ def make_unseen_task_split(level: int, counts: tuple[int, int, int],
         raise ValueError("unseen-task splits are limited to levels 1 and 2")
 
     def draw(i: int, split: str) -> Task:
-        rng = _task_rng(seed, _STREAM_UNSEEN, i)
+        rng = streams.rng(seed, "unseen_task", i)
         for _ in range(1000):
             task = generate_task(level, rng)
             used = frozenset(task.gt_actions)

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from _oracles import encode_trajectory
-from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, fit_pipeline
+from benchplan.fitting import FitConfig, fit_pipeline
+from benchplan.streams import STREAMS
 from benchplan.taskgen import generate_dataset
 
 hypothesis.settings.register_profile("suite", max_examples=50, deadline=None)
@@ -42,6 +43,6 @@ def training_tokens():
         dataset, fitted = run
         return np.concatenate([
             encode_trajectory(task, fitted.codebook, sigma, np.random.default_rng(
-                [0, _STREAM_FIT_ENCODE, i]) if sigma else None)[1]
+                [0, STREAMS["fit_noise"].tag, i]) if sigma else None)[1]
             for i, task in enumerate(dataset.tasks) if task.split == "train"])
     return tokens

@@ -24,7 +24,8 @@ from benchplan.artifacts import (
     save_report,
 )
 from benchplan.evaluate import run_experiment
-from benchplan.fitting import FitConfig, fit_pipeline
+from benchplan.fitting import MAX_DIM, FitConfig, fit_pipeline
+from benchplan.streams import SEED_BOUND
 from benchplan.taskgen import (
     Dataset,
     Task,
@@ -354,11 +355,13 @@ class TestReports:
 # sha256 of fit.txt for (80, 5, 5)-task datasets at seed 11, as written before
 # k-means assigned points by matmul and fit_pipeline symbolized in one batch.
 # A new digest here is a change to the fit's arithmetic and must be declared.
+# The sigma 0.2 digests in this file moved once, when k-means restarts took
+# their own stream key [seed, 43, concept, restart]: only Lloyd step counts changed.
 PINNED_FITS = {
     (3, 0.0): "fddfe8b74013ad174a902c232935dc397b3ca2fceb2a1d7b6e9b1f074c21ce82",
-    (3, 0.2): "257efaf35d12f288d8ebd4cdd05c45282148e99fe13d93a803b85b1889ec214f",
+    (3, 0.2): "92b1459c000e625f702d1ac42b57d62e639417ee7c6751012bc45bdd0177b4f3",
     (4, 0.0): "c2e03893f98c84a141047c09a1b3045ee9d496d1883417c5ae9fb323d3f5cd7a",
-    (4, 0.2): "7aa3ca8424fd31367a2c5191bb7c318b269271b232b7362e91605568f7d3f276",
+    (4, 0.2): "f9ed1c40aba86d0e13bf1e443a24f7c877b875474a4fac0eaeae200ddf4b373b",
 }
 
 
@@ -375,7 +378,7 @@ def test_fit_bytes_are_pinned(tmp_path, level, sigma):
 # batch and k-means reused the last assignment of centers that did not move
 PINNED_BENCHMARK_FITS = {
     0.0: "3e2482cc3b04b984a0b11bd71d3a0023e2eaf1b1b9b55d2c1f180f9053727958",
-    0.2: "4e3387f97dd591f524c3194b17bce2ac5c88e801955dac82558c4aa8cf186f0e",
+    0.2: "8825875bb7be1fcba814dd267774a66502592f1a6c9d239c5f6c5ce2496d3735",
 }
 
 
@@ -392,11 +395,11 @@ def test_benchmark_fit_bytes_are_pinned(tmp_path, sigma):
 # read the training split as one token stack with a key id per row
 PINNED_DESK_FITS = {
     (1, 0.0): "ec4161001436c5f6e952216b232753f88ac8cc4ca4a760d5f698e1cfae57313f",
-    (1, 0.2): "c492f5422bcb90afb78b08646bae5d371999e41872cb8d4d872c077d0cec7027",
+    (1, 0.2): "014f4e95e63db64089da7c74d048440bf307178f3837554b157b2ce594003b15",
     (2, 0.0): "11ad8a8bc540bfe767a5061633b89f090ef393b01731abfcb8d10dda1a37abc0",
-    (2, 0.2): "f8425fc6cb14d43d1188f08b9f60086708bb4104fcb99327a2206b09afd9b620",
+    (2, 0.2): "7c61a8f3ebac013f7d20acc2540611c708c8c20c9a4fb9f3682eef174f048a93",
     (3, 0.0): "90b181d9b889ef0ab7da5f99cd0732e063dede08ec7294cf793642717dc6819d",
-    (3, 0.2): "5a245c4d06741896971101f61df77334293a1396f91db696614e019e3897bab8",
+    (3, 0.2): "234820fde53077821010e987a696c6dc50fd9ed0c0e3d124cacfd4798ac0e079",
 }
 
 
@@ -437,10 +440,15 @@ def _sub(pattern, new):
     ("data", _sub(" seed=1 ", " seed=-1 "), "seed is negative: -1"),
     ("data", _sub(" codebook_seed=1 ", " codebook_seed=-1 "), "codebook_seed is negative: -1"),
     ("fit", _sub(" dim=8 ", " "), "missing field dim"),
+    ("fit", _sub(" dim=8 ", f" dim={MAX_DIM + 1} "),
+     f"dim={MAX_DIM + 1} is past MAX_DIM={MAX_DIM}"),
     ("fit", _sub(" codebook_seed=1$", ""), "missing field codebook_seed"),
     ("fit", _sub(" fit_seed=0 ", " fit_seed=-1 "), "fit_seed is negative: -1"),
+    ("fit", _sub(" fit_seed=0 ", f" fit_seed={SEED_BOUND} "),
+     f"fit_seed is past {SEED_BOUND - 1}: {SEED_BOUND}"),
     ("fit", _sub(" codebook_seed=1$", " codebook_seed=-1"), "codebook_seed is negative: -1"),
     ("fit", _sub(r"^purity=.*\n", ""), "missing field purity"),
+    ("fit", _sub(r"^(purity=.*)$", r"\1 stray=1\nc 1.0,2.0"), "row 'c' under the purity record"),
     ("fit", _sub(r" inertia=\S+", ""), "missing field inertia"),
     ("fit", _sub(r" mse=\S+", ""), "missing field mse"),
     ("fit", _sub(r"^(c .*),[^,\n]*$", r"\1"), "concept 0 needs 8 values, got 7"),
@@ -459,8 +467,9 @@ def _sub(pattern, new):
      "'move_front@3' is not an action key, as `action_key` gives them"),
 ], ids=["header-no-seed", "header-no-level", "header-no-test", "header-no-variant",
         "task-stray-word", "negative-seed", "negative-codebook-seed", "fit-no-dim",
-        "fit-no-codebook-seed", "fit-negative-fit-seed", "fit-negative-codebook-seed",
-        "no-purity", "concept-no-inertia", "map-no-mse", "short-c-row", "short-A-row",
+        "fit-dim-past-cap", "fit-no-codebook-seed", "fit-negative-fit-seed",
+        "fit-fit-seed-past-bound", "fit-negative-codebook-seed", "no-purity",
+        "rows-under-purity", "concept-no-inertia", "map-no-mse", "short-c-row", "short-A-row",
         "c-row-stray-word", "count-row-of-5", "no-records", "no-counts-record",
         "count-key-move_jump", "count-key-change_color@x", "map-key-move_front@3"])
 def test_refusal_names_what_it_read(sealed_files, tmp_path, file, edit, message):

@@ -13,6 +13,7 @@ from _sealing import drop_center, drop_last_concept, edit_sealed, swap_concepts
 from benchplan import cli
 from benchplan.artifacts import FIT_FILE, load_dataset, save_dataset, save_fitted
 from benchplan.cli import main
+from benchplan.fitting import MAX_DIM
 from benchplan.taskgen import generate_dataset
 from benchplan.workbench import MAX_TYPES, N_TYPES
 
@@ -167,6 +168,7 @@ class TestPipeline:
         EVAL + ("--l-max", -1),
         EVAL + ("--jobs", 0),
         FIT + ("--dim", 1),
+        FIT + ("--dim", MAX_DIM + 1),
         FIT + ("--thresh", 0),
         FIT + ("--thresh", 1),
         FIT + ("--restarts", 0),
@@ -176,6 +178,7 @@ class TestPipeline:
         GEN + ("--train", -1),
         GEN + ("--variant", "unseen_object", "--unseen-types", 0),
         GEN + ("--seed", -1),
+        GEN + ("--seed", 2**32),
         GEN + ("--codebook-seed", -1),
         FIT + ("--seed", -1),
         PLAN + ("--seed", -1),
@@ -198,13 +201,13 @@ class TestPipeline:
     ], ids=["rotation", "level3-no-dyer", "init-on-obstacle", "short-state",
             "unknown-type", "one-int-obstacle", "one-int-dyer", "plan-negative-sigma",
             "fit-negative-sigma", "eval-negative-sigma", "plan-topk-0", "eval-topk-0",
-            "eval-negative-l-max", "eval-jobs-0", "fit-dim-1", "fit-thresh-0",
-            "fit-thresh-1", "fit-restarts-0", "fit-negative-min-sep",
+            "eval-negative-l-max", "eval-jobs-0", "fit-dim-1", "fit-dim-past-cap",
+            "fit-thresh-0", "fit-thresh-1", "fit-restarts-0", "fit-negative-min-sep",
             "fit-unachievable-min-sep", "gen-no-tasks", "gen-negative-train",
-            "gen-unseen-types-0", "gen-negative-seed", "gen-negative-codebook-seed",
-            "fit-negative-seed", "plan-negative-seed", "eval-negative-seed",
-            "report-negative-seed", "gen-unseen-task-level-3", "fit-no-training-tasks",
-            "fit-too-few-pairs", "eval-empty-split", "report-samples-0",
+            "gen-unseen-types-0", "gen-negative-seed", "gen-seed-past-bound",
+            "gen-negative-codebook-seed", "fit-negative-seed", "plan-negative-seed",
+            "eval-negative-seed", "report-negative-seed", "gen-unseen-task-level-3",
+            "fit-no-training-tasks", "fit-too-few-pairs", "eval-empty-split", "report-samples-0",
             "report-negative-samples", "eval-min-top1-nan", "eval-min-top1-150",
             "plan-inf-sigma", "fit-inf-sigma", "eval-inf-sigma", "fit-inf-min-sep",
             "eval-nan-sigma", "eval-baseline-chance"])

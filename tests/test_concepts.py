@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from _metrics import changed_concept_index, disentanglement_score
 from _oracles import oracle_draw_separated
 from benchplan.concepts import (
-    _STREAM_EXTEND,
     SeparationUnachievable,
     UnknownValue,
     _draw_separated,
@@ -17,6 +16,7 @@ from benchplan.concepts import (
     encode,
     extend_codebook,
 )
+from benchplan.streams import STREAMS
 from benchplan.workbench import CONCEPTS, DEFAULT_CARDINALITIES, TYPE, ObjectState
 
 ROT = CONCEPTS.index("rotation")
@@ -144,7 +144,7 @@ def test_extension_equals_frozen_drawer():
     codebook = build_codebook(8, 0, 1.0)
     extended = extend_codebook(codebook, 300)
     known = codebook.centroids[TYPE]
-    rng = np.random.default_rng([0, _STREAM_EXTEND + TYPE, len(known)])
+    rng = np.random.default_rng([0, STREAMS["codebook_extend"].tag, len(known)])
     frozen = oracle_draw_separated(rng, 300, 8, 1.0, existing=known)
     assert extended.centroids[TYPE].tobytes() == np.vstack([known, frozen]).tobytes()
 

@@ -8,8 +8,9 @@ import pytest
 
 from _oracles import encode_trajectory, oracle_fit_affine, oracle_fit_transitions
 from benchplan import fitting
-from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, InvalidGtPlan, fit_pipeline
+from benchplan.fitting import FitConfig, InvalidGtPlan, fit_pipeline
 from benchplan.mdp import action_key
+from benchplan.streams import STREAMS
 from benchplan.symbols import symbolize
 from benchplan.taskgen import Dataset, Task
 from benchplan.workbench import EnvConfig, ObjectState, SimulationError
@@ -41,7 +42,7 @@ def per_task_paths(dataset, sigma, fitted):
     """Each training task's (tokens, keys), encoded on its own as the fit once did."""
     for i, task in enumerate(dataset.tasks):
         if task.split == "train":
-            rng = np.random.default_rng([0, _STREAM_FIT_ENCODE, i]) if sigma else None
+            rng = np.random.default_rng([0, STREAMS["fit_noise"].tag, i]) if sigma else None
             _, tokens = encode_trajectory(task, fitted.codebook, sigma, rng)
             yield tokens, [action_key(a, task.env.dyer_color) for a in task.gt_actions]
 
@@ -98,7 +99,7 @@ def test_only_a_noisy_fit_builds_noise_streams(level1_run, monkeypatch, sigma):
 
     monkeypatch.setattr(np.random, "default_rng", recorded)
     fit_pipeline(dataset, FitConfig(noise_sigma=sigma))
-    streams = [s[2] for s in seeds if s[:2] == [0, _STREAM_FIT_ENCODE]]
+    streams = [s[2] for s in seeds if s[:2] == [0, STREAMS["fit_noise"].tag]]
     train = [i for i, task in enumerate(dataset.tasks) if task.split == "train"]
     assert streams == (train if sigma else [])
 

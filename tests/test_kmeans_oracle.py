@@ -13,11 +13,13 @@ from _oracles import _kmeanspp_init as oracle_kmeanspp_init
 from _oracles import _sq_dists, oracle_fit_kmeans, oracle_lloyd
 from benchplan import symbols
 from benchplan.concepts import build_codebook
+from benchplan.streams import STREAMS
 from benchplan.symbols import (
     DEFAULT_RESTARTS, UnmeasurablePoints, _kmeanspp_init, _lloyd, _nearest, _point_costs,
     _sq_norms, _weighted_pick, fit_kmeans,
 )
 
+KMEANS = STREAMS["kmeans"].tag  # `fit_kmeans` restart r of concept c: [seed, KMEANS, c, r]
 KINDS = ("normal", "k=1", "k=n", "codebook", "few distinct", "far offset")
 
 
@@ -68,8 +70,8 @@ def test_fit_kmeans_equals_frozen_oracle():
     for case in range(240):
         points, k = _case(rng, KINDS[case % len(KINDS)])
         for restarts in (2, DEFAULT_RESTARTS):
-            assert_same(fit_kmeans(points, k, seed=[case, 1], restarts=restarts),
-                        oracle_fit_kmeans(points, k, seed=[case, 1], restarts=restarts))
+            assert_same(fit_kmeans(points, k, case, concept=1, restarts=restarts),
+                        oracle_fit_kmeans(points, k, seed=[case, KMEANS, 1], restarts=restarts))
 
 
 def test_fit_kmeans_equals_frozen_oracle_at_high_dims():
@@ -77,8 +79,8 @@ def test_fit_kmeans_equals_frozen_oracle_at_high_dims():
     rng = np.random.default_rng(2025)
     for case in range(60):
         points, k = _case(rng, KINDS[case % len(KINDS)], dims=(9, 21))
-        assert_same(fit_kmeans(points, k, seed=[case, 2], restarts=2),
-                    oracle_fit_kmeans(points, k, seed=[case, 2], restarts=2))
+        assert_same(fit_kmeans(points, k, case, concept=2, restarts=2),
+                    oracle_fit_kmeans(points, k, seed=[case, KMEANS, 2], restarts=2))
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.2])
@@ -86,8 +88,9 @@ def test_fit_kmeans_equals_frozen_oracle_at_scale(level4_run, training_tokens, s
     stack = training_tokens(level4_run, sigma)
     for k, card in enumerate(level4_run[1].codebook.cardinalities):
         for restarts in (2, DEFAULT_RESTARTS):
-            assert_same(fit_kmeans(stack[:, k, :], card, seed=[0, k], restarts=restarts),
-                        oracle_fit_kmeans(stack[:, k, :], card, seed=[0, k], restarts=restarts))
+            assert_same(fit_kmeans(stack[:, k, :], card, 0, concept=k, restarts=restarts),
+                        oracle_fit_kmeans(stack[:, k, :], card, seed=[0, KMEANS, k],
+                                          restarts=restarts))
 
 
 @pytest.mark.parametrize("sigma, runs", [(0.0, 1), (0.2, DEFAULT_RESTARTS)])
@@ -101,7 +104,7 @@ def test_restarts_that_draw_one_center_set_share_one_lloyd_run(
     stack = training_tokens(level4_run, sigma)
     for k, card in enumerate(level4_run[1].codebook.cardinalities):
         calls.clear()
-        fit_kmeans(stack[:, k, :], card, seed=[0, k])
+        fit_kmeans(stack[:, k, :], card, 0, concept=k)
         assert len(calls) == runs, k
 
 
@@ -111,11 +114,12 @@ def test_a_run_that_meets_a_tie_is_not_shared():
     the three points at (0, 0) in restart 0 and the two at (2, 0) in restart 1,
     which ends with the lower inertia. Restart 1 must run."""
     points = np.array([[0.0, 0.0]] * 3 + [[2.0, 0.0]] * 2 + [[1.0, 0.0]])
-    inits = [_kmeanspp_init(columns(points), 2, np.random.default_rng([21, r])) for r in (0, 1)]
+    inits = [_kmeanspp_init(columns(points), 2, np.random.default_rng([3, KMEANS, 0, r]))
+             for r in (0, 1)]
     assert inits[0].tolist() == inits[1][::-1].tolist() == [[0.0, 0.0], [2.0, 0.0]]
     assert _nearest(columns(points), _sq_norms(columns(points)), inits[0])[2]
-    result = fit_kmeans(points, 2, seed=21, restarts=2)
-    assert_same(result, oracle_fit_kmeans(points, 2, seed=21, restarts=2))
+    result = fit_kmeans(points, 2, 3, restarts=2)
+    assert_same(result, oracle_fit_kmeans(points, 2, seed=[3, KMEANS, 0], restarts=2))
     assert result.inertia == 2 / 3
 
 
@@ -153,8 +157,9 @@ def test_kmeanspp_init_equals_the_oracle_draw(level4_run, training_tokens, sigma
     for k, card in enumerate(level4_run[1].codebook.cardinalities):
         cols = columns(stack[:, k, :])
         for r in range(DEFAULT_RESTARTS):
-            init = _kmeanspp_init(cols, card, np.random.default_rng([0, k, r]))
-            frozen = oracle_kmeanspp_init(stack[:, k, :], card, np.random.default_rng([0, k, r]))
+            init = _kmeanspp_init(cols, card, np.random.default_rng([0, KMEANS, k, r]))
+            frozen = oracle_kmeanspp_init(stack[:, k, :], card,
+                                          np.random.default_rng([0, KMEANS, k, r]))
             assert init.tobytes() == frozen.tobytes(), (k, r)
 
 
@@ -171,7 +176,7 @@ def test_lloyd_sums_again_only_the_clusters_that_changed(monkeypatch, level4_run
     points of the clusters that gained or lost one, not all. The run ends on
     labels that repeat: that step sums nothing, and the centers are kept."""
     points = training_tokens(level4_run, 0.2)[:, 0, :]  # 8 clusters
-    init = _kmeanspp_init(columns(points), 8, np.random.default_rng([0, 0, 0]))
+    init = _kmeanspp_init(columns(points), 8, np.random.default_rng([0, 0, 0]))  # 10+ steps
     calls = []
     spy(monkeypatch, "_cluster_sums", calls)
     spy(monkeypatch, "_nearest", calls)
@@ -216,7 +221,7 @@ def test_point_costs_only_where_a_result_reads_them(monkeypatch, level4_run,
     stack = training_tokens(level4_run, sigma)
     for k, card in enumerate(level4_run[1].codebook.cardinalities):
         calls.clear()
-        fit_kmeans(stack[:, k, :], card, seed=[0, k])
+        fit_kmeans(stack[:, k, :], card, 0, concept=k)
         names = [name for name, _ in calls]
         assert names.count("_point_costs") == names.count("_lloyd") >= 1, k
 

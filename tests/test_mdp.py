@@ -19,7 +19,7 @@ from _oracles import (
     point_mass,
 )
 from benchplan.concepts import encode
-from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, fit_pipeline
+from benchplan.fitting import FitConfig, fit_pipeline
 from benchplan.mdp import (
     DeadDistribution,
     NoPlanFound,
@@ -32,6 +32,7 @@ from benchplan.mdp import (
     plan,
     propagate,
 )
+from benchplan.streams import STREAMS
 from benchplan.symbols import symbolize
 from benchplan.taskgen import oracle_shortest_plan
 from benchplan.workbench import (DEFAULT_CARDINALITIES, POS_X, POS_Y, EnvConfig, ObjectState,
@@ -322,7 +323,7 @@ def _training_triplets(dataset, fitted):
     for i, task in enumerate(dataset.tasks):
         if task.split != "train":
             continue
-        rng = np.random.default_rng([fitted.config.seed, _STREAM_FIT_ENCODE, i])
+        rng = np.random.default_rng([fitted.config.seed, STREAMS["fit_noise"].tag, i])
         _, tokens = encode_trajectory(task, fitted.codebook,
                                       fitted.config.noise_sigma, rng)
         symbols = [symbolize(t, fitted.symbolizer) for t in tokens]

@@ -14,9 +14,10 @@ from functools import cache
 import numpy as np
 import pytest
 
-from benchplan.evaluate import _STREAM_EVAL, plan_task
+from benchplan.evaluate import plan_task
 from benchplan.fitting import FitConfig, codebook_for_tasks, fit_pipeline
 from benchplan.mdp import InvalidInit, NoPlanFound
+from benchplan.streams import STREAMS
 from benchplan.taskgen import generate_dataset
 
 
@@ -33,7 +34,7 @@ def result_digest(level, counts, sigma, planner):
     codebook = codebook_for_tasks(fitted, tasks)
     lines = []
     for index, task in enumerate(tasks):
-        rng = np.random.default_rng([0, _STREAM_EVAL, index])
+        rng = np.random.default_rng([0, STREAMS["eval"].tag, index])
         try:
             result, _, _ = plan_task(task, fitted, codebook, planner=planner,
                                      noise_sigma=sigma, top_k=5, l_max=None, rng=rng)

@@ -6,8 +6,9 @@ import pytest
 from _oracles import encode_trajectory, oracle_fit_transitions, oracle_symbolize
 from benchplan import symbols
 from benchplan.concepts import build_codebook, encode, extend_codebook
-from benchplan.fitting import _STREAM_FIT_ENCODE, FitConfig, fit_pipeline
+from benchplan.fitting import FitConfig, fit_pipeline
 from benchplan.mdp import action_key
+from benchplan.streams import STREAMS
 from benchplan.symbols import (
     InsufficientPoints,
     Symbolizer,
@@ -234,7 +235,7 @@ class TestBatchedSymbols:
         paths, triplets = [], []
         for i, task in enumerate(dataset.tasks):
             if task.split == "train":
-                rng = np.random.default_rng([0, _STREAM_FIT_ENCODE, i])
+                rng = np.random.default_rng([0, STREAMS["fit_noise"].tag, i])
                 paths.append(np.stack(encode_trajectory(task, fitted.codebook, 0.2, rng)[1]))
                 symbols = [symbolize(t, sym) for t in paths[-1]]
                 triplets += [(symbols[t], action_key(a, task.env.dyer_color), symbols[t + 1])
