@@ -15,7 +15,12 @@ Writes to --out a JSON object with
   1-4 and sigma 0, 0.2, 0.4 and 0.5 (fit and eval at the same sigma, top_k 5,
   the level's length cap), on each of SEEDS, with their mean and range per
   level and sigma. Below 0.4 every cell has read 100/100/1.0; the noisier
-  rows show the spread.
+  rows show the spread;
+- `generalization`: the same at sigma 0 on the paper's generalization splits,
+  each cell named by its `variant`: unseen objects at levels 1 and 3 (the test
+  tasks retyped to the four types past the codebook's, as `gen --variant
+  unseen_object` does) and unseen tasks at levels 1 and 2 (test plans on
+  action pairs that no training plan combines).
 
 Every dataset has perfbench's task counts. All timing is perfbench's: times
 are in its reference seconds.
@@ -38,7 +43,12 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from benchplan.evaluate import run_experiment  # noqa: E402
 from benchplan.fitting import FitConfig, fit_pipeline  # noqa: E402
-from benchplan.taskgen import generate_dataset  # noqa: E402
+from benchplan.taskgen import (  # noqa: E402
+    generate_dataset,
+    make_unseen_object_split,
+    make_unseen_task_split,
+)
+from benchplan.workbench import N_TYPES  # noqa: E402
 from perfbench import protocol  # noqa: E402
 
 SCHEMA = 1
@@ -47,6 +57,15 @@ LEVELS = (1, 2, 3, 4)
 SIGMAS = (0.0, 0.2, 0.4, 0.5)
 QUALITY = ("asacc_top1", "asacc_top5", "ase")
 SEEDS = (11, 12, 13)  # the quality seeds; the first is the workload seed
+HELD_OUT_TYPES = set(range(N_TYPES, N_TYPES + 4))  # `gen --unseen-types`' default
+VARIANTS = {  # (level, counts, seed) -> the dataset of each split
+    "standard": generate_dataset,
+    "unseen_object": lambda level, counts, seed: make_unseen_object_split(
+        generate_dataset(level, counts, seed), HELD_OUT_TYPES),
+    "unseen_task": make_unseen_task_split,
+}
+GENERALIZATION = (("unseen_object", 1), ("unseen_object", 3), ("unseen_task", 1),
+                  ("unseen_task", 2))  # (variant, level), at sigma 0
 CODE = ("src", "perfbench")  # what a run measures
 
 
@@ -77,11 +96,11 @@ def run_record(result, names) -> dict:
             "problems": result.problems}
 
 
-def quality_cell(level: int, sigma: float, seeds, counts) -> dict:
+def quality_cell(level: int, sigma: float, seeds, counts, variant="standard") -> dict:
     """The symbolic planner's results on each seed's dataset, with mean and range."""
     values = {name: [] for name in QUALITY}
     for seed in seeds:
-        dataset = generate_dataset(level, counts, seed=seed)
+        dataset = VARIANTS[variant](level, counts, seed)
         report = run_experiment(dataset, fit_pipeline(dataset, FitConfig(noise_sigma=sigma)),
                                 noise_sigma=sigma, top_k=protocol.TOP_K, seed=seed)
         values["asacc_top1"].append(report.asacc_top1)
@@ -117,6 +136,10 @@ def main(argv=None, seeds=SEEDS, counts=protocol.COUNTS) -> int:
         "quality": {"planner": "symbolic", "seeds": list(seeds),
                     "cells": [quality_cell(level, sigma, seeds, counts)
                               for level in LEVELS for sigma in SIGMAS]},
+        "generalization": {"planner": "symbolic", "seeds": list(seeds),
+                           "cells": [{"variant": variant,
+                                      **quality_cell(level, 0.0, seeds, counts, variant)}
+                                     for variant, level in GENERALIZATION]},
     }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)

@@ -7,13 +7,13 @@ centers), `n` (transition counts), `A`/`b` (affine maps). The fit file writes
 only what cannot be derived: the loader rebuilds the codebook from its seed,
 whose cardinalities size each concept's `c` rows, and the whole transition model
 from the `n` rows, which all pass the one count check (`mdp.count_tables`); each
-record must sit where its key says, its floats be finite, its noise sigma
-nonnegative, its seeds in 0..2**32 - 1, its dim at most `fitting.MAX_DIM`, and
-the purity record holds no rows. A dataset has at least one task, unique task
-ids and known splits, its header gives its tasks' one level and split sizes,
-and each gt plan reaches its goal within the level's `max_len` steps. Every
-file ends in a seal, one `sha256=<hex>` line over all bytes above it, which a
-cut, a flipped byte or an edit breaks. Each kind of value has one reader
+record must sit where its key says and hold only its own fields, its floats be
+finite, its noise sigma nonnegative, its seeds in 0..2**32 - 1, its dim at most
+`fitting.MAX_DIM`, and the purity record holds no rows. A dataset has at least
+one task, unique task ids and known splits, its header gives its tasks' one
+level and split sizes, and each gt plan reaches its goal within the level's
+`max_len` steps. Every file ends in a seal, one `sha256=<hex>` line over all
+bytes above it, which a cut, a flipped byte or an edit breaks. Each kind of value has one reader
 (fields `_parse_kv`, floats `_vectors`, states `parse_state`, action keys
 `mdp._key_rank`), so a broken seal or malformed content raises SchemaMismatch
 naming the file and what it read.
@@ -271,7 +271,21 @@ def _vectors(rows, tags: list[str], width: int, what: str) -> np.ndarray:
     return values
 
 
+# the fields each fit record may hold; v2 files written before `sym_seed=` (purity)
+# and `pairs=` (maps) were dropped still carry them, and the loader reads past both
+_HEADER_FIELDS = {"dim", "min_sep", "noise_sigma", "thresh", "fit_seed", "restarts",
+                  "codebook_seed"}
+_PURITY_FIELDS, _CONCEPT_FIELDS = {"purity", "sym_seed"}, {"concept", "inertia", "iterations"}
+_MAP_FIELDS = {"action", "mse", "pairs"}
+
+
+def _known_fields(kv, fields: set[str], record: str):
+    unknown = next((key for key in kv if key not in fields), None)
+    _expect(unknown is None, "{} has an unknown field {}", record, unknown)
+
+
 def _parse_fit(header, records) -> Fitted:
+    _known_fields(header, _HEADER_FIELDS, "the header")
     config = FitConfig(dim=int(header["dim"]), min_sep=float(header["min_sep"]),
                        noise_sigma=float(header["noise_sigma"]),
                        thresh=float(header["thresh"]), seed=header.seed("fit_seed"),
@@ -284,6 +298,7 @@ def _parse_fit(header, records) -> Fitted:
     purity_row = [("purity", purity_kv["purity"])]  # its field first
     if stray:
         raise ValueError(f"row {stray[0][0]!r} under the purity record")
+    _known_fields(purity_kv, _PURITY_FIELDS, "the purity record")
     concepts, ((counts_kv, count_rows), *map_records) = rest[:len(cards)], rest[len(cards):]
     symbolizer = Symbolizer(
         centers=tuple(_vectors(rows, ["c"] * card, config.dim, f"concept {k}")
@@ -292,6 +307,7 @@ def _parse_fit(header, records) -> Fitted:
         iterations=tuple(int(kv["iterations"]) for kv, _ in concepts))
     for k, (kv, _) in enumerate(concepts):  # records of equal size could trade places
         _expect(kv.get("concept") == str(k), f"the record of concept {k} reads {_kv_line(**kv)}")
+        _known_fields(kv, _CONCEPT_FIELDS, f"the record of concept {k}")
     (purity,) = _vectors(purity_row, ["purity"], len(cards), "purity").tolist()
 
     _expect(counts_kv == {"model": "counts"}, f"the counts record reads {_kv_line(**counts_kv)}")
@@ -306,6 +322,7 @@ def _parse_fit(header, records) -> Fitted:
     for kv, rows in map_records:
         _expect("action" in kv, f"a map record reads {_kv_line(**kv)}")
         key = kv["action"]
+        _known_fields(kv, _MAP_FIELDS, f"the record of action {key}")
         values = _vectors(rows, ["A"] * size + ["b"], size, f"action {key}")
         matrices[key], offsets[key] = values[:-1], values[-1]
         mses[key] = float(kv["mse"])

@@ -7,6 +7,14 @@ off in closed form; its plans are provably shortest and equal those of a search
 over every (cell, rotation, color) state. Generation is reproducible: task i
 of a dataset draws from its own generator, `streams.rng(seed, "task", i)`, which
 also makes generation embarrassingly parallel.
+
+The draw rule: `generate_task` reads all of its randomness, in order, from
+blocks of `rng.random(BLOCK)` floats u in [0, 1), and starts a block of its own
+on every call; an int in [0, n) is `int(u * n)`, which stays below n for every
+u < 1 and n < 2**53. An env takes its obstacle count, then its obstacles and
+dyer cell by a partial Fisher-Yates shuffle of the 15 cells, then the dyer's
+color; the states take both cells, the type, the size, the rotations, the color
+branch and the colors.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from .workbench import (
     N_TYPES,
     ROTATION,
     ROTATIONS,
-    X_CELLS,
     Y_CELLS,
     EnvConfig,
     ObjectState,
@@ -37,6 +44,7 @@ from .workbench import (
 
 SPLITS = ("train", "val", "test")
 MAX_ATTEMPTS = 1000  # env and state draws `generate_task` makes per task
+BLOCK = 32  # uniform draws per `rng.random` call of `generate_task`
 
 # action-combination families for the unseen-task protocol (levels 1-2 only)
 TRAIN_FAMILIES = (
@@ -138,36 +146,54 @@ def oracle_shortest_plan(env: EnvConfig, init: ObjectState,
     raise Unreachable(f"goal {goal} unreachable from {init}")
 
 
-def _sample_env(level: int, rng: np.random.Generator) -> EnvConfig | None:
+class _Draws:
+    """The uniform draws of one `generate_task` call, read in order from blocks
+    of `rng.random(BLOCK)`; a spent block is refilled from the same generator."""
+
+    __slots__ = ("_rng", "_us")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._us = iter(rng.random(BLOCK).tolist())
+
+    def below(self, n: int) -> int:
+        """An int in [0, n): the next draw u, as int(u * n)."""
+        try:
+            u = next(self._us)
+        except StopIteration:
+            self._us = iter(self._rng.random(BLOCK).tolist())
+            u = next(self._us)
+        return int(u * n)
+
+
+def _sample_env(level: int, below) -> EnvConfig | None:
     """One env draw; None when the free cells come out disconnected."""
     if level == 1:
         return EnvConfig(level=1)
-    n_obstacles = int(rng.integers(1, 4))
-    picks = rng.choice(X_CELLS * Y_CELLS, size=n_obstacles + (level >= 3), replace=False)
-    chosen = [CELLS[i] for i in picks.tolist()]
+    pool = list(CELLS)
+    chosen = [pool.pop(below(len(pool))) for _ in range(1 + below(3) + (level >= 3))]
     if not cells_connected(chosen):
         return None
     if level == 2:
         return EnvConfig(level, chosen)
-    return EnvConfig(level, chosen[:-1], chosen[-1], int(rng.integers(N_COLORS)))  # dyer last
+    return EnvConfig(level, chosen[:-1], chosen[-1], below(N_COLORS))  # dyer last
 
 
-def _sample_states(level: int, env: EnvConfig,
-                   rng: np.random.Generator) -> tuple[ObjectState, ObjectState]:
+def _sample_states(level: int, env: EnvConfig, below) -> tuple[ObjectState, ObjectState]:
     free = list(compress(CELLS, chain.from_iterable(env.free)))
-    init_pos = free[int(rng.integers(len(free)))]
-    goal_pos = free[int(rng.integers(len(free)))]
-    type_id = int(rng.integers(N_TYPES))
-    size = int(rng.integers(N_SIZES))
-    init_rot = ROTATIONS[int(rng.integers(4))]
-    goal_rot = init_rot if level <= 3 else ROTATIONS[int(rng.integers(4))]
-    if level >= 3 and rng.random() < 0.5:
+    init_pos = free[below(len(free))]
+    goal_pos = free[below(len(free))]
+    type_id = below(N_TYPES)
+    size = below(N_SIZES)
+    init_rot = ROTATIONS[below(4)]
+    goal_rot = init_rot if level <= 3 else ROTATIONS[below(4)]
+    if level >= 3 and below(2):
         # force a color change: goal color is the dyer's, init differs
         goal_color = env.dyer_color
-        init_color = int(rng.integers(N_COLORS - 1))  # the index among the other colors
+        init_color = below(N_COLORS - 1)  # the index among the other colors
         init_color += init_color >= goal_color
     else:
-        init_color = int(rng.integers(N_COLORS))
+        init_color = below(N_COLORS)
         goal_color = init_color
     init = ObjectState(type_id, init_pos[0], init_pos[1], init_rot, init_color, size)
     goal = ObjectState(type_id, goal_pos[0], goal_pos[1], goal_rot, goal_color, size)
@@ -178,11 +204,12 @@ def generate_task(level: int, rng: np.random.Generator) -> Task:
     """Sample one task whose gt plan is nonempty and within the level's cap."""
     if level not in (1, 2, 3, 4):
         raise ValueError(f"level must be 1..4, got {level}")
+    below = _Draws(rng).below
     for _ in range(MAX_ATTEMPTS):
-        env = _sample_env(level, rng)
+        env = _sample_env(level, below)
         if env is None:
             continue
-        init, goal = _sample_states(level, env, rng)
+        init, goal = _sample_states(level, env, below)
         try:
             plan = oracle_shortest_plan(env, init, goal)
         except Unreachable:

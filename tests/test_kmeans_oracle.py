@@ -176,7 +176,8 @@ def test_lloyd_sums_again_only_the_clusters_that_changed(monkeypatch, level4_run
     points of the clusters that gained or lost one, not all. The run ends on
     labels that repeat: that step sums nothing, and the centers are kept."""
     points = training_tokens(level4_run, 0.2)[:, 0, :]  # 8 clusters
-    init = _kmeanspp_init(columns(points), 8, np.random.default_rng([0, 0, 0]))  # 10+ steps
+    # [0, 0, 2] is the first key [0, 0, c] whose init runs 10+ steps (12) on these points
+    init = _kmeanspp_init(columns(points), 8, np.random.default_rng([0, 0, 2]))
     calls = []
     spy(monkeypatch, "_cluster_sums", calls)
     spy(monkeypatch, "_nearest", calls)

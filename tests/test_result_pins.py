@@ -5,7 +5,9 @@ A digest covers, per test task in order, the task id and either the plans
 `PlanResult`, or the type and message of the exception the planner raised.
 Each task is encoded as `run_experiment` encodes it (eval seed 0), with the
 fit's noise. A new digest here is a change to planner results: declare it,
-with the old and new digests and how many tasks changed.
+with the old and new digests and how many tasks changed. Every digest was
+re-derived when `generate_task` came to read its draws from blocks of
+`rng.random(taskgen.BLOCK)`, which replaced every task it plans.
 """
 
 import hashlib
@@ -48,14 +50,14 @@ def result_digest(level, counts, sigma, planner):
 
 # symbolic planner, desk scale (800/100/100 tasks per level)
 PINNED_SYMBOLIC = {
-    (1, 0.0): "b906d71491b1bdc3efcee4ba8440dd55d1aaa7fbca314dbd0e079e91faf8b210",
-    (1, 0.4): "eb8ae04a14041188920c80ea4162a5c406c6e0ff767cdefa8d6c1aeffcb7eb2b",
-    (2, 0.0): "e935a1ae6a17185bb0fbadf5476afeef32af0c14e7e876b4236241148cef1adc",
-    (2, 0.4): "041439dd3f1083194dcdf40cca240edbe0c814a3e05db8b57146a2cf0ccb5bc5",
-    (3, 0.0): "4732ae1d9dac9f8bc6aa281d771becde65320e5140591f955c861cfcf45766bc",
-    (3, 0.4): "de4dbcbeccb6b24046b8fc35e8ee585334240c8dbfbe9b2cec622a8f2b0766da",
-    (4, 0.0): "0d6f69b50489ed3a1c6f0a99b9f7cba6048e0fb31f84c22c7c12d48a7a2d9011",
-    (4, 0.4): "bcb6acc26d7eef0576cc536c648484ee711c932884ad5fe05204beafe55ed363",
+    (1, 0.0): "0bff6d8e88c99ceba90fc4a8933429c3e79bc2e6bb42215ec911042deba4ccc9",
+    (1, 0.4): "c1cadc319f1b807f60335681c418a8646e343162448f4d2ab9541c96f825069b",
+    (2, 0.0): "7ff9536ab32cf5f1fccbb0e8733f691625c22cfaac6b2a92a23070b3f7cd379c",
+    (2, 0.4): "7f029e17c35855f19d004e2291df72c5b8c14e6222fde076f9aee20a371906cb",
+    (3, 0.0): "662f4b5559ba301ac334c9e1de539b6d45dca3b51087d88a893affdf6efe00e5",
+    (3, 0.4): "d084826e57dd3310d8a5fc04ee95e20bb64170eea051bdc6f444e23c73a06649",
+    (4, 0.0): "271caca5f8d022cc21c2cb14527d59d7a9a8da13fa192f133d0e866f5dc987be",
+    (4, 0.4): "2922d4032e713a8a1962d9b226ee615b15e8a663f29c1d7f0a2ea163e96632e4",
 }
 
 
@@ -67,14 +69,14 @@ def test_symbolic_results_are_pinned(level, sigma):
 
 # token-space planner, desk scale; its σ=0 runs share the symbolic pins' fits
 PINNED_TOKEN_DESK = {
-    (1, 0.0): "f03833e56784c58f9e4485fcc271cbb9fb0cef30114ae3cf0b0f31f370ed6189",
-    (1, 0.2): "ab655fd1bdabd015ec44baee427937ae0aa04eb9b5aa4c2829e78b25a5eecbea",
-    (2, 0.0): "537a90edfab6c48677ca0ff028dcc2f073e8098c0c61a244e65f1fe313b1e12f",
-    (2, 0.2): "4230fd796a1607d6595edac30d4b661fa8bdec6e67b332881764796e4f6fc409",
-    (3, 0.0): "0f955a632ff9ec3e23b4f995a607e8922451d4abcdcce5b1bc2dd384fb268908",
-    (3, 0.2): "edba9db853653988f98208c16ecf08654640134ccdc2350b558679addc8be70b",
-    (4, 0.0): "db9194b8ac303ca250f3809f2332a45752060b397c3bceab7b13a5eb65c82fd9",
-    (4, 0.2): "44e9a4c597b72bd4d87a4dfb66db4b2587b8cd1a9aed4510dbfc7d9f0fff3892",
+    (1, 0.0): "90fe71e446e858dd78921c252a1f1f688af1e406fca319e7907f15cdc2800857",
+    (1, 0.2): "4399c73cca1427f0e41189d49148b069c287fba48490eee847e4018eb8e282a2",
+    (2, 0.0): "da08c68a55daf46e363cb4d74a0970b4ea287c9f44dca4182052591ead304e46",
+    (2, 0.2): "5f28b737fd8fc0344505473dbd25ddd931b495e78e691ec2d7ea434f0a4a1faa",
+    (3, 0.0): "d7bfdd6afb41d705ffbe513d62819a7cdfc3e182e8f6e4826c38502475d185bf",
+    (3, 0.2): "e5c6de6ad2228487a34a95195cfa8f20786896babec049fc1621af0fd7bf9966",
+    (4, 0.0): "1dda33e42c4bd5fff6962fb93aa1318bb69f7708f06e1aa834e0fa641e50987f",
+    (4, 0.2): "c756f25b08ebd6549598d215a0d6985a203963808815feaa4092a6060f7574b3",
 }
 
 
@@ -86,10 +88,10 @@ def test_token_results_are_pinned_at_desk_scale(level, sigma):
 
 # token-space planner, on small splits
 PINNED_TOKEN = {
-    (1, 0.0): "1dee73bc683bc3664f9b13f86172c869b28d98b6955ed9e8bdd4f7b1f2a8b55e",
-    (2, 0.2): "4438f35fb42349805039b9cb629e02522b26dc3010d23cb25965a8d64a602337",
-    (3, 0.0): "a053ecb48443b48d587f3a121917af39e5a8242d905dc4e92f6dfe49154fdd6c",
-    (4, 0.2): "815e7738ae38a189cf29cfc47e4befc48c3bcfbb7719ad755b361d3851208c38",
+    (1, 0.0): "00a7f362391185c2746f80ceecea36148a4b666a63968302337c98cd64ab861b",
+    (2, 0.2): "bf35eb63f4784117b9cfeda30ac9963c112457213890d70e1ad8f410f7acca43",
+    (3, 0.0): "aaf6b75bd70f58b9e0b50036e6c174bf35259e69d615abc7cc1f2c45189f1b98",
+    (4, 0.2): "1d1d4e4d3609014c7f9a7e41dd1051541995301c08d8176b357a1d3f40f065a7",
 }
 
 

@@ -58,7 +58,11 @@ def test_bench_trajectory_small(tmp_path):
     cells = record["quality"]["cells"]
     assert [(c["level"], c["sigma"]) for c in cells] == [
         (level, sigma) for level in (1, 2, 3, 4) for sigma in (0.0, 0.2, 0.4, 0.5)]
-    for cell in cells:
+    splits = record["generalization"]["cells"]
+    assert [(c["variant"], c["level"], c["sigma"]) for c in splits] == [
+        ("unseen_object", 1, 0.0), ("unseen_object", 3, 0.0), ("unseen_task", 1, 0.0),
+        ("unseen_task", 2, 0.0)]
+    for cell in cells + splits:
         top1 = cell["asacc_top1"]
         assert len(top1["values"]) == 2 and min(top1["values"]) == top1["range"][0]
         assert top1["range"][0] <= top1["mean"] <= top1["range"][1] <= 100

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from benchplan import taskgen
+from benchplan import streams, taskgen
 from benchplan.artifacts import save_dataset
 from benchplan.taskgen import (
     TEST_FAMILIES,
@@ -19,6 +19,10 @@ from benchplan.taskgen import (
 )
 from benchplan.workbench import (
     ACTIONS,
+    N_COLORS,
+    N_SIZES,
+    N_TYPES,
+    ROTATIONS,
     ActionError,
     EnvConfig,
     ObjectState,
@@ -139,7 +143,76 @@ class TestGenerateTask:
             generate_task(5, np.random.default_rng(0))
 
 
+class TestDraws:
+    def test_below_stays_under_n_at_the_largest_draw(self):
+        class Top:  # a generator whose every float is the largest below 1
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        draws = taskgen._Draws(Top())
+        for n in [*range(1, 100), *(2**k + d for k in range(7, 53) for d in (-1, 0, 1))]:
+            assert draws.below(n) == n - 1, n
+
+    def test_every_obstacle_count_dyer_color_and_color_branch_appears(self):
+        seen = {"obstacles": set(), "dyer_color": set(), "branch": set(), "type": set(),
+                "size": set(), "rotation": set()}
+        for level in (3, 4):
+            for task in generate_dataset(level, (2000, 0, 0), seed=21).tasks:
+                env, init, goal = task.env, task.init, task.goal
+                seen["obstacles"].add(len(env.obstacles))
+                seen["dyer_color"].add(env.dyer_color)
+                # the forced branch dyes the goal in the dyer's color; the other keeps it
+                seen["branch"].add("dye" if init.color != goal.color else "keep")
+                if init.color != goal.color:
+                    assert goal.color == env.dyer_color
+                seen["type"].add(init.type_id)
+                seen["size"].add(init.size)
+                seen["rotation"].update((init.rotation, goal.rotation))
+        assert seen == {"obstacles": {1, 2, 3}, "dyer_color": set(range(N_COLORS)),
+                        "branch": {"dye", "keep"}, "type": set(range(N_TYPES)),
+                        "size": set(range(N_SIZES)), "rotation": set(ROTATIONS)}
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_a_task_reads_one_random_block_per_32_draws(self, monkeypatch, level):
+        class Recording:  # records each generator method called, with its arguments
+            def __init__(self, rng):
+                self.rng, self.calls = rng, []
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def record(*args, **kwargs):
+                    self.calls.append((name, args, kwargs))
+                    return method(*args, **kwargs)
+                return record
+
+        reads = []
+        below = taskgen._Draws.below
+
+        def counted(draws, n):
+            reads[-1] += 1
+            return below(draws, n)
+
+        monkeypatch.setattr(taskgen._Draws, "below", counted)
+        for i in range(1000):
+            rng, blocks = Recording(streams.rng(5, "task", i)), 0
+            for _ in range(2):  # a second call on one generator, as unseen-task retries make
+                reads.append(0)
+                generate_task(level, rng)
+                blocks += -(-reads[-1] // taskgen.BLOCK)  # each call starts its own block
+            assert rng.calls == [("random", (taskgen.BLOCK,), {})] * blocks, i
+        # at seed 5, tasks 57, 251 and 337 at levels 2, 3 and 4 read past one block
+        assert max(reads) > taskgen.BLOCK or level == 1
+
+
 class TestGenerateDataset:
+    @pytest.mark.parametrize("seed", [0, 11, 2**32 - 1])
+    def test_task_i_depends_on_seed_and_i_alone(self, seed):
+        small = generate_dataset(4, (10, 0, 0), seed).tasks
+        large = generate_dataset(4, (4, 3, 33), seed).tasks[:10]  # other splits too
+        assert [(t.task_id, t.env, t.init, t.goal, t.gt_actions) for t in small] == \
+            [(t.task_id, t.env, t.init, t.goal, t.gt_actions) for t in large]
+
     def test_determinism(self):
         a = generate_dataset(1, (30, 5, 10), seed=7)
         b = generate_dataset(1, (30, 5, 10), seed=7)
@@ -229,16 +302,17 @@ class TestUnseenTaskSplit:
         assert a.tasks == b.tasks
 
 
-# sha256 of save_dataset's bytes for (40, 5, 5) tasks at seed 11, as generated
-# before the BFS oracle searched state codes. A new digest here is a change to
-# the oracle's tie-break or to the RNG order, and must be declared as one.
+# sha256 of save_dataset's bytes for (40, 5, 5) tasks at seed 11. Every dataset
+# digest in this file was re-derived when `generate_task` came to read all of its
+# draws from blocks of `rng.random(taskgen.BLOCK)`. A new digest here is a change
+# to the oracle's tie-break or to the draw rule, and must be declared as one.
 PINNED_DATASETS = {
-    ("standard", 1): "f5b80e274313980886c23ce265600a828c978a0e2667a720663dff239b088cb4",
-    ("standard", 2): "46a8e33ef2121d17b222818c565d3d1b8e637f90e00f5c77ae0f68c638cc5d44",
-    ("standard", 3): "49156e08a87bb6fdaf299c0bac9963ab07ef110b03884cda07841a05cca94c71",
-    ("standard", 4): "736f754029adcdce11da980953165df2fa63a876ebea350f9750ccfd516748ae",
-    ("unseen_task", 1): "a8749d731c6635e7955291ee75c6839ecec8423372dac4329472fa92890d7251",
-    ("unseen_task", 2): "067f53530b2db92a0bd9e3abdf46d9f8669d315074f18585e7d39af965d14687",
+    ("standard", 1): "ac3682b77d67175fb2659eb5a2cf0a6cadada87cfcae110da2e6b26841d671dd",
+    ("standard", 2): "f0ea0223b0e5cbe6fc3a7100615275c9240cce6bc62994993968c1ed74bf3f8a",
+    ("standard", 3): "62adc0055d6c9b2a00240b1f79f5cb1a193653e8b5f9df4044794abdd4d9da61",
+    ("standard", 4): "8d9eb96b339c852b854de451db4e046ed7840d3b81e318b8af55b8097e767eb6",
+    ("unseen_task", 1): "6b281c3c9883ba7ce5ec7a431b96787f84241df18f7fc1ae2a5b33cfef55b544",
+    ("unseen_task", 2): "3360f92f302b4a346893a96f49c139755dc58ec7af77b79c206faf2a64080798",
 }
 
 
@@ -251,9 +325,8 @@ def test_dataset_bytes_are_pinned(tmp_path, variant, level):
 
 
 # sha256 of the save_dataset bytes of the benchmark's own input, level 4 at seed 11
-# with 800/100/100 tasks, as generated before each bench copied its tables from
-# one grid table and the BFS oracle read all seven successors in one call
-PINNED_BENCHMARK_DATASET = "4b259b63cbef83059988da4a641aa0f55b344aba2019cd6d791bef9f66015fd5"
+# with 800/100/100 tasks, re-derived under the block draw rule as above
+PINNED_BENCHMARK_DATASET = "50f450b230490353df6e65b9c4016eba485eb7fea47f13044b4264857ab1d246"
 
 
 def test_benchmark_dataset_bytes_are_pinned(tmp_path):
@@ -263,12 +336,12 @@ def test_benchmark_dataset_bytes_are_pinned(tmp_path):
 
 
 # sha256 of the save_dataset bytes of the desk datasets at levels 1-3 (level 4 is
-# the benchmark's, above), seed 11, 800/100/100 tasks, as generated before the BFS
-# oracle searched cells and a still-to-dye flag in place of every state code
+# the benchmark's, above), seed 11, 800/100/100 tasks, re-derived under the block
+# draw rule as above
 PINNED_DESK_DATASETS = {
-    1: "6d529331cb3fde84982b3213c12b2cdc97f02f83e0f670bfc5ff3ed616b46b72",
-    2: "6914a6736434253960eaf8ea979e83ce56754e9796116ba91a31c9c97cb69e54",
-    3: "840fb459b4c7c7fa9d395146aeac9fc20257d2ec079f8c4db77729be7ebbe453",
+    1: "900acb19b0e1eafb83bc76693c4ebec9e9ef3e7aea2020790f4990a6f677074a",
+    2: "1db47d09cd2f19c8f61fa24c3bc86bbcbff688d05e09da1864c7b041c27f9074",
+    3: "dedcc37b6772937eb96054253109f7180681c3a24d04017cb7e1eb8fcf420082",
 }
 
 
