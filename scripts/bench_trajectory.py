@@ -17,10 +17,10 @@ Writes to --out a JSON object with
   level and sigma. Below 0.4 every cell has read 100/100/1.0; the noisier
   rows show the spread;
 - `generalization`: the same at sigma 0 on the paper's generalization splits,
-  each cell named by its `variant`: unseen objects at levels 1 and 3 (the test
-  tasks retyped to the four types past the codebook's, as `gen --variant
-  unseen_object` does) and unseen tasks at levels 1 and 2 (test plans on
-  action pairs that no training plan combines).
+  each cell named by its `variant` and built by `taskgen.make_dataset`, as
+  `gen --variant` builds it: unseen objects at levels 1 and 3 (the test tasks
+  retyped to the four types past the codebook's) and unseen tasks at levels 1
+  and 2 (test plans on action pairs that no training plan combines).
 
 Every dataset has perfbench's task counts. All timing is perfbench's: times
 are in its reference seconds.
@@ -43,12 +43,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from benchplan.evaluate import run_experiment  # noqa: E402
 from benchplan.fitting import FitConfig, fit_pipeline  # noqa: E402
-from benchplan.taskgen import (  # noqa: E402
-    generate_dataset,
-    make_unseen_object_split,
-    make_unseen_task_split,
-)
-from benchplan.workbench import N_TYPES  # noqa: E402
+from benchplan.taskgen import make_dataset  # noqa: E402
 from perfbench import protocol  # noqa: E402
 
 SCHEMA = 1
@@ -57,13 +52,6 @@ LEVELS = (1, 2, 3, 4)
 SIGMAS = (0.0, 0.2, 0.4, 0.5)
 QUALITY = ("asacc_top1", "asacc_top5", "ase")
 SEEDS = (11, 12, 13)  # the quality seeds; the first is the workload seed
-HELD_OUT_TYPES = set(range(N_TYPES, N_TYPES + 4))  # `gen --unseen-types`' default
-VARIANTS = {  # (level, counts, seed) -> the dataset of each split
-    "standard": generate_dataset,
-    "unseen_object": lambda level, counts, seed: make_unseen_object_split(
-        generate_dataset(level, counts, seed), HELD_OUT_TYPES),
-    "unseen_task": make_unseen_task_split,
-}
 GENERALIZATION = (("unseen_object", 1), ("unseen_object", 3), ("unseen_task", 1),
                   ("unseen_task", 2))  # (variant, level), at sigma 0
 CODE = ("src", "perfbench")  # what a run measures
@@ -100,7 +88,7 @@ def quality_cell(level: int, sigma: float, seeds, counts, variant="standard") ->
     """The symbolic planner's results on each seed's dataset, with mean and range."""
     values = {name: [] for name in QUALITY}
     for seed in seeds:
-        dataset = VARIANTS[variant](level, counts, seed)
+        dataset = make_dataset(variant, level, counts, seed)
         report = run_experiment(dataset, fit_pipeline(dataset, FitConfig(noise_sigma=sigma)),
                                 noise_sigma=sigma, top_k=protocol.TOP_K, seed=seed)
         values["asacc_top1"].append(report.asacc_top1)

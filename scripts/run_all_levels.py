@@ -14,11 +14,11 @@ import time
 
 from benchplan.evaluate import interpretability_report, run_experiment
 from benchplan.fitting import FitConfig, fit_pipeline, unmapped_note
-from benchplan.taskgen import (
-    N_TYPES,
-    generate_dataset,
-    make_unseen_object_split,
-    make_unseen_task_split,
+from benchplan.taskgen import make_dataset
+
+GENERALIZATION = (  # (variant, heading, levels) of each generalization split
+    ("unseen_object", "unseen objects (retyped test split, same model)", (1, 3)),
+    ("unseen_task", "unseen tasks (held-out action combinations)", (1, 2)),
 )
 
 
@@ -44,7 +44,7 @@ def main():
     fitted_by_level = {}
     for level in (1, 2, 3, 4):
         t0 = time.perf_counter()
-        dataset = generate_dataset(level, counts, seed=args.seed)
+        dataset = make_dataset("standard", level, counts, args.seed)
         fitted = fit_pipeline(dataset, config)
         fitted_by_level[level] = (dataset, fitted)
         print(f"level {level} (gen+fit {time.perf_counter() - t0:.1f}s, "
@@ -56,17 +56,13 @@ def main():
                                  noise_sigma=args.sigma, jobs=args.jobs)
             row(planner, rep)
 
-    if not args.skip_generalization:
-        print("\ngeneralization: unseen objects (retyped test split, same model)")
-        for level in (1, 3):
-            dataset, fitted = fitted_by_level[level]
-            unseen = make_unseen_object_split(dataset, set(range(N_TYPES, N_TYPES + 4)))
-            row(f"level {level}", run_experiment(unseen, fitted,
-                                                 noise_sigma=args.sigma, jobs=args.jobs))
-        print("\ngeneralization: unseen tasks (held-out action combinations)")
-        for level in (1, 2):
-            dataset = make_unseen_task_split(level, counts, seed=args.seed)
-            fitted = fit_pipeline(dataset, config)
+    for variant, heading, levels in () if args.skip_generalization else GENERALIZATION:
+        print(f"\ngeneralization: {heading}")
+        for level in levels:
+            dataset = make_dataset(variant, level, counts, args.seed)
+            standard, fitted = fitted_by_level[level]
+            if dataset.subset("train") != standard.subset("train"):  # trains on its own tasks
+                fitted = fit_pipeline(dataset, config)
             row(f"level {level}", run_experiment(dataset, fitted,
                                                  noise_sigma=args.sigma, jobs=args.jobs))
 

@@ -34,7 +34,7 @@ from .fitting import FitConfig, Fitted
 from .mdp import TransitionModel, count_tables
 from .streams import SEED_BOUND
 from .symbols import Symbolizer
-from .taskgen import SPLITS, Dataset, Task
+from .taskgen import SPLITS, VARIANTS, Dataset, Task
 from .workbench import ACTIONS, EnvConfig, ObjectState, adjudicate, is_valid_state
 from .token_maps import ActionTransitionMaps
 
@@ -145,7 +145,7 @@ def _write(path: str, text: str):
 _STATE_KEYS = ("type", "x", "y", "rot", "color", "size")
 # a task record's init and goal values, in ObjectState's field order, and the action names
 _INIT, _GOAL = (itemgetter(*(f"{p}.{key}" for key in _STATE_KEYS)) for p in ("init", "goal"))
-_ACTION_SET, _SPLIT_NAMES = frozenset(ACTIONS), "/".join(SPLITS)
+_ACTION_SET, _SPLIT_NAMES, _VARIANT_NAMES = frozenset(ACTIONS), "/".join(SPLITS), "/".join(VARIANTS)
 
 
 def parse_state(values: list[str]) -> ObjectState:
@@ -193,7 +193,8 @@ def save_dataset(path: str, dataset: Dataset):
 
 
 def _parse_dataset(header, records) -> Dataset:
-    level, tasks = int(header["level"]), {}
+    level, variant, tasks = int(header["level"]), header["variant"], {}
+    _expect(variant in VARIANTS, "variant={} is not {}", variant, _VARIANT_NAMES)
     for position, (kv, rows) in enumerate(records, 1):
         try:  # every refusal of a task names it, the bench's and the states' too
             task_id, split = kv["task_id"], kv["split"]
@@ -218,7 +219,7 @@ def _parse_dataset(header, records) -> Dataset:
             raise ValueError(f"task {kv.get('task_id', f'record {position}')}: {err}") from err
     _expect(bool(tasks), "the dataset has no task")
     dataset = Dataset(tasks=list(tasks.values()), seed=header.seed("seed"),
-                      codebook_seed=header.seed("codebook_seed"), variant=header["variant"])
+                      codebook_seed=header.seed("codebook_seed"), variant=variant)
     for split, n in zip(SPLITS, dataset.split_sizes):
         _expect(int(header[split]) == n,
                 f"header has {split}={header[split]} but there are {n} {split} tasks")

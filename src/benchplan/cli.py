@@ -25,11 +25,11 @@ from .symbols import InsufficientPoints, UnmeasurablePoints
 from .taskgen import (
     N_TYPES,
     SPLITS,
+    UNSEEN_TYPES,
+    VARIANTS,
     Task,
     Unreachable,
-    generate_dataset,
-    make_unseen_object_split,
-    make_unseen_task_split,
+    make_dataset,
     oracle_shortest_plan,
 )
 from .token_maps import InsufficientPairs, UnknownAction, rollout, token_mse
@@ -69,15 +69,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_gen(args) -> int:
-    if args.variant == "unseen_task":
-        dataset = make_unseen_task_split(args.level, (args.train, args.val, args.test),
-                                         args.seed)
-    else:
-        dataset = generate_dataset(args.level, (args.train, args.val, args.test),
-                                   args.seed)
-        if args.variant == "unseen_object":
-            held = set(range(N_TYPES, N_TYPES + args.unseen_types))
-            dataset = make_unseen_object_split(dataset, held)
+    dataset = make_dataset(args.variant, args.level, (args.train, args.val, args.test),
+                           args.seed, args.unseen_types)
     if args.codebook_seed is not None:
         dataset.codebook_seed = args.codebook_seed
     artifacts.save_dataset(args.out, dataset)
@@ -245,9 +238,8 @@ def build_parser() -> _Parser:
     p.add_argument("--val", type=_AT_LEAST_0, default=100)
     p.add_argument("--test", type=_AT_LEAST_0, default=100)
     p.add_argument("--codebook-seed", type=_SEED, default=None)
-    p.add_argument("--variant", choices=("standard", "unseen_object", "unseen_task"),
-                   default="standard")
-    p.add_argument("--unseen-types", default=4, type=_bounded(
+    p.add_argument("--variant", choices=tuple(VARIANTS), default="standard")
+    p.add_argument("--unseen-types", default=UNSEEN_TYPES, type=_bounded(
         int, f"in 1..{MAX_TYPES - N_TYPES}", lambda v: 1 <= v <= MAX_TYPES - N_TYPES))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -310,8 +302,8 @@ def main(argv=None) -> int:
             parser.error("--task-id needs --data")
         if args.command == "gen" and args.train + args.val + args.test == 0:
             parser.error("--train, --val and --test sum to 0")
-        if args.command == "gen" and args.variant == "unseen_task" and args.level > 2:
-            parser.error("--variant unseen_task needs --level 1 or 2")
+        if args.command == "gen" and args.level not in (levels := VARIANTS[args.variant].levels):
+            parser.error(f"--variant {args.variant} needs --level {' or '.join(map(str, levels))}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

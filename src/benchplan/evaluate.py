@@ -28,6 +28,7 @@ from .workbench import (ACTIONS, CONCEPTS, POS_X, POS_Y, ROTATIONS, EnvConfig, O
 _STREAM_EVAL = streams.STREAMS["eval"].tag  # perfbench builds its eval keys from this name
 
 PLANNERS = ("symbolic", "token", "chance")
+CHUNK = 8  # tasks per item a pool worker takes
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,8 @@ def run_experiment(dataset: Dataset, fitted: Fitted, *, planner: str = "symbolic
                    split: str = "test", noise_sigma: float | None = None,
                    top_k: int = 5, l_max: int | None = None, seed: int = 0,
                    jobs: int = 1) -> EvalReport:
-    """Plan and adjudicate every task in the split, in split order."""
+    """Plan and adjudicate every task in the split, in split order: on a pool of
+    up to `jobs` workers, one per CHUNK tasks, or here when that makes one."""
     if planner not in PLANNERS:
         raise ValueError(f"planner must be one of {PLANNERS}")
     tasks = dataset.subset(split)
@@ -170,10 +172,11 @@ def run_experiment(dataset: Dataset, fitted: Fitted, *, planner: str = "symbolic
         raise ValueError(f"dataset has no {split!r} tasks")
     sigma = fitted.config.noise_sigma if noise_sigma is None else noise_sigma
     shared = (fitted, codebook_for_tasks(fitted, tasks), planner, sigma, top_k, l_max, seed)
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_share,
+    workers = min(jobs, math.ceil(len(tasks) / CHUNK))  # a pool starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share,
                                  initargs=shared) as pool:
-            records = list(pool.map(_eval_one, enumerate(tasks), chunksize=8))
+            records = list(pool.map(_eval_one, enumerate(tasks), chunksize=CHUNK))
     else:
         records = [_eval_one(item, shared) for item in enumerate(tasks)]
     return EvalReport(level=dataset.level, planner=planner, split=split,

@@ -162,10 +162,12 @@ def _lloyd(cols: np.ndarray, centers: np.ndarray
            ) -> tuple[np.ndarray, float, int, np.ndarray, np.ndarray, bool]:
     """Lloyd steps on (dim, n) points: the final centers, inertia and step count,
     with `_nearest`'s labels and near points at those centers, and whether any
-    step met an exact tie."""
+    step met an exact tie. A step that reseeds from the centers of an earlier
+    reseeding step is in a cycle: the run stops there, with those centers."""
     k = len(centers)
     sq_norms = _sq_norms(cols.copy())
     tied, summed = False, None  # the labels `sums` were added at, if they give `centers`
+    reseeded = set()  # the bytes of the centers each reseeding step started from
     for it in range(KMEANS_MAX_ITER):
         labels, near, tie = _nearest(cols, sq_norms, centers)
         tied |= tie
@@ -181,6 +183,10 @@ def _lloyd(cols: np.ndarray, centers: np.ndarray
         counts, summed = np.bincount(labels, minlength=k), labels
         new_centers = (sums / np.maximum(counts, 1)).T
         if not counts.all():  # re-seed an empty cluster from the farthest point
+            if (key := centers.tobytes()) in reseeded:  # a cycle: fewer distinct points than k
+                unmoved = True  # keep these centers and their labels
+                break
+            reseeded.add(key)
             new_centers[counts == 0] = cols[:, int(_point_costs(cols, centers, labels).argmax())]
             summed = None
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain, compress
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .workbench import (
 )
 
 SPLITS = ("train", "val", "test")
+UNSEEN_TYPES = 4  # held-out object types of an unseen-object split, past the codebook's
 MAX_ATTEMPTS = 1000  # env and state draws `generate_task` makes per task
 BLOCK = 32  # uniform draws per `rng.random` call of `generate_task`
 
@@ -267,10 +269,10 @@ def make_unseen_task_split(level: int, counts: tuple[int, int, int],
 
     Training (and val) plans draw only on the designated families
     (left+front, right+back); test plans use exactly a held-out pair
-    (left+back or right+front). Defined for levels 1 and 2 only.
+    (left+back or right+front). Defined for the levels `VARIANTS` gives it.
     """
-    if level not in (1, 2):
-        raise ValueError("unseen-task splits are limited to levels 1 and 2")
+    if level not in (levels := VARIANTS["unseen_task"].levels):
+        raise ValueError(f"unseen-task splits are limited to levels {levels}")
 
     def draw(i: int, split: str) -> Task:
         rng = streams.rng(seed, "unseen_task", i)
@@ -284,3 +286,24 @@ def make_unseen_task_split(level: int, counts: tuple[int, int, int],
         raise GenerationExhausted(f"no family-conformant task for index {i}")
 
     return _dataset(level, counts, seed, "unseen_task", draw)
+
+
+# every dataset variant, by the name its file's header carries: the levels it is
+# defined for, and its builder of (level, counts, seed, unseen types). A new
+# variant is one entry here, plus its tag in `streams.STREAMS` if it draws
+Variant = NamedTuple("Variant", [("levels", tuple), ("build", Callable[..., Dataset])])
+VARIANTS = {
+    "standard": Variant((1, 2, 3, 4), lambda level, counts, seed, _: generate_dataset(
+        level, counts, seed)),
+    "unseen_object": Variant((1, 2, 3, 4), lambda level, counts, seed, n: (
+        make_unseen_object_split(generate_dataset(level, counts, seed),
+                                 set(range(N_TYPES, N_TYPES + n))))),
+    "unseen_task": Variant((1, 2), lambda level, counts, seed, _: make_unseen_task_split(
+        level, counts, seed)),
+}
+
+
+def make_dataset(variant: str, level: int, counts: tuple[int, int, int], seed: int,
+                 unseen_types: int = UNSEEN_TYPES) -> Dataset:
+    """The dataset that `variant`'s entry of `VARIANTS` builds."""
+    return VARIANTS[variant].build(level, counts, seed, unseen_types)

@@ -433,6 +433,8 @@ def _sub(pattern, new):
     ("data", _sub(" level=3 ", " "), "missing field level"),
     ("data", _sub(" test=3 ", " "), "missing field test"),
     ("data", _sub(" variant=standard", ""), "missing field variant"),
+    ("data", _sub(" variant=standard", " variant=bogus"),
+     "variant=bogus is not standard/unseen_object/unseen_task"),
     ("data", _sub(" split=", " stray split="),
      "'stray' is not key=value, in the line that starts task_id=L3-00000"),
     ("data", _sub(" seed=1 ", " seed=-1 "), "seed is negative: -1"),
@@ -471,7 +473,8 @@ def _sub(pattern, new):
     ("fit", _sub(r"^(action=move_front .*)$", r"\1 stray=1"),
      "the record of action move_front has an unknown field stray"),
 ], ids=["header-no-seed", "header-no-level", "header-no-test", "header-no-variant",
-        "task-stray-word", "negative-seed", "negative-codebook-seed", "fit-no-dim",
+        "header-unknown-variant", "task-stray-word", "negative-seed", "negative-codebook-seed",
+        "fit-no-dim",
         "fit-dim-past-cap", "fit-no-codebook-seed", "fit-negative-fit-seed",
         "fit-fit-seed-past-bound", "fit-negative-codebook-seed", "no-purity",
         "rows-under-purity", "concept-no-inertia", "map-no-mse", "short-c-row", "short-A-row",

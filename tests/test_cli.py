@@ -14,7 +14,7 @@ from benchplan import cli
 from benchplan.artifacts import FIT_FILE, load_dataset, save_dataset, save_fitted
 from benchplan.cli import main
 from benchplan.fitting import MAX_DIM
-from benchplan.taskgen import generate_dataset
+from benchplan.taskgen import VARIANTS, generate_dataset
 from benchplan.workbench import MAX_TYPES, N_TYPES
 
 
@@ -73,7 +73,19 @@ class TestGen:
                    "--seed", 3, "--variant", "unseen_task", "--out", "ut.txt") == 0
         assert "variant unseen_task" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("variant", ["standard", "unseen_object", "unseen_task"])
+    # every (variant, level) pair: written where the variant table defines it,
+    # refused by name where it does not
+    @pytest.mark.parametrize("variant, level", [(v, n) for v in VARIANTS for n in (1, 2, 3, 4)])
+    def test_gen_writes_what_the_variant_table_defines(self, workdir, capsys, variant, level):
+        code = run(*GEN, "--level", level, "--variant", variant)
+        levels = VARIANTS[variant].levels
+        if level in levels:
+            assert code == 0 and load_dataset("g.txt").variant == variant
+        else:
+            assert (code, capsys.readouterr().err) == (
+                1, f"error: --variant {variant} needs --level {' or '.join(map(str, levels))}\n")
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_codebook_seed_applies_to_every_variant(self, workdir, variant):
         assert run(*GEN, "--seed", 3, "--codebook-seed", 7, "--variant", variant) == 0
         dataset = load_dataset("g.txt")

@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,13 +133,14 @@ class TestRunExperiment:
         parallel = run_experiment(dataset, fitted, noise_sigma=0.0, jobs=2)
         assert serial == parallel
 
-    def test_pool_ships_the_fit_once_per_worker(self, level1_run, monkeypatch):
-        dataset, fitted = level1_run
+    @pytest.fixture()
+    def inline_pool(self, monkeypatch):
+        """`run_experiment`'s pool, run here: what it was given, by name."""
         seen = {}
 
         class InlinePool:  # runs the worker initializer and the work items here
             def __init__(self, max_workers, initializer, initargs):
-                seen["initargs"] = initargs
+                seen.update(max_workers=max_workers, initargs=initargs)
                 initializer(*initargs)
 
             def __enter__(self):
@@ -153,12 +155,30 @@ class TestRunExperiment:
 
         monkeypatch.setattr(evaluate, "_shared", ())
         monkeypatch.setattr(evaluate, "ProcessPoolExecutor", InlinePool)
+        return seen
+
+    def test_pool_ships_the_fit_once_per_worker(self, level1_run, inline_pool):
+        dataset, fitted = level1_run
+        seen = inline_pool
         pooled = run_experiment(dataset, fitted, noise_sigma=0.0, jobs=2)
         assert seen["initargs"][0] is fitted
         items = seen["items"]
         assert [i for i, _ in items] == list(range(len(dataset.subset("test"))))
         assert all(isinstance(task, Task) for _, task in items)
         assert max(len(pickle.dumps(item)) for item in items) < 2_000  # the fit: ~100 KB
+        assert pooled == run_experiment(dataset, fitted, noise_sigma=0.0, jobs=1)
+
+    # a pool starts all of its workers at its first task: one per chunk of 8
+    # tasks (`evaluate.CHUNK`), and none for a split of one chunk
+    @pytest.mark.parametrize("n_test, workers", [(40, 5), (9, 2), (8, None)])
+    def test_pool_starts_only_the_workers_its_tasks_use(self, level1_run, inline_pool,
+                                                         n_test, workers):
+        dataset, fitted = level1_run
+        tasks = dataset.tasks  # the test tasks come last
+        dataset = replace(dataset, tasks=tasks[:len(tasks) - len(dataset.subset("test")) + n_test])
+        assert len(dataset.subset("test")) == n_test
+        pooled = run_experiment(dataset, fitted, noise_sigma=0.0, jobs=500)
+        assert inline_pool.get("max_workers") == workers
         assert pooled == run_experiment(dataset, fitted, noise_sigma=0.0, jobs=1)
 
     def test_successful_tasks_have_zero_fsd(self, level3_run):

@@ -4,7 +4,8 @@ sums again by `bincount` only the clusters that gained or lost a point, computes
 point costs only where a result reads them, skips the last assignment when no
 center moved, and runs Lloyd once for restarts that draw one center set without
 meeting a tie; its results must stay those of the broadcast form frozen in
-`_oracles`, bit for bit."""
+`_oracles`, bit for bit. The one exception is a run on fewer distinct points than
+k, which stops at a cycle of reseeds where the oracle runs on to the cap."""
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from benchplan import symbols
 from benchplan.concepts import build_codebook
 from benchplan.streams import STREAMS
 from benchplan.symbols import (
-    DEFAULT_RESTARTS, UnmeasurablePoints, _kmeanspp_init, _lloyd, _nearest, _point_costs,
-    _sq_norms, _weighted_pick, fit_kmeans,
+    DEFAULT_RESTARTS, KMEANS_MAX_ITER, UnmeasurablePoints, _kmeanspp_init, _lloyd, _nearest,
+    _point_costs, _sq_norms, _weighted_pick, fit_kmeans,
 )
 
 KMEANS = STREAMS["kmeans"].tag  # `fit_kmeans` restart r of concept c: [seed, KMEANS, c, r]
@@ -56,6 +57,21 @@ def assert_same(result, oracle):
     assert result.labels.tolist() == oracle.labels.tolist()
 
 
+def assert_same_or_stopped(result, oracle, points, k):
+    """Bitwise the oracle's fit; on fewer distinct points than k, where a cycle
+    of reseeds stops a run that the oracle runs to the cap, the oracle's
+    partition, in fewer steps than the cap."""
+    if len(np.unique(points, axis=0)) >= k:
+        return assert_same(result, oracle)
+    assert partition(result.labels) == partition(oracle.labels)
+    assert result.iterations < KMEANS_MAX_ITER
+
+
+def partition(labels):
+    """The sets of points that share a label."""
+    return {frozenset(np.flatnonzero(labels == j).tolist()) for j in set(labels.tolist())}
+
+
 def assert_same_lloyd(points, init):
     """A run ends as the oracle's run."""
     frozen = oracle_lloyd(points, init.copy())
@@ -70,8 +86,23 @@ def test_fit_kmeans_equals_frozen_oracle():
     for case in range(240):
         points, k = _case(rng, KINDS[case % len(KINDS)])
         for restarts in (2, DEFAULT_RESTARTS):
-            assert_same(fit_kmeans(points, k, case, concept=1, restarts=restarts),
-                        oracle_fit_kmeans(points, k, seed=[case, KMEANS, 1], restarts=restarts))
+            assert_same_or_stopped(
+                fit_kmeans(points, k, case, concept=1, restarts=restarts),
+                oracle_fit_kmeans(points, k, seed=[case, KMEANS, 1], restarts=restarts), points, k)
+
+
+def test_few_distinct_points_stop_before_the_cap():
+    """Noiseless tokens of 3 type values, k = 8: a cluster empties at each step
+    and is reseeded at the farthest point, which flips with one-ulp differences
+    between the means of equal points. Each run stops where a reseeding step's
+    centers repeat, with each value in a cluster of its own; three of these
+    draws once ran all KMEANS_MAX_ITER steps."""
+    table = build_codebook(seed=4).centroids[0]
+    for seed in range(6):
+        values = np.random.default_rng(seed).integers(3, size=12)
+        result = fit_kmeans(table[values], len(table), 0)
+        assert result.iterations < KMEANS_MAX_ITER, seed
+        assert partition(result.labels) == partition(values), seed
 
 
 def test_fit_kmeans_equals_frozen_oracle_at_high_dims():
@@ -79,8 +110,9 @@ def test_fit_kmeans_equals_frozen_oracle_at_high_dims():
     rng = np.random.default_rng(2025)
     for case in range(60):
         points, k = _case(rng, KINDS[case % len(KINDS)], dims=(9, 21))
-        assert_same(fit_kmeans(points, k, case, concept=2, restarts=2),
-                    oracle_fit_kmeans(points, k, seed=[case, KMEANS, 2], restarts=2))
+        assert_same_or_stopped(fit_kmeans(points, k, case, concept=2, restarts=2),
+                               oracle_fit_kmeans(points, k, seed=[case, KMEANS, 2], restarts=2),
+                               points, k)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.2])

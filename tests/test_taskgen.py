@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from benchplan.taskgen import (
     Unreachable,
     generate_dataset,
     generate_task,
+    make_dataset,
     make_unseen_object_split,
     make_unseen_task_split,
     oracle_shortest_plan,
@@ -30,6 +33,9 @@ from benchplan.workbench import (
     apply_action,
     simulate,
 )
+
+SRC = pathlib.Path(taskgen.__file__).parent
+SCRIPTS = SRC.parent.parent / "scripts"
 
 
 def reaches_goal(env, init, goal, seq):
@@ -302,7 +308,8 @@ class TestUnseenTaskSplit:
         assert a.tasks == b.tasks
 
 
-# sha256 of save_dataset's bytes for (40, 5, 5) tasks at seed 11. Every dataset
+# sha256 of save_dataset's bytes for (40, 5, 5) tasks at seed 11, each variant as
+# `make_dataset` builds it (unseen objects: the default 4 types). Every dataset
 # digest in this file was re-derived when `generate_task` came to read all of its
 # draws from blocks of `rng.random(taskgen.BLOCK)`. A new digest here is a change
 # to the oracle's tie-break or to the draw rule, and must be declared as one.
@@ -311,6 +318,8 @@ PINNED_DATASETS = {
     ("standard", 2): "f0ea0223b0e5cbe6fc3a7100615275c9240cce6bc62994993968c1ed74bf3f8a",
     ("standard", 3): "62adc0055d6c9b2a00240b1f79f5cb1a193653e8b5f9df4044794abdd4d9da61",
     ("standard", 4): "8d9eb96b339c852b854de451db4e046ed7840d3b81e318b8af55b8097e767eb6",
+    ("unseen_object", 1): "d6f12f020125ec3327230bc5ae62d399e7b84d5a04ed2c68baebba4827a80742",
+    ("unseen_object", 3): "99598d3183ac85ece9a8526a57707b75a97c48888a04180f9c0d7a28f2146426",
     ("unseen_task", 1): "6b281c3c9883ba7ce5ec7a431b96787f84241df18f7fc1ae2a5b33cfef55b544",
     ("unseen_task", 2): "3360f92f302b4a346893a96f49c139755dc58ec7af77b79c206faf2a64080798",
 }
@@ -318,10 +327,28 @@ PINNED_DATASETS = {
 
 @pytest.mark.parametrize("variant, level", sorted(PINNED_DATASETS))
 def test_dataset_bytes_are_pinned(tmp_path, variant, level):
-    make = generate_dataset if variant == "standard" else make_unseen_task_split
-    save_dataset(str(tmp_path / "data.txt"), make(level, (40, 5, 5), 11))
+    save_dataset(str(tmp_path / "data.txt"), make_dataset(variant, level, (40, 5, 5), 11))
     digest = hashlib.sha256((tmp_path / "data.txt").read_bytes()).hexdigest()
     assert digest == PINNED_DATASETS[variant, level]
+
+
+def test_only_taskgen_builds_a_variant():
+    """No module in `src` or `scripts` but `taskgen` compares a variant name,
+    calls a `make_unseen_*` split or builds held-out type ids: each reads the
+    variant table through `make_dataset` or `VARIANTS`."""
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *SCRIPTS.glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())) if path.name != "taskgen.py" else ():
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func).split(".")[-1]
+                if name.startswith("make_unseen_") or (
+                        name == "range" and ast.unparse(node.args[0]).startswith("N_TYPES")):
+                    found.append((path.name, ast.unparse(node)))
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Constant) and side.value in taskgen.VARIANTS
+                    for side in (node.left, *node.comparators)):
+                found.append((path.name, ast.unparse(node)))
+    assert found == []
 
 
 # sha256 of the save_dataset bytes of the benchmark's own input, level 4 at seed 11
