@@ -2,12 +2,14 @@
 
 Each concept gets its own k-means fit with k equal to that concept's known
 value-space size; a token's symbol is the index of its nearest center. The
-fit is deterministic under a seed (k-means++ init, fixed restarts, each drawn
-from `streams.rng(seed, "kmeans", concept, restart)`, centers canonicalized to
+fit is deterministic under a seed (greedy k-means++ init with 2 + floor(ln k)
+local trials per center, 6 restarts, each drawn from
+`streams.rng(seed, "kmeans", concept, restart)`, centers canonicalized to
 lexicographic order; restarts that draw one center set and meet no tie share
 one Lloyd run). Points are held as (dim, n) columns; exact near-tie picks and
-numpy's row-sum order keep every label and bit. A Lloyd step sums again only
-the clusters whose members changed.
+numpy's row-sum order keep every label and bit. Where points repeat, as
+noiseless tokens do, the init takes each distance once per distinct point. A
+Lloyd step sums again only the clusters whose members changed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import streams
 
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-9
-DEFAULT_RESTARTS = 10
+DEFAULT_RESTARTS = 6
 # The expanded and the exact squared distance |p - c|^2 differ by under
 # (2 dim + 6) eps (|p|^2 + |c|^2); a slack of over twice that, per coordinate:
 _SLACK = 40 * np.finfo(float).eps
@@ -98,28 +100,55 @@ def _sq_norms(diff: np.ndarray) -> np.ndarray:
     return diff[0]
 
 
-def _weighted_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """`rng.choice(len(weights), p=weights / total)` by numpy's own steps, or a uniform
-    pick if every weight is 0; a total that is not finite is refused."""
+def _weighted_pick(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """`rng.choice(len(weights), size, p=weights / total)` by numpy's own steps, or one
+    uniform pick if every weight is 0; a total that is not finite is refused."""
     total = weights.sum()
     if not np.isfinite(total):
         raise UnmeasurablePoints(f"squared distances between points sum to {total}")
     if total > 0:
         cdf = (weights / total).cumsum()
         cdf /= cdf[-1]
-        return int(cdf.searchsorted(rng.random(), side="right"))
-    return int(rng.integers(len(weights)))  # all 0: fewer distinct points than k
+        return cdf.searchsorted(rng.random(size), side="right")
+    return rng.integers(len(weights), size=1)  # all 0: fewer distinct points than k
 
 
-def _kmeanspp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _distinct(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(points, inverse) with `points[:, inverse] == cols` when some of the (dim, n)
+    points repeat, as noiseless tokens do; None when no first coordinate repeats
+    or points that share one differ elsewhere."""
+    if len(np.unique(cols[0])) == cols.shape[1]:  # a tenth of the cost of the inverse
+        return None
+    _, first, inverse = np.unique(cols[0], return_index=True, return_inverse=True)
+    points = cols[:, first]
+    return (points, inverse) if (points.take(inverse, axis=1) == cols).all() else None
+
+
+def _kmeanspp_init(cols: np.ndarray, k: int, rng: np.random.Generator,
+                   distinct: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Greedy k-means++ (Arthur & Vassilvitskii, SODA 2007): a uniform first center,
+    then per center 2 + floor(ln k) candidates drawn from the D^2 distribution, of
+    which the first that leaves the least potential sum(min(D^2, |p - c|^2)) is kept.
+    Given `_distinct(cols)`, each distance is taken once per distinct point and
+    spread over all n for the draws and sums, which keeps every bit."""
     dim, n = cols.shape
+    points, inverse = distinct or (cols, None)
+    spread = (lambda a: a) if inverse is None else (lambda a: a.take(inverse, axis=-1))
+    trials = 2 + int(np.log(k))
     centers = np.empty((k, dim))
     centers[0] = cols[:, int(rng.integers(n))]
-    d2 = np.full(n, np.inf)
+    block = np.empty((dim, trials, points.shape[1]))  # candidates' differences, then D^2
     with np.errstate(over="ignore"):  # the pick refuses a sum that overflowed
+        d2 = _sq_norms(np.subtract(points, centers[0][:, None], out=block[:, 0])).copy()
         for j in range(1, k):
-            d2 = np.minimum(d2, _sq_norms(cols - centers[j - 1][:, None]))
-            centers[j] = cols[:, _weighted_pick(d2, rng)]
+            picks = _weighted_pick(spread(d2), rng, trials)
+            at = picks if inverse is None else inverse[picks]
+            rows = block[:, :len(picks)]
+            costs = np.minimum(_sq_norms(np.subtract(points[:, None], points[:, at, None],
+                                                     out=rows)), d2, out=rows[0])
+            best = int(spread(costs).sum(axis=1).argmin())
+            centers[j] = cols[:, picks[best]]
+            d2[:] = costs[best]
     return centers
 
 
@@ -201,7 +230,7 @@ def _lloyd(cols: np.ndarray, centers: np.ndarray
 
 def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int, seed: int,
                concept: int = 0, restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
-    """k-means++ plus Lloyd; best of `restarts` runs by inertia, the first of equals.
+    """Greedy k-means++ plus Lloyd; best of `restarts` runs by inertia, the first of equals.
     Restart r draws its init from the k-means stream's key (seed, concept, r).
     Lloyd from a permuted init is the permuted run, bit for bit, unless a point
     meets a tie: a restart that draws an earlier tie-free run's centers is skipped."""
@@ -215,9 +244,10 @@ def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int, seed: int,
     if len(pts) < k:
         raise InsufficientPoints(f"{len(pts)} points for k={k}")
     cols = np.ascontiguousarray(pts.T)  # (dim, n): each step works on whole rows
+    distinct = _distinct(cols)
     best, tie_free = None, set()  # the first run of least inertia; tie-free runs' inits
     for r in range(restarts):
-        init = _kmeanspp_init(cols, k, streams.rng(seed, "kmeans", concept, r))
+        init = _kmeanspp_init(cols, k, streams.rng(seed, "kmeans", concept, r), distinct)
         if (key := init[np.lexsort(init.T[::-1])].tobytes()) not in tie_free:
             run = _lloyd(cols, init)  # centers, inertia, iterations, labels, near, tied
             if best is None or run[1] < best[1]:

@@ -10,8 +10,10 @@ simulator oracles are `apply_action`, the BFS oracle and the bench
 connectivity check frozen before they read a bench's move table and searched
 int state codes; `apply_action` raises the three `ActionError` subclasses that
 named an illegal action's reason before one class with its message did. The
-k-means oracles are the k-means++ init, the Lloyd loop and `fit_kmeans` frozen
-before each Lloyd step assigned points by one matmul;
+k-means oracles are the Lloyd loop and `fit_kmeans` frozen before each Lloyd
+step assigned points by one matmul, the greedy k-means++ init `fit_kmeans` draws
+by default, and the plain k-means++ init it drew before, which the seeding's
+quality is measured against;
 the oracle's labels are each point's broadcast argmin over the sorted centers.
 The unbounded planner is `mdp.plan` frozen before its search was bounded by a
 goal-distance lower bound, with the MAP successor rule it read per state and
@@ -282,6 +284,31 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
+def _greedy_kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """`symbols._kmeanspp_init`, frozen as greedy k-means++: per center, `choice`
+    draws 2 + floor(ln k) candidates (one uniform pick if every D^2 is 0), and the
+    first of least potential, in draw order, is kept."""
+    n, dim = points.shape
+    trials = 2 + int(np.log(k))
+    centers = np.empty((k, dim))
+    centers[0] = points[int(rng.integers(n))]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            candidates = rng.choice(n, size=trials, p=d2 / total)
+        else:  # fewer distinct points than k; fall back to a uniform pick
+            candidates = [int(rng.integers(n))]
+        best = None
+        for c in candidates:
+            dist = np.minimum(d2, ((points - points[c]) ** 2).sum(axis=1))
+            if best is None or dist.sum() < best[0]:
+                best = (dist.sum(), c, dist)
+        _, c, d2 = best
+        centers[j] = points[c]
+    return centers
+
+
 def oracle_lloyd(points: np.ndarray,
                  centers: np.ndarray) -> tuple[np.ndarray, float, int, list[float]]:
     """`symbols._lloyd`, frozen: broadcast distances and one mask per cluster."""
@@ -314,9 +341,10 @@ def oracle_lloyd(points: np.ndarray,
 
 
 def oracle_fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
-                      seed: int | Sequence[int],
-                      restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
-    """`symbols.fit_kmeans`, frozen with the Lloyd step above."""
+                      seed: int | Sequence[int], restarts: int = DEFAULT_RESTARTS,
+                      init=_greedy_kmeanspp_init) -> KMeansResult:
+    """`symbols.fit_kmeans`, frozen with the Lloyd step above; `init=_kmeanspp_init`
+    is the fit as it was before its seeding became greedy."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
@@ -328,8 +356,7 @@ def oracle_fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int,
     best: tuple[np.ndarray, float, int, list[float]] | None = None
     for r in range(restarts):
         rng = np.random.default_rng([*seed_key, r])
-        init = _kmeanspp_init(pts, k, rng)
-        result = oracle_lloyd(pts, init)
+        result = oracle_lloyd(pts, init(pts, k, rng))
         if best is None or result[1] < best[1]:
             best = result
     centers, inertia, iterations, _ = best

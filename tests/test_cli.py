@@ -577,7 +577,7 @@ PARSER_PIN = {
             "--codebook-seed": None, "--variant": "standard", "--unseen-types": 4,
             "--out": None},
     "fit": {"--data": None, "--artifacts": "artifacts", "--dim": 8, "--min-sep": 1.0,
-            "--sigma": 0.1, "--thresh": 0.01, "--seed": 0, "--restarts": 10},
+            "--sigma": 0.1, "--thresh": 0.01, "--seed": 0, "--restarts": 6},
     "plan": {"--artifacts": "artifacts", "--data": None, "--task-id": None, "--level": 1,
              "--init": None, "--goal": None, "--obstacles": None, "--dyer": None,
              "--dyer-color": None, "--sigma": 0.0, "--topk": 5, "--l-max": None,

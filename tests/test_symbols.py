@@ -107,9 +107,10 @@ class TestFitKMeans:
             fit_kmeans(points, k=2, seed=0)
 
     def test_labels_break_ties_as_assign_does(self):
-        # -1 is 2 from both 1 = mean(3, -1) and -3: Lloyd gives it to the lower
-        # unsorted index, `assign` to the lower sorted one
-        points = np.array([[3.0], [-1.0], [-3.0], [-3.0]])
+        # -1 is 2 from both 1 = mean(3, 1, 1, -1) and -3: Lloyd gives it to the
+        # lower unsorted index, `assign` to the lower sorted one. Greedy seeding
+        # rarely ends there on (3, -1, -3, -3), whose better split leaves no tie
+        points = np.array([[3.0], [1.0], [1.0], [-1.0], [-3.0]])
         reordered = 0
         for seed in range(20):
             result = fit_kmeans(points, k=2, seed=seed, restarts=1)
