@@ -47,7 +47,8 @@ from benchplan.taskgen import make_dataset  # noqa: E402
 from perfbench import protocol  # noqa: E402
 
 SCHEMA = 1
-WORKLOADS = ("symbolic-l4", "noisy-pool-l4")  # the workloads of BENCHMARK.json
+with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:  # the workloads it declares
+    WORKLOADS = tuple(workload["name"] for workload in json.load(fh)["workloads"])
 LEVELS = (1, 2, 3, 4)
 SIGMAS = (0.0, 0.2, 0.4, 0.5)
 QUALITY = ("asacc_top1", "asacc_top5", "ase")

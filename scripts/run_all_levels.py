@@ -12,6 +12,7 @@ Usage: python3 scripts/run_all_levels.py [--train 800 --val 100 --test 100]
 import argparse
 import time
 
+from benchplan.cli import count_arg, positive_arg, seed_arg, sigma_arg
 from benchplan.evaluate import interpretability_report, run_experiment
 from benchplan.fitting import FitConfig, fit_pipeline, unmapped_note
 from benchplan.taskgen import make_dataset
@@ -30,12 +31,13 @@ def row(label, rep):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--train", type=int, default=800)
-    ap.add_argument("--val", type=int, default=100)
-    ap.add_argument("--test", type=int, default=100)
-    ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--sigma", type=float, default=0.0)
-    ap.add_argument("--jobs", type=int, default=1)
+    # the fit needs a training task and the table a test task
+    ap.add_argument("--train", type=positive_arg, default=800)
+    ap.add_argument("--val", type=count_arg, default=100)
+    ap.add_argument("--test", type=positive_arg, default=100)
+    ap.add_argument("--seed", type=seed_arg, default=11)
+    ap.add_argument("--sigma", type=sigma_arg, default=0.0)
+    ap.add_argument("--jobs", type=positive_arg, default=1)
     ap.add_argument("--skip-generalization", action="store_true")
     args = ap.parse_args()
     counts = (args.train, args.val, args.test)

@@ -8,11 +8,11 @@ only what cannot be derived: the loader rebuilds the codebook from its seed,
 whose cardinalities size each concept's `c` rows, and the whole transition model
 from the `n` rows, which all pass the one count check (`mdp.count_tables`); each
 record must sit where its key says and hold only its own fields, its floats be
-finite, its noise sigma nonnegative, its seeds in 0..2**32 - 1, its dim at most
-`fitting.MAX_DIM`, and the purity record holds no rows. A dataset has at least
-one task, unique task ids and known splits, its header gives its tasks' one
-level and split sizes, and each gt plan reaches its goal within the level's
-`max_len` steps. Every file ends in a seal, one `sha256=<hex>` line over all
+finite, and the purity record holds no rows; every fit setting is held to
+FitConfig's table (`fitting.FIT_SETTINGS`), and every seed to `streams.SEED`. A
+dataset has at least one task, unique task ids and known splits, its header
+gives its tasks' one level and split sizes, and each gt plan reaches its goal
+within the level's `max_len` steps. Every file ends in a seal, one `sha256=<hex>` line over all
 bytes above it, which a cut, a flipped byte or an edit breaks. Each kind of value has one reader
 (fields `_parse_kv`, floats `_vectors`, states `parse_state`, action keys
 `mdp._key_rank`), so a broken seal or malformed content raises SchemaMismatch
@@ -30,9 +30,9 @@ import numpy as np
 
 from .concepts import build_codebook
 from .evaluate import EvalReport
-from .fitting import FitConfig, Fitted
+from .fitting import FIT_SETTINGS, FitConfig, Fitted
 from .mdp import TransitionModel, count_tables
-from .streams import SEED_BOUND
+from .streams import SEED
 from .symbols import Symbolizer
 from .taskgen import SPLITS, VARIANTS, Dataset, Task
 from .workbench import ACTIONS, EnvConfig, ObjectState, adjudicate, is_valid_state
@@ -67,10 +67,8 @@ class _Fields(dict):
     def __missing__(self, key):
         raise ValueError(f"missing field {key}")
 
-    def seed(self, name: str) -> int:  # a stream's key takes a seed in 0..SEED_BOUND - 1
-        _expect(int(self[name]) >= 0, f"{name} is negative: {self[name]}")
-        _expect(int(self[name]) < SEED_BOUND, f"{name} is past {SEED_BOUND - 1}: {self[name]}")
-        return int(self[name])
+    def seed(self, name: str) -> int:
+        return SEED.check(name, int(self[name]))
 
 
 def _parse_kv(words: list[str]) -> _Fields:
@@ -237,8 +235,8 @@ def save_fitted(directory: str, fitted: Fitted):
     """Write `fit.txt`: the header, then the symbolizer, the counts and the maps."""
     c, sym, maps = fitted.config, fitted.symbolizer, fitted.maps
     lines = [FIT_MAGIC + " " + _kv_line(
-        dim=c.dim, min_sep=c.min_sep, noise_sigma=c.noise_sigma, thresh=c.thresh,
-        fit_seed=c.seed, restarts=c.restarts, codebook_seed=fitted.codebook.seed),
+        **{key: getattr(c, name) for name, (key, _, _) in FIT_SETTINGS.items()},
+        codebook_seed=fitted.codebook.seed),
         _kv_line(purity=",".join(repr(p) for p in fitted.train_purity))]
     for k, centers in enumerate(sym.centers):
         lines.append(_kv_line(concept=k, inertia=sym.inertia[k],
@@ -272,10 +270,8 @@ def _vectors(rows, tags: list[str], width: int, what: str) -> np.ndarray:
     return values
 
 
-# the fields each fit record may hold; v2 files written before `sym_seed=` (purity)
-# and `pairs=` (maps) were dropped still carry them, and the loader reads past both
-_HEADER_FIELDS = {"dim", "min_sep", "noise_sigma", "thresh", "fit_seed", "restarts",
-                  "codebook_seed"}
+# the fields each fit record but the header may hold; v2 files written before `sym_seed=`
+# (purity) and `pairs=` (maps) were dropped still carry them, and the loader reads past both
 _PURITY_FIELDS, _CONCEPT_FIELDS = {"purity", "sym_seed"}, {"concept", "inertia", "iterations"}
 _MAP_FIELDS = {"action", "mse", "pairs"}
 
@@ -286,11 +282,10 @@ def _known_fields(kv, fields: set[str], record: str):
 
 
 def _parse_fit(header, records) -> Fitted:
-    _known_fields(header, _HEADER_FIELDS, "the header")
-    config = FitConfig(dim=int(header["dim"]), min_sep=float(header["min_sep"]),
-                       noise_sigma=float(header["noise_sigma"]),
-                       thresh=float(header["thresh"]), seed=header.seed("fit_seed"),
-                       restarts=int(header["restarts"]))
+    _known_fields(header, {key for key, _, _ in FIT_SETTINGS.values()} | {"codebook_seed"},
+                  "the header")
+    config = FitConfig(**{name: bound.kind(header[key])
+                          for name, (key, _, bound) in FIT_SETTINGS.items()})
     codebook = build_codebook(dim=config.dim, seed=header.seed("codebook_seed"),
                               min_sep=config.min_sep)
     cards = codebook.cardinalities
@@ -327,9 +322,8 @@ def _parse_fit(header, records) -> Fitted:
         values = _vectors(rows, ["A"] * size + ["b"], size, f"action {key}")
         matrices[key], offsets[key] = values[:-1], values[-1]
         mses[key] = float(kv["mse"])
-    _expect(np.isfinite([config.noise_sigma, *symbolizer.inertia, *mses.values()]).all(),
-            "noise_sigma, inertia or mse is not finite")
-    _expect(config.noise_sigma >= 0, f"noise_sigma is negative: {config.noise_sigma}")
+    _expect(np.isfinite([*symbolizer.inertia, *mses.values()]).all(),
+            "inertia or mse is not finite")
     maps = ActionTransitionMaps(dim=config.dim, matrices=matrices, offsets=offsets,
                                 residual_mse=mses)
     return Fitted(config=config, codebook=codebook, symbolizer=symbolizer,

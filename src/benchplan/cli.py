@@ -10,16 +10,15 @@ The default artifact directory can be set via BENCHPLAN_ARTIFACTS.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import artifacts, streams
-from .concepts import SeparationUnachievable, UnknownValue
+from .concepts import SIGMA, SeparationUnachievable, UnknownValue
 from .evaluate import interpretability_report, plan_task, run_experiment
-from .fitting import MAX_DIM, FitConfig, codebook_for_tasks, fit_pipeline, unmapped_note
+from .fitting import FIT_SETTINGS, FitConfig, codebook_for_tasks, fit_pipeline, unmapped_note
 from .mdp import InvalidInit, NoPlanFound
 from .symbols import InsufficientPoints, UnmeasurablePoints
 from .taskgen import (
@@ -56,10 +55,10 @@ def _bounded(kind, rule: str, ok):
     return convert
 
 
-_AT_LEAST_0 = _bounded(int, ">= 0", lambda v: v >= 0)
-_SEED = _bounded(int, f"in 0..{streams.SEED_BOUND - 1}", lambda v: 0 <= v < streams.SEED_BOUND)
-_AT_LEAST_1 = _bounded(int, ">= 1", lambda v: v >= 1)
-_FINITE_AT_LEAST_0 = _bounded(float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+count_arg = _bounded(int, ">= 0", lambda v: v >= 0)
+seed_arg = _bounded(*streams.SEED)
+positive_arg = _bounded(int, ">= 1", lambda v: v >= 1)
+sigma_arg = _bounded(*SIGMA)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,8 +82,8 @@ def cmd_gen(args) -> int:
 
 def cmd_fit(args) -> int:
     dataset = artifacts.load_dataset(args.data)
-    config = FitConfig(dim=args.dim, min_sep=args.min_sep, noise_sigma=args.sigma,
-                       thresh=args.thresh, seed=args.seed, restarts=args.restarts)
+    config = FitConfig(**{name: getattr(args, option[2:].replace("-", "_"))  # argparse's dest
+                          for name, (_, option, _) in FIT_SETTINGS.items()})
     try:
         fitted = fit_pipeline(dataset, config)
     except SeparationUnachievable as err:  # --min-sep too large for --dim
@@ -157,7 +156,7 @@ def cmd_plan(args) -> int:
     except UnknownAction as err:  # fit gave the key too few pairs for a map
         print(f"token rollout: {err}")
     else:
-        step = next((i for i, mse in enumerate(mses[1:]) if not math.isfinite(mse)), None)
+        step = next((i for i, mse in enumerate(mses[1:]) if not np.isfinite(mse)), None)
         if step is None:
             print(f"token rollout: final mse to goal tokens {mses[-1]:.6f}")
         else:
@@ -177,9 +176,7 @@ def cmd_eval(args) -> int:
     config_fields = dict(data=os.path.basename(args.data), sigma=args.sigma,
                          top_k=args.topk, l_max=args.l_max if args.l_max else "env",
                          seed=args.seed)
-    planners = ["symbolic"]
-    if args.compare:
-        planners += ["chance", "token"]
+    planners = ["symbolic", "chance", "token"] if args.compare else ["symbolic"]
     os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before any planning
     reports = {}
     for planner in planners:
@@ -227,17 +224,17 @@ def build_parser() -> _Parser:
     artifacts_opt.add_argument("--artifacts",
                                default=os.environ.get(ENV_ARTIFACT_DIR, "artifacts"))
     seed_opt = argparse.ArgumentParser(add_help=False)
-    seed_opt.add_argument("--seed", type=_SEED, default=0)
+    seed_opt.add_argument("--seed", type=seed_arg, default=0)
     search_opts = argparse.ArgumentParser(add_help=False)
-    search_opts.add_argument("--topk", type=_AT_LEAST_1, default=5)
-    search_opts.add_argument("--l-max", type=_AT_LEAST_1, default=None)
+    search_opts.add_argument("--topk", type=positive_arg, default=5)
+    search_opts.add_argument("--l-max", type=positive_arg, default=None)
 
     p = sub.add_parser("gen", parents=[seed_opt], help="generate a task dataset")
     p.add_argument("--level", type=int, choices=(1, 2, 3, 4), required=True)
-    p.add_argument("--train", type=_AT_LEAST_0, default=800)
-    p.add_argument("--val", type=_AT_LEAST_0, default=100)
-    p.add_argument("--test", type=_AT_LEAST_0, default=100)
-    p.add_argument("--codebook-seed", type=_SEED, default=None)
+    p.add_argument("--train", type=count_arg, default=800)
+    p.add_argument("--val", type=count_arg, default=100)
+    p.add_argument("--test", type=count_arg, default=100)
+    p.add_argument("--codebook-seed", type=seed_arg, default=None)
     p.add_argument("--variant", choices=tuple(VARIANTS), default="standard")
     p.add_argument("--unseen-types", default=UNSEEN_TYPES, type=_bounded(
         int, f"in 1..{MAX_TYPES - N_TYPES}", lambda v: 1 <= v <= MAX_TYPES - N_TYPES))
@@ -247,14 +244,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", parents=[artifacts_opt],
                        help="fit symbolizer, transition model, and maps")
     p.add_argument("--data", required=True)
-    p.add_argument("--dim", type=_bounded(int, f"in 2..{MAX_DIM}", lambda v: 2 <= v <= MAX_DIM),
-                   default=FitConfig.dim)
-    p.add_argument("--min-sep", type=_FINITE_AT_LEAST_0, default=FitConfig.min_sep)
-    p.add_argument("--sigma", type=_FINITE_AT_LEAST_0, default=FitConfig.noise_sigma)
-    p.add_argument("--thresh", type=_bounded(float, "in (0, 1)", lambda v: 0 < v < 1),
-                   default=FitConfig.thresh)
-    p.add_argument("--seed", type=_SEED, default=FitConfig.seed)
-    p.add_argument("--restarts", type=_AT_LEAST_1, default=FitConfig.restarts)
+    for name, (_, option, bound) in FIT_SETTINGS.items():
+        p.add_argument(option, type=_bounded(*bound), default=getattr(FitConfig, name))
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("plan", parents=[artifacts_opt, seed_opt, search_opts],
@@ -267,7 +258,7 @@ def build_parser() -> _Parser:
     p.add_argument("--obstacles", default=None, help="x,y;x,y")
     p.add_argument("--dyer", default=None, help="x,y")
     p.add_argument("--dyer-color", type=int, default=None)
-    p.add_argument("--sigma", type=_FINITE_AT_LEAST_0, default=0.0)
+    p.add_argument("--sigma", type=sigma_arg, default=0.0)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("eval", parents=[artifacts_opt, seed_opt, search_opts],
@@ -275,9 +266,9 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="reports")
     p.add_argument("--split", choices=SPLITS, default="test")
-    p.add_argument("--sigma", type=_FINITE_AT_LEAST_0, default=None,
+    p.add_argument("--sigma", type=sigma_arg, default=None,
                    help="eval-time token noise (default: the fit's sigma)")
-    p.add_argument("--jobs", type=_AT_LEAST_1, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=positive_arg, default=os.cpu_count() or 1)
     p.add_argument("--compare", action="store_true",
                    help="also run the chance baseline and the token-space planner")
     p.add_argument("--min-top1", type=_bounded(float, "in [0, 100]", lambda v: 0 <= v <= 100),
@@ -287,7 +278,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", parents=[artifacts_opt, seed_opt],
                        help="emit interpretability tables from fitted maps")
     p.add_argument("--out", default="reports")
-    p.add_argument("--samples", type=_AT_LEAST_1, default=200)
+    p.add_argument("--samples", type=positive_arg, default=200)
     p.set_defaults(func=cmd_report)
     return parser
 

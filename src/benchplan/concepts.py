@@ -22,6 +22,8 @@ from .workbench import CONCEPTS, DEFAULT_CARDINALITIES, TYPE, ObjectState
 
 DEFAULT_DIM = 8
 DEFAULT_MIN_SEP = 1.0
+# the rule of a noise sigma, and of min_sep; NaN and inf fail its one comparison
+SIGMA = streams.Bound(float, "finite and >= 0", lambda v: 0 <= v < np.inf)
 
 
 class UnknownValue(Exception):
@@ -74,10 +76,6 @@ def _draw_separated(rng: np.random.Generator, count: int, dim: int, min_sep: flo
 def build_codebook(dim: int = DEFAULT_DIM, seed: int = 0,
                    min_sep: float = DEFAULT_MIN_SEP) -> ConceptCodebook:
     """Draw all centroids from a standard normal, deterministic under seed."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if min_sep < 0:
-        raise ValueError("min_sep must be nonnegative")
     rng = streams.rng(seed, "codebook")
     tables = tuple(_draw_separated(rng, card, dim, min_sep)
                    for card in DEFAULT_CARDINALITIES)
@@ -106,8 +104,7 @@ def encode_values(values, codebook: ConceptCodebook, noise_sigma: float = 0.0,
     """Tokens of concept-value rows, as `ObjectState.values()` gives them, (n, 6, dim):
     mu[k][value_k] by one gather, plus iid N(0, noise_sigma^2) noise drawn at once in
     C order, so rng is read as by one draw per row in turn."""
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
+    SIGMA.check("noise_sigma", noise_sigma)
     if noise_sigma > 0 and rng is None:
         raise ValueError("noisy encoding needs a caller-provided rng")
     table, starts, cards = codebook.stacked

@@ -87,12 +87,12 @@ def fsd(final: ObjectState, goal: ObjectState) -> float:
     return math.hypot(final.pos_x - goal.pos_x, final.pos_y - goal.pos_y)
 
 
-def chance_baseline(task: Task, rng: np.random.Generator,
-                    attempts: int = 5) -> list[tuple[str, ...]]:
-    """Uniformly random sequences, lengths uniform in [1, max_len]."""
-    out = []
+def chance_baseline(task: Task, rng: np.random.Generator, attempts: int = 5,
+                    l_max: int | None = None) -> list[tuple[str, ...]]:
+    """Uniformly random sequences, lengths uniform in [1, l_max], or [1, max_len] without it."""
+    budget, out = l_max if l_max is not None else task.env.max_len, []
     for _ in range(attempts):
-        length = int(rng.integers(1, task.env.max_len + 1))
+        length = int(rng.integers(1, budget + 1))
         picks = rng.integers(0, len(ACTIONS), size=length)
         out.append(tuple(ACTIONS[int(i)] for i in picks))
     return out
@@ -124,7 +124,7 @@ def evaluate_task(task: Task, fitted: Fitted, codebook: ConceptCodebook, *,
                   l_max: int | None, rng: np.random.Generator) -> TaskRecord:
     """Plan one task, adjudicate every attempt, measure FSD on the first."""
     if planner == "chance":
-        attempts = chance_baseline(task, rng, attempts=top_k)
+        attempts = chance_baseline(task, rng, attempts=top_k, l_max=l_max)
     else:
         try:
             result, _, _ = plan_task(task, fitted, codebook, planner=planner,

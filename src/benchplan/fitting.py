@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import streams
-from .concepts import (DEFAULT_DIM, DEFAULT_MIN_SEP, ConceptCodebook, UnknownValue,
+from .concepts import (DEFAULT_DIM, DEFAULT_MIN_SEP, SIGMA, ConceptCodebook, UnknownValue,
                        build_codebook, encode_values, extend_codebook)
 from .concepts import encode  # noqa: F401  unused; perfbench's trace points patch this name
-from .mdp import DEFAULT_THRESH, TransitionModel, action_key, fit_transitions
-from .symbols import (DEFAULT_RESTARTS, InsufficientPoints, Symbolizer, finite_sq_dists,
-                      fit_symbolizer, purity)
+from .mdp import DEFAULT_THRESH, THRESH, TransitionModel, action_key, fit_transitions
+from .symbols import (DEFAULT_RESTARTS, RESTARTS, InsufficientPoints, Symbolizer,
+                      finite_sq_dists, fit_symbolizer, purity)
 from .symbols import symbolize  # noqa: F401  unused; perfbench's trace points patch this name
 from .taskgen import Dataset, Task
 from .token_maps import MIN_PAIRS, ActionTransitionMaps, InsufficientPairs, fit_affine
@@ -25,6 +25,14 @@ from .workbench import TYPE, ObjectState, SimulationError, simulate
 # each action key's token map is (6 dim)^2 floats, 4.7 MB at 128; a fit file's
 # header is refused past this before its dim sizes anything
 MAX_DIM = 128
+FIT_SETTINGS = {  # FitConfig's one table: each field's fit.txt header key, option and bound
+    "dim": ("dim", "--dim", streams.Bound(int, f"in 2..{MAX_DIM}", lambda v: 2 <= v <= MAX_DIM)),
+    "min_sep": ("min_sep", "--min-sep", SIGMA),
+    "noise_sigma": ("noise_sigma", "--sigma", SIGMA),
+    "thresh": ("thresh", "--thresh", THRESH),
+    "seed": ("fit_seed", "--seed", streams.SEED),
+    "restarts": ("restarts", "--restarts", RESTARTS),
+}
 
 
 class InvalidGtPlan(Exception):
@@ -40,9 +48,9 @@ class FitConfig:
     seed: int = 0
     restarts: int = DEFAULT_RESTARTS
 
-    def __post_init__(self):
-        if self.dim > MAX_DIM:
-            raise ValueError(f"dim={self.dim} is past MAX_DIM={MAX_DIM}")
+    def __post_init__(self):  # a refusal names the header key, as a fit file's does
+        for name, (key, _, bound) in FIT_SETTINGS.items():
+            bound.check(key, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .streams import Bound
 from .workbench import ACTIONS, N_COLORS, POS_X, POS_Y, SIZE, TYPE, EnvConfig, goal_concepts
 
 DEFAULT_THRESH = 0.01
+THRESH = Bound(float, "in (0, 1)", lambda v: 0 < v < 1)  # a legality threshold's rule
 
 SymbolState = tuple[int, ...]
 
@@ -106,8 +108,7 @@ class TransitionModel:
     succ_p: dict[str, list[list[float]]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0 < self.thresh < 1:
-            raise ValueError("thresh must lie in (0, 1)")
+        THRESH.check("thresh", self.thresh)
         self.action_keys = tuple(sorted(self.counts, key=_key_rank))
         self.base_actions = tuple(dict.fromkeys(map(base_action, self.action_keys)))
         self.strides = tuple(np.cumprod([1, *self.cardinalities[:-1]]).tolist())

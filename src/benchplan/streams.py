@@ -6,21 +6,28 @@ numpy's SeedSequence ignores trailing zeros (`[5, 0]`, `[5, 0, 0]` and `[5]`
 draw alike), so no key may be another with zeros appended: keys of two streams
 differ at position 1, and the keys of one stream have one length. numpy splits
 an int of 2**32 or more into 32-bit words, which would shift the tag, so the
-seed and each index value must be below SEED_BOUND.
+seed and each index value must keep `SEED`, the library's one seed rule.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
+
+class Bound(namedtuple("Bound", "kind rule ok")):  # an input's one rule: type, text, check
+    def check(self, name: str, value):  # `value`, or a ValueError that names `name`
+        if not self.ok(value):
+            raise ValueError(f"{name} must be {self.rule}, got {value}")
+        return value
+
+
 SEED_BOUND = 2**32
+SEED = Bound(int, f"in 0..{SEED_BOUND - 1}", lambda v: 0 <= v < SEED_BOUND)
 
 
-class Stream(NamedTuple):
-    tag: int
-    index_len: int
+Stream = namedtuple("Stream", "tag index_len")
 
 
 # the tag table; a new tag value changes every draw of its stream, and with it
@@ -44,7 +51,7 @@ def rng(seed: int, stream: str, *index: int) -> np.random.Generator:
     """The generator of key `[seed, tag, *index]`, `stream`'s tag from `STREAMS`;
     the library's one `default_rng` call."""
     tag, index_len = STREAMS[stream]
-    if len(index) != index_len or max((seed, *index)) >= SEED_BOUND:
+    if len(index) != index_len or not all(map(SEED.ok, (seed, *index))):
         raise ValueError(f"stream {stream!r} takes a seed and {index_len} index values "
-                         f"below {SEED_BOUND}, got {[seed, *index]}")
+                         f"{SEED.rule}, got {[seed, *index]}")
     return np.random.default_rng([seed, tag, *index])

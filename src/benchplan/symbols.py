@@ -25,6 +25,7 @@ from . import streams
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-9
 DEFAULT_RESTARTS = 6
+RESTARTS = streams.Bound(int, ">= 1", lambda v: v >= 1)  # the k-means runs' rule
 # The expanded and the exact squared distance |p - c|^2 differ by under
 # (2 dim + 6) eps (|p|^2 + |c|^2); a slack of over twice that, per coordinate:
 _SLACK = 40 * np.finfo(float).eps
@@ -239,8 +240,9 @@ def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int, seed: int,
         raise ValueError("points must be a 2-D array")
     if not np.isfinite(pts).all():
         raise UnmeasurablePoints("some points are not finite")
-    if k < 1 or restarts < 1:
-        raise ValueError(f"k and restarts must be >= 1, got {k} and {restarts}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    RESTARTS.check("restarts", restarts)
     if len(pts) < k:
         raise InsufficientPoints(f"{len(pts)} points for k={k}")
     cols = np.ascontiguousarray(pts.T)  # (dim, n): each step works on whole rows

@@ -24,7 +24,7 @@ from benchplan.artifacts import (
     save_report,
 )
 from benchplan.evaluate import run_experiment
-from benchplan.fitting import MAX_DIM, FitConfig, fit_pipeline
+from benchplan.fitting import FIT_SETTINGS, MAX_DIM, FitConfig, fit_pipeline
 from benchplan.streams import SEED_BOUND
 from benchplan.taskgen import (
     Dataset,
@@ -437,16 +437,19 @@ def _sub(pattern, new):
      "variant=bogus is not standard/unseen_object/unseen_task"),
     ("data", _sub(" split=", " stray split="),
      "'stray' is not key=value, in the line that starts task_id=L3-00000"),
-    ("data", _sub(" seed=1 ", " seed=-1 "), "seed is negative: -1"),
-    ("data", _sub(" codebook_seed=1 ", " codebook_seed=-1 "), "codebook_seed is negative: -1"),
+    ("data", _sub(" seed=1 ", " seed=-1 "), f"seed must be in 0..{SEED_BOUND - 1}, got -1"),
+    ("data", _sub(" codebook_seed=1 ", " codebook_seed=-1 "),
+     f"codebook_seed must be in 0..{SEED_BOUND - 1}, got -1"),
     ("fit", _sub(" dim=8 ", " "), "missing field dim"),
     ("fit", _sub(" dim=8 ", f" dim={MAX_DIM + 1} "),
-     f"dim={MAX_DIM + 1} is past MAX_DIM={MAX_DIM}"),
+     f"dim must be in 2..{MAX_DIM}, got {MAX_DIM + 1}"),
     ("fit", _sub(" codebook_seed=1$", ""), "missing field codebook_seed"),
-    ("fit", _sub(" fit_seed=0 ", " fit_seed=-1 "), "fit_seed is negative: -1"),
+    ("fit", _sub(" fit_seed=0 ", " fit_seed=-1 "),
+     f"fit_seed must be in 0..{SEED_BOUND - 1}, got -1"),
     ("fit", _sub(" fit_seed=0 ", f" fit_seed={SEED_BOUND} "),
-     f"fit_seed is past {SEED_BOUND - 1}: {SEED_BOUND}"),
-    ("fit", _sub(" codebook_seed=1$", " codebook_seed=-1"), "codebook_seed is negative: -1"),
+     f"fit_seed must be in 0..{SEED_BOUND - 1}, got {SEED_BOUND}"),
+    ("fit", _sub(" codebook_seed=1$", " codebook_seed=-1"),
+     f"codebook_seed must be in 0..{SEED_BOUND - 1}, got -1"),
     ("fit", _sub(r"^purity=.*\n", ""), "missing field purity"),
     ("fit", _sub(r"^(purity=.*)$", r"\1 stray=1\nc 1.0,2.0"), "row 'c' under the purity record"),
     ("fit", _sub(r" inertia=\S+", ""), "missing field inertia"),
@@ -493,3 +496,32 @@ def test_refusal_names_what_it_read(sealed_files, tmp_path, file, edit, message)
         argv = ["eval", "--data", data, "--artifacts", path.parent, "--out", tmp_path, "--jobs", 1]
     edit_sealed(path, edit)
     assert run_cli(argv) == (2, f"error: {path}: {message}\n")
+
+
+# one value past each fit setting's bound, and the rule that refuses it
+PAST_BOUND = {"dim": (MAX_DIM + 1, f"in 2..{MAX_DIM}"), "min_sep": (-1.0, "finite and >= 0"),
+              "noise_sigma": (-0.5, "finite and >= 0"), "thresh": (1.0, "in (0, 1)"),
+              "seed": (-1, f"in 0..{SEED_BOUND - 1}"), "restarts": (0, ">= 1")}
+
+
+@pytest.mark.parametrize("name", FIT_SETTINGS)
+def test_each_fit_setting_is_refused_alike_by_the_api_the_cli_and_the_fit_file(
+        sealed_files, tmp_path, name):
+    """`FitConfig`, `fit <option>` while parsing, and a resealed fit header
+    refuse one value past the setting's bound by its one rule."""
+    assert PAST_BOUND.keys() == FIT_SETTINGS.keys()
+    (key, option, _), (value, rule) = FIT_SETTINGS[name], PAST_BOUND[name]
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be {rule}, got {value}")):
+        FitConfig(**{name: value})
+
+    data, fit = sealed_files
+    assert run_cli(["fit", "--data", data, "--artifacts", tmp_path / "refit", option, value]) \
+        == (1, f"error: argument {option}: must be {rule}, got {value}\n")
+    assert not (tmp_path / "refit").exists()
+
+    shutil.copytree(fit, tmp_path / "fit")
+    path = tmp_path / "fit" / FIT_FILE
+    edit_sealed(path, _sub(rf" {key}=\S+", f" {key}={value}"))
+    with pytest.raises(SchemaMismatch) as refused:
+        load_fitted(path.parent)
+    assert str(refused.value) == f"{path}: {key} must be {rule}, got {value}"

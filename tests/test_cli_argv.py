@@ -55,7 +55,7 @@ def bound_values(kind) -> list[str]:
 
 
 def test_the_probe_finds_each_bound():
-    types = {a.option_strings[-1]: a.type
+    types = {a.option_strings[-1]: a.type  # fit's --seed and --sigma, read after eval's
              for name in ("eval", "fit") for a in COMMANDS[name]._actions if a.option_strings}
     assert bound_values(types["--thresh"]) == \
         [repr(v) for v in (-EPS, 0, EPS, 1 - EPS, 1, 1 + EPS)] + ["nan", "inf", "x"]
@@ -63,6 +63,9 @@ def test_the_probe_finds_each_bound():
         [repr(v) for v in (-EPS, 0, EPS, 100 - EPS, 100, 100 + EPS)] + ["nan", "inf", "x"]
     assert bound_values(types["--topk"]) == ["0", "1", "2", "x"]
     assert bound_values(types["--dim"]) == ["1", "2", "3", "x"]
+    assert bound_values(types["--restarts"]) == ["0", "1", "2", "x"]
+    assert bound_values(types["--seed"]) == ["-1", "0", "1", "x"]
+    assert bound_values(types["--sigma"]) == [repr(v) for v in (-EPS, 0, EPS)] + ["nan", "inf", "x"]
 
 
 @pytest.fixture(scope="module")

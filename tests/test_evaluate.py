@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from benchplan import evaluate
+from benchplan.concepts import encode_values
 from benchplan.evaluate import (
     EvalReport,
     TaskRecord,
@@ -110,6 +111,16 @@ class TestChance:
         for attempt in chance_baseline(task, np.random.default_rng(5), attempts=20):
             assert 1 <= len(attempt) <= task.env.max_len
 
+    def test_lengths_within_l_max(self, level3_run):
+        """The chance planner gets the planners' budget: at most l_max steps."""
+        task = generate_task(2, np.random.default_rng(1))
+        lengths = {len(attempt) for attempt in
+                   chance_baseline(task, np.random.default_rng(5), attempts=50, l_max=2)}
+        assert lengths == {1, 2}
+        dataset, fitted = level3_run
+        report = run_experiment(dataset, fitted, planner="chance", l_max=2)
+        assert {r.top1_len for r in report.records} == {1, 2}
+
 
 class TestRunExperiment:
     def test_level1_noiseless_near_perfect(self, level1_run):
@@ -193,6 +204,16 @@ class TestRunExperiment:
         report = run_experiment(dataset, fitted, planner="chance", seed=1)
         assert report.asacc_top1 <= 5.0
         assert report.fsd_mean >= 1.5
+
+    def test_nan_sigma_is_refused_not_read_as_0(self, level1_run):
+        dataset, fitted = level1_run
+        refused = "^noise_sigma must be finite and >= 0, got nan$"
+        with pytest.raises(ValueError, match=refused):
+            encode_values([dataset.tasks[0].init.values()], fitted.codebook, math.nan,
+                          np.random.default_rng(0))
+        for planner in ("symbolic", "token"):
+            with pytest.raises(ValueError, match=refused):
+                run_experiment(dataset, fitted, planner=planner, noise_sigma=math.nan)
 
     def test_unknown_planner(self, level1_run):
         dataset, fitted = level1_run

@@ -1,6 +1,7 @@
 """Transition-model tests, checked against the brute-force propagation oracle."""
 
 import pickle
+import re
 from itertools import product
 
 import numpy as np
@@ -54,6 +55,12 @@ def toy_model(thresh=0.1):
 # ---------------------------------------------------------------------------
 
 class TestFitTransitions:
+    @pytest.mark.parametrize("thresh", [0.0, 1.0, float("nan")])
+    def test_thresh_outside_0_1_is_refused_by_the_fit_settings_rule(self, thresh):
+        """`TransitionModel` holds thresh to `mdp.THRESH`, which `FitConfig` reads too."""
+        with pytest.raises(ValueError, match=re.escape(f"thresh must be in (0, 1), got {thresh}")):
+            toy_model(thresh)
+
     def test_counts_accumulate(self):
         model = toy_model()
         assert model.counts["move_right"][0][0, 1] == 2

@@ -6,6 +6,7 @@ another with zeros appended draws as that key does."""
 import ast
 import itertools
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -25,12 +26,24 @@ def test_tags_are_unique_and_each_stream_takes_one_index_length():
     assert len({stream.tag for stream in STREAMS.values()}) == len(STREAMS)
     for name, (_, index_len) in STREAMS.items():
         streams.rng(SEED_BOUND - 1, name, *range(index_len))
-        refused = f"stream '{name}' takes a seed and {index_len} index values below {SEED_BOUND}"
+        refused = (f"stream '{name}' takes a seed and {index_len} index values "
+                   f"in 0..{SEED_BOUND - 1}")
         for wrong in {0, index_len + 1} - {index_len}:
             with pytest.raises(ValueError, match=refused):
                 streams.rng(0, name, *range(wrong))
         with pytest.raises(ValueError, match=refused):
             streams.rng(SEED_BOUND, name, *range(index_len))
+
+
+@pytest.mark.parametrize("name, key",
+                         [("report", (-1,)), ("task", (-1, 0)), ("kmeans", (0, 1, -1))],
+                         ids=["negative-seed", "negative-seed-with-index", "negative-index"])
+def test_a_negative_seed_or_index_is_refused_by_the_stream_name(name, key):
+    """numpy's own refusal of a negative key word names no stream."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"stream '{name}' takes a seed and {len(key) - 1} index values "
+            f"in 0..{SEED_BOUND - 1}, got {list(key)}")):
+        streams.rng(key[0], name, *key[1:])
 
 
 def test_a_seed_past_the_bound_would_shift_the_tag():
