@@ -10,12 +10,15 @@ Usage: python3 scripts/run_all_levels.py [--train 800 --val 100 --test 100]
 """
 
 import argparse
+import sys
 import time
 
 from benchplan.cli import count_arg, positive_arg, seed_arg, sigma_arg
 from benchplan.evaluate import interpretability_report, run_experiment
 from benchplan.fitting import FitConfig, fit_pipeline, unmapped_note
+from benchplan.symbols import InsufficientPoints, UnmeasurablePoints
 from benchplan.taskgen import make_dataset
+from benchplan.token_maps import InsufficientPairs
 
 GENERALIZATION = (  # (variant, heading, levels) of each generalization split
     ("unseen_object", "unseen objects (retyped test split, same model)", (1, 3)),
@@ -40,6 +43,15 @@ def main():
     ap.add_argument("--jobs", type=positive_arg, default=1)
     ap.add_argument("--skip-generalization", action="store_true")
     args = ap.parse_args()
+    try:
+        reproduce(args)
+    except (InsufficientPoints, InsufficientPairs) as err:  # too little training data
+        sys.exit(f"error: {err}")  # as `benchplan fit`: one line, exit 1
+    except UnmeasurablePoints as err:  # token distances overflow a float
+        sys.exit(f"error: argument --sigma: {args.sigma:g} is too large: {err}")
+
+
+def reproduce(args):
     counts = (args.train, args.val, args.test)
     config = FitConfig(noise_sigma=args.sigma)
 

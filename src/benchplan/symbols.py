@@ -6,10 +6,12 @@ fit is deterministic under a seed (greedy k-means++ init with 2 + floor(ln k)
 local trials per center, 6 restarts, each drawn from
 `streams.rng(seed, "kmeans", concept, restart)`, centers canonicalized to
 lexicographic order; restarts that draw one center set and meet no tie share
-one Lloyd run). Points are held as (dim, n) columns; exact near-tie picks and
-numpy's row-sum order keep every label and bit. Where points repeat, as
-noiseless tokens do, the init takes each distance once per distinct point. A
-Lloyd step sums again only the clusters whose members changed.
+one Lloyd run). Where the points take exactly k distinct values, as noiseless
+tokens do, every seeding draws each value once: one Lloyd run from them is
+every restart's run, and no seeding is drawn unless that run meets a tie.
+Points are held as (dim, n) columns; exact near-tie picks and numpy's row-sum
+order keep every label and bit. A Lloyd step sums again only the clusters
+whose members changed.
 """
 
 from __future__ import annotations
@@ -114,40 +116,33 @@ def _weighted_pick(weights: np.ndarray, rng: np.random.Generator, size: int) -> 
     return rng.integers(len(weights), size=1)  # all 0: fewer distinct points than k
 
 
-def _distinct(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(points, inverse) with `points[:, inverse] == cols` when some of the (dim, n)
-    points repeat, as noiseless tokens do; None when no first coordinate repeats
-    or points that share one differ elsewhere."""
+def _distinct(cols: np.ndarray) -> np.ndarray | None:
+    """The distinct (dim, n) points, ordered by first coordinate, when some repeat, as
+    noiseless tokens do; None when no first coordinate repeats or two points sharing one differ."""
     if len(np.unique(cols[0])) == cols.shape[1]:  # a tenth of the cost of the inverse
         return None
     _, first, inverse = np.unique(cols[0], return_index=True, return_inverse=True)
     points = cols[:, first]
-    return (points, inverse) if (points.take(inverse, axis=1) == cols).all() else None
+    return points if (points.take(inverse, axis=1) == cols).all() else None
 
 
-def _kmeanspp_init(cols: np.ndarray, k: int, rng: np.random.Generator,
-                   distinct: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def _kmeanspp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Greedy k-means++ (Arthur & Vassilvitskii, SODA 2007): a uniform first center,
     then per center 2 + floor(ln k) candidates drawn from the D^2 distribution, of
-    which the first that leaves the least potential sum(min(D^2, |p - c|^2)) is kept.
-    Given `_distinct(cols)`, each distance is taken once per distinct point and
-    spread over all n for the draws and sums, which keeps every bit."""
+    which the first that leaves the least potential sum(min(D^2, |p - c|^2)) is kept."""
     dim, n = cols.shape
-    points, inverse = distinct or (cols, None)
-    spread = (lambda a: a) if inverse is None else (lambda a: a.take(inverse, axis=-1))
     trials = 2 + int(np.log(k))
     centers = np.empty((k, dim))
     centers[0] = cols[:, int(rng.integers(n))]
-    block = np.empty((dim, trials, points.shape[1]))  # candidates' differences, then D^2
+    block = np.empty((dim, trials, n))  # candidates' differences, then D^2
     with np.errstate(over="ignore"):  # the pick refuses a sum that overflowed
-        d2 = _sq_norms(np.subtract(points, centers[0][:, None], out=block[:, 0])).copy()
+        d2 = _sq_norms(np.subtract(cols, centers[0][:, None], out=block[:, 0])).copy()
         for j in range(1, k):
-            picks = _weighted_pick(spread(d2), rng, trials)
-            at = picks if inverse is None else inverse[picks]
+            picks = _weighted_pick(d2, rng, trials)
             rows = block[:, :len(picks)]
-            costs = np.minimum(_sq_norms(np.subtract(points[:, None], points[:, at, None],
+            costs = np.minimum(_sq_norms(np.subtract(cols[:, None], cols[:, picks, None],
                                                      out=rows)), d2, out=rows[0])
-            best = int(spread(costs).sum(axis=1).argmin())
+            best = int(costs.sum(axis=1).argmin())
             centers[j] = cols[:, picks[best]]
             d2[:] = costs[best]
     return centers
@@ -234,7 +229,8 @@ def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int, seed: int,
     """Greedy k-means++ plus Lloyd; best of `restarts` runs by inertia, the first of equals.
     Restart r draws its init from the k-means stream's key (seed, concept, r).
     Lloyd from a permuted init is the permuted run, bit for bit, unless a point
-    meets a tie: a restart that draws an earlier tie-free run's centers is skipped."""
+    meets a tie: a restart that draws an earlier tie-free run's centers is skipped,
+    and on exactly k distinct points, which every seeding draws, so is each one."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
@@ -246,10 +242,12 @@ def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int, seed: int,
     if len(pts) < k:
         raise InsufficientPoints(f"{len(pts)} points for k={k}")
     cols = np.ascontiguousarray(pts.T)  # (dim, n): each step works on whole rows
-    distinct = _distinct(cols)
     best, tie_free = None, set()  # the first run of least inertia; tie-free runs' inits
-    for r in range(restarts):
-        init = _kmeanspp_init(cols, k, streams.rng(seed, "kmeans", concept, r), distinct)
+    if (distinct := _distinct(cols)) is not None and distinct.shape[1] == k:
+        run = _lloyd(cols, distinct.T.copy())  # every seeding draws each of these k once,
+        best = None if run[-1] else run  # so, tie-free, this run is every restart's run
+    for r in range(restarts if best is None else 0):
+        init = _kmeanspp_init(cols, k, streams.rng(seed, "kmeans", concept, r))
         if (key := init[np.lexsort(init.T[::-1])].tobytes()) not in tie_free:
             run = _lloyd(cols, init)  # centers, inertia, iterations, labels, near, tied
             if best is None or run[1] < best[1]:

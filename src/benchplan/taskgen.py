@@ -30,6 +30,7 @@ from .workbench import (
     ACTIONS,
     CELLS,
     COLOR,
+    LEVEL,
     N_COLORS,
     N_SIZES,
     N_TYPES,
@@ -204,8 +205,7 @@ def _sample_states(level: int, env: EnvConfig, below) -> tuple[ObjectState, Obje
 
 def generate_task(level: int, rng: np.random.Generator) -> Task:
     """Sample one task whose gt plan is nonempty and within the level's cap."""
-    if level not in (1, 2, 3, 4):
-        raise ValueError(f"level must be 1..4, got {level}")
+    LEVEL.check("level", level)  # before any draw: a bad level never reaches EnvConfig
     below = _Draws(rng).below
     for _ in range(MAX_ATTEMPTS):
         env = _sample_env(level, below)

@@ -13,6 +13,8 @@ from itertools import product
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .streams import Bound
+
 if TYPE_CHECKING:  # only for the adjudicate() type hint
     from .taskgen import Task
 
@@ -79,6 +81,7 @@ def _dyer_bench(dyer: tuple[int, int] | None) -> tuple:
 _DYER_BENCHES = {dyer: _dyer_bench(dyer) for dyer in (*CELLS, None)}
 
 MAX_LEN_BY_LEVEL = {1: 6, 2: 9, 3: 15, 4: 16}
+LEVEL = Bound(int, "1..4", lambda v: v in MAX_LEN_BY_LEVEL)  # the difficulty levels' rule
 
 FAILURE_REASONS = ("none", "illegal_action", "collision", "wrong_final_state")
 
@@ -141,8 +144,7 @@ class EnvConfig:
     moves: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.level not in MAX_LEN_BY_LEVEL:
-            raise ValueError(f"level must be 1..4, got {self.level}")
+        LEVEL.check("level", self.level)
         # normalize: sorted, deduplicated obstacle cells, and cells as tuples
         cells = tuple(sorted(set(map(tuple, self.obstacles))))
         object.__setattr__(self, "obstacles", cells)

@@ -14,7 +14,7 @@ import pytest
 from _oracles import _greedy_kmeanspp_init as oracle_kmeanspp_init
 from _oracles import _kmeanspp_init as oracle_plain_kmeanspp_init
 from _oracles import _sq_dists, oracle_fit_kmeans, oracle_lloyd
-from benchplan import symbols
+from benchplan import streams, symbols
 from benchplan.concepts import build_codebook
 from benchplan.fitting import FitConfig, fit_pipeline
 from benchplan.streams import STREAMS
@@ -135,15 +135,85 @@ def test_fit_kmeans_equals_frozen_oracle_at_scale(level4_run, training_tokens, s
 def test_restarts_that_draw_one_center_set_share_one_lloyd_run(
         monkeypatch, level4_run, training_tokens, sigma, runs):
     """Noiseless tokens: every k-means++ init picks each distinct value once, so
-    a concept's restarts make one Lloyd run. Noisy ones pick distinct points.
-    The best run's result is kept: no run is made again."""
-    calls = []
+    a concept's restarts make one Lloyd run, from those values, and draw no
+    seeding. Noisy ones pick distinct points. The best run's result is kept: no
+    run is made again."""
+    calls, keys = [], []
     spy(monkeypatch, "_lloyd", calls)
+    record_kmeans_keys(monkeypatch, keys)
     stack = training_tokens(level4_run, sigma)
     for k, card in enumerate(level4_run[1].codebook.cardinalities):
-        calls.clear()
+        calls.clear(), keys.clear()
         fit_kmeans(stack[:, k, :], card, 0, concept=k)
         assert len(calls) == runs, k
+        assert keys == ([] if runs == 1 else [(0, k, r) for r in range(runs)]), k
+
+
+def record_kmeans_keys(monkeypatch, keys):
+    """Record in `keys` the (seed, concept, restart) of each `kmeans` stream drawn."""
+    rng = streams.rng
+    monkeypatch.setattr(streams, "rng", lambda seed, name, *index: (
+        keys.append((seed, *index)) if name == "kmeans" else None) or rng(seed, name, *index))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_exactly_k_distinct_points_fit_as_the_oracle(request, training_tokens, level):
+    """Noiseless training tokens take each concept's k values, and the one Lloyd
+    run from them is the oracle's best of its restarts, bit for bit."""
+    if level == 2:  # no level-2 fixture: a small dataset, under the level-1 codebook
+        run = (generate_dataset(2, (150, 0, 0), seed=7), request.getfixturevalue("level1_run")[1])
+    else:
+        run = request.getfixturevalue(f"level{level}_run")
+    stack = training_tokens(run, 0.0)
+    for k, card in enumerate(run[1].codebook.cardinalities):
+        assert _distinct(columns(stack[:, k, :])).shape[1] == card, k
+        assert_same(fit_kmeans(stack[:, k, :], card, 0, concept=k),
+                    oracle_fit_kmeans(stack[:, k, :], card, seed=[0, KMEANS, k]))
+
+
+def test_k_repeated_values_fit_as_the_oracle(monkeypatch):
+    """A case of every kind, cut to at most k points of distinct first coordinates
+    (which `_distinct` reads), each repeated in random order: one Lloyd run, no
+    seeding drawn, and the oracle's fit."""
+    rng = np.random.default_rng(2027)
+    calls, keys = [], []
+    spy(monkeypatch, "_lloyd", calls)
+    record_kmeans_keys(monkeypatch, keys)
+    for case in range(70):
+        points, k = _case(rng, KINDS[case % len(KINDS)])
+        table = points[np.unique(points[:, 0], return_index=True)[1][:k]]
+        points = table[rng.permutation(np.r_[np.arange(len(table)),
+                                             rng.integers(len(table), size=len(points))])]
+        calls.clear(), keys.clear()
+        result = fit_kmeans(points, len(table), case, concept=1)
+        assert (len(calls), keys) == (1, []), case
+        assert_same(result, oracle_fit_kmeans(points, len(table), seed=[case, KMEANS, 1]))
+
+
+def test_fewer_than_k_distinct_points_draw_every_restart(monkeypatch):
+    """Three type values for k = 8: no seeding draws 8 distinct points, so each
+    restart draws its own."""
+    keys = []
+    record_kmeans_keys(monkeypatch, keys)
+    table = build_codebook(seed=4).centroids[0]
+    points = table[np.random.default_rng(0).integers(3, size=12)]
+    result = fit_kmeans(points, len(table), 5, concept=2, restarts=4)
+    assert keys == [(5, 2, r) for r in range(4)]
+    assert_same_or_stopped(result, oracle_fit_kmeans(points, len(table), seed=[5, KMEANS, 2],
+                                                     restarts=4), points, len(table))
+
+
+def test_a_tie_on_k_distinct_points_falls_back_to_the_restarts(monkeypatch):
+    """Two distinct points whose squared distance underflows to 0: the run from
+    them meets a tie at once, so every restart draws its seeding, as the oracle."""
+    keys = []
+    record_kmeans_keys(monkeypatch, keys)
+    points = np.array([[0.0], [0.0], [1e-170]])
+    assert _distinct(columns(points)).shape[1] == 2
+    assert _lloyd(columns(points), np.array([[0.0], [1e-170]]))[-1]  # tied
+    result = fit_kmeans(points, 2, 3, restarts=3)
+    assert keys == [(3, 0, r) for r in range(3)]
+    assert_same(result, oracle_fit_kmeans(points, 2, seed=[3, KMEANS, 0], restarts=3))
 
 
 def test_a_run_that_meets_a_tie_is_not_shared():
@@ -194,26 +264,29 @@ def test_weighted_pick_takes_generator_choices_steps():
 @pytest.mark.parametrize("sigma", [0.0, 0.2])
 def test_kmeanspp_init_equals_the_oracle_draw(level4_run, training_tokens, sigma):
     """On the level-4 tokens and on cases of every kind, where the lattice's
-    candidates tie on potential and the first drawn of them must be kept; over
-    all points and, where some repeat, over the distinct ones."""
+    candidates tie on potential and the first drawn of them must be kept."""
     stack = training_tokens(level4_run, sigma)
     cases = [(stack[:, k, :], card) for k, card in enumerate(level4_run[1].codebook.cardinalities)]
     rng = np.random.default_rng([2026, int(sigma * 10)])
     cases += [_case(rng, KINDS[case % len(KINDS)]) for case in range(70)]
     for i, (points, k) in enumerate(cases):
-        for distinct in (None, _distinct(columns(points))):
-            for r in range(DEFAULT_RESTARTS):
-                init = _kmeanspp_init(columns(points), k, np.random.default_rng([0, KMEANS, i, r]),
-                                      distinct)
-                frozen = oracle_kmeanspp_init(points, k, np.random.default_rng([0, KMEANS, i, r]))
-                assert init.tobytes() == frozen.tobytes(), (i, r)
-    assert sigma or _distinct(columns(stack[:, 0, :]))[0].shape == (8, 8)  # 8 type values
+        for r in range(DEFAULT_RESTARTS):
+            init = _kmeanspp_init(columns(points), k, np.random.default_rng([0, KMEANS, i, r]))
+            frozen = oracle_kmeanspp_init(points, k, np.random.default_rng([0, KMEANS, i, r]))
+            assert init.tobytes() == frozen.tobytes(), (i, r)
+    assert sigma or _distinct(columns(stack[:, 0, :])).shape == (8, 8)  # 8 type values
+
+
+def same_points(a, b):
+    """Whether the (dim, n) columns of `a` are those of `b` in some order, -0.0 as 0.0."""
+    return a.shape == b.shape and (a[:, :, None] == b[:, None, :]).all(axis=0).any(axis=0).all()
 
 
 def test_distinct_points_draw_the_oracle_init():
     """`_distinct` groups repeated points, and refuses points that share only a
-    first coordinate. An init drawn over the distinct points has the oracle's
-    bits, centers at -0.0 included, which group with 0.0."""
+    first coordinate. Every oracle init on exactly k distinct points draws each
+    of them once, so the fit that starts from them is the oracle's, bit for bit,
+    with -0.0 and 0.0 coordinates, which group together."""
     rng = np.random.default_rng(7)
     assert _distinct(columns(rng.normal(size=(30, 3)))) is None  # no repeats
     assert _distinct(columns(np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 1.0]]))) is None
@@ -225,14 +298,15 @@ def test_distinct_points_draw_the_oracle_init():
         points[points == 0] = rng.choice([-0.0, 0.0], size=int((points == 0).sum()))
         if len(np.unique(points[:, 0])) == len(points):
             continue  # no repeats to group
-        cols = columns(points)
-        distinct = _distinct(cols)
-        assert (distinct[0].take(distinct[1], axis=1) == cols).all(), case
+        distinct = _distinct(columns(points))
+        used = table[[(row == points).all(axis=1).any() for row in table]]  # in order of x
+        assert distinct.shape == used.T.shape and (distinct == used.T).all(), case
+        k = distinct.shape[1]
         for r in range(3):
-            k = int(np.random.default_rng([case, r]).integers(1, len(points) + 1))
-            init = _kmeanspp_init(cols, k, np.random.default_rng([case, r, 1]), distinct)
             frozen = oracle_kmeanspp_init(points, k, np.random.default_rng([case, r, 1]))
-            assert init.tobytes() == frozen.tobytes(), (case, r)
+            assert same_points(distinct, columns(frozen)), (case, r)
+        assert_same(fit_kmeans(points, k, case, restarts=3),
+                    oracle_fit_kmeans(points, k, seed=[case, KMEANS, 0], restarts=3))
 
 
 @pytest.mark.parametrize("seed, concepts", [(11, range(6)), (19, [2])],

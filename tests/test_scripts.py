@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from _cli import assert_own_message
 from benchplan.workbench import ACTIONS, CONCEPTS
 from perfbench import protocol
@@ -13,14 +14,17 @@ from perfbench import protocol
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_run_all_levels_small():
+def run_all_levels(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "run_all_levels.py"),
-         "--train", "40", "--val", "2", "--test", "6", "--jobs", "1"],
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "run_all_levels.py"), *argv],
         capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_run_all_levels_small():
+    done = run_all_levels("--train", "40", "--val", "2", "--test", "6", "--jobs", "1")
     assert done.returncode == 0, done.stderr
     assert_own_message(done.stderr)  # pytest's warnings filter does not reach a subprocess
     out = done.stdout
@@ -35,6 +39,19 @@ def test_run_all_levels_small():
     for line in block:
         action, arrow, concept = line.split()
         assert action in ACTIONS and arrow == "->" and concept in CONCEPTS, line
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--train", "1", "--val", "0", "--test", "2", "--skip-generalization"),
+     "error: 3 points for k=8\n"),
+    (("--sigma", "1e160", "--train", "40", "--val", "2", "--test", "6"),
+     "error: argument --sigma: 1e+160 is too large: squared distances between points "
+     "sum to inf\n"),
+], ids=["too-few-points", "sigma-overflows"])
+def test_run_all_levels_refuses_an_unfittable_run_in_one_line(argv, message):
+    """As `benchplan fit` does: one `error:` line and exit 1, not a traceback."""
+    done = run_all_levels(*argv)
+    assert (done.returncode, done.stderr) == (1, message)
 
 
 def test_bench_trajectory_small(tmp_path):

@@ -91,13 +91,17 @@ def recorded_keys(monkeypatch):
 
 
 def kmeans_key(monkeypatch, seed, concept):
-    """The key of the fit's k-means restart 0 on `concept` under fit seed `seed`."""
+    """The key of the fit's k-means restart 0 on `concept` under fit seed `seed`.
+    Noisy tokens: each concept's take more than k values, so every restart draws
+    its seeding (on exactly k values, none does)."""
     codebook = build_codebook(seed=seed)
     cards = codebook.cardinalities
-    tokens = encode_values([[v % card for card in cards] for v in range(max(cards))], codebook)
+    values = [[v % card for card in cards] for v in range(2 * max(cards))]
+    tokens = encode_values(values, codebook, 0.1, DEFAULT_RNG(seed))
     keys = recorded_keys(monkeypatch)
     fit_symbolizer(tokens, cards, seed=seed, restarts=1)  # one key per concept, in order
     monkeypatch.undo()
+    assert keys[concept] == [seed, STREAMS["kmeans"].tag, concept, 0]
     return keys[concept]
 
 

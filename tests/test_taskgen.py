@@ -145,8 +145,13 @@ class TestGenerateTask:
             generate_task(1, np.random.default_rng(0))
 
     def test_bad_level(self):
-        with pytest.raises(ValueError):
-            generate_task(5, np.random.default_rng(0))
+        """`generate_task`, before it draws a bench, and `EnvConfig` read the one
+        level rule, `workbench.LEVEL`, and refuse a level in one text."""
+        for level in (0, 5):
+            for refuse in (lambda: generate_task(level, np.random.default_rng(0)),
+                           lambda: EnvConfig(level=level)):
+                with pytest.raises(ValueError, match=rf"^level must be 1\.\.4, got {level}$"):
+                    refuse()
 
 
 class TestDraws:
