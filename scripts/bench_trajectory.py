@@ -23,7 +23,10 @@ Writes to --out a JSON object with
   and 2 (test plans on action pairs that no training plan combines).
 
 Every dataset has perfbench's task counts. All timing is perfbench's: times
-are in its reference seconds.
+are in its reference seconds. A file holds one run per workload, which on a
+shared 2-core machine cannot resolve an end-to-end change under ~10-15% (two
+runs of one tree read noisy-pool-l4 `setup_s` 0.297 and 0.320): claim such a
+change from alternating pairs of `perfbench/run.py` runs instead.
 
 Usage: python3 scripts/bench_trajectory.py --out BENCH_<n>.json [--seconds 10]
 
@@ -43,13 +46,12 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from benchplan.evaluate import run_experiment  # noqa: E402
 from benchplan.fitting import FitConfig, fit_pipeline  # noqa: E402
-from benchplan.taskgen import make_dataset  # noqa: E402
+from benchplan.taskgen import VARIANTS, make_dataset  # noqa: E402
 from perfbench import protocol  # noqa: E402
 
 SCHEMA = 1
 with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:  # the workloads it declares
     WORKLOADS = tuple(workload["name"] for workload in json.load(fh)["workloads"])
-LEVELS = (1, 2, 3, 4)
 SIGMAS = (0.0, 0.2, 0.4, 0.5)
 QUALITY = ("asacc_top1", "asacc_top5", "ase")
 SEEDS = (11, 12, 13)  # the quality seeds; the first is the workload seed
@@ -124,7 +126,7 @@ def main(argv=None, seeds=SEEDS, counts=protocol.COUNTS) -> int:
         "workloads": workloads,
         "quality": {"planner": "symbolic", "seeds": list(seeds),
                     "cells": [quality_cell(level, sigma, seeds, counts)
-                              for level in LEVELS for sigma in SIGMAS]},
+                              for level in VARIANTS["standard"].levels for sigma in SIGMAS]},
         "generalization": {"planner": "symbolic", "seeds": list(seeds),
                            "cells": [{"variant": variant,
                                       **quality_cell(level, 0.0, seeds, counts, variant)}

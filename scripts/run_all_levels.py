@@ -17,7 +17,7 @@ from benchplan.cli import count_arg, positive_arg, seed_arg, sigma_arg
 from benchplan.evaluate import interpretability_report, run_experiment
 from benchplan.fitting import FitConfig, fit_pipeline, unmapped_note
 from benchplan.symbols import InsufficientPoints, UnmeasurablePoints
-from benchplan.taskgen import make_dataset
+from benchplan.taskgen import VARIANTS, make_dataset
 from benchplan.token_maps import InsufficientPairs
 
 GENERALIZATION = (  # (variant, heading, levels) of each generalization split
@@ -56,7 +56,7 @@ def reproduce(args):
     config = FitConfig(noise_sigma=args.sigma)
 
     fitted_by_level = {}
-    for level in (1, 2, 3, 4):
+    for level in VARIANTS["standard"].levels:
         t0 = time.perf_counter()
         dataset = make_dataset("standard", level, counts, args.seed)
         fitted = fit_pipeline(dataset, config)

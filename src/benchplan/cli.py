@@ -32,7 +32,7 @@ from .taskgen import (
     oracle_shortest_plan,
 )
 from .token_maps import InsufficientPairs, UnknownAction, rollout, token_mse
-from .workbench import CONCEPTS, MAX_TYPES, EnvConfig
+from .workbench import CONCEPTS, LEVEL, MAX_TYPES, EnvConfig
 
 ENV_ARTIFACT_DIR = "BENCHPLAN_ARTIFACTS"
 
@@ -68,8 +68,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_gen(args) -> int:
-    dataset = make_dataset(args.variant, args.level, (args.train, args.val, args.test),
-                           args.seed, args.unseen_types)
+    try:
+        dataset = make_dataset(args.variant, args.level, (args.train, args.val, args.test),
+                               args.seed, args.unseen_types)
+    except ValueError as err:  # counts or a level the variant does not define, before any draw
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     if args.codebook_seed is not None:
         dataset.codebook_seed = args.codebook_seed
     artifacts.save_dataset(args.out, dataset)
@@ -230,7 +234,7 @@ def build_parser() -> _Parser:
     search_opts.add_argument("--l-max", type=positive_arg, default=None)
 
     p = sub.add_parser("gen", parents=[seed_opt], help="generate a task dataset")
-    p.add_argument("--level", type=int, choices=(1, 2, 3, 4), required=True)
+    p.add_argument("--level", type=_bounded(*LEVEL), metavar=LEVEL.rule, required=True)
     p.add_argument("--train", type=count_arg, default=800)
     p.add_argument("--val", type=count_arg, default=100)
     p.add_argument("--test", type=count_arg, default=100)
@@ -252,7 +256,7 @@ def build_parser() -> _Parser:
                        help="plan one task and print the top-k sequences")
     p.add_argument("--data", default=None)
     p.add_argument("--task-id", default=None)
-    p.add_argument("--level", type=int, choices=(1, 2, 3, 4), default=1)
+    p.add_argument("--level", type=_bounded(*LEVEL), metavar=LEVEL.rule, default=1)
     p.add_argument("--init", default=None, help="type,x,y,rot,color,size")
     p.add_argument("--goal", default=None)
     p.add_argument("--obstacles", default=None, help="x,y;x,y")
@@ -291,10 +295,6 @@ def main(argv=None) -> int:
             parser.error("plan needs either --task-id with --data, or --init and --goal")
         if args.command == "plan" and args.task_id and not args.data:
             parser.error("--task-id needs --data")
-        if args.command == "gen" and args.train + args.val + args.test == 0:
-            parser.error("--train, --val and --test sum to 0")
-        if args.command == "gen" and args.level not in (levels := VARIANTS[args.variant].levels):
-            parser.error(f"--variant {args.variant} needs --level {' or '.join(map(str, levels))}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

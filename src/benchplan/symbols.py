@@ -2,13 +2,13 @@
 
 Each concept gets its own k-means fit with k equal to that concept's known
 value-space size; a token's symbol is the index of its nearest center. The
-fit is deterministic under a seed (greedy k-means++ init with 2 + floor(ln k)
-local trials per center, 6 restarts, each drawn from
-`streams.rng(seed, "kmeans", concept, restart)`, centers canonicalized to
-lexicographic order; restarts that draw one center set and meet no tie share
-one Lloyd run). Where the points take exactly k distinct values, as noiseless
-tokens do, every seeding draws each value once: one Lloyd run from them is
-every restart's run, and no seeding is drawn unless that run meets a tie.
+fit is deterministic under a seed: greedy k-means++ init with 2 + floor(ln k)
+local trials per center, 6 restarts drawn from `streams.rng(seed, "kmeans",
+concept, restart)`, the first run of least inertia kept, its centers sorted
+lexicographically. Where the points take exactly k distinct values, as
+noiseless tokens do, every seeding draws each value once, so one tie-free Lloyd
+run from them is every restart's run, up to the order of its centers; the
+seedings are drawn only if that run meets a tie.
 Points are held as (dim, n) columns; exact near-tie picks and numpy's row-sum
 order keep every label and bit. A Lloyd step sums again only the clusters
 whose members changed.
@@ -227,10 +227,9 @@ def _lloyd(cols: np.ndarray, centers: np.ndarray
 def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int, seed: int,
                concept: int = 0, restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
     """Greedy k-means++ plus Lloyd; best of `restarts` runs by inertia, the first of equals.
-    Restart r draws its init from the k-means stream's key (seed, concept, r).
-    Lloyd from a permuted init is the permuted run, bit for bit, unless a point
-    meets a tie: a restart that draws an earlier tie-free run's centers is skipped,
-    and on exactly k distinct points, which every seeding draws, so is each one."""
+    Restart r draws its init from the k-means stream's key (seed, concept, r). On
+    exactly k distinct points, which every seeding draws, a tie-free run from them
+    is every restart's run, bit for bit up to the order of its centers."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
@@ -242,18 +241,14 @@ def fit_kmeans(points: Sequence[np.ndarray] | np.ndarray, k: int, seed: int,
     if len(pts) < k:
         raise InsufficientPoints(f"{len(pts)} points for k={k}")
     cols = np.ascontiguousarray(pts.T)  # (dim, n): each step works on whole rows
-    best, tie_free = None, set()  # the first run of least inertia; tie-free runs' inits
+    best = None  # the first run of least inertia
     if (distinct := _distinct(cols)) is not None and distinct.shape[1] == k:
         run = _lloyd(cols, distinct.T.copy())  # every seeding draws each of these k once,
         best = None if run[-1] else run  # so, tie-free, this run is every restart's run
     for r in range(restarts if best is None else 0):
-        init = _kmeanspp_init(cols, k, streams.rng(seed, "kmeans", concept, r))
-        if (key := init[np.lexsort(init.T[::-1])].tobytes()) not in tie_free:
-            run = _lloyd(cols, init)  # centers, inertia, iterations, labels, near, tied
-            if best is None or run[1] < best[1]:
-                best = run
-            if not run[-1]:
-                tie_free.add(key)
+        run = _lloyd(cols, _kmeanspp_init(cols, k, streams.rng(seed, "kmeans", concept, r)))
+        if best is None or run[1] < best[1]:
+            best = run
     centers, inertia, iterations, labels, near, _ = best
     order = np.lexsort(centers.T[::-1])  # canonical: sort rows lexicographically
     labels = order.argsort()[labels]

@@ -31,6 +31,7 @@ from .workbench import (
     CELLS,
     COLOR,
     LEVEL,
+    MAX_LEN_BY_LEVEL,
     N_COLORS,
     N_SIZES,
     N_TYPES,
@@ -182,15 +183,15 @@ def _sample_env(level: int, below) -> EnvConfig | None:
     return EnvConfig(level, chosen[:-1], chosen[-1], below(N_COLORS))  # dyer last
 
 
-def _sample_states(level: int, env: EnvConfig, below) -> tuple[ObjectState, ObjectState]:
+def _sample_states(env: EnvConfig, below) -> tuple[ObjectState, ObjectState]:
     free = list(compress(CELLS, chain.from_iterable(env.free)))
     init_pos = free[below(len(free))]
     goal_pos = free[below(len(free))]
     type_id = below(N_TYPES)
     size = below(N_SIZES)
     init_rot = ROTATIONS[below(4)]
-    goal_rot = init_rot if level <= 3 else ROTATIONS[below(4)]
-    if level >= 3 and below(2):
+    goal_rot = ROTATIONS[below(4)] if ROTATION in goal_concepts(env.level) else init_rot
+    if env.dyer is not None and below(2):
         # force a color change: goal color is the dyer's, init differs
         goal_color = env.dyer_color
         init_color = below(N_COLORS - 1)  # the index among the other colors
@@ -211,7 +212,7 @@ def generate_task(level: int, rng: np.random.Generator) -> Task:
         env = _sample_env(level, below)
         if env is None:
             continue
-        init, goal = _sample_states(level, env, below)
+        init, goal = _sample_states(env, below)
         try:
             plan = oracle_shortest_plan(env, init, goal)
         except Unreachable:
@@ -272,7 +273,8 @@ def make_unseen_task_split(level: int, counts: tuple[int, int, int],
     (left+back or right+front). Defined for the levels `VARIANTS` gives it.
     """
     if level not in (levels := VARIANTS["unseen_task"].levels):
-        raise ValueError(f"unseen-task splits are limited to levels {levels}")
+        raise ValueError(f"variant unseen_task needs level {' or '.join(map(str, levels))}, "
+                         f"got {level}")
 
     def draw(i: int, split: str) -> Task:
         rng = streams.rng(seed, "unseen_task", i)
@@ -293,9 +295,9 @@ def make_unseen_task_split(level: int, counts: tuple[int, int, int],
 # variant is one entry here, plus its tag in `streams.STREAMS` if it draws
 Variant = NamedTuple("Variant", [("levels", tuple), ("build", Callable[..., Dataset])])
 VARIANTS = {
-    "standard": Variant((1, 2, 3, 4), lambda level, counts, seed, _: generate_dataset(
+    "standard": Variant(tuple(MAX_LEN_BY_LEVEL), lambda level, counts, seed, _: generate_dataset(
         level, counts, seed)),
-    "unseen_object": Variant((1, 2, 3, 4), lambda level, counts, seed, n: (
+    "unseen_object": Variant(tuple(MAX_LEN_BY_LEVEL), lambda level, counts, seed, n: (
         make_unseen_object_split(generate_dataset(level, counts, seed),
                                  set(range(N_TYPES, N_TYPES + n))))),
     "unseen_task": Variant((1, 2), lambda level, counts, seed, _: make_unseen_task_split(

@@ -65,8 +65,9 @@ class TestGen:
         with open("a.txt", "rb") as fa, open("b.txt", "rb") as fb:
             assert fa.read() == fb.read()
 
-    def test_invalid_level_is_usage_error(self, workdir):
+    def test_invalid_level_is_usage_error(self, workdir, capsys):
         assert run("gen", "--level", 5, "--out", "x.txt") == 1
+        assert capsys.readouterr().err == "error: argument --level: must be 1..4, got 5\n"
 
     def test_unseen_task_variant(self, workdir, capsys):
         assert run("gen", "--level", 1, "--train", 12, "--val", 2, "--test", 4,
@@ -74,7 +75,7 @@ class TestGen:
         assert "variant unseen_task" in capsys.readouterr().out
 
     # every (variant, level) pair: written where the variant table defines it,
-    # refused by name where it does not
+    # refused by the library, by name, where it does not
     @pytest.mark.parametrize("variant, level", [(v, n) for v in VARIANTS for n in (1, 2, 3, 4)])
     def test_gen_writes_what_the_variant_table_defines(self, workdir, capsys, variant, level):
         code = run(*GEN, "--level", level, "--variant", variant)
@@ -83,7 +84,19 @@ class TestGen:
             assert code == 0 and load_dataset("g.txt").variant == variant
         else:
             assert (code, capsys.readouterr().err) == (
-                1, f"error: --variant {variant} needs --level {' or '.join(map(str, levels))}\n")
+                1, f"error: variant {variant} needs level {' or '.join(map(str, levels))}, "
+                   f"got {level}\n")
+
+    # the library's request checks, each printed once; the level is checked first
+    @pytest.mark.parametrize("options, err", [
+        ((), "counts must be nonnegative and sum to > 0"),
+        (("--level", 3, "--variant", "unseen_task"),
+         "variant unseen_task needs level 1 or 2, got 3"),
+    ], ids=["no-tasks", "no-tasks-and-level-3-unseen-task"])
+    def test_gen_without_tasks_is_refused_by_the_library(self, workdir, capsys, options, err):
+        assert run(*GEN, "--train", 0, "--val", 0, "--test", 0, *options) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not os.path.exists("g.txt")
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_codebook_seed_applies_to_every_variant(self, workdir, variant):

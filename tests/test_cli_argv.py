@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from _cli import run_cli
 from benchplan import cli
+from benchplan.workbench import LEVEL
 
 PARSER = cli.build_parser()
 COMMANDS = next(a for a in PARSER._actions
@@ -56,7 +57,8 @@ def bound_values(kind) -> list[str]:
 
 def test_the_probe_finds_each_bound():
     types = {a.option_strings[-1]: a.type  # fit's --seed and --sigma, read after eval's
-             for name in ("eval", "fit") for a in COMMANDS[name]._actions if a.option_strings}
+             for name in ("gen", "eval", "fit") for a in COMMANDS[name]._actions
+             if a.option_strings}
     assert bound_values(types["--thresh"]) == \
         [repr(v) for v in (-EPS, 0, EPS, 1 - EPS, 1, 1 + EPS)] + ["nan", "inf", "x"]
     assert bound_values(types["--min-top1"]) == \
@@ -66,6 +68,15 @@ def test_the_probe_finds_each_bound():
     assert bound_values(types["--restarts"]) == ["0", "1", "2", "x"]
     assert bound_values(types["--seed"]) == ["-1", "0", "1", "x"]
     assert bound_values(types["--sigma"]) == [repr(v) for v in (-EPS, 0, EPS)] + ["nan", "inf", "x"]
+    assert bound_values(types["--level"]) == ["0", "1", "2", "3", "4", "5", "x"]
+
+
+@pytest.mark.parametrize("command", ["gen", "plan"])
+def test_level_options_read_the_one_level_rule(command):
+    kind = next(a.type for a in COMMANDS[command]._actions if "--level" in a.option_strings)
+    assert [v for v in range(-3, 11) if accepts(kind, str(v))] == \
+        [v for v in range(-3, 11) if LEVEL.ok(v)]
+    assert not accepts(kind, "x")
 
 
 @pytest.fixture(scope="module")

@@ -298,7 +298,7 @@ class TestUnseenTaskSplit:
             assert not any(used <= fam for fam in TRAIN_FAMILIES)
 
     def test_level3_unsupported(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^variant unseen_task needs level 1 or 2, got 3$"):
             make_unseen_task_split(3, (10, 2, 4), seed=0)
 
     # a dataset with no task has no level
